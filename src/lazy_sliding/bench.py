@@ -20,7 +20,7 @@ from .errors import BudgetExceeded, ConfigError
 from .objectives import LeastSquares, estimate_L, estimate_sigma2
 from .regions import region_from_spec, svec
 from .schedules import _FIXED_N_TAGS, ProblemConstants, ScheduleVariant
-from .solvers import SolverConfig, run_solver
+from .solvers import VARIANTS, SolverConfig, run_solver
 from .trace import RunTrace, read_trace_csv
 
 DETERMINISTIC_ENV = "LAZY_SLIDING_DETERMINISTIC"
@@ -79,7 +79,7 @@ def layered_dag_edges(layers, width):
     return edges
 
 
-def expand_region_spec(spec, rng=None):
+def expand_region_spec(spec):
     """Expand generator shorthands into concrete region specs."""
     kind = spec.get("kind")
     if kind == "hamiltonian_cycles":
@@ -109,7 +109,7 @@ def gen_instance(spec: dict) -> dict:
     """Generate an instance dict from a generator spec (deterministic in seed)."""
     seed = int(spec.get("seed", 0))
     rng = np.random.default_rng(seed)
-    region_spec = expand_region_spec(spec["region"], rng)
+    region_spec = expand_region_spec(spec["region"])
     region = region_from_spec(region_spec)
 
     ospec = spec.get("objective", {})
@@ -146,9 +146,10 @@ def gen_instance(spec: dict) -> dict:
 
 
 def write_json(path, obj):
+    # json.dumps runs the C encoder; json.dump streams through the Python one.
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_instance(path_or_dict):
@@ -228,6 +229,21 @@ def _entry_schedule(entry, outer):
     return ScheduleVariant(sd["tag"], N=N, s=sd.get("s"))
 
 
+def _check_entry(entry, budgets):
+    """Raise if a solver entry would be rejected once its runs start."""
+    if entry.get("variant") not in VARIANTS:
+        raise ConfigError("unknown solver variant %r" % (entry.get("variant"),))
+    outer = int(entry.get("outer", budgets.get("outer", 100)))
+    if outer < 1:
+        raise ConfigError("outer must be >= 1, got %d" % (outer,))
+    _entry_schedule(entry, outer)  # ScheduleVariant rejects unknown tags
+    ProblemConstants(**entry.get("constants", {}))
+    if entry.get("batch") is not None and int(entry["batch"]) < 1:
+        raise ConfigError("batch must be >= 1, got %r" % (entry["batch"],))
+    if int(entry.get("cache_capacity", 512)) < 0:
+        raise ConfigError("cache_capacity must be >= 0, got %r" % (entry["cache_capacity"],))
+
+
 def config_hash(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:12]
 
@@ -282,18 +298,25 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
 
     Returns (summary_dict, exit_code); exit code is nonzero if any run hit a
     budget error.  Trace CSVs, per-run metadata, and summary.json land in the
-    output directory.
+    output directory.  Every solver entry is checked before the first run; a
+    bad one raises ConfigError naming it and nothing is written.
     """
     instance = config["instance"]
     instance_path = instance if os.path.isabs(instance) else os.path.join(base_dir, instance)
+    budgets = dict(config.get("budgets", {}))
+    if time_limit is not None:
+        budgets["wall_seconds"] = time_limit
+    for i, entry in enumerate(config.get("solvers", [])):
+        try:
+            _check_entry(entry, budgets)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError("solver entry %d (%s): %s"
+                              % (i, entry.get("name", entry.get("variant")), exc)) from exc
     out_dir = out_dir or config.get("out_dir") or os.path.join(base_dir, "runs")
     os.makedirs(out_dir, exist_ok=True)
     if seeds is None:
         seeds = config.get("seeds", [0])
     seeds = parse_seeds(seeds)
-    budgets = dict(config.get("budgets", {}))
-    if time_limit is not None:
-        budgets["wall_seconds"] = time_limit
     sigma2_samples = int(config.get("sigma2_samples", 2000))
 
     if os.environ.get(DETERMINISTIC_ENV) == "1":

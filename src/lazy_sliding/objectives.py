@@ -7,6 +7,40 @@ import scipy.sparse as sp
 
 from .linalg import power_iteration
 
+# Individual stochastic gradients come out in row blocks of about this many
+# bytes, so moment estimates never hold the full (count, n) sample matrix.
+SFO_BLOCK_BYTES = 2 * 1024 * 1024
+# Block heights are multiples of this many rows (at least one multiple, so a
+# block wider than 4096 columns goes over the budget).  gemv kernels work
+# through rows in small aligned groups, so an aligned block evaluates each row
+# exactly as one full-height product does: bit for bit with single-threaded
+# BLAS, and with threaded BLAS whenever its row split is aligned too.
+_ROW_ALIGN = 64
+
+
+def _block_rows(n):
+    """Rows per sample block of width n."""
+    return max(1, SFO_BLOCK_BYTES // (8 * n * _ROW_ALIGN)) * _ROW_ALIGN
+
+
+def _row_slices(count, n):
+    """Consecutive slices of `count` sample rows, one per block."""
+    step = _block_rows(n)
+    start = 0
+    while start < count:
+        stop = start + step
+        if stop >= count - 1:
+            # A lone last row joins this block: numpy evaluates a (1, n) @ z
+            # as a dot product, which rounds differently from gemv.
+            stop = count
+        yield slice(start, stop)
+        start = stop
+
+
+def _stack(blocks, n):
+    """Concatenate sample blocks of width n (a (0, n) array when there are none)."""
+    return np.concatenate([np.empty((0, n))] + list(blocks))
+
 
 def simplex_project(v):
     """Euclidean projection onto the probability simplex (sort and threshold)."""
@@ -69,12 +103,22 @@ class LeastSquares:
         resid = rows @ z - self.b[idx]
         return (2.0 * self.m / size) * (rows.T @ resid)
 
+    def sfo_blocks(self, z, count, rng):
+        """`count` individual samples as consecutive row blocks.
+
+        All row indices are drawn up front in one call, so the samples do not
+        depend on the block height.
+        """
+        idx = rng.integers(0, self.m, size=count)
+        for block in _row_slices(count, self.n):
+            sub = idx[block]
+            rows = self._rows(sub)
+            resid = rows @ z - self.b[sub]
+            yield 2.0 * self.m * rows * resid[:, None]
+
     def sfo_many(self, z, count, rng):
         """A (count, n) matrix of individual samples (for moment checks)."""
-        idx = rng.integers(0, self.m, size=count)
-        rows = self._rows(idx)
-        resid = rows @ z - self.b[idx]
-        return 2.0 * self.m * rows * resid[:, None]
+        return _stack(self.sfo_blocks(z, count, rng), len(z))
 
     def lipschitz(self):
         """L = 2 sigma_max(A)^2, via power iteration on v -> A^T (A v)."""
@@ -118,9 +162,13 @@ class GaussianSfo:
         g = self.base.grad(z)
         return g + self._noise(len(g), rng, count=size).mean(axis=0)
 
-    def sfo_many(self, z, count, rng):
+    def sfo_blocks(self, z, count, rng):
         g = self.base.grad(z)
-        return g[None, :] + self._noise(len(g), rng, count=count)
+        for block in _row_slices(count, len(g)):
+            yield g[None, :] + self._noise(len(g), rng, count=block.stop - block.start)
+
+    def sfo_many(self, z, count, rng):
+        return _stack(self.sfo_blocks(z, count, rng), len(z))
 
     def lipschitz(self):
         return self.base.lipschitz()
@@ -203,19 +251,13 @@ def estimate_sigma2(obj, x_ref, samples, rng):
     """Empirical SFO variance bound at x_ref, inflated by 10 percent.
 
     Requires at least 1000 samples so the estimate is stable enough to feed
-    batch-size rules.
+    batch-size rules, and a sampler with ``sfo_blocks``.  Samples are reduced
+    one row block at a time, so memory is bounded by SFO_BLOCK_BYTES and the
+    value does not depend on it.
     """
     if samples < 1000:
         raise ValueError("estimate_sigma2 needs samples >= 1000, got %d" % (samples,))
     g = obj.grad(x_ref)
-    if hasattr(obj, "sfo_many"):
-        S = obj.sfo_many(x_ref, samples, rng)
-        sq = np.sum((S - g[None, :]) ** 2, axis=1)
-        mean = float(np.mean(sq))
-    else:
-        acc = 0.0
-        for _ in range(samples):
-            d = obj.sfo_sample(x_ref, rng) - g
-            acc += float(d @ d)
-        mean = acc / samples
-    return 1.1 * mean
+    sq = np.concatenate([np.sum((S - g[None, :]) ** 2, axis=1)
+                         for S in obj.sfo_blocks(x_ref, samples, rng)])
+    return 1.1 * float(np.mean(sq))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import NumericalError
 from .linalg import power_iteration
@@ -195,6 +194,9 @@ class Birkhoff(Region):
         self.dim = n * n
 
     def lmo(self, c):
+        # Deferred: a slow import that most regions never need.
+        from scipy.optimize import linear_sum_assignment
+
         c = self._check(c)
         cost = c.reshape(self.n, self.n)
         rows, cols = linear_sum_assignment(cost)
@@ -293,7 +295,7 @@ class Spectrahedron(Region):
         return bool(ev[0] >= -tol and abs(float(np.trace(X)) - 1.0) <= tol)
 
     def to_spec(self):
-        return {"kind": self.kind, "n": self.n}
+        return {"kind": self.kind, "n": self.n, "eig_tol": self.eig_tol}
 
 
 class DagPath(Region):
@@ -450,6 +452,9 @@ class Enumerated(Region):
         return self._diameter
 
     def contains(self, x, tol=1e-9):
+        # Deferred: a slow import that most regions never need.
+        from scipy.optimize import linprog
+
         # Chebyshev fit: min t s.t. |V^T lam - x|_inf <= t, lam in simplex.
         x = self._check(x)
         nv = self.vertices.shape[0]
@@ -499,7 +504,7 @@ def region_from_spec(spec: dict) -> Region:
     if kind == "birkhoff":
         return Birkhoff(spec["n"])
     if kind == "spectrahedron":
-        return Spectrahedron(spec["n"])
+        return Spectrahedron(spec["n"], spec.get("eig_tol", 1e-9))
     if kind == "dag_path":
         return DagPath(spec["edges"])
     return Enumerated(spec["vertices"])

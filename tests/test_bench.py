@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lazy_sliding
 from lazy_sliding.bench import (
     cut_polytope_vertices,
     gen_instance,
@@ -53,6 +56,22 @@ def test_gen_is_deterministic_and_byte_identical(tmp_path):
     # a different seed must produce different data
     other = gen_instance(dict(SIMPLEX_SPEC, seed=6))
     assert other["objective"]["b"] != gen_instance(SIMPLEX_SPEC)["objective"]["b"]
+
+
+def test_write_json_bytes_are_compact_sorted_dumps(tmp_path):
+    obj = dict(gen_instance(SIMPLEX_SPEC), extra={"b": [1.5, -0.0, 1e-300], "a": None})
+    path = tmp_path / "out.json"
+    write_json(str(path), obj)
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_bytes() == text.encode()
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lazy_sliding.__file__)))
+    code = "import sys, lazy_sliding; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_generated_instance_has_zero_optimum(tmp_path):
@@ -135,6 +154,24 @@ CALGD_ENTRY = {
     "schedule": {"tag": "smooth_deterministic"},
     "outer": 60,
 }
+
+
+def test_bad_entry_fails_before_any_run(tmp_path):
+    bad_entries = [
+        dict(CALGD_ENTRY, name="bad", constants={"L": -1}),
+        dict(CALGD_ENTRY, name="bad", constants={"L_typo": 1.0}),
+        dict(CALGD_ENTRY, name="bad", variant="nope"),
+        dict(CALGD_ENTRY, name="bad", schedule={"tag": "nope"}),
+        dict(CALGD_ENTRY, name="bad", outer=0),
+        dict(CALGD_ENTRY, name="bad", batch=0),
+        dict(CALGD_ENTRY, name="bad", cache_capacity=-1),
+    ]
+    for bad in bad_entries:
+        config = _experiment(tmp_path, [CALGD_ENTRY, bad])
+        out = tmp_path / "runs"
+        with pytest.raises(ConfigError, match=r"solver entry 1 \(bad\)"):
+            run_experiment(config, out_dir=str(out))
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_calgd_threshold_table_monotone(tmp_path):

@@ -1,12 +1,17 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from lazy_sliding.objectives import (
+    SFO_BLOCK_BYTES,
     GaussianSfo,
     L1Distance,
     LeastSquares,
     SmoothedSaddle,
+    _block_rows,
     estimate_L,
     estimate_sigma2,
     simplex_project,
@@ -80,6 +85,55 @@ def test_sfo_batch_is_mean_of_samples():
     b1 = obj.sfo_batch(z, 64, np.random.default_rng(5))
     S = obj.sfo_many(z, 64, np.random.default_rng(5))
     assert np.allclose(b1, S.mean(axis=0), atol=1e-12)
+
+
+def _random_csr(rng, m, n, density):
+    mask = rng.random((m, n)) < density
+    return sp.csr_matrix(np.where(mask, rng.random((m, n)), 0.0))
+
+
+def _full_matrix_samples(obj, x, samples, rng):
+    """Every sample at once, in one (samples, n) matrix, without row blocks."""
+    g = obj.grad(x)
+    if isinstance(obj, GaussianSfo):
+        noise = rng.normal(0.0, math.sqrt(obj.sigma2 / len(g)), size=(samples, len(g)))
+        return g[None, :] + noise
+    idx = rng.integers(0, obj.m, size=samples)
+    rows = obj.A[idx].toarray() if sp.issparse(obj.A) else obj.A[idx]
+    resid = rows @ x - obj.b[idx]
+    return 2.0 * obj.m * rows * resid[:, None]
+
+
+def test_estimate_sigma2_blocks_match_full_matrix_bitwise():
+    rng = np.random.default_rng(17)
+    dense = LeastSquares(rng.random((400, 300)), rng.random(400))
+    csr = LeastSquares(_random_csr(rng, 300, 1200, 0.05), rng.random(300))
+    gauss = GaussianSfo(LeastSquares(rng.random((50, 600)), rng.random(50)), 3.0)
+    for obj, n in ((dense, 300), (csr, 1200), (gauss, 600)):
+        x = rng.random(n)
+        g = obj.grad(x)
+        step = _block_rows(n)
+        # a ragged last block, and one that would leave a lone row behind
+        for samples in (2048, (1000 // step + 1) * step + 1):
+            assert samples * n * 8 > SFO_BLOCK_BYTES  # several blocks per call
+            S = _full_matrix_samples(obj, x, samples, np.random.default_rng(18))
+            assert np.array_equal(obj.sfo_many(x, samples, np.random.default_rng(18)), S)
+            full = 1.1 * float(np.mean(np.sum((S - g[None, :]) ** 2, axis=1)))
+            assert estimate_sigma2(obj, x, samples, np.random.default_rng(18)) == full
+    assert dense.sfo_many(np.zeros(300), 0, rng).shape == (0, 300)
+
+
+def test_estimate_sigma2_memory_bounded_by_block():
+    rng = np.random.default_rng(20)
+    obj = LeastSquares(_random_csr(rng, 2000, 2500, 0.05), rng.random(2000))
+    x = rng.random(2500)
+    tracemalloc.start()
+    try:
+        estimate_sigma2(obj, x, 2000, np.random.default_rng(21))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6  # the full (2000, 2500) sample matrix alone is 40 MB
 
 
 def test_estimate_L_worked_examples():

@@ -182,11 +182,13 @@ def test_diameter_upper_bounds_vertex_pairs(region):
         assert float(np.linalg.norm(a - b)) <= D + 1e-9
 
 
-@pytest.mark.parametrize("region", ALL_REGIONS, ids=lambda r: r.kind)
+@pytest.mark.parametrize("region", ALL_REGIONS + [Spectrahedron(3, eig_tol=1e-6)],
+                         ids=[r.kind for r in ALL_REGIONS] + ["spectrahedron_eig_tol"])
 def test_spec_round_trip(region):
     spec = region.to_spec()
     clone = region_from_spec(spec)
     assert clone.kind == region.kind and clone.dim == region.dim
+    assert getattr(clone, "eig_tol", None) == getattr(region, "eig_tol", None)
     rng = np.random.default_rng(9)
     for _ in range(10):
         c = rng.standard_normal(region.dim)
