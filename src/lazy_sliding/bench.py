@@ -4,8 +4,15 @@ Instances are least-squares problems f(x) = ||A x - b||^2 over one of the
 feasible regions, with b = A x_star for a feasible x_star so the optimum
 value is exactly zero and objective thresholds are meaningful across
 instances.  Everything is JSON on disk and deterministic given the seed.
+
+In an instance file the numeric arrays (A or its CSR parts, b, x_star) are
+``{"__ndarray__": dtype, "shape": [...], "base64": ...}`` objects holding the
+base64 of the array's C-order little-endian bytes, so a round trip is exact
+and no load builds Python float lists.  Arrays written as plain JSON lists
+are still accepted.  Region specs stay plain lists.
 """
 
+import base64
 import hashlib
 import itertools
 import json
@@ -13,10 +20,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
-from .errors import BudgetExceeded, ConfigError
+from .errors import BudgetExceeded, ConfigError, NumericalError
 from .objectives import LeastSquares, estimate_L, estimate_sigma2
 from .regions import region_from_spec, svec
 from .schedules import _FIXED_N_TAGS, ProblemConstants, ScheduleVariant
@@ -129,25 +135,46 @@ def gen_instance(spec: dict) -> dict:
     if fmt == "auto":
         fmt = "csr" if density <= 0.25 and m * n > 10000 else "dense"
     if fmt == "csr":
+        import scipy.sparse as sp
         Asp = sp.csr_matrix(A)
-        amat = {"format": "csr", "data": Asp.data.tolist(),
-                "indices": Asp.indices.tolist(), "indptr": Asp.indptr.tolist(),
-                "shape": [m, n]}
+        amat = {"format": "csr", "data": Asp.data, "indices": Asp.indices,
+                "indptr": Asp.indptr, "shape": [m, n]}
     else:
-        amat = {"format": "dense", "data": A.tolist()}
+        amat = {"format": "dense", "data": A}
 
     return {
         "version": __version__,
         "region": region_spec,
-        "objective": {"type": "least_squares", "A": amat,
-                      "b": b.tolist(), "x_star": x_star.tolist()},
+        "objective": {"type": "least_squares", "A": amat, "b": b, "x_star": x_star},
         "generator": dict(spec, seed=seed),
     }
 
 
+_NDARRAY = "__ndarray__"
+
+
+def _encode_array(obj):
+    """`json.dumps` hook: an ndarray as dtype, shape and base64 little-endian bytes."""
+    if isinstance(obj, np.ndarray) and not obj.dtype.hasobject:
+        dtype = obj.dtype.newbyteorder("<")
+        raw = np.ascontiguousarray(obj, dtype=dtype).tobytes()
+        return {_NDARRAY: dtype.str, "shape": list(obj.shape),
+                "base64": base64.b64encode(raw).decode("ascii")}
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
+def _decode_array(d):
+    """`json.load` object hook: the inverse of `_encode_array`, in native byte order."""
+    if _NDARRAY not in d:
+        return d
+    dtype = np.dtype(d[_NDARRAY])
+    flat = np.frombuffer(base64.b64decode(d["base64"]), dtype=dtype)
+    return flat.reshape(d["shape"]).astype(dtype.newbyteorder("="))
+
+
 def write_json(path, obj):
     # json.dumps runs the C encoder; json.dump streams through the Python one.
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode_array)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -156,13 +183,14 @@ def load_instance(path_or_dict):
     """(region, objective, instance_dict) from an instance file or dict."""
     if isinstance(path_or_dict, str):
         with open(path_or_dict) as fh:
-            inst = json.load(fh)
+            inst = json.load(fh, object_hook=_decode_array)
     else:
         inst = path_or_dict
     region = region_from_spec(inst["region"])
     ospec = inst["objective"]
     amat = ospec["A"]
     if amat["format"] == "csr":
+        import scipy.sparse as sp
         A = sp.csr_matrix((amat["data"], amat["indices"], amat["indptr"]),
                           shape=tuple(amat["shape"]))
     else:
@@ -249,35 +277,45 @@ def config_hash(obj) -> str:
 
 
 def _run_one(task):
-    """Worker: run one (solver entry, seed) pair and write its trace files."""
+    """Worker: run one (solver entry, seed) pair and write its trace files.
+
+    A BudgetExceeded keeps the rows computed before the failing outer
+    iteration and records that iteration as ``failed_outer_k``.  A
+    NumericalError or ConfigError marks this run ``error``; the other runs
+    of the experiment still go ahead.
+    """
     (entry, seed, instance_path, out_dir, budgets, sigma2_samples) = task
     region, objective, inst = load_instance(instance_path)
-    x0 = _default_x0(region, entry.get("x0", "vertex"), inst)
-    constants = resolve_constants(entry, region, objective, inst, x0, sigma2_samples)
-    outer = int(entry.get("outer", budgets.get("outer", 100)))
-    cfg = SolverConfig(
-        variant=entry["variant"],
-        constants=constants,
-        x0=x0,
-        outer_limit=outer,
-        schedule=_entry_schedule(entry, outer),
-        seed=seed,
-        time_limit=budgets.get("wall_seconds"),
-        batch=entry.get("batch"),
-        cache_capacity=int(entry.get("cache_capacity", 512)),
-        eps=entry.get("eps"),
-        ofw_rho_exp=float(entry.get("ofw_rho_exp", 2.0 / 3.0)),
-        ofw_gamma_exp=float(entry.get("ofw_gamma_exp", 3.0 / 4.0)),
-    )
     name = entry.get("name", entry["variant"])
     stem = "%s__s%d" % (name, seed)
     status, message = "completed", ""
     try:
+        x0 = _default_x0(region, entry.get("x0", "vertex"), inst)
+        constants = resolve_constants(entry, region, objective, inst, x0, sigma2_samples)
+        outer = int(entry.get("outer", budgets.get("outer", 100)))
+        cfg = SolverConfig(
+            variant=entry["variant"],
+            constants=constants,
+            x0=x0,
+            outer_limit=outer,
+            schedule=_entry_schedule(entry, outer),
+            seed=seed,
+            time_limit=budgets.get("wall_seconds"),
+            batch=entry.get("batch"),
+            cache_capacity=int(entry.get("cache_capacity", 512)),
+            eps=entry.get("eps"),
+            ofw_rho_exp=float(entry.get("ofw_rho_exp", 2.0 / 3.0)),
+            ofw_gamma_exp=float(entry.get("ofw_gamma_exp", 3.0 / 4.0)),
+        )
         trace = run_solver(cfg, objective, region)
         status = trace.metadata.get("status", "completed")
     except BudgetExceeded as exc:
-        trace = RunTrace(metadata={"variant": entry["variant"]})
+        trace = exc.trace
+        trace.metadata["failed_outer_k"] = exc.outer_k
         status, message = "budget_error", str(exc)
+    except (NumericalError, ConfigError) as exc:
+        trace = RunTrace(metadata={"variant": entry["variant"]})
+        status, message = "error", "%s: %s" % (type(exc).__name__, exc)
     trace.metadata.update({
         "solver_name": name,
         "seed": seed,
@@ -297,9 +335,10 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     """Run every (solver, seed) pair of an experiment config.
 
     Returns (summary_dict, exit_code); exit code is nonzero if any run hit a
-    budget error.  Trace CSVs, per-run metadata, and summary.json land in the
-    output directory.  Every solver entry is checked before the first run; a
-    bad one raises ConfigError naming it and nothing is written.
+    budget error or ended in ``error`` status.  Trace CSVs, per-run metadata,
+    and summary.json land in the output directory.  Every solver entry is
+    checked before the first run; a bad one raises ConfigError naming it and
+    nothing is written.
     """
     instance = config["instance"]
     instance_path = instance if os.path.isabs(instance) else os.path.join(base_dir, instance)
@@ -332,7 +371,7 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     summary = summarize(out_dir)
     summary["runs"] = results
     write_json(os.path.join(out_dir, "summary.json"), summary)
-    exit_code = 1 if any(r["status"] == "budget_error" for r in results) else 0
+    exit_code = 1 if any(r["status"] in ("budget_error", "error") for r in results) else 0
     return summary, exit_code
 
 
@@ -348,7 +387,7 @@ def parse_seeds(seeds):
 def summarize(trace_dir) -> dict:
     """Recompute the summary table by scanning the trace CSVs in a directory."""
     per_solver = {}
-    budget_errors = []
+    failed = {"budget_error": [], "error": []}
     for fname in sorted(os.listdir(trace_dir)):
         if not fname.endswith(".csv"):
             continue
@@ -358,9 +397,9 @@ def summarize(trace_dir) -> dict:
             with open(meta_path) as fh:
                 meta = json.load(fh)
         name = meta.get("solver_name", fname.split("__")[0])
-        if meta.get("status") == "budget_error":
-            budget_errors.append({"solver": name, "seed": meta.get("seed"),
-                                  "message": meta.get("message", "")})
+        if meta.get("status") in failed:
+            failed[meta["status"]].append({"solver": name, "seed": meta.get("seed"),
+                                           "message": meta.get("message", "")})
             continue
         rows = read_trace_csv(os.path.join(trace_dir, fname))
         per_solver.setdefault(name, []).append(rows)
@@ -383,4 +422,5 @@ def summarize(trace_dir) -> dict:
     return {"version": __version__,
             "thresholds": ["%.0e" % t for t in THRESHOLDS],
             "solvers": solvers,
-            "budget_errors": budget_errors}
+            "budget_errors": failed["budget_error"],
+            "errors": failed["error"]}

@@ -73,10 +73,10 @@ def _print_summary(summary):
                          cell["sfo_calls"], cell["exact_lmo_calls"], cell["wall_ms"]))
             else:
                 print("  f<=%s: 0/%d reached" % (thr, cell["of"]))
-    errs = summary.get("budget_errors", [])
-    for e in errs:
-        print("BUDGET ERROR %s seed=%s: %s" % (e["solver"], e["seed"], e["message"]),
-              file=sys.stderr)
+    for key, label in (("budget_errors", "BUDGET ERROR"), ("errors", "ERROR")):
+        for e in summary.get(key, []):
+            print("%s %s seed=%s: %s" % (label, e["solver"], e["seed"], e["message"]),
+                  file=sys.stderr)
 
 
 def build_parser():

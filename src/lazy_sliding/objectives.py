@@ -1,9 +1,9 @@
 """Objective functions, stochastic first-order samplers, and related helpers."""
 
 import math
+import sys
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import power_iteration
 
@@ -63,7 +63,10 @@ class LeastSquares:
     """
 
     def __init__(self, A, b):
-        if sp.issparse(A):
+        # A sparse matrix can only exist once scipy.sparse is loaded, so dense
+        # callers never pay for importing it.
+        sp = sys.modules.get("scipy.sparse")
+        if sp is not None and sp.issparse(A):
             self.A = sp.csr_matrix(A)
             self._dense = None
         else:

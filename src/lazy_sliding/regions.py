@@ -400,21 +400,6 @@ class DagPath(Region):
                 return False
         return True
 
-    def enumerate_paths(self, cap=100000):
-        """All source->sink paths as edge-index tuples (testing helper)."""
-        out = []
-        stack = [(self.source, [])]
-        while stack:
-            v, path = stack.pop()
-            if v == self.sink:
-                out.append(tuple(path))
-                if len(out) > cap:
-                    raise RuntimeError("too many paths to enumerate")
-                continue
-            for idx in reversed(self._out_edges[v]):
-                stack.append((self.edges[idx][1], path + [idx]))
-        return out
-
     def to_spec(self):
         return {"kind": self.kind, "edges": [[u, v] for u, v in self.edges]}
 

@@ -184,26 +184,6 @@ def sliding_step(variant, state, objective, region, params, alpha,
     return state
 
 
-def calsgd_step(state, objective, region, params, alpha, **kw):
-    return sliding_step("calsgd", state, objective, region, params, alpha, **kw)
-
-
-def calgd_step(state, objective, region, params, alpha, **kw):
-    return sliding_step("calgd", state, objective, region, params, alpha, **kw)
-
-
-def saddle_step(state, objective, region, params, alpha, **kw):
-    return sliding_step("calgd_saddle", state, objective, region, params, alpha, **kw)
-
-
-def nonsmooth_step(state, objective, region, params, alpha, **kw):
-    return sliding_step("calsgd_nonsmooth", state, objective, region, params, alpha, **kw)
-
-
-def scgs_step(state, objective, region, params, alpha=1.0, **kw):
-    return sliding_step("scgs", state, objective, region, params, alpha, **kw)
-
-
 def _fw_inner(sub, region, u1, eta, counters, cap=None):
     """Classical conditional gradient on the prox subproblem.
 
@@ -252,8 +232,18 @@ def _metadata(config, extra=None):
     return md
 
 
+def _attach_partial_trace(exc, trace, outer_k, counters):
+    """Give a BudgetExceeded the rows before outer iteration `outer_k` and the counts."""
+    trace.metadata["final_counters"] = counters.as_dict()
+    exc.trace, exc.outer_k = trace, outer_k
+
+
 def run_solver(config: SolverConfig, objective, region) -> RunTrace:
-    """Run one solver to its outer limit, returning the per-iteration trace."""
+    """Run one solver to its outer limit, returning the per-iteration trace.
+
+    A BudgetExceeded raised in outer iteration k carries the trace of
+    iterations 1..k-1 in ``trace`` and k in ``outer_k``.
+    """
     if config.variant in ("calgd_sc", "calsgd_sc"):
         _, trace = restart_run(config, objective, region)
         return trace
@@ -269,8 +259,12 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
             trace.metadata["status"] = "time_limit"
             break
         params = schedule_eval(config.schedule, k, config.constants, config.batch_cap)
-        sliding_step(config.variant, state, objective, region, params,
-                     config.constants.alpha, batch=config.batch, lcg_cap=config.lcg_cap)
+        try:
+            sliding_step(config.variant, state, objective, region, params,
+                         config.constants.alpha, batch=config.batch, lcg_cap=config.lcg_cap)
+        except BudgetExceeded as exc:
+            _attach_partial_trace(exc, trace, k, state.counters)
+            raise
         if config.audit:
             gap = duality_gap(state.last_sub, region, state.x, state.counters)
             audit_excess = max(audit_excess, gap - params.eta)
@@ -279,9 +273,7 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
                      state.last_phi_final, state.last_cert_gap)
     if config.audit:
         trace.metadata["max_audit_excess"] = audit_excess
-    trace.metadata["final_counters"] = dict(zip(
-        ("sfo_calls", "fo_calls", "exact_lmo_calls", "weak_sep_calls",
-         "cache_hits", "cache_misses", "inner_iters"), state.counters.snapshot()))
+    trace.metadata["final_counters"] = state.counters.as_dict()
     return trace
 
 
@@ -314,9 +306,13 @@ def restart_run(config: SolverConfig, objective, region):
                 stopped = True
                 break
             params = schedule_eval(sched, k, config.constants, config.batch_cap)
-            sliding_step(inner_variant, state, objective, region, params,
-                         config.constants.alpha, batch=config.batch,
-                         lcg_cap=config.lcg_cap)
+            try:
+                sliding_step(inner_variant, state, objective, region, params,
+                             config.constants.alpha, batch=config.batch,
+                             lcg_cap=config.lcg_cap)
+            except BudgetExceeded as exc:
+                _attach_partial_trace(exc, trace, (s - 1) * N + k, state.counters)
+                raise
             f = objective.value(state.y)
             trace.append((s - 1) * N + k, (time.perf_counter() - t0) * 1e3, f,
                          state.counters, state.last_phi_final, state.last_cert_gap)
@@ -324,9 +320,7 @@ def restart_run(config: SolverConfig, objective, region):
             break
         p = state.y.copy()
         points.append(p)
-    trace.metadata["final_counters"] = dict(zip(
-        ("sfo_calls", "fo_calls", "exact_lmo_calls", "weak_sep_calls",
-         "cache_hits", "cache_misses", "inner_iters"), state.counters.snapshot()))
+    trace.metadata["final_counters"] = state.counters.as_dict()
     return points, trace
 
 
@@ -353,7 +347,5 @@ def run_ofw(config: SolverConfig, objective, region) -> RunTrace:
         x = (1.0 - gam) * x + gam * v.point
         trace.append(t, (time.perf_counter() - t0) * 1e3, objective.value(x),
                      counters, float("nan"), float("nan"))
-    trace.metadata["final_counters"] = dict(zip(
-        ("sfo_calls", "fo_calls", "exact_lmo_calls", "weak_sep_calls",
-         "cache_hits", "cache_misses", "inner_iters"), counters.snapshot()))
+    trace.metadata["final_counters"] = counters.as_dict()
     return trace

@@ -1,7 +1,7 @@
 """Run counters and the per-iteration trace table written by the solvers."""
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List
 
 
@@ -21,6 +21,10 @@ class Counters:
         return (self.sfo_calls, self.fo_calls, self.exact_lmo_calls,
                 self.weak_sep_calls, self.cache_hits, self.cache_misses,
                 self.inner_iters)
+
+    def as_dict(self):
+        """The counters by name, as run metadata records them."""
+        return asdict(self)
 
 
 TRACE_COLUMNS = (

@@ -1,13 +1,17 @@
+import base64
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import lazy_sliding
+import lazy_sliding.bench as bench
 from lazy_sliding.bench import (
     cut_polytope_vertices,
     gen_instance,
@@ -20,7 +24,7 @@ from lazy_sliding.bench import (
     write_json,
 )
 from lazy_sliding.cli import main
-from lazy_sliding.errors import ConfigError
+from lazy_sliding.errors import ConfigError, NumericalError
 from lazy_sliding.trace import TRACE_HEADER, read_trace_csv
 
 SIMPLEX_SPEC = {
@@ -55,14 +59,19 @@ def test_gen_is_deterministic_and_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     # a different seed must produce different data
     other = gen_instance(dict(SIMPLEX_SPEC, seed=6))
-    assert other["objective"]["b"] != gen_instance(SIMPLEX_SPEC)["objective"]["b"]
+    assert not np.array_equal(other["objective"]["b"], gen_instance(SIMPLEX_SPEC)["objective"]["b"])
+
+
+def _f8_array(a):
+    return {"__ndarray__": "<f8", "shape": list(a.shape),
+            "base64": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
 
 
 def test_write_json_bytes_are_compact_sorted_dumps(tmp_path):
     obj = dict(gen_instance(SIMPLEX_SPEC), extra={"b": [1.5, -0.0, 1e-300], "a": None})
     path = tmp_path / "out.json"
     write_json(str(path), obj)
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_f8_array) + "\n"
     assert path.read_bytes() == text.encode()
 
 
@@ -72,6 +81,86 @@ def test_import_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
     assert out.strip() == "False"
+
+
+def test_import_does_not_load_scipy_sparse(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lazy_sliding.__file__)))
+    code = ("import json, sys\n"
+            "from lazy_sliding.bench import gen_instance, load_instance, write_json\n"
+            "write_json(sys.argv[1], gen_instance(json.loads(sys.argv[2])))\n"
+            "load_instance(sys.argv[1])\n"
+            "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "i.json"),
+                          json.dumps(SIMPLEX_SPEC)], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "False"
+
+
+CSR_SPEC = {
+    "region": {"kind": "simplex", "n": 60},
+    "objective": {"m": 300, "density": 0.1},
+    "seed": 1,
+}
+
+
+def _array_fields(inst):
+    amat = inst["objective"]["A"]
+    keys = ("data", "indices", "indptr") if amat["format"] == "csr" else ("data",)
+    fields = {k: amat[k] for k in keys}
+    fields.update(b=inst["objective"]["b"], x_star=inst["objective"]["x_star"])
+    return fields
+
+
+def _as_lists(obj):
+    """The instance as files held it before arrays were stored as binary."""
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+@pytest.mark.parametrize("spec", [SIMPLEX_SPEC, CSR_SPEC], ids=["dense", "csr"])
+def test_instance_arrays_round_trip_exactly(tmp_path, spec):
+    path, inst = _write_instance(tmp_path, spec)
+    stored = json.loads(open(path).read())["objective"]
+    assert stored["b"]["__ndarray__"] == "<f8"
+    if stored["A"]["format"] == "csr":
+        assert stored["A"]["indices"]["__ndarray__"] == "<i4"
+        assert len(inst["objective"]["A"]["indptr"]) > 2  # several rows
+    _, objective, loaded = load_instance(path)
+    want, got = _array_fields(inst), _array_fields(loaded)
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert np.array_equal(got[key], want[key]), key
+    _, direct, _ = load_instance(inst)
+    x = np.asarray(inst["objective"]["x_star"]) + 0.25
+    assert objective.value(x) == direct.value(x)
+
+
+@pytest.mark.parametrize("spec", [SIMPLEX_SPEC, CSR_SPEC], ids=["dense", "csr"])
+def test_list_form_instance_loads_bit_identical(tmp_path, spec):
+    path, inst = _write_instance(tmp_path, spec)
+    old = tmp_path / "lists.json"
+    old.write_text(json.dumps(_as_lists(inst), sort_keys=True, separators=(",", ":")) + "\n")
+    _, binary, _ = load_instance(path)
+    _, lists, _ = load_instance(str(old))
+    x = np.asarray(inst["objective"]["x_star"]) + 0.25
+    assert lists.value(x) == binary.value(x)
+    assert np.array_equal(lists.grad(x), binary.grad(x))
+    assert np.array_equal(lists.b, binary.b)
+
+
+def test_load_instance_memory_bounded(tmp_path):
+    import scipy.sparse  # noqa: F401  (the load is measured, not the import)
+    spec = {"region": {"kind": "simplex", "n": 2500},
+            "objective": {"m": 2000, "density": 0.05, "format": "csr"}, "seed": 3}
+    path, _ = _write_instance(tmp_path, spec)
+    tracemalloc.start()
+    try:
+        load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6  # the same file with list-form arrays peaks at ~23 MB
 
 
 def test_generated_instance_has_zero_optimum(tmp_path):
@@ -187,6 +276,46 @@ def test_calgd_threshold_table_monotone(tmp_path):
     lmos = [cell["exact_lmo_calls"] for _, cell in reached]
     assert ks == sorted(ks)
     assert sfos == sorted(sfos) and lmos == sorted(lmos)
+
+
+def test_budget_error_keeps_partial_trace(tmp_path, monkeypatch):
+    real = bench.run_solver
+    monkeypatch.setattr(bench, "run_solver", lambda cfg, objective, region: real(
+        dataclasses.replace(cfg, lcg_cap=3), objective, region))
+    config = _experiment(tmp_path, [CALGD_ENTRY], seeds=(0,), outer=60)
+    out = tmp_path / "runs"
+    summary, code = run_experiment(config, out_dir=str(out))
+    assert code == 1
+    meta = json.loads((out / "calgd__s0.meta.json").read_text())
+    k = meta["failed_outer_k"]
+    assert meta["status"] == "budget_error" and k > 1
+    rows = read_trace_csv(str(out / "calgd__s0.csv"))
+    assert [r["outer_k"] for r in rows] == list(range(1, k))
+    assert meta["final_counters"]["exact_lmo_calls"] > rows[-1]["exact_lmo_calls"]
+    assert [e["solver"] for e in summary["budget_errors"]] == ["calgd"]
+
+
+def test_run_error_is_recorded_for_that_run_only(tmp_path, monkeypatch):
+    real = bench.run_solver
+
+    def run_solver(cfg, objective, region):
+        if cfg.variant == "scgs":
+            raise NumericalError("no convergence")
+        return real(cfg, objective, region)
+
+    monkeypatch.setattr(bench, "run_solver", run_solver)
+    config = _experiment(tmp_path, _paired_entries(outer=20) + [CALGD_ENTRY], seeds=(0, 1))
+    out = tmp_path / "runs"
+    summary, code = run_experiment(config, out_dir=str(out))
+    assert code == 1
+    status = {(r["solver"], r["seed"]): r["status"] for r in summary["runs"]}
+    assert status == {(name, seed): "error" if name == "scgs" else "completed"
+                      for name in ("lazy", "scgs", "calgd") for seed in (0, 1)}
+    meta = json.loads((out / "scgs__s1.meta.json").read_text())
+    assert meta["status"] == "error" and meta["message"] == "NumericalError: no convergence"
+    assert sorted(summary["solvers"]) == ["calgd", "lazy"]
+    assert [(e["solver"], e["seed"]) for e in summary["errors"]] == [("scgs", 0), ("scgs", 1)]
+    assert json.loads((out / "summary.json").read_text())["errors"] == summary["errors"]
 
 
 def _paired_entries(batch=4, outer=40):

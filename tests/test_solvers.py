@@ -309,6 +309,24 @@ def test_lcg_cap_budget_error_propagates():
         run_solver(cfg, base, Simplex(6))
 
 
+@pytest.mark.parametrize("variant,cap", [("calgd", 3), ("calgd_sc", 6)])
+def test_budget_error_carries_partial_trace(variant, cap):
+    rng = np.random.default_rng(11)
+    _, base, _ = _simplex_ls(rng)
+    x0 = _vertex(6)
+    mu = 2.0 * np.linalg.svd(base.A, compute_uv=False)[-1] ** 2
+    c = ProblemConstants(L=estimate_L(base), mu=mu, delta0=base.value(x0), D_X=math.sqrt(2.0))
+    cfg = SolverConfig(variant, c, x0, 50, lcg_cap=cap, eps=base.value(x0) / 64.0,
+                       schedule=ScheduleVariant("smooth_deterministic") if variant == "calgd" else None)
+    with pytest.raises(BudgetExceeded) as info:
+        run_solver(cfg, base, Simplex(6))
+    exc = info.value
+    assert exc.outer_k > 1
+    assert exc.trace.column("outer_k") == list(range(1, exc.outer_k))
+    counted = exc.trace.metadata["final_counters"]["exact_lmo_calls"]
+    assert counted > exc.trace.column("exact_lmo_calls")[-1]  # the failed solve's LMOs
+
+
 def test_config_validation():
     c = ProblemConstants(L=1.0, D_X=1.0)
     x0 = _vertex(3)
