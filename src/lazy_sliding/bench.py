@@ -26,7 +26,7 @@ from .errors import BudgetExceeded, ConfigError, NumericalError
 from .objectives import LeastSquares, estimate_L, estimate_sigma2
 from .regions import region_from_spec, svec
 from .schedules import _FIXED_N_TAGS, ProblemConstants, ScheduleVariant
-from .solvers import VARIANTS, SolverConfig, run_solver
+from .solvers import SolverConfig, run_solver
 from .trace import RunTrace, read_trace_csv
 
 DETERMINISTIC_ENV = "LAZY_SLIDING_DETERMINISTIC"
@@ -257,17 +257,34 @@ def _entry_schedule(entry, outer):
     return ScheduleVariant(sd["tag"], N=N, s=sd.get("s"))
 
 
-def _check_entry(entry, budgets):
-    """Raise if a solver entry would be rejected once its runs start."""
-    if entry.get("variant") not in VARIANTS:
-        raise ConfigError("unknown solver variant %r" % (entry.get("variant"),))
+def _solver_config(entry, budgets, constants, x0, seed):
+    """The SolverConfig of one run of a solver entry."""
     outer = int(entry.get("outer", budgets.get("outer", 100)))
-    if outer < 1:
-        raise ConfigError("outer must be >= 1, got %d" % (outer,))
-    _entry_schedule(entry, outer)  # ScheduleVariant rejects unknown tags
-    ProblemConstants(**entry.get("constants", {}))
-    if entry.get("batch") is not None and int(entry["batch"]) < 1:
-        raise ConfigError("batch must be >= 1, got %r" % (entry["batch"],))
+    return SolverConfig(
+        variant=entry.get("variant"),
+        constants=constants,
+        x0=x0,
+        outer_limit=outer,
+        schedule=_entry_schedule(entry, outer),
+        seed=seed,
+        time_limit=budgets.get("wall_seconds"),
+        batch=entry.get("batch"),
+        cache_capacity=int(entry.get("cache_capacity", 512)),
+        eps=entry.get("eps"),
+        ofw_rho_exp=float(entry.get("ofw_rho_exp", 2.0 / 3.0)),
+        ofw_gamma_exp=float(entry.get("ofw_gamma_exp", 3.0 / 4.0)),
+    )
+
+
+def _check_entry(entry, budgets):
+    """Raise if a solver entry would be rejected once its runs start.
+
+    Builds the entry's SolverConfig with the constants it gives (estimated
+    ones stay unset) and a placeholder x0.
+    """
+    constants = ProblemConstants(**dict(entry.get("constants", {}),
+                                        alpha=float(entry.get("alpha", 1.0))))
+    _solver_config(entry, budgets, constants, np.zeros(1), 0)
     if int(entry.get("cache_capacity", 512)) < 0:
         raise ConfigError("cache_capacity must be >= 0, got %r" % (entry["cache_capacity"],))
 
@@ -292,22 +309,8 @@ def _run_one(task):
     try:
         x0 = _default_x0(region, entry.get("x0", "vertex"), inst)
         constants = resolve_constants(entry, region, objective, inst, x0, sigma2_samples)
-        outer = int(entry.get("outer", budgets.get("outer", 100)))
-        cfg = SolverConfig(
-            variant=entry["variant"],
-            constants=constants,
-            x0=x0,
-            outer_limit=outer,
-            schedule=_entry_schedule(entry, outer),
-            seed=seed,
-            time_limit=budgets.get("wall_seconds"),
-            batch=entry.get("batch"),
-            cache_capacity=int(entry.get("cache_capacity", 512)),
-            eps=entry.get("eps"),
-            ofw_rho_exp=float(entry.get("ofw_rho_exp", 2.0 / 3.0)),
-            ofw_gamma_exp=float(entry.get("ofw_gamma_exp", 3.0 / 4.0)),
-        )
-        trace = run_solver(cfg, objective, region)
+        trace = run_solver(_solver_config(entry, budgets, constants, x0, seed),
+                           objective, region)
         status = trace.metadata.get("status", "completed")
     except BudgetExceeded as exc:
         trace = exc.trace

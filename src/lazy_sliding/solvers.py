@@ -12,8 +12,9 @@ only in how the gradient estimate is produced:
 - calsgd_nonsmooth  single stochastic subgradients
 - calgd_sc / calsgd_sc   restart wrappers giving linear convergence under
                           strong convexity
-- scgs              same outer loop, classical (non-lazy) conditional
-                    gradient inner solver - one exact LMO per inner step
+- scgs              same outer loop, classical conditional gradient inner
+                    solver: the lazy loop at alpha = 1 with no vertex cache,
+                    so one exact LMO per iterate; ignores cache_capacity
 - ofw               one-sample online Frank-Wolfe baseline
 
 Randomness is drawn from counter-based streams keyed (seed, outer index), so
@@ -22,14 +23,14 @@ samples and runs are bit-reproducible on one platform.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .errors import BudgetExceeded, ConfigError
-from .lcg import Subproblem, duality_gap, iteration_bound, lcg_solve, line_search_quadratic
+from .lcg import Subproblem, duality_gap, lcg_solve
 from .oracle import VertexCache
 from .schedules import (
     DEFAULT_BATCH_CAP,
@@ -164,53 +165,17 @@ def sliding_step(variant, state, objective, region, params, alpha,
     state.last_z = (1.0 - gamma) * state.y + gamma * state.x
     g = _gradient(variant, state, objective, params, k, batch)
     sub = Subproblem(g, state.x, params.beta)
+    res = lcg_solve(sub, region, state.x, 1.0 if variant == "scgs" else alpha,
+                    params.eta, state.cache, cap=lcg_cap, counters=state.counters)
 
-    if variant == "scgs":
-        x_new, cert_gap, iters = _fw_inner(sub, region, state.x, params.eta,
-                                           state.counters, cap=lcg_cap)
-        state.last_phi_final = float("nan")
-    else:
-        res = lcg_solve(sub, region, state.x, alpha, params.eta, state.cache,
-                        cap=lcg_cap, counters=state.counters)
-        x_new, cert_gap, iters = res.point, res.cert_gap, res.iterations
-        state.last_phi_final = res.phi_final
-
-    state.counters.inner_iters += iters
-    state.x = x_new
-    state.y = (1.0 - gamma) * state.y + gamma * x_new
+    state.counters.inner_iters += res.iterations
+    state.x = res.point
+    state.y = (1.0 - gamma) * state.y + gamma * res.point
     state.k = k
     state.last_sub = sub
-    state.last_cert_gap = cert_gap
+    state.last_cert_gap = res.cert_gap
+    state.last_phi_final = res.phi_final
     return state
-
-
-def _fw_inner(sub, region, u1, eta, counters, cap=None):
-    """Classical conditional gradient on the prox subproblem.
-
-    Stops at the first iterate whose exact duality gap is <= eta; one exact
-    LMO per iteration, no caching.
-    """
-    u = np.array(u1, dtype=float, copy=True)
-    t = 0
-    while True:
-        t += 1
-        grad = sub.grad(u)
-        v = region.lmo(grad)
-        counters.exact_lmo_calls += 1
-        gap = float(grad @ (u - v.point))
-        if t == 1 and cap is None:
-            c_phi = sub.beta * region.diameter() ** 2
-            cap = 4 * iteration_bound(max(gap, eta), c_phi, eta, 1.0)
-        if gap <= eta:
-            return u, gap, t
-        if t >= cap:
-            raise BudgetExceeded(
-                "conditional gradient cap %d exhausted (gap=%.3e, eta=%.3e)"
-                % (cap, gap, eta),
-                best_point=u, last_phi=gap, iterations=t)
-        lam = line_search_quadratic(sub, u, v.point)
-        if lam > 0.0:
-            u = (1.0 - lam) * u + lam * v.point
 
 
 def _metadata(config, extra=None):
@@ -232,10 +197,37 @@ def _metadata(config, extra=None):
     return md
 
 
-def _attach_partial_trace(exc, trace, outer_k, counters):
-    """Give a BudgetExceeded the rows before outer iteration `outer_k` and the counts."""
-    trace.metadata["final_counters"] = counters.as_dict()
-    exc.trace, exc.outer_k = trace, outer_k
+def _outer_loop(config, variant, schedule, steps, state, objective, region, trace, t0):
+    """Outer iterations 1..steps of one schedule, one trace row each.
+
+    Rows carry the global index state.stream_offset + k.  Returns False if
+    the time limit stopped the run first.  A BudgetExceeded raised in
+    iteration k leaves with the rows before it in ``trace`` and the global
+    index of k in ``outer_k``.
+    """
+    if config.audit:
+        trace.metadata.setdefault("max_audit_excess", -float("inf"))
+    for k in range(1, steps + 1):
+        outer_k = state.stream_offset + k
+        if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
+            trace.metadata["status"] = "time_limit"
+            return False
+        params = schedule_eval(schedule, k, config.constants, config.batch_cap)
+        try:
+            sliding_step(variant, state, objective, region, params,
+                         config.constants.alpha, batch=config.batch, lcg_cap=config.lcg_cap)
+        except BudgetExceeded as exc:
+            trace.metadata["final_counters"] = state.counters.as_dict()
+            exc.trace, exc.outer_k = trace, outer_k
+            raise
+        if config.audit:
+            gap = duality_gap(state.last_sub, region, state.x, state.counters)
+            trace.metadata["max_audit_excess"] = max(trace.metadata["max_audit_excess"],
+                                                     gap - params.eta)
+        f = objective.value(state.y)
+        trace.append(outer_k, (time.perf_counter() - t0) * 1e3, f, state.counters,
+                     state.last_phi_final, state.last_cert_gap)
+    return True
 
 
 def run_solver(config: SolverConfig, objective, region) -> RunTrace:
@@ -250,29 +242,12 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
     if config.variant == "ofw":
         return run_ofw(config, objective, region)
 
-    state = new_state(config.x0, config.seed, config.cache_capacity)
+    # scgs is the classical baseline: no cache, whatever cache_capacity says
+    capacity = 0 if config.variant == "scgs" else config.cache_capacity
+    state = new_state(config.x0, config.seed, capacity)
     trace = RunTrace(metadata=_metadata(config))
-    t0 = time.perf_counter()
-    audit_excess = -float("inf")
-    for k in range(1, config.outer_limit + 1):
-        if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
-            trace.metadata["status"] = "time_limit"
-            break
-        params = schedule_eval(config.schedule, k, config.constants, config.batch_cap)
-        try:
-            sliding_step(config.variant, state, objective, region, params,
-                         config.constants.alpha, batch=config.batch, lcg_cap=config.lcg_cap)
-        except BudgetExceeded as exc:
-            _attach_partial_trace(exc, trace, k, state.counters)
-            raise
-        if config.audit:
-            gap = duality_gap(state.last_sub, region, state.x, state.counters)
-            audit_excess = max(audit_excess, gap - params.eta)
-        f = objective.value(state.y)
-        trace.append(k, (time.perf_counter() - t0) * 1e3, f, state.counters,
-                     state.last_phi_final, state.last_cert_gap)
-    if config.audit:
-        trace.metadata["max_audit_excess"] = audit_excess
+    _outer_loop(config, config.variant, config.schedule, config.outer_limit, state,
+                objective, region, trace, time.perf_counter())
     trace.metadata["final_counters"] = state.counters.as_dict()
     return trace
 
@@ -292,34 +267,14 @@ def restart_run(config: SolverConfig, objective, region):
     trace = RunTrace(metadata=_metadata(config, {"phase_length": N, "phases": S}))
     t0 = time.perf_counter()
     points = []
-    p = state.x.copy()
-    stopped = False
     for s in range(1, S + 1):
-        sched = ScheduleVariant(tag, N=N, s=s)
-        state.x = p.copy()
-        state.y = p.copy()
-        state.k = 0
+        # each phase restarts from the previous phase's output
+        state.x, state.y, state.k = state.y.copy(), state.y.copy(), 0
         state.stream_offset = (s - 1) * N
-        for k in range(1, N + 1):
-            if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
-                trace.metadata["status"] = "time_limit"
-                stopped = True
-                break
-            params = schedule_eval(sched, k, config.constants, config.batch_cap)
-            try:
-                sliding_step(inner_variant, state, objective, region, params,
-                             config.constants.alpha, batch=config.batch,
-                             lcg_cap=config.lcg_cap)
-            except BudgetExceeded as exc:
-                _attach_partial_trace(exc, trace, (s - 1) * N + k, state.counters)
-                raise
-            f = objective.value(state.y)
-            trace.append((s - 1) * N + k, (time.perf_counter() - t0) * 1e3, f,
-                         state.counters, state.last_phi_final, state.last_cert_gap)
-        if stopped:
+        if not _outer_loop(config, inner_variant, ScheduleVariant(tag, N=N, s=s), N, state,
+                           objective, region, trace, t0):
             break
-        p = state.y.copy()
-        points.append(p)
+        points.append(state.y.copy())
     trace.metadata["final_counters"] = state.counters.as_dict()
     return points, trace
 

@@ -254,6 +254,11 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         dict(CALGD_ENTRY, name="bad", outer=0),
         dict(CALGD_ENTRY, name="bad", batch=0),
         dict(CALGD_ENTRY, name="bad", cache_capacity=-1),
+        # rejected only by the SolverConfig each run would build
+        dict(CALGD_ENTRY, name="bad", variant="calsgd", schedule={"tag": "saddle_static"}),
+        dict(CALGD_ENTRY, name="bad", variant="calsgd", schedule=None),
+        dict(CALGD_ENTRY, name="bad", variant="calgd_sc"),
+        dict(CALGD_ENTRY, name="bad", alpha=0.5),
     ]
     for bad in bad_entries:
         config = _experiment(tmp_path, [CALGD_ENTRY, bad])
@@ -346,7 +351,7 @@ def test_paired_runs_share_sfo_and_differ_in_lmo(tmp_path):
 
 
 def _csv_modulo_wall(path):
-    # textual compare sidesteps nan != nan in parsed rows (scgs has no phi)
+    # compare the CSV text, which keeps every digit and is nan-safe
     lines = path.read_text().splitlines()
     return [",".join(f for i, f in enumerate(ln.split(",")) if i != 1)
             for ln in lines]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -96,10 +97,14 @@ def test_calgd_fixed_n_bound():
     assert tr.column("f_value")[-1] <= 6.0 * L * D0 * D0 / (N * (N + 1))
 
 
+def _drop_wall(trace):
+    return [r[:1] + r[2:] for r in trace.rows]
+
+
 def test_scgs_identical_to_calsgd_without_cache():
-    # alpha=1, zero noise, cache 0: the lazy inner loop and classical
-    # conditional gradient walk the same line-search path, so the two solvers
-    # coincide; with a warm cache the lazy one must answer fewer exact LMOs
+    # scgs is the lazy inner loop at alpha=1 with no cache, so it coincides
+    # with calsgd run that way in every column; with a warm cache the lazy
+    # one must answer fewer exact LMOs
     rng = np.random.default_rng(4)
     obj, base, xs = _simplex_ls(rng, noise=0.0)
     x0 = _vertex(6)
@@ -112,8 +117,13 @@ def test_scgs_identical_to_calsgd_without_cache():
                                        cache_capacity=0), obj, Simplex(6))
     tr_scgs = run_solver(SolverConfig("scgs", c, x0, N, schedule=sv, seed=1,
                                       cache_capacity=0), obj, Simplex(6))
-    assert tr_lazy0.column("f_value") == tr_scgs.column("f_value")
-    assert tr_lazy0.column("sfo_calls") == tr_scgs.column("sfo_calls")
+    assert _drop_wall(tr_lazy0) == _drop_wall(tr_scgs)
+    assert tr_scgs.column("weak_sep_calls")[-1] > 0
+    # scgs ignores cache_capacity and the alpha constant
+    c2 = dataclasses.replace(c, alpha=2.0)
+    tr_scgs2 = run_solver(SolverConfig("scgs", c2, x0, N, schedule=sv, seed=1,
+                                       cache_capacity=512), obj, Simplex(6))
+    assert _drop_wall(tr_scgs2) == _drop_wall(tr_scgs)
     tr_lazy = run_solver(SolverConfig("calsgd", c, x0, N, schedule=sv, seed=1,
                                       cache_capacity=512), obj, Simplex(6))
     assert tr_lazy.column("exact_lmo_calls")[-1] < tr_scgs.column("exact_lmo_calls")[-1]
@@ -150,9 +160,14 @@ def test_deterministic_restart_decays_per_phase():
     for s, p in enumerate(pts, 1):
         assert ls.value(p) <= d0 * 2.0 ** -s  # f* = 0
     assert tr.metadata["phases"] == 6
+    assert tr.column("outer_k") == list(range(1, 6 * tr.metadata["phase_length"] + 1))
     # run_solver dispatches restart variants to the same implementation
     tr2 = run_solver(cfg, ls, Simplex(5))
     assert tr2.column("f_value") == tr.column("f_value")
+    # restart phases run the same loop body, audit included
+    tr3 = run_solver(dataclasses.replace(cfg, audit=True), ls, Simplex(5))
+    assert tr3.column("f_value") == tr.column("f_value")
+    assert tr3.metadata["max_audit_excess"] <= 1e-12
 
 
 def test_stochastic_restart_decays_per_phase():
@@ -260,8 +275,7 @@ def test_run_is_deterministic():
                        schedule=ScheduleVariant("smooth_stochastic"), seed=13)
     a = run_solver(cfg, obj, Simplex(6))
     b = run_solver(cfg, obj, Simplex(6))
-    drop_wall = lambda rows: [r[:1] + r[2:] for r in rows]
-    assert drop_wall(a.rows) == drop_wall(b.rows)
+    assert _drop_wall(a) == _drop_wall(b)
     assert a.metadata["final_counters"] == b.metadata["final_counters"]
 
 
@@ -297,6 +311,13 @@ def test_time_limit_zero_stops_immediately():
     tr = run_solver(cfg, base, Simplex(6))
     assert tr.metadata["status"] == "time_limit"
     assert len(tr.rows) == 0
+    # restart phases stop through the same loop: no rows and no phase points
+    d0 = base.value(_vertex(6))
+    c = dataclasses.replace(c, mu=1e-3 * c.L, delta0=d0)
+    cfg = SolverConfig("calgd_sc", c, _vertex(6), 50, eps=d0 / 64.0, time_limit=0.0)
+    pts, tr = restart_run(cfg, base, Simplex(6))
+    assert tr.metadata["status"] == "time_limit"
+    assert len(tr.rows) == 0 and pts == []
 
 
 def test_lcg_cap_budget_error_propagates():
