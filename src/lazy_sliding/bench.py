@@ -25,7 +25,7 @@ from . import __version__
 from .errors import BudgetExceeded, ConfigError, NumericalError
 from .objectives import LeastSquares, estimate_L, estimate_sigma2
 from .regions import region_from_spec, svec
-from .schedules import _FIXED_N_TAGS, ProblemConstants, ScheduleVariant
+from .schedules import _FIXED_N_TAGS, ProblemConstants, ScheduleVariant, schedule_eval
 from .solvers import SolverConfig, run_solver
 from .trace import RunTrace, read_trace_csv
 
@@ -208,7 +208,9 @@ def _default_x0(region, how, inst):
         return np.asarray(how, dtype=float)
     if how == "x_star":
         return np.asarray(inst["objective"]["x_star"], dtype=float)
-    return region.lmo(np.ones(region.dim)).point  # deterministic vertex
+    if how == "vertex":
+        return region.lmo(np.ones(region.dim)).point  # deterministic vertex
+    raise ConfigError("x0 must be a list, 'x_star' or 'vertex', got %r" % (how,))
 
 
 def resolve_constants(entry, region, objective, inst, x0, sigma2_samples=2000):
@@ -276,17 +278,29 @@ def _solver_config(entry, budgets, constants, x0, seed):
     )
 
 
-def _check_entry(entry, budgets):
-    """Raise if a solver entry would be rejected once its runs start.
+def _prepare_entry(entry, budgets, region, objective, inst, sigma2_samples):
+    """(x0, constants) shared by every run of a solver entry.
 
-    Builds the entry's SolverConfig with the constants it gives (estimated
-    ones stay unset) and a placeholder x0.
+    Raises if a run of the entry would reject it, including a schedule that
+    needs a constant the entry neither gives nor gets estimated.  A
+    NumericalError from estimating a constant is returned in place of the
+    constants, so that each run of the entry records it.
     """
-    constants = ProblemConstants(**dict(entry.get("constants", {}),
-                                        alpha=float(entry.get("alpha", 1.0))))
-    _solver_config(entry, budgets, constants, np.zeros(1), 0)
+    # resolve_constants ignores unknown names; building from them catches typos.
+    given = ProblemConstants(**dict(entry.get("constants", {}),
+                                    alpha=float(entry.get("alpha", 1.0))))
     if int(entry.get("cache_capacity", 512)) < 0:
         raise ConfigError("cache_capacity must be >= 0, got %r" % (entry["cache_capacity"],))
+    x0 = _default_x0(region, entry.get("x0", "vertex"), inst)
+    # Variant, schedule tag, outer, batch and eps need no estimated constant.
+    schedule = _solver_config(entry, budgets, given, x0, 0).schedule
+    try:
+        constants = resolve_constants(entry, region, objective, inst, x0, sigma2_samples)
+    except NumericalError as exc:
+        return x0, exc
+    if schedule is not None:
+        schedule_eval(schedule, 1, constants)
+    return x0, constants
 
 
 def config_hash(obj) -> str:
@@ -298,17 +312,17 @@ def _run_one(task):
 
     A BudgetExceeded keeps the rows computed before the failing outer
     iteration and records that iteration as ``failed_outer_k``.  A
-    NumericalError or ConfigError marks this run ``error``; the other runs
-    of the experiment still go ahead.
+    NumericalError or ConfigError (including one raised while the entry's
+    constants were estimated) marks this run ``error``; the other runs of
+    the experiment still go ahead.
     """
-    (entry, seed, instance_path, out_dir, budgets, sigma2_samples) = task
-    region, objective, inst = load_instance(instance_path)
+    (entry, seed, x0, constants, region, objective, instance_name, out_dir, budgets) = task
     name = entry.get("name", entry["variant"])
     stem = "%s__s%d" % (name, seed)
     status, message = "completed", ""
     try:
-        x0 = _default_x0(region, entry.get("x0", "vertex"), inst)
-        constants = resolve_constants(entry, region, objective, inst, x0, sigma2_samples)
+        if isinstance(constants, NumericalError):
+            raise constants
         trace = run_solver(_solver_config(entry, budgets, constants, x0, seed),
                            objective, region)
         status = trace.metadata.get("status", "completed")
@@ -325,7 +339,7 @@ def _run_one(task):
         "status": status,
         "message": message,
         "config_hash": config_hash({"entry": entry, "seed": seed}),
-        "instance": os.path.basename(instance_path),
+        "instance": instance_name,
     })
     csv_path = os.path.join(out_dir, stem + ".csv")
     trace.write_csv(csv_path)
@@ -339,32 +353,37 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
 
     Returns (summary_dict, exit_code); exit code is nonzero if any run hit a
     budget error or ended in ``error`` status.  Trace CSVs, per-run metadata,
-    and summary.json land in the output directory.  Every solver entry is
-    checked before the first run; a bad one raises ConfigError naming it and
-    nothing is written.
+    and summary.json land in the output directory.  The instance is loaded
+    once, and each solver entry's x0 and constants are resolved once and
+    checked (schedule included) before the first run; a bad entry raises
+    ConfigError naming it, and a bad instance file raises, before anything
+    is written.
     """
     instance = config["instance"]
     instance_path = instance if os.path.isabs(instance) else os.path.join(base_dir, instance)
+    region, objective, inst = load_instance(instance_path)
     budgets = dict(config.get("budgets", {}))
     if time_limit is not None:
         budgets["wall_seconds"] = time_limit
-    for i, entry in enumerate(config.get("solvers", [])):
+    sigma2_samples = int(config.get("sigma2_samples", 2000))
+    entries = config.get("solvers", [])
+    prepared = []
+    for i, entry in enumerate(entries):
         try:
-            _check_entry(entry, budgets)
+            prepared.append(_prepare_entry(entry, budgets, region, objective, inst,
+                                           sigma2_samples))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("solver entry %d (%s): %s"
                               % (i, entry.get("name", entry.get("variant")), exc)) from exc
+    seeds = parse_seeds(config.get("seeds", [0]) if seeds is None else seeds)
     out_dir = out_dir or config.get("out_dir") or os.path.join(base_dir, "runs")
     os.makedirs(out_dir, exist_ok=True)
-    if seeds is None:
-        seeds = config.get("seeds", [0])
-    seeds = parse_seeds(seeds)
-    sigma2_samples = int(config.get("sigma2_samples", 2000))
 
     if os.environ.get(DETERMINISTIC_ENV) == "1":
         jobs = 1
-    tasks = [(entry, seed, instance_path, out_dir, budgets, sigma2_samples)
-             for entry in config.get("solvers", []) for seed in seeds]
+    instance_name = os.path.basename(instance_path)
+    tasks = [(entry, seed, x0, constants, region, objective, instance_name, out_dir, budgets)
+             for entry, (x0, constants) in zip(entries, prepared) for seed in seeds]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_one, tasks))

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 
-from .linalg import power_iteration
+from .errors import NumericalError
 
 # Individual stochastic gradients come out in row blocks of about this many
 # bytes, so moment estimates never hold the full (count, n) sample matrix.
@@ -40,6 +40,31 @@ def _row_slices(count, n):
 def _stack(blocks, n):
     """Concatenate sample blocks of width n (a (0, n) array when there are none)."""
     return np.concatenate([np.empty((0, n))] + list(blocks))
+
+
+def _sigma_max_sq(A):
+    """sigma_max(A)^2 of an (m, n) dense or sparse A by power iteration on A^T A.
+
+    Deterministic start; stops once ||A^T A v - lam v|| <= 1e-9 max(1, |lam|)
+    and raises NumericalError after max(500, 10 n log2(n + 1)) steps.
+    """
+    n = A.shape[1]
+    maxiter = max(500, int(np.ceil(10 * n * np.log2(n + 1))))
+    v = np.ones(n)
+    v[0] += 0.5
+    v = v / np.linalg.norm(v)
+    resid = np.inf
+    for _ in range(maxiter):
+        w = np.asarray(A.T @ (A @ v)).ravel()
+        lam = float(v @ w)
+        resid = float(np.linalg.norm(w - lam * v))
+        if resid <= 1e-9 * max(1.0, abs(lam)):
+            return lam
+        v = w / np.linalg.norm(w)
+    raise NumericalError(
+        "power iteration did not converge in %d iterations (residual %.3e)" % (maxiter, resid),
+        residual=resid,
+    )
 
 
 def simplex_project(v):
@@ -126,10 +151,7 @@ class LeastSquares:
     def lipschitz(self):
         """L = 2 sigma_max(A)^2, via power iteration on v -> A^T (A v)."""
         if self._L is None:
-            A = self.A
-            lam, _, _, _ = power_iteration(lambda v: np.asarray(A.T @ (A @ v)).ravel(),
-                                           self.n, tol=1e-9)
-            self._L = 2.0 * max(lam, 0.0)
+            self._L = 2.0 * max(_sigma_max_sq(self.A), 0.0)
         return self._L
 
 
@@ -239,9 +261,7 @@ class SmoothedSaddle:
     def a_norm(self):
         """Operator norm sigma_max(A) via power iteration on A^T A."""
         if self._a_norm is None:
-            A = self.A
-            lam, _, _, _ = power_iteration(lambda v: A.T @ (A @ v), self.n, tol=1e-9)
-            self._a_norm = math.sqrt(max(lam, 0.0))
+            self._a_norm = math.sqrt(max(_sigma_max_sq(self.A), 0.0))
         return self._a_norm
 
 

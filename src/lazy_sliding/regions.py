@@ -7,6 +7,9 @@ Each region exposes:
 - ``contains(x)``  -> membership test within a tolerance,
 - ``dim``          -> ambient dimension of the points handed around.
 
+Every LMO is exact up to rounding; the spectrahedron's is a dense symmetric
+eigensolve (LAPACK).
+
 Points are plain 1-D float64 arrays.  For the spectrahedron the points are
 symmetric matrices in scaled upper-triangle form (off-diagonals times
 sqrt(2)) so that Euclidean inner products and norms on the flattened
@@ -20,7 +23,6 @@ from typing import Hashable, List, Optional, Tuple
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import power_iteration
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -223,61 +225,24 @@ class Birkhoff(Region):
 class Spectrahedron(Region):
     """Unit-trace PSD matrices in svec coordinates; vertices are rank-one v v^T.
 
-    The LMO computes a unit eigenvector for the smallest eigenvalue of the
-    cost matrix C (equivalently the largest of -C) with a Gershgorin-shifted
-    power iteration: deterministic start, relative tolerance `eig_tol`, and a
-    stall-based secondary stop for near-degenerate spectra.  When the bottom
-    of the spectrum is a near-degenerate cluster the iteration converges to
-    the cluster's eigenspace rather than a single eigenvector, so the vertex
-    value <C, vv^T> is then exact only up to the cluster width (which is also
-    the amount by which any vector in that eigenspace is suboptimal).
-
-    Medium spectral gaps (roughly 1e-6..1e-2 relative to the shift) can leave
-    the iteration unable to either converge or stall within its cap; these
-    arise systematically when a prox subproblem's optimum sits on a
-    higher-rank face, because the gradient matrix then approaches one with a
-    degenerate bottom eigenvalue.  On cap exhaustion the LMO falls back to a
-    dense symmetric eigensolve, so the value contract
-    <C, vv^T> <= lambda_min(C) + eig_tol holds for every input.
+    The LMO takes v as a unit eigenvector for the smallest eigenvalue of the
+    cost matrix C from a dense symmetric eigensolve (LAPACK, through
+    ``numpy.linalg.eigh``), so <C, vv^T> equals lambda_min(C) up to rounding
+    for every C, including ones whose bottom eigenvalues are clustered or
+    repeated.
     """
 
     kind = "spectrahedron"
 
-    def __init__(self, n, eig_tol=1e-9):
+    def __init__(self, n):
         if n < 1:
             raise ValueError("spectrahedron needs n >= 1")
         self.n = n
         self.dim = svec_dim(n)
-        self.eig_tol = float(eig_tol)
-
-    def _min_eigvec(self, C):
-        n = self.n
-        if n == 1:
-            return np.ones(1)
-        shift = float(np.max(np.sum(np.abs(C), axis=1)))  # Gershgorin radius bound
-        if shift <= 1e-300:
-            v = np.zeros(n)
-            v[0] = 1.0
-            return v
-        M = shift * np.eye(n) - C
-        # The contraction ratio is 1 - gap/(shift - lam_min) and the Gershgorin
-        # shift can exceed the spectral radius by ~sqrt(n), so the cap must
-        # leave room for a few thousand iterations even at small n.
-        try:
-            _, v, _, _ = power_iteration(
-                lambda u: M @ u, n, tol=self.eig_tol,
-                maxiter=max(2000, int(np.ceil(40 * n * np.log2(n + 1)))),
-                stall_tol=1e-13,
-            )
-        except NumericalError:
-            # Medium spectral gap: no cap suffices, so answer exactly instead.
-            v = np.linalg.eigh(C)[1][:, 0]
-        return v
 
     def lmo(self, c):
         c = self._check(c)
-        C = smat(c)
-        v = self._min_eigvec(C)
+        v = np.linalg.eigh(smat(c))[1][:, 0]
         # Sign convention for the id: first non-negligible entry positive.
         nz = np.nonzero(np.abs(v) > 1e-8)[0]
         if len(nz) and v[nz[0]] < 0:
@@ -295,7 +260,7 @@ class Spectrahedron(Region):
         return bool(ev[0] >= -tol and abs(float(np.trace(X)) - 1.0) <= tol)
 
     def to_spec(self):
-        return {"kind": self.kind, "n": self.n, "eig_tol": self.eig_tol}
+        return {"kind": self.kind, "n": self.n}
 
 
 class DagPath(Region):
@@ -489,7 +454,8 @@ def region_from_spec(spec: dict) -> Region:
     if kind == "birkhoff":
         return Birkhoff(spec["n"])
     if kind == "spectrahedron":
-        return Spectrahedron(spec["n"], spec.get("eig_tol", 1e-9))
+        # Older files also carry an eigenvalue tolerance, which the exact LMO ignores.
+        return Spectrahedron(spec["n"])
     if kind == "dag_path":
         return DagPath(spec["edges"])
     return Enumerated(spec["vertices"])

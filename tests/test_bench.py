@@ -259,6 +259,9 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         dict(CALGD_ENTRY, name="bad", variant="calsgd", schedule=None),
         dict(CALGD_ENTRY, name="bad", variant="calgd_sc"),
         dict(CALGD_ENTRY, name="bad", alpha=0.5),
+        # rejected only when the schedule is evaluated with the resolved constants
+        dict(CALGD_ENTRY, name="bad", variant="calgd_saddle", schedule={"tag": "saddle_dynamic"}),
+        dict(CALGD_ENTRY, name="bad", x0="origin"),
     ]
     for bad in bad_entries:
         config = _experiment(tmp_path, [CALGD_ENTRY, bad])
@@ -266,6 +269,38 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         with pytest.raises(ConfigError, match=r"solver entry 1 \(bad\)"):
             run_experiment(config, out_dir=str(out))
         assert not out.exists() or not any(out.iterdir())
+
+
+def test_instance_loaded_once_per_experiment(tmp_path, monkeypatch):
+    calls = []
+    real = bench.load_instance
+    monkeypatch.setattr(bench, "load_instance", lambda path: calls.append(path) or real(path))
+    config = _experiment(tmp_path, _paired_entries(outer=10), seeds=(0, 1))
+    _, code = run_experiment(config, out_dir=str(tmp_path / "runs"))
+    assert code == 0
+    assert calls == [config["instance"]]
+
+    out = tmp_path / "missing"
+    with pytest.raises(FileNotFoundError):
+        run_experiment(dict(config, instance=str(tmp_path / "nope.json")), out_dir=str(out))
+    assert not out.exists()
+
+
+def test_constant_estimation_error_marks_that_entry_only(tmp_path, monkeypatch):
+    def estimate_L(objective):
+        raise NumericalError("power iteration did not converge")
+
+    monkeypatch.setattr(bench, "estimate_L", estimate_L)
+    given = dict(CALGD_ENTRY, name="given", constants={"L": 200.0})
+    config = _experiment(tmp_path, [CALGD_ENTRY, given], seeds=(0, 1))
+    out = tmp_path / "runs"
+    summary, code = run_experiment(config, out_dir=str(out))
+    assert code == 1
+    status = {(r["solver"], r["seed"]): r["status"] for r in summary["runs"]}
+    assert status == {("calgd", 0): "error", ("calgd", 1): "error",
+                      ("given", 0): "completed", ("given", 1): "completed"}
+    meta = json.loads((out / "calgd__s1.meta.json").read_text())
+    assert meta["message"] == "NumericalError: power iteration did not converge"
 
 
 def test_calgd_threshold_table_monotone(tmp_path):

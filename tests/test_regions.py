@@ -173,6 +173,25 @@ def test_spectrahedron_vs_dense_eigensolver():
             assert r.contains(v.point, tol=1e-8)
 
 
+@pytest.mark.parametrize("gap", [0.0, 1e-4], ids=["repeated", "clustered"])
+@pytest.mark.parametrize("n", [2, 5, 20, 50])
+def test_spectrahedron_lmo_exact_on_clustered_bottom_spectrum(n, gap):
+    # C = Q diag(ev) Q^T with the two smallest eigenvalues equal or a relative
+    # 1e-4 apart: the vertex value must be lambda_min to rounding.
+    rng = np.random.default_rng(100 + n)
+    r = Spectrahedron(n)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(5):
+            ev = np.sort(scale * rng.uniform(-1.0, 1.0, n))
+            ev[1] = ev[0] + gap * float(np.max(np.abs(ev)))
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            C = (Q * ev) @ Q.T
+            v = r.lmo(svec(C))
+            excess = float(svec(C) @ v.point) - float(ev.min())
+            assert excess <= 1e-12 * max(1.0, float(np.max(np.abs(ev))))
+            assert r.contains(v.point, tol=1e-12)
+
+
 @pytest.mark.parametrize("region", ALL_REGIONS, ids=lambda r: r.kind)
 def test_diameter_upper_bounds_vertex_pairs(region):
     rng = np.random.default_rng(8)
@@ -182,17 +201,27 @@ def test_diameter_upper_bounds_vertex_pairs(region):
         assert float(np.linalg.norm(a - b)) <= D + 1e-9
 
 
-@pytest.mark.parametrize("region", ALL_REGIONS + [Spectrahedron(3, eig_tol=1e-6)],
-                         ids=[r.kind for r in ALL_REGIONS] + ["spectrahedron_eig_tol"])
+@pytest.mark.parametrize("region", ALL_REGIONS, ids=lambda r: r.kind)
 def test_spec_round_trip(region):
     spec = region.to_spec()
     clone = region_from_spec(spec)
     assert clone.kind == region.kind and clone.dim == region.dim
-    assert getattr(clone, "eig_tol", None) == getattr(region, "eig_tol", None)
     rng = np.random.default_rng(9)
     for _ in range(10):
         c = rng.standard_normal(region.dim)
         a, b = region.lmo(c), clone.lmo(c)
+        assert np.array_equal(a.point, b.point)
+        assert a.id == b.id
+
+
+def test_legacy_spectrahedron_spec_with_eigenvalue_tolerance_loads():
+    legacy = region_from_spec({"kind": "spectrahedron", "n": 3, "eig_tol": 1e-6})
+    current = region_from_spec({"kind": "spectrahedron", "n": 3})
+    assert legacy.to_spec() == current.to_spec()
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        c = rng.standard_normal(current.dim)
+        a, b = legacy.lmo(c), current.lmo(c)
         assert np.array_equal(a.point, b.point)
         assert a.id == b.id
 
