@@ -43,7 +43,7 @@ from .schedules import (
     restart_phase_plan,
     schedule_eval,
 )
-from .solvers import SolverConfig, SolverState, new_state, restart_run, run_ofw, run_solver
+from .solvers import SolverConfig, SolverState, new_state, run_solver
 from .bench import gen_instance, load_instance, run_experiment, summarize
 from .trace import Counters, RunTrace, TRACE_COLUMNS, TRACE_HEADER, read_trace_csv
 
@@ -58,7 +58,7 @@ __all__ = [
     "Spectrahedron", "Vertex", "region_from_spec", "smat", "svec",
     "ProblemConstants", "ScheduleVariant", "StepParams", "gamma_product",
     "restart_phase_plan", "schedule_eval",
-    "SolverConfig", "SolverState", "new_state", "restart_run", "run_ofw", "run_solver",
+    "SolverConfig", "SolverState", "new_state", "run_solver",
     "gen_instance", "load_instance", "run_experiment", "summarize",
     "Counters", "RunTrace", "TRACE_COLUMNS", "TRACE_HEADER", "read_trace_csv",
 ]

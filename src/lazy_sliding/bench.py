@@ -30,6 +30,7 @@ from .solvers import SolverConfig, run_solver
 from .trace import RunTrace, read_trace_csv
 
 DETERMINISTIC_ENV = "LAZY_SLIDING_DETERMINISTIC"
+SIGMA2_SAMPLES = 2000  # samples behind an estimated sigma^2, drawn with seed 0
 THRESHOLDS = tuple(10.0 ** (-e) for e in range(1, 7))
 
 
@@ -205,7 +206,12 @@ def load_instance(path_or_dict):
 
 def _default_x0(region, how, inst):
     if isinstance(how, list):
-        return np.asarray(how, dtype=float)
+        x0 = np.asarray(how, dtype=float)
+        if x0.shape != (region.dim,):
+            raise ConfigError("x0 has shape %s, the region needs (%d,)" % (x0.shape, region.dim))
+        if not region.contains(x0):
+            raise ConfigError("x0 lies outside the region")
+        return x0
     if how == "x_star":
         return np.asarray(inst["objective"]["x_star"], dtype=float)
     if how == "vertex":
@@ -213,7 +219,7 @@ def _default_x0(region, how, inst):
     raise ConfigError("x0 must be a list, 'x_star' or 'vertex', got %r" % (how,))
 
 
-def resolve_constants(entry, region, objective, inst, x0, sigma2_samples=2000):
+def resolve_constants(entry, region, objective, inst, x0):
     """Fill the constants a solver entry needs, estimating what is not given."""
     given = dict(entry.get("constants", {}))
     tag = (entry.get("schedule") or {}).get("tag")
@@ -239,8 +245,8 @@ def resolve_constants(entry, region, objective, inst, x0, sigma2_samples=2000):
         if "sigma2" in given:
             out["sigma2"] = float(given["sigma2"])
         else:
-            rng = np.random.default_rng(int(entry.get("sigma2_seed", 0)))
-            out["sigma2"] = estimate_sigma2(objective, x0, sigma2_samples, rng)
+            out["sigma2"] = estimate_sigma2(objective, x0, SIGMA2_SAMPLES,
+                                            np.random.default_rng(0))
     if "delta0" in given:
         out["delta0"] = float(given["delta0"])
     elif entry["variant"] in ("calgd_sc", "calsgd_sc"):
@@ -273,12 +279,10 @@ def _solver_config(entry, budgets, constants, x0, seed):
         batch=entry.get("batch"),
         cache_capacity=int(entry.get("cache_capacity", 512)),
         eps=entry.get("eps"),
-        ofw_rho_exp=float(entry.get("ofw_rho_exp", 2.0 / 3.0)),
-        ofw_gamma_exp=float(entry.get("ofw_gamma_exp", 3.0 / 4.0)),
     )
 
 
-def _prepare_entry(entry, budgets, region, objective, inst, sigma2_samples):
+def _prepare_entry(entry, budgets, region, objective, inst):
     """(x0, constants) shared by every run of a solver entry.
 
     Raises if a run of the entry would reject it, including a schedule that
@@ -295,7 +299,7 @@ def _prepare_entry(entry, budgets, region, objective, inst, sigma2_samples):
     # Variant, schedule tag, outer, batch and eps need no estimated constant.
     schedule = _solver_config(entry, budgets, given, x0, 0).schedule
     try:
-        constants = resolve_constants(entry, region, objective, inst, x0, sigma2_samples)
+        constants = resolve_constants(entry, region, objective, inst, x0)
     except NumericalError as exc:
         return x0, exc
     if schedule is not None:
@@ -365,13 +369,11 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     budgets = dict(config.get("budgets", {}))
     if time_limit is not None:
         budgets["wall_seconds"] = time_limit
-    sigma2_samples = int(config.get("sigma2_samples", 2000))
     entries = config.get("solvers", [])
     prepared = []
     for i, entry in enumerate(entries):
         try:
-            prepared.append(_prepare_entry(entry, budgets, region, objective, inst,
-                                           sigma2_samples))
+            prepared.append(_prepare_entry(entry, budgets, region, objective, inst))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("solver entry %d (%s): %s"
                               % (i, entry.get("name", entry.get("variant")), exc)) from exc

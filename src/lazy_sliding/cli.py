@@ -6,14 +6,7 @@ import os
 import subprocess
 import sys
 
-from .bench import (
-    DETERMINISTIC_ENV,
-    gen_instance,
-    parse_seeds,
-    run_experiment,
-    summarize,
-    write_json,
-)
+from .bench import gen_instance, run_experiment, summarize, write_json
 
 
 def _cmd_gen(args):
@@ -35,14 +28,13 @@ def _cmd_gen(args):
 def _cmd_run(args):
     with open(args.config) as fh:
         config = json.load(fh)
-    jobs = 1 if os.environ.get(DETERMINISTIC_ENV) == "1" else args.jobs
     summary, code = run_experiment(
         config,
         base_dir=os.path.dirname(os.path.abspath(args.config)),
         out_dir=args.out,
-        seeds=parse_seeds(args.seeds) if args.seeds else None,
+        seeds=args.seeds,
         time_limit=args.time_limit,
-        jobs=jobs,
+        jobs=args.jobs,
     )
     _print_summary(summary)
     return code

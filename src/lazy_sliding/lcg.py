@@ -10,7 +10,7 @@ exact certificate and the solver returns.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -130,7 +130,7 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
         raise ValueError("alpha must be >= 1, got %r" % (alpha,))
     if counters is None:
         counters = Counters()
-    base = counters.snapshot()
+    base = replace(counters)  # a copy: this solve's counts are differences from it
 
     u = np.array(u1, dtype=float, copy=True)
     grad = sub.grad(u)
@@ -168,16 +168,15 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
         else:
             exact_hint = (resp.vertex, resp.gap)
             if phi == eta:
-                end = counters.snapshot()
                 return LcgResult(
                     point=u,
                     cert_gap=resp.gap,
                     iterations=t + 1,
                     phi0=phi0,
                     phi_final=phi,
-                    weak_sep_calls=end[3] - base[3],
-                    exact_lmo_calls=end[2] - base[2],
-                    cache_hits=end[4] - base[4],
+                    weak_sep_calls=counters.weak_sep_calls - base.weak_sep_calls,
+                    exact_lmo_calls=counters.exact_lmo_calls - base.exact_lmo_calls,
+                    cache_hits=counters.cache_hits - base.cache_hits,
                     phi_trace=phi_trace,
                 )
             phi = max(phi / 2.0, eta)

@@ -10,13 +10,14 @@ only in how the gradient estimate is produced:
 - calgd             exact gradients
 - calgd_saddle      gradients of the smoothed max-function (needs tau_k)
 - calsgd_nonsmooth  single stochastic subgradients
-- calgd_sc / calsgd_sc   restart wrappers giving linear convergence under
-                          strong convexity
+- calgd_sc / calsgd_sc   restarts of calgd / calsgd, S phases of N
+                          iterations, linear convergence under strong convexity
 - scgs              same outer loop, classical conditional gradient inner
                     solver: the lazy loop at alpha = 1 with no vertex cache,
                     so one exact LMO per iterate; ignores cache_capacity
-- ofw               one-sample online Frank-Wolfe baseline
+- ofw               online Frank-Wolfe baseline with fixed exponents
 
+`run_solver` runs every variant in one loop, one trace row per iteration.
 Randomness is drawn from counter-based streams keyed (seed, outer index), so
 changing one iteration's batch size never reshuffles any other iteration's
 samples and runs are bit-reproducible on one platform.
@@ -50,6 +51,9 @@ from .schedules import (
 )
 from .trace import Counters, RunTrace
 
+OFW_RHO_EXP = 2.0 / 3.0     # online Frank-Wolfe (Hazan and Kale 2012): rho_t = t^(-2/3)
+OFW_GAMMA_EXP = 3.0 / 4.0   # and gamma_t = t^(-3/4)
+
 VARIANTS = ("calsgd", "calgd", "calgd_sc", "calsgd_sc", "calgd_saddle",
             "calsgd_nonsmooth", "scgs", "ofw")
 
@@ -61,6 +65,10 @@ _ALLOWED_TAGS = {
     "scgs": {SMOOTH_STOCHASTIC, SMOOTH_STOCHASTIC_FIXED_N,
              SMOOTH_DETERMINISTIC, SMOOTH_DETERMINISTIC_FIXED_N},
 }
+
+# restart variant -> (inner variant, phase schedule tag)
+_RESTARTS = {"calgd_sc": ("calgd", STRONGLY_CONVEX_DET_PHASE),
+             "calsgd_sc": ("calsgd", STRONGLY_CONVEX_STOCH_PHASE)}
 
 
 @dataclass
@@ -77,8 +85,6 @@ class SolverConfig:
     cache_capacity: int = 512
     lcg_cap: Optional[int] = None
     eps: Optional[float] = None          # restart target accuracy
-    ofw_rho_exp: float = 2.0 / 3.0
-    ofw_gamma_exp: float = 3.0 / 4.0
     audit: bool = False
 
     def __post_init__(self):
@@ -93,7 +99,7 @@ class SolverConfig:
                 raise ConfigError(
                     "variant %r cannot run schedule %r"
                     % (self.variant, self.schedule.tag))
-        if self.variant in ("calgd_sc", "calsgd_sc") and (self.eps is None or self.eps <= 0):
+        if self.variant in _RESTARTS and (self.eps is None or self.eps <= 0):
             raise ConfigError("restart variants require a target accuracy eps > 0")
         if self.batch is not None and self.batch < 1:
             raise ConfigError("batch override must be >= 1")
@@ -114,6 +120,7 @@ class SolverState:
     last_sub: Optional[Subproblem] = None
     last_cert_gap: float = float("nan")
     last_phi_final: float = float("nan")
+    avg_grad: Optional[np.ndarray] = None    # ofw's running gradient average
 
 
 def new_state(x0, seed, cache_capacity=512):
@@ -178,7 +185,7 @@ def sliding_step(variant, state, objective, region, params, alpha,
     return state
 
 
-def _metadata(config, extra=None):
+def _metadata(config, plan):
     md = {
         "variant": config.variant,
         "seed": config.seed,
@@ -192,115 +199,83 @@ def _metadata(config, extra=None):
         "version": __version__,
         "status": "completed",
     }
-    if extra:
-        md.update(extra)
+    if plan is not None:
+        md["phase_length"], md["phases"] = plan
     return md
 
 
-def _outer_loop(config, variant, schedule, steps, state, objective, region, trace, t0):
-    """Outer iterations 1..steps of one schedule, one trace row each.
+def _iterations(config, plan):
+    """(variant, schedule, k) of every outer iteration of a run, in order.
 
-    Rows carry the global index state.stream_offset + k.  Returns False if
-    the time limit stopped the run first.  A BudgetExceeded raised in
-    iteration k leaves with the rows before it in ``trace`` and the global
-    index of k in ``outer_k``.
+    A restart run is S phases of N iterations of its inner variant, k = 1..N
+    in each; every other run is one phase of outer_limit iterations.
     """
-    if config.audit:
-        trace.metadata.setdefault("max_audit_excess", -float("inf"))
-    for k in range(1, steps + 1):
-        outer_k = state.stream_offset + k
-        if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
-            trace.metadata["status"] = "time_limit"
-            return False
-        params = schedule_eval(schedule, k, config.constants, config.batch_cap)
-        try:
-            sliding_step(variant, state, objective, region, params,
-                         config.constants.alpha, batch=config.batch, lcg_cap=config.lcg_cap)
-        except BudgetExceeded as exc:
-            trace.metadata["final_counters"] = state.counters.as_dict()
-            exc.trace, exc.outer_k = trace, outer_k
-            raise
-        if config.audit:
-            gap = duality_gap(state.last_sub, region, state.x, state.counters)
-            trace.metadata["max_audit_excess"] = max(trace.metadata["max_audit_excess"],
-                                                     gap - params.eta)
-        f = objective.value(state.y)
-        trace.append(outer_k, (time.perf_counter() - t0) * 1e3, f, state.counters,
-                     state.last_phi_final, state.last_cert_gap)
-    return True
+    if plan is None:
+        return ((config.variant, config.schedule, k)
+                for k in range(1, config.outer_limit + 1))
+    (inner, tag), (N, S) = _RESTARTS[config.variant], plan
+    return ((inner, ScheduleVariant(tag, N=N, s=s), k)
+            for s in range(1, S + 1) for k in range(1, N + 1))
+
+
+def _ofw_step(state, objective, region, batch):
+    """One online Frank-Wolfe step: averaged gradient, one exact LMO."""
+    t = state.k + 1
+    size = batch if batch is not None else 1
+    g = _sample_mean(objective, state.x, size, _stream(state.seed, t))
+    state.counters.sfo_calls += size
+    rho = t ** -OFW_RHO_EXP
+    state.avg_grad = g if state.avg_grad is None else (1.0 - rho) * state.avg_grad + rho * g
+    v = region.lmo(state.avg_grad)
+    state.counters.exact_lmo_calls += 1
+    gamma = t ** -OFW_GAMMA_EXP
+    state.x = state.y = (1.0 - gamma) * state.x + gamma * v.point
+    state.k = t
 
 
 def run_solver(config: SolverConfig, objective, region) -> RunTrace:
     """Run one solver to its outer limit, returning the per-iteration trace.
 
-    A BudgetExceeded raised in outer iteration k carries the trace of
-    iterations 1..k-1 in ``trace`` and k in ``outer_k``.
+    Every variant runs through this loop.  A restart run concatenates its
+    phases under a globally increasing outer index, keeps its cache across
+    phases, and records ``phase_length`` and ``phases``; the value at the end
+    of phase s is the row with outer_k = s * phase_length.  A BudgetExceeded
+    raised in outer iteration k carries the trace of iterations 1..k-1 in
+    ``trace`` and k in ``outer_k``.
     """
-    if config.variant in ("calgd_sc", "calsgd_sc"):
-        _, trace = restart_run(config, objective, region)
-        return trace
-    if config.variant == "ofw":
-        return run_ofw(config, objective, region)
-
+    plan = (restart_phase_plan(config.constants, config.variant == "calsgd_sc", config.eps)
+            if config.variant in _RESTARTS else None)
     # scgs is the classical baseline: no cache, whatever cache_capacity says
     capacity = 0 if config.variant == "scgs" else config.cache_capacity
     state = new_state(config.x0, config.seed, capacity)
-    trace = RunTrace(metadata=_metadata(config))
-    _outer_loop(config, config.variant, config.schedule, config.outer_limit, state,
-                objective, region, trace, time.perf_counter())
-    trace.metadata["final_counters"] = state.counters.as_dict()
-    return trace
-
-
-def restart_run(config: SolverConfig, objective, region):
-    """Strongly convex restart scheme: S phases of N sliding iterations each.
-
-    Returns (phase_end_points, trace); the trace concatenates all phases with
-    a globally increasing outer index, and the cache persists across phases.
-    """
-    stochastic = config.variant == "calsgd_sc"
-    N, S = restart_phase_plan(config.constants, stochastic, config.eps)
-    tag = STRONGLY_CONVEX_STOCH_PHASE if stochastic else STRONGLY_CONVEX_DET_PHASE
-    inner_variant = "calsgd" if stochastic else "calgd"
-
-    state = new_state(config.x0, config.seed, config.cache_capacity)
-    trace = RunTrace(metadata=_metadata(config, {"phase_length": N, "phases": S}))
+    trace = RunTrace(metadata=_metadata(config, plan))
+    audit = config.audit and config.variant != "ofw"
+    if audit:
+        trace.metadata["max_audit_excess"] = -float("inf")
     t0 = time.perf_counter()
-    points = []
-    for s in range(1, S + 1):
-        # each phase restarts from the previous phase's output
-        state.x, state.y, state.k = state.y.copy(), state.y.copy(), 0
-        state.stream_offset = (s - 1) * N
-        if not _outer_loop(config, inner_variant, ScheduleVariant(tag, N=N, s=s), N, state,
-                           objective, region, trace, t0):
-            break
-        points.append(state.y.copy())
-    trace.metadata["final_counters"] = state.counters.as_dict()
-    return points, trace
-
-
-def run_ofw(config: SolverConfig, objective, region) -> RunTrace:
-    """Online Frank-Wolfe baseline: averaged gradient, one exact LMO per step."""
-    x = np.array(config.x0, dtype=float, copy=True)
-    d = None
-    counters = Counters()
-    trace = RunTrace(metadata=_metadata(config))
-    t0 = time.perf_counter()
-    batch = config.batch if config.batch is not None else 1
-    for t in range(1, config.outer_limit + 1):
+    for outer_k, (variant, schedule, k) in enumerate(_iterations(config, plan), 1):
+        if k == 1:  # each phase restarts from the previous phase's output
+            state.x, state.y, state.k = state.y.copy(), state.y.copy(), 0
+            state.stream_offset = outer_k - 1
         if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
             trace.metadata["status"] = "time_limit"
             break
-        rng = _stream(config.seed, t)
-        g = _sample_mean(objective, x, batch, rng)
-        counters.sfo_calls += batch
-        rho = t ** (-config.ofw_rho_exp)
-        d = g if d is None else (1.0 - rho) * d + rho * g
-        v = region.lmo(d)
-        counters.exact_lmo_calls += 1
-        gam = t ** (-config.ofw_gamma_exp)
-        x = (1.0 - gam) * x + gam * v.point
-        trace.append(t, (time.perf_counter() - t0) * 1e3, objective.value(x),
-                     counters, float("nan"), float("nan"))
-    trace.metadata["final_counters"] = counters.as_dict()
+        if variant == "ofw":
+            _ofw_step(state, objective, region, config.batch)
+        else:
+            params = schedule_eval(schedule, k, config.constants, config.batch_cap)
+            try:
+                sliding_step(variant, state, objective, region, params, config.constants.alpha,
+                             batch=config.batch, lcg_cap=config.lcg_cap)
+            except BudgetExceeded as exc:
+                trace.metadata["final_counters"] = state.counters.as_dict()
+                exc.trace, exc.outer_k = trace, outer_k
+                raise
+        if audit:
+            gap = duality_gap(state.last_sub, region, state.x, state.counters)
+            trace.metadata["max_audit_excess"] = max(trace.metadata["max_audit_excess"],
+                                                     gap - params.eta)
+        trace.append(outer_k, (time.perf_counter() - t0) * 1e3, objective.value(state.y),
+                     state.counters, state.last_phi_final, state.last_cert_gap)
+    trace.metadata["final_counters"] = state.counters.as_dict()
     return trace

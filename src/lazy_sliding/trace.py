@@ -17,11 +17,6 @@ class Counters:
     cache_misses: int = 0
     inner_iters: int = 0
 
-    def snapshot(self):
-        return (self.sfo_calls, self.fo_calls, self.exact_lmo_calls,
-                self.weak_sep_calls, self.cache_hits, self.cache_misses,
-                self.inner_iters)
-
     def as_dict(self):
         """The counters by name, as run metadata records them."""
         return asdict(self)

@@ -129,3 +129,33 @@ def quad_psi_opt(g, center, beta, project):
     """
     p = project(center - g / beta)
     return float(g @ p + 0.5 * beta * ((p - center) @ (p - center))), p
+
+
+def reference_ofw(objective, region, x0, steps, seed, batch=1):
+    """Online Frank-Wolfe written out from its definition (Hazan and Kale 2012).
+
+    Step t draws the mean g_t of `batch` samples at x_{t-1} from the Philox
+    stream keyed (seed, t), averages d_t = (1 - rho_t) d_{t-1} + rho_t g_t
+    with rho_t = t^(-2/3) (d_1 = g_1), calls the LMO once on d_t and moves
+    x_t = (1 - gamma_t) x_{t-1} + gamma_t v_t with gamma_t = t^(-3/4).
+    Returns one (f(x_t), samples drawn, LMO calls) tuple per step.
+    """
+    x = np.array(x0, dtype=float)
+    d = None
+    rows = []
+    for t in range(1, steps + 1):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
+        g = objective.sfo_batch(x, batch, rng)
+        rho = t ** (-2.0 / 3.0)
+        d = g if d is None else (1.0 - rho) * d + rho * g
+        v = region.lmo(d).point
+        gamma = t ** (-3.0 / 4.0)
+        x = (1.0 - gamma) * x + gamma * v
+        rows.append((objective.value(x), t * batch, t))
+    return rows
+
+
+def phase_end_values(trace):
+    """f at the end of each phase of a restart run: rows with outer_k = s * N."""
+    N = trace.metadata["phase_length"]
+    return [f for k, f in zip(trace.column("outer_k"), trace.column("f_value")) if k % N == 0]

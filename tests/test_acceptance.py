@@ -34,7 +34,7 @@ from lazy_sliding.regions import (
     svec,
 )
 from lazy_sliding.schedules import ProblemConstants, ScheduleVariant
-from lazy_sliding.solvers import SolverConfig, restart_run, run_solver
+from lazy_sliding.solvers import SolverConfig, run_solver
 
 from helpers import (
     brute_birkhoff_min,
@@ -42,6 +42,7 @@ from helpers import (
     dense_spectra_min,
     enumerate_dag_paths,
     kkt_simplex_project,
+    phase_end_values,
 )
 
 
@@ -146,10 +147,11 @@ def test_ac04_restart_gap_halves_every_phase():
     d0 = obj.value(x0)                     # exact initial gap (f* = 0)
     c = ProblemConstants(L=L, mu=mu, delta0=d0, D_X=math.sqrt(2.0))
     cfg = SolverConfig("calgd_sc", c, x0, 10 ** 9, seed=0, eps=d0 / 64.0)
-    pts, tr = restart_run(cfg, obj, Simplex(10))
-    assert len(pts) == 6
-    for s, p in enumerate(pts, 1):
-        assert obj.value(p) <= d0 * 2.0 ** -s
+    tr = run_solver(cfg, obj, Simplex(10))
+    ends = phase_end_values(tr)
+    assert len(ends) == 6
+    for s, f in enumerate(ends, 1):
+        assert f <= d0 * 2.0 ** -s
     assert tr.metadata["phases"] == 6
     assert time.monotonic() - t0 < 10.0
 

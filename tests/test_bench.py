@@ -262,6 +262,9 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         # rejected only when the schedule is evaluated with the resolved constants
         dict(CALGD_ENTRY, name="bad", variant="calgd_saddle", schedule={"tag": "saddle_dynamic"}),
         dict(CALGD_ENTRY, name="bad", x0="origin"),
+        # a list x0 must be a point of the region
+        dict(CALGD_ENTRY, name="bad", x0=[1.0, 0.0]),
+        dict(CALGD_ENTRY, name="bad", x0=[2, 0, 0, 0, 0, 0]),
     ]
     for bad in bad_entries:
         config = _experiment(tmp_path, [CALGD_ENTRY, bad])
@@ -269,6 +272,18 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         with pytest.raises(ConfigError, match=r"solver entry 1 \(bad\)"):
             run_experiment(config, out_dir=str(out))
         assert not out.exists() or not any(out.iterdir())
+
+
+def test_list_x0_runs_like_the_named_vertex(tmp_path):
+    # "vertex" is the minimizer of <1, x>, e_0 on the simplex; the stochastic
+    # fixed-N entry also estimates sigma^2 and D_0 at x0
+    lazy = _paired_entries(outer=15)[0]
+    entries = [dict(lazy, name="named", x0="vertex"),
+               dict(lazy, name="listed", x0=[1, 0, 0, 0, 0, 0])]
+    out = tmp_path / "runs"
+    _, code = run_experiment(_experiment(tmp_path, entries), out_dir=str(out))
+    assert code == 0
+    assert _csv_modulo_wall(out / "named__s0.csv") == _csv_modulo_wall(out / "listed__s0.csv")
 
 
 def test_instance_loaded_once_per_experiment(tmp_path, monkeypatch):

@@ -175,6 +175,28 @@ def test_certification_fuzz():
         assert ctr.cache_hits == res.cache_hits
 
 
+def test_shared_counters_give_per_solve_counts():
+    # one run's Counters accumulates over every subproblem; each LcgResult
+    # reports only its own solve's share
+    rng = np.random.default_rng(31)
+    region, cache, ctr = Simplex(8), VertexCache(), Counters()
+    u = region.lmo(np.ones(8)).point
+    results, before = [], []
+    for _ in range(2):
+        sub = Subproblem(g=rng.standard_normal(8), center=u, beta=4.0)
+        before.append((ctr.exact_lmo_calls, ctr.weak_sep_calls, ctr.cache_hits))
+        res = lcg_solve(sub, region, u, alpha=2.0, eta=1e-4, cache=cache, counters=ctr)
+        results.append(res)
+        u = res.point
+    first, second = results
+    assert before[1] == (first.exact_lmo_calls, first.weak_sep_calls, first.cache_hits)
+    assert min(before[1]) > 0
+    assert second.exact_lmo_calls == ctr.exact_lmo_calls - before[1][0]
+    assert second.weak_sep_calls == ctr.weak_sep_calls - before[1][1]
+    assert second.cache_hits == ctr.cache_hits - before[1][2]
+    assert second.weak_sep_calls > 0
+
+
 def test_cap_exhaustion_carries_state():
     sub = Subproblem(g=np.array([1.0, -1.0]), center=E1.copy(), beta=1.0)
     with pytest.raises(BudgetExceeded) as exc:

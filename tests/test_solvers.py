@@ -12,18 +12,16 @@ from lazy_sliding.objectives import (
     SmoothedSaddle,
     estimate_L,
 )
-from lazy_sliding.regions import Box, Simplex
+from lazy_sliding.regions import Box, Simplex, Spectrahedron
 from lazy_sliding.schedules import ProblemConstants, ScheduleVariant, schedule_eval
 from lazy_sliding.solvers import (
     SolverConfig,
     new_state,
-    restart_run,
-    run_ofw,
     run_solver,
     sliding_step,
 )
 
-from helpers import grid_game_value
+from helpers import grid_game_value, phase_end_values, reference_ofw
 
 
 def _simplex_ls(rng, m=8, n=6, noise=0.0):
@@ -155,15 +153,13 @@ def test_deterministic_restart_decays_per_phase():
     d0 = ls.value(x0)
     c = ProblemConstants(L=L, mu=mu, delta0=d0, D_X=math.sqrt(2.0))
     cfg = SolverConfig("calgd_sc", c, x0, 10 ** 9, seed=0, eps=d0 / 64.0)
-    pts, tr = restart_run(cfg, ls, Simplex(5))
-    assert len(pts) == 6  # ceil(log2(64))
-    for s, p in enumerate(pts, 1):
-        assert ls.value(p) <= d0 * 2.0 ** -s  # f* = 0
+    tr = run_solver(cfg, ls, Simplex(5))
+    ends = phase_end_values(tr)
+    assert len(ends) == 6  # ceil(log2(64))
+    for s, f in enumerate(ends, 1):
+        assert f <= d0 * 2.0 ** -s  # f* = 0
     assert tr.metadata["phases"] == 6
     assert tr.column("outer_k") == list(range(1, 6 * tr.metadata["phase_length"] + 1))
-    # run_solver dispatches restart variants to the same implementation
-    tr2 = run_solver(cfg, ls, Simplex(5))
-    assert tr2.column("f_value") == tr.column("f_value")
     # restart phases run the same loop body, audit included
     tr3 = run_solver(dataclasses.replace(cfg, audit=True), ls, Simplex(5))
     assert tr3.column("f_value") == tr.column("f_value")
@@ -183,9 +179,8 @@ def test_stochastic_restart_decays_per_phase():
     c = ProblemConstants(L=L, mu=mu, delta0=d0, sigma2=0.5, D_X=math.sqrt(2.0))
     for seed in range(6):
         cfg = SolverConfig("calsgd_sc", c, x0, 10 ** 9, seed=seed, eps=d0 / 16.0)
-        pts, _ = restart_run(cfg, gobj, Simplex(5))
-        for s, p in enumerate(pts, 1):
-            assert ls.value(p) <= d0 * 2.0 ** -s
+        for s, f in enumerate(phase_end_values(run_solver(cfg, gobj, Simplex(5))), 1):
+            assert f <= d0 * 2.0 ** -s
 
 
 def test_saddle_converges_to_game_value():
@@ -230,7 +225,7 @@ def test_ofw_first_step_and_feasibility():
     x0 = _vertex(6)
     c = ProblemConstants(L=estimate_L(base), sigma2=1.0, D_X=math.sqrt(2.0))
     cfg = SolverConfig("ofw", c, x0, 50, seed=9)
-    tr = run_ofw(cfg, obj, region)
+    tr = run_solver(cfg, obj, region)
     assert len(tr.rows) == 50
     assert tr.column("exact_lmo_calls") == list(range(1, 51))
     assert tr.column("sfo_calls") == list(range(1, 51))  # default batch 1
@@ -241,8 +236,24 @@ def test_ofw_first_step_and_feasibility():
     v1 = region.lmo(g1).point
     f1_expected = obj.value(v1)
     assert tr.column("f_value")[0] == pytest.approx(f1_expected, rel=1e-12)
-    # dispatch through run_solver matches
-    assert run_solver(cfg, obj, region).column("f_value") == tr.column("f_value")
+
+
+@pytest.mark.parametrize("batch", [None, 1, 3])
+@pytest.mark.parametrize("region", [Simplex(6), Spectrahedron(3)], ids=["simplex", "spectra"])
+def test_ofw_matches_reference_loop(batch, region):
+    # the spectrahedron LMO moves with any change in the averaged gradient,
+    # so a wrong averaging weight shows in f even where simplex vertices do not
+    rng = np.random.default_rng(6)
+    obj, base, _ = _simplex_ls(rng, noise=1.0)
+    x0 = region.lmo(np.arange(6.0)).point
+    c = ProblemConstants(L=estimate_L(base), sigma2=1.0, D_X=math.sqrt(2.0))
+    cfg = SolverConfig("ofw", c, x0, 40, seed=9, batch=batch)
+    tr = run_solver(cfg, obj, region)
+    ref = reference_ofw(obj, region, x0, 40, seed=9, batch=batch or 1)
+    got = list(zip(tr.column("f_value"), tr.column("sfo_calls"), tr.column("exact_lmo_calls")))
+    assert got == ref
+    tr = run_solver(dataclasses.replace(cfg, time_limit=0.0), obj, region)
+    assert tr.metadata["status"] == "time_limit" and tr.rows == []
 
 
 def test_iterates_stay_feasible_across_variants():
@@ -315,9 +326,9 @@ def test_time_limit_zero_stops_immediately():
     d0 = base.value(_vertex(6))
     c = dataclasses.replace(c, mu=1e-3 * c.L, delta0=d0)
     cfg = SolverConfig("calgd_sc", c, _vertex(6), 50, eps=d0 / 64.0, time_limit=0.0)
-    pts, tr = restart_run(cfg, base, Simplex(6))
+    tr = run_solver(cfg, base, Simplex(6))
     assert tr.metadata["status"] == "time_limit"
-    assert len(tr.rows) == 0 and pts == []
+    assert len(tr.rows) == 0 and phase_end_values(tr) == []
 
 
 def test_lcg_cap_budget_error_propagates():
