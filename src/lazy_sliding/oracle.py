@@ -1,10 +1,17 @@
-"""Weak separation oracle with a move-to-front vertex cache.
+"""Weak separation oracle with a recency-ordered vertex cache.
 
 A weak separation query either produces a vertex improving on the current
 point by more than phi/alpha (a *positive* answer, possibly served straight
 from the cache without touching the exact LMO), or falls back to one exact
 LMO call and certifies that no vertex improves by more than phi (a
 *negative* answer whose vertex is the exact minimizer of <c, .>).
+
+The cache keeps its vertices in fixed slots.  Each slot carries a
+recency stamp; a scan answers with the hit of highest stamp, which is the
+first hit of a move-to-front list, without ever reordering the stored rows.
+Regions whose vertices have at most ``support`` nonzeros are stored as
+padded index/value rows and scored by a gather, so a scan costs
+O(capacity * support) rather than O(capacity * dim).
 """
 
 from dataclasses import dataclass
@@ -17,58 +24,135 @@ from .trace import Counters
 
 
 class VertexCache:
-    """Ordered vertex store: scan front-to-back, move hits to the front.
+    """Fixed-capacity vertex store with recency stamps.
 
-    Eviction drops the back entry once ``capacity`` is exceeded; capacity 0
-    disables caching entirely (every query falls through to the exact LMO).
+    ``capacity`` slots fill in order; once all are used, inserting a new
+    vertex evicts the slot with the lowest stamp (the least recently used
+    one).  Inserting a vertex whose id is already cached only bumps its
+    stamp.  Capacity 0 disables caching entirely (every query falls through
+    to the exact LMO).  Row storage grows with the cache, doubling up to
+    ``capacity`` rows, so a cache that never fills holds no unused rows.
+
+    With ``support=None`` the points are rows of one dense (rows, dim)
+    array.  With an integer ``support`` every point must have at most that
+    many nonzeros, and is stored as a (support,) row of indices and a row
+    of values, padded with index 0 and value 0.
+
+    Slot numbers are the handles `scan` returns and `get` and
+    `move_to_front` take; they are stable until the slot is evicted.
     """
 
-    def __init__(self, capacity=512):
+    def __init__(self, capacity=512, support=None):
         if capacity < 0:
             raise ValueError("cache capacity must be >= 0")
+        if support is not None and support < 1:
+            raise ValueError("cache support must be >= 1 or None")
         self.capacity = capacity
-        self._entries = []          # list of Vertex, front first
-        self._matrix = None         # stacked points, rebuilt lazily
+        self.support = support
+        self._ids = []                # slot -> vertex id
+        self._slots = {}              # vertex id -> slot
+        self._stamps = np.zeros(capacity, dtype=np.int64)
+        self._clock = 0
+        self._dim = None
+        self._rows = None             # dense points, or sparse value rows
+        self._index = None            # sparse index rows
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._ids)
 
     @property
     def entries(self):
-        return list(self._entries)
-
-    def _points(self):
-        if self._matrix is None and self._entries:
-            self._matrix = np.stack([v.point for v in self._entries])
-        return self._matrix
+        """The cached vertices, most recently used first."""
+        order = np.argsort(-self._stamps[:len(self._ids)])
+        return [self.get(int(slot)) for slot in order]
 
     def scan(self, c, cx, threshold) -> Optional[int]:
-        """Index of the first entry y with cx - <c, y> > threshold, else None."""
-        if not self._entries:
+        """Slot of the most recently used y with cx - <c, y> > threshold, else None."""
+        n = len(self._ids)
+        if n == 0:
             return None
-        scores = self._points() @ c
-        hits = np.nonzero(cx - scores > threshold)[0]
-        return int(hits[0]) if len(hits) else None
+        if self.support is None:
+            scores = self._rows[:n] @ c
+        else:
+            scores = np.einsum("ij,ij->i", c[self._index[:n]], self._rows[:n])
+        hits = np.flatnonzero(cx - scores > threshold)
+        if len(hits) == 0:
+            return None
+        return int(hits[np.argmax(self._stamps[hits])])
 
-    def get(self, idx) -> Vertex:
-        return self._entries[idx]
+    def get(self, slot) -> Vertex:
+        """The vertex in ``slot``, its point rebuilt bit for bit."""
+        if self.support is None:
+            return Vertex(self._rows[slot].copy(), self._ids[slot])
+        values = self._rows[slot]
+        stored = values != 0.0
+        point = np.zeros(self._dim)
+        point[self._index[slot][stored]] = values[stored]
+        return Vertex(point, self._ids[slot])
 
-    def move_to_front(self, idx):
-        if idx != 0:
-            self._entries.insert(0, self._entries.pop(idx))
-            self._matrix = None
+    def move_to_front(self, slot):
+        """Mark ``slot`` as the most recently used entry."""
+        self._clock += 1
+        self._stamps[slot] = self._clock
 
     def insert(self, vertex: Vertex):
+        """Cache ``vertex`` as the most recently used entry."""
         if self.capacity == 0:
             return
-        for i, v in enumerate(self._entries):
-            if v.id == vertex.id:
-                self.move_to_front(i)
-                return
-        self._entries.insert(0, vertex)
-        if len(self._entries) > self.capacity:
-            self._entries.pop()
-        self._matrix = None
+        slot = self._slots.get(vertex.id)
+        if slot is None:
+            row = self._row(np.asarray(vertex.point, dtype=float))
+            if len(self._ids) < self.capacity:
+                slot = len(self._ids)
+                if slot == len(self._rows):
+                    self._grow()
+                self._ids.append(vertex.id)
+            else:
+                slot = int(np.argmin(self._stamps))
+                del self._slots[self._ids[slot]]
+                self._ids[slot] = vertex.id
+            self._slots[vertex.id] = slot
+            if self.support is None:
+                self._rows[slot] = row
+            else:
+                self._index[slot], self._rows[slot] = row
+        self.move_to_front(slot)
+
+    def _grow(self):
+        """Double the allocated slots: at least 16, at most ``capacity``.
+
+        New rows are left uninitialized; only rows [:len(self)] are read,
+        and each is written whole when a vertex first takes its slot.
+        """
+        n = len(self._rows)
+        extra = min(self.capacity, max(16, 2 * n)) - n
+        self._rows = np.concatenate([self._rows, np.empty((extra, self._rows.shape[1]))])
+        if self._index is not None:
+            self._index = np.concatenate(
+                [self._index, np.empty((extra, self.support), dtype=np.intp)])
+
+    def _row(self, point):
+        """The stored form of ``point``; creates the empty store at the first insert."""
+        if self._dim is None:
+            self._dim = point.shape[0]
+            width = self._dim if self.support is None else self.support
+            self._rows = np.empty((0, width))
+            if self.support is not None:
+                self._index = np.empty((0, width), dtype=np.intp)
+        if point.shape != (self._dim,):
+            raise ValueError("cache holds points of shape (%d,), got %r"
+                             % (self._dim, point.shape))
+        if self.support is None:
+            return point
+        nonzero = np.flatnonzero(point)
+        if len(nonzero) > self.support:
+            raise ValueError("vertex has %d nonzeros, more than the cache support %d"
+                             % (len(nonzero), self.support))
+        index = np.zeros(self.support, dtype=np.intp)
+        values = np.zeros(self.support)
+        index[:len(nonzero)] = nonzero
+        values[:len(nonzero)] = point[nonzero]
+        return index, values
 
 
 @dataclass(frozen=True)
@@ -122,7 +206,7 @@ def weak_separation(cache, region, c, x, phi, alpha, counters=None,
     if idx is not None:
         counters.cache_hits += 1
         cache.move_to_front(idx)
-        return OracleResponse(True, cache.get(0))
+        return OracleResponse(True, cache.get(idx))
     counters.cache_misses += 1
     if exact_hint is not None:
         v, gap = exact_hint

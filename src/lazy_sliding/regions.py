@@ -5,7 +5,10 @@ Each region exposes:
 - ``lmo(c)``       -> Vertex minimizing <c, x> over the region (exact),
 - ``diameter()``   -> Euclidean diameter (exact or a provable upper bound),
 - ``contains(x)``  -> membership test within a tolerance,
-- ``dim``          -> ambient dimension of the points handed around.
+- ``dim``          -> ambient dimension of the points handed around,
+- ``support``      -> the most nonzeros a vertex can have, or None when
+                      vertices may be dense; the vertex cache stores
+                      vertices of a region with a support as sparse rows.
 
 Every LMO is exact up to rounding; the spectrahedron's is a dense symmetric
 eigensolve (LAPACK).
@@ -69,6 +72,7 @@ class Region:
 
     kind = None
     dim = None
+    support = None
 
     def _check(self, c):
         c = np.asarray(c, dtype=float)
@@ -94,6 +98,7 @@ class Simplex(Region):
     """Probability simplex {x >= 0, sum x = 1}; vertices are unit basis vectors."""
 
     kind = "simplex"
+    support = 1
 
     def __init__(self, n):
         if n < 1:
@@ -123,6 +128,7 @@ class L1Ball(Region):
     """Scaled cross-polytope {||x||_1 <= r}; vertices are +-r e_i."""
 
     kind = "l1_ball"
+    support = 1
 
     def __init__(self, n, radius=1.0):
         if n < 1:
@@ -194,6 +200,7 @@ class Birkhoff(Region):
             raise ValueError("birkhoff needs n >= 1")
         self.n = n
         self.dim = n * n
+        self.support = n
 
     def lmo(self, c):
         # Deferred: a slow import that most regions never need.
@@ -307,6 +314,7 @@ class DagPath(Region):
         if not np.isfinite(longest[self.sink]):
             raise ValueError("sink is unreachable from source")
         self.max_path_edges = int(longest[self.sink])
+        self.support = self.max_path_edges
 
     def _topo_sort(self):
         indeg = {v: len(self._in_edges[v]) for v in self._nodes}

@@ -24,7 +24,7 @@ samples and runs are bit-reproducible on one platform.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -103,6 +103,8 @@ class SolverConfig:
             raise ConfigError("restart variants require a target accuracy eps > 0")
         if self.batch is not None and self.batch < 1:
             raise ConfigError("batch override must be >= 1")
+        if self.audit and self.variant == "ofw":
+            raise ConfigError("ofw has no inner solve to audit; audit needs a sliding variant")
 
 
 @dataclass
@@ -121,17 +123,33 @@ class SolverState:
     last_cert_gap: float = float("nan")
     last_phi_final: float = float("nan")
     avg_grad: Optional[np.ndarray] = None    # ofw's running gradient average
+    # one Philox generator per run, re-keyed by _stream before every draw; a
+    # string annotation, so that importing the package does not import numpy.random
+    rng: "np.random.Generator" = field(
+        default_factory=lambda: np.random.Generator(np.random.Philox(0)))
 
 
-def new_state(x0, seed, cache_capacity=512):
+def new_state(x0, seed, cache_capacity=512, support=None):
     x0 = np.array(x0, dtype=float, copy=True)
-    return SolverState(x=x0, y=x0.copy(), k=0, cache=VertexCache(cache_capacity),
+    return SolverState(x=x0, y=x0.copy(), k=0, cache=VertexCache(cache_capacity, support),
                        counters=Counters(), seed=seed)
 
 
-def _stream(seed, k):
-    key = np.array([seed % 2 ** 64, k % 2 ** 64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream(rng, seed, k):
+    """Re-key the Philox generator ``rng`` to the stream (seed, k) and return it.
+
+    Counter 0 and an empty output buffer make its draws identical to those
+    of a new ``Generator(Philox(key=[seed, k]))``, at a fraction of the cost
+    of building one.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed % 2 ** 64, k % 2 ** 64], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def _sample_mean(objective, z, size, rng):
@@ -146,7 +164,7 @@ def _gradient(variant, state, objective, params, k, batch):
     """Gradient estimate at z_k plus the SFO/FO bookkeeping."""
     if variant in ("calsgd", "scgs"):
         size = batch if batch is not None else params.batch
-        rng = _stream(state.seed, state.stream_offset + k)
+        rng = _stream(state.rng, state.seed, state.stream_offset + k)
         g = _sample_mean(objective, state.last_z, size, rng)
         state.counters.sfo_calls += size
     elif variant == "calgd":
@@ -156,7 +174,7 @@ def _gradient(variant, state, objective, params, k, batch):
         _, g = objective.smoothed(state.last_z, params.tau)
         state.counters.fo_calls += 1
     elif variant == "calsgd_nonsmooth":
-        rng = _stream(state.seed, state.stream_offset + k)
+        rng = _stream(state.rng, state.seed, state.stream_offset + k)
         g = objective.sfo_sample(state.last_z, rng)
         state.counters.sfo_calls += 1
     else:
@@ -222,7 +240,7 @@ def _ofw_step(state, objective, region, batch):
     """One online Frank-Wolfe step: averaged gradient, one exact LMO."""
     t = state.k + 1
     size = batch if batch is not None else 1
-    g = _sample_mean(objective, state.x, size, _stream(state.seed, t))
+    g = _sample_mean(objective, state.x, size, _stream(state.rng, state.seed, t))
     state.counters.sfo_calls += size
     rho = t ** -OFW_RHO_EXP
     state.avg_grad = g if state.avg_grad is None else (1.0 - rho) * state.avg_grad + rho * g
@@ -247,10 +265,9 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
             if config.variant in _RESTARTS else None)
     # scgs is the classical baseline: no cache, whatever cache_capacity says
     capacity = 0 if config.variant == "scgs" else config.cache_capacity
-    state = new_state(config.x0, config.seed, capacity)
+    state = new_state(config.x0, config.seed, capacity, region.support)
     trace = RunTrace(metadata=_metadata(config, plan))
-    audit = config.audit and config.variant != "ofw"
-    if audit:
+    if config.audit:
         trace.metadata["max_audit_excess"] = -float("inf")
     t0 = time.perf_counter()
     for outer_k, (variant, schedule, k) in enumerate(_iterations(config, plan), 1):
@@ -271,7 +288,7 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
                 trace.metadata["final_counters"] = state.counters.as_dict()
                 exc.trace, exc.outer_k = trace, outer_k
                 raise
-        if audit:
+        if config.audit:
             gap = duality_gap(state.last_sub, region, state.x, state.counters)
             trace.metadata["max_audit_excess"] = max(trace.metadata["max_audit_excess"],
                                                      gap - params.eta)

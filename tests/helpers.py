@@ -155,6 +155,36 @@ def reference_ofw(objective, region, x0, steps, seed, batch=1):
     return rows
 
 
+class MoveToFrontCache:
+    """A vertex cache as a plain list, most recently used first.
+
+    `scan` walks the list front to back and returns the position of the
+    first vertex y with cx - <c, y> > threshold; a hit moved to the front
+    and an insert go to position 0, and a full list drops its back entry.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = []
+
+    def scan(self, c, cx, threshold):
+        for i, v in enumerate(self.entries):
+            if cx - float(c @ v.point) > threshold:
+                return i
+        return None
+
+    def move_to_front(self, i):
+        self.entries.insert(0, self.entries.pop(i))
+
+    def insert(self, vertex):
+        for i, v in enumerate(self.entries):
+            if v.id == vertex.id:
+                self.move_to_front(i)
+                return
+        self.entries.insert(0, vertex)
+        del self.entries[self.capacity:]
+
+
 def phase_end_values(trace):
     """f at the end of each phase of a restart run: rows with outer_k = s * N."""
     N = trace.metadata["phase_length"]

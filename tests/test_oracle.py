@@ -1,9 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lazy_sliding.oracle import VertexCache, initial_gap, weak_separation
-from lazy_sliding.regions import Box, DagPath, Enumerated, L1Ball, Simplex, Vertex
+from lazy_sliding.regions import (
+    Birkhoff,
+    Box,
+    DagPath,
+    Enumerated,
+    L1Ball,
+    Simplex,
+    Spectrahedron,
+    Vertex,
+)
 from lazy_sliding.trace import Counters
+
+from helpers import MoveToFrontCache
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -179,3 +192,96 @@ def test_cache_positive_may_differ_but_is_valid():
     assert resp.positive
     assert np.array_equal(resp.vertex.point, [0.0, 1.0, 0.0])  # hit, not e_3
     assert float(c @ (x - resp.vertex.point)) > 1.0
+
+
+def _layered_dag(width, depth):
+    """Source 0, `depth` layers of `width` nodes fully linked, then one sink."""
+    edges, prev, nxt = [], [0], 1
+    for _ in range(depth):
+        layer = list(range(nxt, nxt + width))
+        edges += [(u, v) for u in prev for v in layer]
+        prev, nxt = layer, nxt + width
+    return edges + [(u, nxt) for u in prev]
+
+
+_CACHE_REGIONS = {
+    "simplex": Simplex(5),
+    "l1_ball": L1Ball(4, radius=1.7),  # not a float32 value
+    "birkhoff6": Birkhoff(6),
+    "dag": DagPath(_layered_dag(3, 4)),
+    "box": Box(3, lo=[-1.0, 0.0, 2.0], hi=[1.0, 0.5, 3.0]),
+    "enumerated": Enumerated([(np.cos(t), np.sin(t)) for t in np.arange(8) * np.pi / 4]),
+    "spectrahedron": Spectrahedron(3),
+}
+
+
+@pytest.mark.parametrize("capacity", [3, 64])
+@pytest.mark.parametrize("name", sorted(_CACHE_REGIONS))
+def test_cache_matches_move_to_front_list(name, capacity):
+    # same hits and the same recency order as the list cache, evictions
+    # included, and every stored point rebuilt exactly as the LMO gave it
+    region = _CACHE_REGIONS[name]
+    rng = np.random.default_rng(capacity)
+    cache, ref = VertexCache(capacity, region.support), MoveToFrontCache(capacity)
+    lmo_points = {}
+    queries = [rng.standard_normal(region.dim) for _ in range(3 * capacity)]
+    hits = evicted = 0
+    for _ in range(1500):
+        c = queries[rng.integers(len(queries))]  # repeats re-insert cached ids
+        if rng.random() < 0.5:
+            v = region.lmo(c)
+            lmo_points.setdefault(v.id, v.point)
+            evicted += len(ref.entries) == capacity and v.id not in [e.id for e in ref.entries]
+            cache.insert(v)
+            ref.insert(v)
+        elif ref.entries:
+            scores = np.array([float(c @ e.point) for e in ref.entries])
+            cx = float(rng.uniform(scores.min(), scores.max() + 1.0))
+            threshold = float(rng.uniform(0.0, 1.0))
+            if np.min(np.abs(cx - scores - threshold)) < 1e-9:
+                continue  # a score within rounding of the threshold
+            i, slot = ref.scan(c, cx, threshold), cache.scan(c, cx, threshold)
+            assert (i is None) == (slot is None)
+            if i is not None:
+                hits += 1
+                assert cache.get(slot).id == ref.entries[i].id
+                ref.move_to_front(i)
+                cache.move_to_front(slot)
+        assert [v.id for v in cache.entries] == [v.id for v in ref.entries]
+    assert len(cache) == len(ref.entries) <= capacity
+    for v in cache.entries:
+        assert np.array_equal(v.point, lmo_points[v.id])
+    assert hits > 50
+    if capacity == 3:
+        assert evicted > 50
+
+
+def test_cache_rejects_vertex_beyond_support():
+    cache = VertexCache(4, support=Simplex(3).support)
+    cache.insert(Simplex(3).lmo(np.array([0.0, -1.0, 0.0])))
+    with pytest.raises(ValueError, match="nonzeros"):
+        cache.insert(Vertex(np.array([0.5, 0.5, 0.0]), "edge midpoint"))
+    assert [v.id for v in cache.entries] == [1]
+    with pytest.raises(ValueError):
+        VertexCache(4, support=0)
+
+
+def test_sparse_cache_memory_bounded():
+    # 512 dense Birkhoff(50) points take 10 MB; as index/value rows of 50
+    # entries they take 0.4 MB
+    region = Birkhoff(50)
+    rng = np.random.default_rng(7)
+    cache = VertexCache(512, region.support)
+    region.lmo(np.zeros(region.dim))  # the assignment solver's import, outside the trace
+    tracemalloc.start()
+    try:
+        for _ in range(2000):
+            c = rng.standard_normal(region.dim)
+            v = region.lmo(c)
+            cache.insert(v)
+            cache.scan(c, float(c @ v.point), 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == 512
+    assert peak <= 2 * 2 ** 20

@@ -232,7 +232,7 @@ def test_ofw_first_step_and_feasibility():
     # gamma_1 = 1: the first iterate jumps straight to the first LMO vertex,
     # reproduced here from the same seeded stream
     from lazy_sliding.solvers import _sample_mean, _stream
-    g1 = _sample_mean(obj, x0, 1, _stream(9, 1))
+    g1 = _sample_mean(obj, x0, 1, _stream(np.random.Generator(np.random.Philox()), 9, 1))
     v1 = region.lmo(g1).point
     f1_expected = obj.value(v1)
     assert tr.column("f_value")[0] == pytest.approx(f1_expected, rel=1e-12)
@@ -377,6 +377,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig("calsgd", c, x0, 10,
                      schedule=ScheduleVariant("smooth_stochastic"), batch=0)
+    with pytest.raises(ConfigError, match="audit"):
+        SolverConfig("ofw", c, x0, 10, audit=True)  # nothing to audit
 
 
 def test_trace_metadata_fields():
