@@ -3,10 +3,13 @@
 `lcg_solve` minimizes psi(x) = <g, x> + (beta/2) ||x - center||^2 over a
 region until the exact duality gap max_y <grad psi(x), x - y> is certified
 to be at most eta.  It never calls the exact LMO directly after the first
-iteration: every step goes through the weak separation oracle, so cached
-vertices can serve most queries.  The scale parameter Phi halves on every
-negative answer until it reaches eta, at which point a negative answer is an
-exact certificate and the solver returns.
+iteration: every step goes through the weak separation oracle.  While u has
+not moved since the last exact LMO (the opening one, or the one behind a
+negative answer), the solver holds the exact minimizer for the current query
+and the oracle answers from it; only queries at a fresh iterate scan the
+vertex cache, and only a cache miss there costs an LMO.  The scale parameter
+Phi halves on every negative answer until it reaches eta, at which point a
+negative answer is an exact certificate and the solver returns.
 """
 
 import math

@@ -102,10 +102,34 @@ class LeastSquares:
         if self.b.shape != (self.m,):
             raise ValueError("b must have shape (%d,)" % (self.m,))
         self._L = None
+        self._gram = None
 
     def value(self, x):
+        """f(x), in Gram form x.Qx - 2 q.x + b.b when Q = A^T A is smaller than A.
+
+        Near a zero of f the Gram form loses everything to cancellation, so a
+        Gram value at most 1e3 eps b.b is recomputed from the residual.
+        """
+        if self._gram is None:
+            self._gram = self._gram_form()
+        if self._gram:
+            Q, q, bb, floor = self._gram
+            f = float(x @ (Q @ x)) - 2.0 * float(q @ x) + bb
+            if f > floor:
+                return f
         r = self.A @ x - self.b
         return float(r @ r)
+
+    def _gram_form(self):
+        """(A^T A, A^T b, b.b, fallback floor), or () when n^2 >= the stored entries of A."""
+        if self.n * self.n >= self.A.size:  # stored entries, for CSR too
+            return ()
+        Q = self.A.T @ self.A
+        if self._dense is None:
+            Q = Q.toarray()
+        q = np.asarray(self.A.T @ self.b).ravel()
+        bb = float(self.b @ self.b)
+        return Q, q, bb, 1e3 * np.finfo(float).eps * bb
 
     def grad(self, x):
         r = self.A @ x - self.b

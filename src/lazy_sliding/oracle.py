@@ -4,7 +4,9 @@ A weak separation query either produces a vertex improving on the current
 point by more than phi/alpha (a *positive* answer, possibly served straight
 from the cache without touching the exact LMO), or falls back to one exact
 LMO call and certifies that no vertex improves by more than phi (a
-*negative* answer whose vertex is the exact minimizer of <c, .>).
+*negative* answer whose vertex is the exact minimizer of <c, .>).  A caller
+that already holds the exact minimizer for the query passes it as a hint,
+and the query is answered from it before the cache is looked at.
 
 The cache keeps its vertices in fixed slots.  Each slot carries a
 recency stamp; a scan answers with the hit of highest stamp, which is the
@@ -185,13 +187,19 @@ def weak_separation(cache, region, c, x, phi, alpha, counters=None,
     alpha : float
         Relaxation factor >= 1; positives only need to beat phi/alpha.
     counters : Counters, optional
-        Incrementing weak_sep_calls, cache_hits/misses and exact_lmo_calls.
+        Incrementing weak_sep_calls, cache_hits/misses, hint_answers and
+        exact_lmo_calls.  A hint answer counts as a cache miss too, so
+        cache_hits + cache_misses == weak_sep_calls.
     exact_hint : (Vertex, float), optional
         The exact minimizer of <c, .> and its gap max_z <c, x - z>, when the
         caller already holds them for this very (c, x) query (e.g. from the
         opening gap computation, or from a previous negative answer at the
-        same iterate).  Serves the fallback without repeating the LMO call;
-        the response is identical to what the fresh call would return.
+        same iterate).  The query is then answered from the hint alone, with
+        no cache scan and no LMO call: positive with the minimizer if the
+        gap beats phi/alpha, else negative with that gap.  This is exactly
+        the answer of a cache miss followed by a fresh LMO call, and it loses
+        no positive answer, since the minimizer clears phi/alpha whenever any
+        cached vertex does.
     """
     if phi <= 0:
         raise ValueError("phi must be positive, got %r" % (phi,))
@@ -201,19 +209,20 @@ def weak_separation(cache, region, c, x, phi, alpha, counters=None,
         counters = Counters()
     counters.weak_sep_calls += 1
     threshold = phi / alpha
-    cx = float(c @ x)
-    idx = cache.scan(c, cx, threshold)
-    if idx is not None:
-        counters.cache_hits += 1
-        cache.move_to_front(idx)
-        return OracleResponse(True, cache.get(idx))
-    counters.cache_misses += 1
-    if exact_hint is not None:
-        v, gap = exact_hint
-    else:
+    if exact_hint is None:
+        cx = float(c @ x)
+        idx = cache.scan(c, cx, threshold)
+        if idx is not None:
+            counters.cache_hits += 1
+            cache.move_to_front(idx)
+            return OracleResponse(True, cache.get(idx))
         v = region.lmo(c)
         counters.exact_lmo_calls += 1
         gap = cx - float(c @ v.point)
+    else:
+        counters.hint_answers += 1
+        v, gap = exact_hint
+    counters.cache_misses += 1
     if gap > threshold:
         cache.insert(v)
         return OracleResponse(True, v)

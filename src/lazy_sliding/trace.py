@@ -14,7 +14,8 @@ class Counters:
     exact_lmo_calls: int = 0
     weak_sep_calls: int = 0
     cache_hits: int = 0
-    cache_misses: int = 0
+    cache_misses: int = 0        # includes hint_answers
+    hint_answers: int = 0        # answered from the held exact minimizer, no scan
     inner_iters: int = 0
 
     def as_dict(self):

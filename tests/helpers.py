@@ -189,3 +189,17 @@ def phase_end_values(trace):
     """f at the end of each phase of a restart run: rows with outer_k = s * N."""
     N = trace.metadata["phase_length"]
     return [f for k, f in zip(trace.column("outer_k"), trace.column("f_value")) if k % N == 0]
+
+
+def count_scans(monkeypatch):
+    """List that records the threshold of every VertexCache.scan call from now on."""
+    from lazy_sliding.oracle import VertexCache
+
+    scan, calls = VertexCache.scan, []
+
+    def counted(self, c, cx, threshold):
+        calls.append(threshold)
+        return scan(self, c, cx, threshold)
+
+    monkeypatch.setattr(VertexCache, "scan", counted)
+    return calls

@@ -14,7 +14,7 @@ from lazy_sliding.oracle import VertexCache
 from lazy_sliding.regions import Box, DagPath, L1Ball, Simplex
 from lazy_sliding.trace import Counters
 
-from helpers import kkt_simplex_project, proj_l1_ball, quad_psi_opt
+from helpers import count_scans, kkt_simplex_project, proj_l1_ball, quad_psi_opt
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -179,11 +179,11 @@ def test_shared_counters_give_per_solve_counts():
     # one run's Counters accumulates over every subproblem; each LcgResult
     # reports only its own solve's share
     rng = np.random.default_rng(31)
-    region, cache, ctr = Simplex(8), VertexCache(), Counters()
-    u = region.lmo(np.ones(8)).point
+    region, cache, ctr = Simplex(32), VertexCache(), Counters()
+    u = region.lmo(np.ones(32)).point
     results, before = [], []
     for _ in range(2):
-        sub = Subproblem(g=rng.standard_normal(8), center=u, beta=4.0)
+        sub = Subproblem(g=rng.standard_normal(32), center=u, beta=4.0)
         before.append((ctr.exact_lmo_calls, ctr.weak_sep_calls, ctr.cache_hits))
         res = lcg_solve(sub, region, u, alpha=2.0, eta=1e-4, cache=cache, counters=ctr)
         results.append(res)
@@ -195,6 +195,24 @@ def test_shared_counters_give_per_solve_counts():
     assert second.weak_sep_calls == ctr.weak_sep_calls - before[1][1]
     assert second.cache_hits == ctr.cache_hits - before[1][2]
     assert second.weak_sep_calls > 0
+
+
+def test_scans_only_queries_without_exact_hint(monkeypatch):
+    # a query at an iterate whose exact minimizer is held is answered from
+    # it; every other query scans the cache once
+    scans = count_scans(monkeypatch)
+    rng = np.random.default_rng(32)
+    for region in (Simplex(32), L1Ball(10), DagPath([(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)])):
+        cache, ctr = VertexCache(64, region.support), Counters()
+        u = region.lmo(rng.standard_normal(region.dim)).point
+        for _ in range(20):
+            sub = Subproblem(g=rng.standard_normal(region.dim), center=u, beta=4.0)
+            u = lcg_solve(sub, region, u, alpha=2.0, eta=1e-2, cache=cache,
+                          counters=ctr).point
+        assert len(scans) == ctr.weak_sep_calls - ctr.hint_answers
+        assert ctr.cache_hits + ctr.cache_misses == ctr.weak_sep_calls
+        assert ctr.hint_answers >= 20 and ctr.cache_hits > 0
+        scans.clear()
 
 
 def test_cap_exhaustion_carries_state():

@@ -171,6 +171,48 @@ def test_csr_matches_dense():
     assert np.allclose(s1, s2, atol=1e-12)
 
 
+def _residual_value(obj, x):
+    r = obj.A @ x - obj.b
+    return float(r @ r)
+
+
+@pytest.mark.parametrize("fmt", ["dense", "csr"])
+def test_gram_value_matches_residual_form(fmt):
+    # A^T A (n^2 = 144 entries) is smaller than A (48000 dense entries, about
+    # 2400 CSR nonzeros), so value() takes the Gram form; it must agree with
+    # the residual form to 64 eps (||Ax|| + ||b||)^2, the size of the terms
+    # it adds up
+    rng = np.random.default_rng(11)
+    A = rng.random((4000, 12)) * (rng.random((4000, 12)) < 0.05)
+    A = sp.csr_matrix(A) if fmt == "csr" else A
+    x_star = rng.random(12)
+    obj = LeastSquares(A, np.asarray(A @ x_star).ravel())
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for _ in range(200):
+        x = x_star + 10.0 ** rng.uniform(-8, 0) * rng.standard_normal(12)
+        f = obj.value(x)
+        scale = (np.linalg.norm(A @ x) + np.linalg.norm(obj.b)) ** 2
+        worst = max(worst, abs(f - _residual_value(obj, x)) / (eps * scale))
+        assert f >= 0.0
+    assert obj._gram  # the Gram route was taken
+    assert worst <= 64.0
+    # within 1e3 eps b.b of zero the residual form answers, bit for bit
+    for t in (0.0, 1e-9):
+        x = x_star + t
+        assert obj.value(x) == _residual_value(obj, x)
+    assert obj.value(x_star) < 1e-20
+
+
+def test_value_keeps_residual_form_when_gram_is_larger():
+    rng = np.random.default_rng(12)
+    obj = LeastSquares(sp.csr_matrix(rng.random((300, 40)) * (rng.random((300, 40)) < 0.1)),
+                       rng.random(300))
+    x = rng.random(40)
+    assert obj.value(x) == _residual_value(obj, x)
+    assert not obj._gram
+
+
 def test_simplex_project_worked_examples():
     v = np.array([0.2, 0.3, 0.5])
     assert np.allclose(simplex_project(v), v, atol=1e-15)  # idempotent on the simplex

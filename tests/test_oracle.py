@@ -16,7 +16,7 @@ from lazy_sliding.regions import (
 )
 from lazy_sliding.trace import Counters
 
-from helpers import MoveToFrontCache
+from helpers import MoveToFrontCache, count_scans
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -178,6 +178,43 @@ def test_exact_hint_parity_fuzz():
             assert fresh.gap == served.gap
         assert fresh_ctr.exact_lmo_calls == 1 and hint_ctr.exact_lmo_calls == 0
         assert fresh_ctr.weak_sep_calls == hint_ctr.weak_sep_calls == 1
+
+
+def test_exact_hint_answers_without_scan_fuzz(monkeypatch):
+    # with the exact minimizer in hand the oracle never scans: it answers
+    # positive iff the minimizer beats phi/alpha, and so is positive
+    # whenever a scan of the same cache would have hit
+    scans = count_scans(monkeypatch)
+    rng = np.random.default_rng(44)
+    would_hit = n_pos = n_neg = 0
+    for region in (Simplex(8), Birkhoff(6), Spectrahedron(4)):
+        cache = VertexCache(64, region.support)
+        for _ in range(40):
+            cache.insert(region.lmo(rng.standard_normal(region.dim)))
+        for _ in range(600):
+            c = rng.standard_normal(region.dim)
+            x = _random_feasible(region, rng)
+            v = region.lmo(c)
+            gap = float(c @ x) - float(c @ v.point)
+            alpha = float(rng.choice([1.0, 1.5, 2.0, 4.0]))
+            phi = alpha * gap * float(10.0 ** rng.uniform(-1.5, 0.5))
+            hit = cache.scan(c, float(c @ x), phi / alpha) is not None
+            before = len(scans)
+            ctr = Counters()
+            resp = weak_separation(cache, region, c, x, phi, alpha, ctr, exact_hint=(v, gap))
+            assert len(scans) == before
+            assert resp.positive == (gap > phi / alpha)
+            assert resp.vertex.id == v.id
+            if hit:
+                would_hit += 1
+                assert resp.positive
+            if not resp.positive:
+                assert resp.gap == gap
+            n_pos += resp.positive
+            n_neg += not resp.positive
+            assert ctr.exact_lmo_calls == 0 and ctr.cache_hits == 0
+            assert ctr.hint_answers == ctr.cache_misses == ctr.weak_sep_calls == 1
+    assert would_hit > 300 and n_pos > would_hit and n_neg > 300
 
 
 def test_cache_positive_may_differ_but_is_valid():

@@ -310,6 +310,10 @@ def test_counter_algebra():
         col = tr.column(name)
         assert all(b >= a for a, b in zip(col, col[1:]))
     assert tr.column("inner_iters")[-1] >= tr.column("weak_sep_calls")[-1]
+    # hint answers are misses that cost neither a scan nor an LMO
+    fc = tr.metadata["final_counters"]
+    assert fc["cache_hits"] + fc["cache_misses"] == fc["weak_sep_calls"]
+    assert 0 < fc["hint_answers"] <= fc["cache_misses"]
 
 
 def test_time_limit_zero_stops_immediately():
