@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,11 +26,10 @@ from . import __version__
 from .errors import BudgetExceeded, ConfigError, NumericalError
 from .objectives import LeastSquares, estimate_L, estimate_sigma2
 from .regions import region_from_spec, svec
-from .schedules import _FIXED_N_TAGS, ProblemConstants, ScheduleVariant, schedule_eval
-from .solvers import SolverConfig, run_solver
+from .schedules import NEEDS, ProblemConstants, ScheduleVariant, schedule_eval
+from .solvers import RESTARTS, SolverConfig, run_solver
 from .trace import RunTrace, read_trace_csv
 
-DETERMINISTIC_ENV = "LAZY_SLIDING_DETERMINISTIC"
 SIGMA2_SAMPLES = 2000  # samples behind an estimated sigma^2, drawn with seed 0
 THRESHOLDS = tuple(10.0 ** (-e) for e in range(1, 7))
 
@@ -220,91 +220,79 @@ def _default_x0(region, how, inst):
 
 
 def resolve_constants(entry, region, objective, inst, x0):
-    """Fill the constants a solver entry needs, estimating what is not given."""
-    given = dict(entry.get("constants", {}))
-    tag = (entry.get("schedule") or {}).get("tag")
-    out = {}
+    """The constants of a solver entry: every one it gives, plus estimates.
+
+    The estimated ones are those of L, sigma^2, D_0 and delta0 that the
+    entry's schedule reads (``NEEDS``; a restart variant reads its phase
+    schedule's) and the entry does not give.  D_X defaults to the region's
+    diameter.
+    """
+    out = {name: float(v) for name, v in entry.get("constants", {}).items()}
     out["alpha"] = float(entry.get("alpha", 1.0))
-    if "mu" in given:
-        out["mu"] = float(given["mu"])
-    needs_L = tag in ("smooth_stochastic", "smooth_stochastic_fixed_n",
-                      "smooth_deterministic", "smooth_deterministic_fixed_n",
-                      "strongly_convex_det_phase", "strongly_convex_stoch_phase") \
-        or entry["variant"] in ("calgd_sc", "calsgd_sc")
-    if needs_L:
-        out["L"] = float(given["L"]) if "L" in given else estimate_L(objective)
-    out["D_X"] = float(given["D_X"]) if "D_X" in given else region.diameter()
-    if "D_0" in given:
-        out["D_0"] = float(given["D_0"])
-    elif tag in ("smooth_stochastic_fixed_n", "smooth_deterministic_fixed_n"):
-        x_star = np.asarray(inst["objective"]["x_star"], dtype=float)
-        out["D_0"] = min(float(np.linalg.norm(x0 - x_star)), out["D_X"])
-    needs_sigma2 = tag in ("smooth_stochastic", "smooth_stochastic_fixed_n",
-                           "strongly_convex_stoch_phase") or entry["variant"] == "calsgd_sc"
-    if needs_sigma2:
-        if "sigma2" in given:
-            out["sigma2"] = float(given["sigma2"])
-        else:
-            out["sigma2"] = estimate_sigma2(objective, x0, SIGMA2_SAMPLES,
-                                            np.random.default_rng(0))
-    if "delta0" in given:
-        out["delta0"] = float(given["delta0"])
-    elif entry["variant"] in ("calgd_sc", "calsgd_sc"):
-        out["delta0"] = objective.value(x0)  # f* = 0 by construction
-    for name in ("M", "A_norm", "sigma_omega", "D_YW"):
-        if name in given:
-            out[name] = float(given[name])
+    out.setdefault("D_X", region.diameter())
+    x_star = np.asarray(inst["objective"]["x_star"], dtype=float)
+    estimators = {
+        "L": lambda: estimate_L(objective),
+        "sigma2": lambda: estimate_sigma2(objective, x0, SIGMA2_SAMPLES,
+                                          np.random.default_rng(0)),
+        "D_0": lambda: min(float(np.linalg.norm(x0 - x_star)), out["D_X"]),
+        "delta0": lambda: objective.value(x0),  # f* = 0 by construction
+    }
+    for name in NEEDS.get(_schedule_tag(entry), ()):
+        if name not in out and name in estimators:
+            out[name] = estimators[name]()
     return ProblemConstants(**out)
+
+
+def _schedule_tag(entry):
+    """The tag of the schedule the entry's runs read: a restart variant's phase tag."""
+    if entry.get("variant") in RESTARTS:
+        return RESTARTS[entry["variant"]][1]
+    return (entry.get("schedule") or {}).get("tag")
 
 
 def _entry_schedule(entry, outer):
     sd = entry.get("schedule")
     if sd is None:
         return None
-    N = sd.get("N", outer if sd["tag"] in _FIXED_N_TAGS else None)
-    return ScheduleVariant(sd["tag"], N=N, s=sd.get("s"))
+    return ScheduleVariant(sd["tag"], N=sd.get("N", outer), s=sd.get("s"))
 
 
-def _solver_config(entry, budgets, constants, x0, seed):
-    """The SolverConfig of one run of a solver entry."""
+def _prepare_entry(entry, budgets, region, objective, inst):
+    """The SolverConfig (seed 0) shared by every run of a solver entry.
+
+    Raises if a run of the entry would reject it, including a schedule that
+    needs a constant the entry neither gives nor gets estimated.  A
+    NumericalError from estimating a constant is returned in place of the
+    config, so that each run of the entry records it.
+    """
     outer = int(entry.get("outer", budgets.get("outer", 100)))
-    return SolverConfig(
+    # Built from the given constants first, so that a bad variant, schedule
+    # tag, outer, batch, eps or constant name fails before any estimate.
+    config = SolverConfig(
         variant=entry.get("variant"),
-        constants=constants,
-        x0=x0,
+        constants=ProblemConstants(**dict(entry.get("constants", {}),
+                                          alpha=float(entry.get("alpha", 1.0)))),
+        x0=_default_x0(region, entry.get("x0", "vertex"), inst),
         outer_limit=outer,
         schedule=_entry_schedule(entry, outer),
-        seed=seed,
         time_limit=budgets.get("wall_seconds"),
         batch=entry.get("batch"),
         cache_capacity=int(entry.get("cache_capacity", 512)),
         eps=entry.get("eps"),
     )
-
-
-def _prepare_entry(entry, budgets, region, objective, inst):
-    """(x0, constants) shared by every run of a solver entry.
-
-    Raises if a run of the entry would reject it, including a schedule that
-    needs a constant the entry neither gives nor gets estimated.  A
-    NumericalError from estimating a constant is returned in place of the
-    constants, so that each run of the entry records it.
-    """
-    # resolve_constants ignores unknown names; building from them catches typos.
-    given = ProblemConstants(**dict(entry.get("constants", {}),
-                                    alpha=float(entry.get("alpha", 1.0))))
-    if int(entry.get("cache_capacity", 512)) < 0:
-        raise ConfigError("cache_capacity must be >= 0, got %r" % (entry["cache_capacity"],))
-    x0 = _default_x0(region, entry.get("x0", "vertex"), inst)
-    # Variant, schedule tag, outer, batch and eps need no estimated constant.
-    schedule = _solver_config(entry, budgets, given, x0, 0).schedule
+    if config.variant == "calgd_saddle" and not hasattr(objective, "smoothed"):
+        raise ConfigError("variant 'calgd_saddle' needs a saddle objective; %s has no "
+                          "smoothed max-function" % type(objective).__name__)
     try:
-        constants = resolve_constants(entry, region, objective, inst, x0)
+        constants = resolve_constants(entry, region, objective, inst, config.x0)
     except NumericalError as exc:
-        return x0, exc
-    if schedule is not None:
-        schedule_eval(schedule, 1, constants)
-    return x0, constants
+        return exc
+    config = replace(config, constants=constants)
+    tag = _schedule_tag(entry)
+    if tag is not None:  # a restart config has no schedule; check its first phase's
+        schedule_eval(config.schedule or ScheduleVariant(tag, N=1, s=1), 1, constants)
+    return config
 
 
 def config_hash(obj) -> str:
@@ -320,15 +308,14 @@ def _run_one(task):
     constants were estimated) marks this run ``error``; the other runs of
     the experiment still go ahead.
     """
-    (entry, seed, x0, constants, region, objective, instance_name, out_dir, budgets) = task
+    (entry, seed, config, region, objective, instance_name, out_dir) = task
     name = entry.get("name", entry["variant"])
     stem = "%s__s%d" % (name, seed)
     status, message = "completed", ""
     try:
-        if isinstance(constants, NumericalError):
-            raise constants
-        trace = run_solver(_solver_config(entry, budgets, constants, x0, seed),
-                           objective, region)
+        if isinstance(config, NumericalError):
+            raise config
+        trace = run_solver(replace(config, seed=seed), objective, region)
         status = trace.metadata.get("status", "completed")
     except BudgetExceeded as exc:
         trace = exc.trace
@@ -381,11 +368,9 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     out_dir = out_dir or config.get("out_dir") or os.path.join(base_dir, "runs")
     os.makedirs(out_dir, exist_ok=True)
 
-    if os.environ.get(DETERMINISTIC_ENV) == "1":
-        jobs = 1
     instance_name = os.path.basename(instance_path)
-    tasks = [(entry, seed, x0, constants, region, objective, instance_name, out_dir, budgets)
-             for entry, (x0, constants) in zip(entries, prepared) for seed in seeds]
+    tasks = [(entry, seed, solver_config, region, objective, instance_name, out_dir)
+             for entry, solver_config in zip(entries, prepared) for seed in seeds]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_one, tasks))

@@ -22,7 +22,9 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError
 
-DEFAULT_BATCH_CAP = 2 ** 20
+# Upper bound on every mini-batch size (after the ceil), so a mis-measured
+# variance cannot demand astronomically many samples.
+BATCH_CAP = 2 ** 20
 
 SMOOTH_STOCHASTIC = "smooth_stochastic"
 SMOOTH_STOCHASTIC_FIXED_N = "smooth_stochastic_fixed_n"
@@ -34,17 +36,21 @@ SADDLE_STATIC = "saddle_static"
 SADDLE_DYNAMIC = "saddle_dynamic"
 NONSMOOTH_STOCHASTIC = "nonsmooth_stochastic"
 
-VALID_TAGS = frozenset([
-    SMOOTH_STOCHASTIC,
-    SMOOTH_STOCHASTIC_FIXED_N,
-    SMOOTH_DETERMINISTIC,
-    SMOOTH_DETERMINISTIC_FIXED_N,
-    STRONGLY_CONVEX_DET_PHASE,
-    STRONGLY_CONVEX_STOCH_PHASE,
-    SADDLE_STATIC,
-    SADDLE_DYNAMIC,
-    NONSMOOTH_STOCHASTIC,
-])
+# The ProblemConstants each schedule reads, in the order schedule_eval unpacks
+# them.  The phase schedules also read mu > 0, which defaults to 0, not None.
+NEEDS = {
+    SMOOTH_STOCHASTIC: ("L", "sigma2", "D_X"),
+    SMOOTH_STOCHASTIC_FIXED_N: ("L", "sigma2", "D_0"),
+    SMOOTH_DETERMINISTIC: ("L", "D_X"),
+    SMOOTH_DETERMINISTIC_FIXED_N: ("L", "D_0"),
+    STRONGLY_CONVEX_DET_PHASE: ("L", "delta0"),
+    STRONGLY_CONVEX_STOCH_PHASE: ("L", "delta0", "sigma2"),
+    SADDLE_STATIC: ("A_norm", "D_X", "D_YW", "sigma_omega"),
+    SADDLE_DYNAMIC: ("A_norm", "D_X", "D_YW", "sigma_omega"),
+    NONSMOOTH_STOCHASTIC: ("M", "sigma2", "D_X"),
+}
+
+VALID_TAGS = frozenset(NEEDS)
 
 _FIXED_N_TAGS = frozenset([
     SMOOTH_STOCHASTIC_FIXED_N,
@@ -121,19 +127,24 @@ class StepParams:
     tau: float = 0.0
 
 
-def _need(c, tag, *names):
-    for name in names:
-        v = getattr(c, name)
+def _need(c, tag):
+    values = [getattr(c, name) for name in NEEDS[tag]]
+    for name, v in zip(NEEDS[tag], values):
         if v is None:
             raise ConfigError("schedule %r requires constant %r" % (tag, name))
-    return [getattr(c, name) for name in names]
+    return values
 
 
-def _batch(raw, cap):
-    return max(1, min(int(math.ceil(raw)), cap))
+def _positive(tag, name, v):
+    if v <= 0:
+        raise ConfigError("schedule %r requires constant %r > 0, got %r" % (tag, name, v))
 
 
-def schedule_eval(variant, k, c, batch_cap=DEFAULT_BATCH_CAP):
+def _batch(raw):
+    return max(1, min(int(math.ceil(raw)), BATCH_CAP))
+
+
+def schedule_eval(variant, k, c):
     """Evaluate a schedule at outer iteration k.
 
     Parameters
@@ -142,9 +153,8 @@ def schedule_eval(variant, k, c, batch_cap=DEFAULT_BATCH_CAP):
     k : int
         Outer iteration index, 1-based.
     c : ProblemConstants
-    batch_cap : int
-        Upper bound applied to every mini-batch size (after the ceil), so a
-        mis-measured variance cannot demand astronomically many samples.
+        Must hold every constant ``NEEDS[variant.tag]`` names; a missing one
+        raises a ConfigError naming it.
 
     Returns
     -------
@@ -156,29 +166,31 @@ def schedule_eval(variant, k, c, batch_cap=DEFAULT_BATCH_CAP):
     tau = 0.0
 
     if tag == SMOOTH_STOCHASTIC:
-        L, sigma2, D = _need(c, tag, "L", "sigma2", "D_X")
+        L, sigma2, D = _need(c, tag)
         beta = 4.0 * L / (k + 2)
         gamma = 3.0 / (k + 2)
         eta = L * D * D / (k * (k + 1))
-        batch = _batch(sigma2 * (k + 2) ** 3 / (L * L * D * D), batch_cap)
+        batch = _batch(sigma2 * (k + 2) ** 3 / (L * L * D * D))
 
     elif tag == SMOOTH_STOCHASTIC_FIXED_N:
-        L, sigma2, D0 = _need(c, tag, "L", "sigma2", "D_0")
+        L, sigma2, D0 = _need(c, tag)
+        _positive(tag, "D_0", D0)  # eta and the batch divide by D_0
         N = variant.N
         beta = 3.0 * L / k
         gamma = 2.0 / (k + 1)
         eta = 2.0 * L * D0 * D0 / (N * k)
-        batch = _batch(sigma2 * N * (k + 1) ** 2 / (L * L * D0 * D0), batch_cap)
+        batch = _batch(sigma2 * N * (k + 1) ** 2 / (L * L * D0 * D0))
 
     elif tag == SMOOTH_DETERMINISTIC:
-        L, D = _need(c, tag, "L", "D_X")
+        L, D = _need(c, tag)
         beta = 3.0 * L / (k + 1)
         gamma = 3.0 / (k + 2)
         eta = L * D * D / (k * (k + 1))
         batch = 1
 
     elif tag == SMOOTH_DETERMINISTIC_FIXED_N:
-        L, D0 = _need(c, tag, "L", "D_0")
+        L, D0 = _need(c, tag)
+        _positive(tag, "D_0", D0)
         N = variant.N
         beta = 2.0 * L / k
         gamma = 2.0 / (k + 1)
@@ -186,9 +198,8 @@ def schedule_eval(variant, k, c, batch_cap=DEFAULT_BATCH_CAP):
         batch = 1
 
     elif tag == STRONGLY_CONVEX_DET_PHASE:
-        L, delta0 = _need(c, tag, "L", "delta0")
-        if c.mu <= 0:
-            raise ConfigError("schedule %r requires constant 'mu' > 0" % (tag,))
+        L, delta0 = _need(c, tag)
+        _positive(tag, "mu", c.mu)
         N, s = variant.N, variant.s
         beta = 2.0 * L / k
         gamma = 2.0 / (k + 1)
@@ -196,20 +207,16 @@ def schedule_eval(variant, k, c, batch_cap=DEFAULT_BATCH_CAP):
         batch = 1
 
     elif tag == STRONGLY_CONVEX_STOCH_PHASE:
-        L, delta0, sigma2 = _need(c, tag, "L", "delta0", "sigma2")
-        if c.mu <= 0:
-            raise ConfigError("schedule %r requires constant 'mu' > 0" % (tag,))
+        L, delta0, sigma2 = _need(c, tag)
+        _positive(tag, "mu", c.mu)
         N, s = variant.N, variant.s
         beta = 3.0 * L / k
         gamma = 2.0 / (k + 1)
         eta = 8.0 * L * delta0 * 2.0 ** (-s) / (c.mu * N * k)
-        batch = _batch(
-            c.mu * sigma2 * N * (k + 1) ** 2 / (4.0 * L * L * delta0 * 2.0 ** (-s)),
-            batch_cap,
-        )
+        batch = _batch(c.mu * sigma2 * N * (k + 1) ** 2 / (4.0 * L * L * delta0 * 2.0 ** (-s)))
 
     elif tag in (SADDLE_STATIC, SADDLE_DYNAMIC):
-        A, D, Dyw, sw = _need(c, tag, "A_norm", "D_X", "D_YW", "sigma_omega")
+        A, D, Dyw, sw = _need(c, tag)
         if tag == SADDLE_STATIC:
             tau = 2.0 * A * D / (Dyw * math.sqrt(sw) * variant.N)
         else:
@@ -221,7 +228,7 @@ def schedule_eval(variant, k, c, batch_cap=DEFAULT_BATCH_CAP):
         batch = 1
 
     elif tag == NONSMOOTH_STOCHASTIC:
-        M, sigma2, D = _need(c, tag, "M", "sigma2", "D_X")
+        M, sigma2, D = _need(c, tag)
         N = variant.N
         beta = math.sqrt(N * (sigma2 + M * M)) / D
         gamma = 1.0 / k

@@ -34,7 +34,6 @@ from .errors import BudgetExceeded, ConfigError
 from .lcg import Subproblem, duality_gap, lcg_solve
 from .oracle import VertexCache
 from .schedules import (
-    DEFAULT_BATCH_CAP,
     NONSMOOTH_STOCHASTIC,
     SADDLE_DYNAMIC,
     SADDLE_STATIC,
@@ -67,8 +66,8 @@ _ALLOWED_TAGS = {
 }
 
 # restart variant -> (inner variant, phase schedule tag)
-_RESTARTS = {"calgd_sc": ("calgd", STRONGLY_CONVEX_DET_PHASE),
-             "calsgd_sc": ("calsgd", STRONGLY_CONVEX_STOCH_PHASE)}
+RESTARTS = {"calgd_sc": ("calgd", STRONGLY_CONVEX_DET_PHASE),
+            "calsgd_sc": ("calsgd", STRONGLY_CONVEX_STOCH_PHASE)}
 
 
 @dataclass
@@ -81,7 +80,6 @@ class SolverConfig:
     seed: int = 0
     time_limit: Optional[float] = None
     batch: Optional[int] = None          # fixed-batch override for comparability runs
-    batch_cap: int = DEFAULT_BATCH_CAP
     cache_capacity: int = 512
     lcg_cap: Optional[int] = None
     eps: Optional[float] = None          # restart target accuracy
@@ -92,6 +90,8 @@ class SolverConfig:
             raise ConfigError("unknown solver variant %r" % (self.variant,))
         if self.outer_limit < 1:
             raise ConfigError("outer_limit must be >= 1")
+        if self.variant in RESTARTS and (self.eps is None or self.eps <= 0):
+            raise ConfigError("restart variants require a target accuracy eps > 0")
         if self.variant in _ALLOWED_TAGS:
             if self.schedule is None:
                 raise ConfigError("variant %r requires a schedule" % (self.variant,))
@@ -99,10 +99,13 @@ class SolverConfig:
                 raise ConfigError(
                     "variant %r cannot run schedule %r"
                     % (self.variant, self.schedule.tag))
-        if self.variant in _RESTARTS and (self.eps is None or self.eps <= 0):
-            raise ConfigError("restart variants require a target accuracy eps > 0")
+        elif self.schedule is not None:
+            # ofw has fixed step exponents; a restart runs RESTARTS' phase schedule
+            raise ConfigError("variant %r takes no schedule" % (self.variant,))
         if self.batch is not None and self.batch < 1:
             raise ConfigError("batch override must be >= 1")
+        if self.cache_capacity < 0:
+            raise ConfigError("cache_capacity must be >= 0, got %r" % (self.cache_capacity,))
         if self.audit and self.variant == "ofw":
             raise ConfigError("ofw has no inner solve to audit; audit needs a sliding variant")
 
@@ -211,7 +214,6 @@ def _metadata(config, plan):
             "tag": config.schedule.tag, "N": config.schedule.N, "s": config.schedule.s},
         "alpha": config.constants.alpha,
         "batch_override": config.batch,
-        "batch_cap": config.batch_cap,
         "cache_capacity": config.cache_capacity,
         "outer_limit": config.outer_limit,
         "version": __version__,
@@ -231,7 +233,7 @@ def _iterations(config, plan):
     if plan is None:
         return ((config.variant, config.schedule, k)
                 for k in range(1, config.outer_limit + 1))
-    (inner, tag), (N, S) = _RESTARTS[config.variant], plan
+    (inner, tag), (N, S) = RESTARTS[config.variant], plan
     return ((inner, ScheduleVariant(tag, N=N, s=s), k)
             for s in range(1, S + 1) for k in range(1, N + 1))
 
@@ -262,7 +264,7 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
     ``trace`` and k in ``outer_k``.
     """
     plan = (restart_phase_plan(config.constants, config.variant == "calsgd_sc", config.eps)
-            if config.variant in _RESTARTS else None)
+            if config.variant in RESTARTS else None)
     # scgs is the classical baseline: no cache, whatever cache_capacity says
     capacity = 0 if config.variant == "scgs" else config.cache_capacity
     state = new_state(config.x0, config.seed, capacity, region.support)
@@ -280,7 +282,7 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
         if variant == "ofw":
             _ofw_step(state, objective, region, config.batch)
         else:
-            params = schedule_eval(schedule, k, config.constants, config.batch_cap)
+            params = schedule_eval(schedule, k, config.constants)
             try:
                 sliding_step(variant, state, objective, region, params, config.constants.alpha,
                              batch=config.batch, lcg_cap=config.lcg_cap)

@@ -261,7 +261,16 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         dict(CALGD_ENTRY, name="bad", alpha=0.5),
         # rejected only when the schedule is evaluated with the resolved constants
         dict(CALGD_ENTRY, name="bad", variant="calgd_saddle", schedule={"tag": "saddle_dynamic"}),
+        # generated least-squares instances have no smoothed max-function
+        dict(CALGD_ENTRY, name="bad", variant="calgd_saddle", schedule={"tag": "saddle_dynamic"},
+             constants={"A_norm": 1.0, "D_YW": 1.0, "sigma_omega": 1.0}),
+        # x0 = x_star estimates D_0 = 0, and a fixed-horizon eta divides by D_0
+        dict(CALGD_ENTRY, name="bad", x0="x_star",
+             schedule={"tag": "smooth_deterministic_fixed_n"}),
+        dict(CALGD_ENTRY, name="bad", variant="calsgd", x0="x_star",
+             schedule={"tag": "smooth_stochastic_fixed_n"}),
         dict(CALGD_ENTRY, name="bad", x0="origin"),
+        dict(CALGD_ENTRY, name="bad", variant="calgd_sc", schedule=None, eps=1e-3),  # no mu
         # a list x0 must be a point of the region
         dict(CALGD_ENTRY, name="bad", x0=[1.0, 0.0]),
         dict(CALGD_ENTRY, name="bad", x0=[2, 0, 0, 0, 0, 0]),
@@ -272,6 +281,26 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         with pytest.raises(ConfigError, match=r"solver entry 1 \(bad\)"):
             run_experiment(config, out_dir=str(out))
         assert not out.exists() or not any(out.iterdir())
+
+
+def test_nonsmooth_entry_runs_with_given_or_estimated_sigma2(tmp_path):
+    entry = {"variant": "calsgd_nonsmooth", "schedule": {"tag": "nonsmooth_stochastic"},
+             "outer": 10}
+    entries = [dict(entry, name="given", constants={"M": 10.0, "sigma2": 3.0}),
+               dict(entry, name="estimated", constants={"M": 10.0})]
+    config = _experiment(tmp_path, entries)
+    out = tmp_path / "runs"
+    _, code = run_experiment(config, out_dir=str(out))
+    assert code == 0
+    for name in ("given", "estimated"):
+        assert len(read_trace_csv(str(out / (name + "__s0.csv")))) == 10
+    region, objective, inst = load_instance(config["instance"])
+    x0 = region.lmo(np.ones(region.dim)).point
+    given = bench.resolve_constants(entries[0], region, objective, inst, x0)
+    estimated = bench.resolve_constants(entries[1], region, objective, inst, x0)
+    assert given.sigma2 == 3.0 and given.M == estimated.M == 10.0
+    assert estimated.sigma2 == lazy_sliding.estimate_sigma2(
+        objective, x0, bench.SIGMA2_SAMPLES, np.random.default_rng(0))
 
 
 def test_list_x0_runs_like_the_named_vertex(tmp_path):
@@ -455,15 +484,6 @@ def test_jobs_parallel_matches_sequential(tmp_path):
     run_experiment(config, out_dir=str(par), jobs=2)
     for name in ("lazy__s0.csv", "scgs__s0.csv"):
         assert _csv_modulo_wall(seq / name) == _csv_modulo_wall(par / name)
-
-
-def test_deterministic_env_forces_sequential(tmp_path, monkeypatch):
-    monkeypatch.setenv("LAZY_SLIDING_DETERMINISTIC", "1")
-    config = _experiment(tmp_path, _paired_entries(), seeds=(0,), outer=10)
-    out = tmp_path / "runs"
-    _, code = run_experiment(config, out_dir=str(out), jobs=8)
-    assert code == 0
-    assert (out / "lazy__s0.csv").exists() and (out / "scgs__s0.csv").exists()
 
 
 def test_cli_gen_run_summarize(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lazy_sliding import ConfigError, ProblemConstants, ScheduleVariant, gamma_product, schedule_eval
-from lazy_sliding.schedules import restart_phase_plan
+from lazy_sliding.schedules import NEEDS, VALID_TAGS, restart_phase_plan
 
 
 def _sv(tag, **kw):
@@ -152,7 +152,6 @@ def test_batch_rules():
     assert schedule_eval(_sv("smooth_stochastic"), 5, c).batch == 1  # sigma=0 -> 1
     c = ProblemConstants(L=1.0, sigma2=1e12, D_X=1.0)
     assert schedule_eval(_sv("smooth_stochastic"), 50, c).batch == 2 ** 20  # capped
-    assert schedule_eval(_sv("smooth_stochastic"), 50, c, batch_cap=64).batch == 64
 
 
 def test_missing_constants_named_in_error():
@@ -165,6 +164,28 @@ def test_missing_constants_named_in_error():
     with pytest.raises(ValueError):
         schedule_eval(_sv("smooth_deterministic"),
                       0, ProblemConstants(L=1.0, D_X=1.0))
+
+
+def test_needs_table_names_exactly_the_constants_each_schedule_reads():
+    values = {"L": 2.0, "sigma2": 0.5, "D_X": 1.5, "D_0": 1.0, "delta0": 0.7, "M": 1.2,
+              "A_norm": 2.0, "D_YW": 0.5, "sigma_omega": 1.0}
+    assert VALID_TAGS == frozenset(NEEDS)
+    for tag, names in NEEDS.items():
+        mu = 0.5 if tag.startswith("strongly_convex") else 0.0
+        sv = _sv(tag, N=10, s=2)
+        given = {name: values[name] for name in names}
+        p = schedule_eval(sv, 3, ProblemConstants(mu=mu, **given))
+        assert p.beta > 0 and p.eta > 0 and p.batch >= 1, tag
+        for name in names:
+            fewer = {n: v for n, v in given.items() if n != name}
+            with pytest.raises(ConfigError, match=name):
+                schedule_eval(sv, 3, ProblemConstants(mu=mu, **fewer))
+        if mu > 0:
+            with pytest.raises(ConfigError, match="mu"):
+                schedule_eval(sv, 3, ProblemConstants(**given))
+        if "D_0" in names:  # eta and the batch divide by D_0
+            with pytest.raises(ConfigError, match="D_0"):
+                schedule_eval(sv, 3, ProblemConstants(**dict(given, D_0=0.0)))
 
 
 def test_variant_validation():

@@ -383,6 +383,13 @@ def test_config_validation():
                      schedule=ScheduleVariant("smooth_stochastic"), batch=0)
     with pytest.raises(ConfigError, match="audit"):
         SolverConfig("ofw", c, x0, 10, audit=True)  # nothing to audit
+    for variant in ("ofw", "calgd_sc"):  # neither reads a given schedule
+        with pytest.raises(ConfigError, match="takes no schedule"):
+            SolverConfig(variant, c, x0, 10, eps=0.1,
+                         schedule=ScheduleVariant("smooth_deterministic"))
+    with pytest.raises(ConfigError, match="cache_capacity"):
+        SolverConfig("calgd", c, x0, 10, schedule=ScheduleVariant("smooth_deterministic"),
+                     cache_capacity=-1)
 
 
 def test_trace_metadata_fields():
