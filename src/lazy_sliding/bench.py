@@ -346,10 +346,11 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     budget error or ended in ``error`` status.  Trace CSVs, per-run metadata,
     and summary.json land in the output directory.  The instance is loaded
     once, and each solver entry's x0 and constants are resolved once and
-    checked (schedule included) before the first run; a bad entry raises
-    ConfigError naming it, and a bad instance file raises, before anything
-    is written.
+    checked (schedule included) before the first run.  Bad seeds (parsed
+    first, so they cost no estimate) or a bad entry raise ConfigError, and a
+    bad instance file raises, before anything is written.
     """
+    seeds = parse_seeds(config.get("seeds", [0]) if seeds is None else seeds)
     instance = config["instance"]
     instance_path = instance if os.path.isabs(instance) else os.path.join(base_dir, instance)
     region, objective, inst = load_instance(instance_path)
@@ -364,7 +365,6 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("solver entry %d (%s): %s"
                               % (i, entry.get("name", entry.get("variant")), exc)) from exc
-    seeds = parse_seeds(config.get("seeds", [0]) if seeds is None else seeds)
     out_dir = out_dir or config.get("out_dir") or os.path.join(base_dir, "runs")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -385,12 +385,18 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
 
 
 def parse_seeds(seeds):
-    if isinstance(seeds, str):
-        if ".." in seeds:
-            a, b = seeds.split("..")
-            return list(range(int(a), int(b) + 1))
-        return [int(seeds)]
-    return [int(s) for s in seeds]
+    """Seeds from "a..b" (inclusive), "a", or a list; ConfigError unless at least one."""
+    try:
+        if isinstance(seeds, str):
+            a, sep, b = seeds.partition("..")
+            parsed = list(range(int(a), int(b if sep else a) + 1))
+        else:
+            parsed = [int(s) for s in seeds]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("malformed seeds %r: %s" % (seeds, exc)) from exc
+    if not parsed:
+        raise ConfigError("seeds %r name no seed" % (seeds,))
+    return parsed
 
 
 def summarize(trace_dir) -> dict:

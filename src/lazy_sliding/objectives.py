@@ -37,11 +37,6 @@ def _row_slices(count, n):
         start = stop
 
 
-def _stack(blocks, n):
-    """Concatenate sample blocks of width n (a (0, n) array when there are none)."""
-    return np.concatenate([np.empty((0, n))] + list(blocks))
-
-
 def _sigma_max_sq(A):
     """sigma_max(A)^2 of an (m, n) dense or sparse A by power iteration on A^T A.
 
@@ -81,10 +76,11 @@ def simplex_project(v):
 
 
 class LeastSquares:
-    """f(x) = ||A x - b||^2 with an unbiased row-sampling gradient estimator.
+    """f(x) = ||A x - b||^2; one SFO sample is 2 m a_i (a_i . z - b_i), i ~ U{1..m}.
 
-    A may be a dense ndarray or a scipy CSR matrix.  Instances are immutable
-    after construction and safe to share between concurrent solver runs.
+    ``sfo_batch`` returns the mean of a batch of samples, ``sfo_blocks`` the
+    samples themselves.  A may be a dense ndarray or a scipy CSR matrix.
+    Instances are immutable and safe to share between concurrent runs.
     """
 
     def __init__(self, A, b):
@@ -142,12 +138,6 @@ class LeastSquares:
             return self._dense[idx]
         return self.A[idx].toarray()
 
-    def sfo_sample(self, z, rng):
-        """One unbiased stochastic gradient: 2 m a_i (a_i . z - b_i), i ~ U{1..m}."""
-        i = int(rng.integers(0, self.m))
-        a = self._rows([i])[0]
-        return 2.0 * self.m * a * (float(a @ z) - self.b[i])
-
     def sfo_batch(self, z, size, rng):
         """Mean of `size` independent samples, drawn vectorized from one stream."""
         idx = rng.integers(0, self.m, size=size)
@@ -167,10 +157,6 @@ class LeastSquares:
             rows = self._rows(sub)
             resid = rows @ z - self.b[sub]
             yield 2.0 * self.m * rows * resid[:, None]
-
-    def sfo_many(self, z, count, rng):
-        """A (count, n) matrix of individual samples (for moment checks)."""
-        return _stack(self.sfo_blocks(z, count, rng), len(z))
 
     def lipschitz(self):
         """L = 2 sigma_max(A)^2, via power iteration on v -> A^T (A v)."""
@@ -198,14 +184,8 @@ class GaussianSfo:
     def grad(self, x):
         return self.base.grad(x)
 
-    def _noise(self, n, rng, count=None):
-        scale = math.sqrt(self.sigma2 / n)
-        shape = (n,) if count is None else (count, n)
-        return rng.normal(0.0, scale, size=shape)
-
-    def sfo_sample(self, z, rng):
-        g = self.base.grad(z)
-        return g + self._noise(len(g), rng)
+    def _noise(self, n, rng, count):
+        return rng.normal(0.0, math.sqrt(self.sigma2 / n), size=(count, n))
 
     def sfo_batch(self, z, size, rng):
         g = self.base.grad(z)
@@ -215,9 +195,6 @@ class GaussianSfo:
         g = self.base.grad(z)
         for block in _row_slices(count, len(g)):
             yield g[None, :] + self._noise(len(g), rng, count=block.stop - block.start)
-
-    def sfo_many(self, z, count, rng):
-        return _stack(self.sfo_blocks(z, count, rng), len(z))
 
     def lipschitz(self):
         return self.base.lipschitz()
@@ -236,7 +213,8 @@ class L1Distance:
     def subgrad(self, x):
         return np.sign(x - self.x_star)
 
-    def sfo_sample(self, z, rng):
+    def sfo_batch(self, z, size, rng):
+        """The sign subgradient: every sample equals it, so does their mean."""
         return self.subgrad(z)
 
     def lipschitz_M(self):

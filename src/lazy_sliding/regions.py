@@ -303,7 +303,8 @@ class DagPath(Region):
                 % (len(sources), len(sinks)))
         self.source, self.sink = sources[0], sinks[0]
         self._topo = self._topo_sort()
-        # Longest source->sink path length (edges) for the diameter bound.
+        # Longest source->sink path length (edges) for the diameter bound; finite,
+        # since every node of an acyclic graph is reachable from its one source.
         longest = {v: -np.inf for v in nodes}
         longest[self.source] = 0
         for v in self._topo:
@@ -311,8 +312,6 @@ class DagPath(Region):
                 w = self.edges[idx][1]
                 if longest[v] + 1 > longest[w]:
                     longest[w] = longest[v] + 1
-        if not np.isfinite(longest[self.sink]):
-            raise ValueError("sink is unreachable from source")
         self.max_path_edges = int(longest[self.sink])
         self.support = self.max_path_edges
 

@@ -9,7 +9,7 @@ only in how the gradient estimate is produced:
 - calsgd            mini-batch stochastic gradients
 - calgd             exact gradients
 - calgd_saddle      gradients of the smoothed max-function (needs tau_k)
-- calsgd_nonsmooth  single stochastic subgradients
+- calsgd_nonsmooth  stochastic subgradients, one per step unless ``batch`` is set
 - calgd_sc / calsgd_sc   restarts of calgd / calsgd, S phases of N
                           iterations, linear convergence under strong convexity
 - scgs              same outer loop, classical conditional gradient inner
@@ -18,6 +18,8 @@ only in how the gradient estimate is produced:
 - ofw               online Frank-Wolfe baseline with fixed exponents
 
 `run_solver` runs every variant in one loop, one trace row per iteration.
+Every stochastic gradient, ofw's included, is one ``sfo_batch(z, size, rng)``
+call: the mean of ``size`` samples, counted as ``size`` SFO calls.
 Randomness is drawn from counter-based streams keyed (seed, outer index), so
 changing one iteration's batch size never reshuffles any other iteration's
 samples and runs are bit-reproducible on one platform.
@@ -155,20 +157,12 @@ def _stream(rng, seed, k):
     return rng
 
 
-def _sample_mean(objective, z, size, rng):
-    if hasattr(objective, "sfo_batch"):
-        return objective.sfo_batch(z, size, rng)
-    if size == 1:
-        return objective.sfo_sample(z, rng)
-    return np.mean([objective.sfo_sample(z, rng) for _ in range(size)], axis=0)
-
-
 def _gradient(variant, state, objective, params, k, batch):
     """Gradient estimate at z_k plus the SFO/FO bookkeeping."""
-    if variant in ("calsgd", "scgs"):
+    if variant in ("calsgd", "scgs", "calsgd_nonsmooth"):
         size = batch if batch is not None else params.batch
         rng = _stream(state.rng, state.seed, state.stream_offset + k)
-        g = _sample_mean(objective, state.last_z, size, rng)
+        g = objective.sfo_batch(state.last_z, size, rng)
         state.counters.sfo_calls += size
     elif variant == "calgd":
         g = objective.grad(state.last_z)
@@ -176,10 +170,6 @@ def _gradient(variant, state, objective, params, k, batch):
     elif variant == "calgd_saddle":
         _, g = objective.smoothed(state.last_z, params.tau)
         state.counters.fo_calls += 1
-    elif variant == "calsgd_nonsmooth":
-        rng = _stream(state.rng, state.seed, state.stream_offset + k)
-        g = objective.sfo_sample(state.last_z, rng)
-        state.counters.sfo_calls += 1
     else:
         raise ConfigError("no gradient rule for variant %r" % (variant,))
     return g
@@ -242,7 +232,7 @@ def _ofw_step(state, objective, region, batch):
     """One online Frank-Wolfe step: averaged gradient, one exact LMO."""
     t = state.k + 1
     size = batch if batch is not None else 1
-    g = _sample_mean(objective, state.x, size, _stream(state.rng, state.seed, t))
+    g = objective.sfo_batch(state.x, size, _stream(state.rng, state.seed, t))
     state.counters.sfo_calls += size
     rho = t ** -OFW_RHO_EXP
     state.avg_grad = g if state.avg_grad is None else (1.0 - rho) * state.avg_grad + rho * g

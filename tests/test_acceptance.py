@@ -237,7 +237,7 @@ def test_ac08_sfo_unbiased_with_bounded_variance():
         refs.append(p / p.sum())
     for i, x in enumerate(refs):
         g = obj.grad(x)
-        S = obj.sfo_many(x, 10 ** 5, np.random.default_rng(300 + i))
+        S = np.concatenate(list(obj.sfo_blocks(x, 10 ** 5, np.random.default_rng(300 + i))))
         mean = S.mean(axis=0)
         se = S.std(axis=0, ddof=1) / math.sqrt(S.shape[0])
         assert np.all(np.abs(mean - g) <= 3.0 * se)

@@ -226,6 +226,24 @@ def test_parse_seeds():
     assert parse_seeds("0..3") == [0, 1, 2, 3]
     assert parse_seeds("7") == [7]
     assert parse_seeds([1, 2]) == [1, 2]
+    for bad in ("5..2", [], "", "x", "1..x", "1..", "1..2..3", [0, None]):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_seeds(bad)
+
+
+def test_bad_seeds_fail_before_any_work(tmp_path, monkeypatch):
+    estimated = []
+    real = bench.resolve_constants
+    monkeypatch.setattr(bench, "resolve_constants",
+                        lambda *args: estimated.append(args) or real(*args))
+    out = tmp_path / "runs"
+    # (the config's seeds, the --seeds override)
+    for seeds, override in (("5..2", None), ([], None), ("x", None), ([0], "5..2"), ([0], "x")):
+        config = _experiment(tmp_path, _paired_entries(outer=10), seeds=seeds)
+        with pytest.raises(ConfigError, match="seed"):
+            run_experiment(config, out_dir=str(out), seeds=override)
+        assert not out.exists()
+        assert estimated == []
 
 
 def test_empty_solver_list_exits_zero(tmp_path):

@@ -51,6 +51,11 @@ def test_gradient_finite_difference_check():
         assert np.linalg.norm(g - fd) <= 1e-4 * (1.0 + np.linalg.norm(g))
 
 
+def _samples(obj, z, count, rng):
+    """A (count, n) matrix of individual samples, stacked from ``sfo_blocks``."""
+    return np.concatenate(list(obj.sfo_blocks(z, count, rng)))
+
+
 def test_sfo_single_row_is_exact():
     rng = np.random.default_rng(2)
     A = rng.random((1, 5))
@@ -58,7 +63,7 @@ def test_sfo_single_row_is_exact():
     z = rng.random(5)
     g = obj.grad(z)
     for _ in range(10):
-        assert np.allclose(obj.sfo_sample(z, rng), g, atol=1e-12)
+        assert np.allclose(obj.sfo_batch(z, 1, rng), g, atol=1e-12)
     assert estimate_sigma2(obj, z, 1000, rng) == pytest.approx(0.0, abs=1e-20)
 
 
@@ -67,7 +72,7 @@ def test_sfo_unbiased_and_variance_bounded():
     obj = _random_ls(rng, m=20, n=6)
     z = rng.random(6)
     g = obj.grad(z)
-    S = obj.sfo_many(z, 100_000, np.random.default_rng(7))
+    S = _samples(obj, z, 100_000, np.random.default_rng(7))
     mean = S.mean(axis=0)
     se = S.std(axis=0, ddof=1) / np.sqrt(S.shape[0])
     assert np.all(np.abs(mean - g) <= 3.0 * se + 1e-12)
@@ -83,7 +88,7 @@ def test_sfo_batch_is_mean_of_samples():
     obj = _random_ls(rng)
     z = rng.random(6)
     b1 = obj.sfo_batch(z, 64, np.random.default_rng(5))
-    S = obj.sfo_many(z, 64, np.random.default_rng(5))
+    S = _samples(obj, z, 64, np.random.default_rng(5))
     assert np.allclose(b1, S.mean(axis=0), atol=1e-12)
 
 
@@ -117,10 +122,9 @@ def test_estimate_sigma2_blocks_match_full_matrix_bitwise():
         for samples in (2048, (1000 // step + 1) * step + 1):
             assert samples * n * 8 > SFO_BLOCK_BYTES  # several blocks per call
             S = _full_matrix_samples(obj, x, samples, np.random.default_rng(18))
-            assert np.array_equal(obj.sfo_many(x, samples, np.random.default_rng(18)), S)
+            assert np.array_equal(_samples(obj, x, samples, np.random.default_rng(18)), S)
             full = 1.1 * float(np.mean(np.sum((S - g[None, :]) ** 2, axis=1)))
             assert estimate_sigma2(obj, x, samples, np.random.default_rng(18)) == full
-    assert dense.sfo_many(np.zeros(300), 0, rng).shape == (0, 300)
 
 
 def test_estimate_sigma2_memory_bounded_by_block():
@@ -166,8 +170,8 @@ def test_csr_matches_dense():
     assert sparse.value(z) == pytest.approx(dense.value(z), rel=1e-14)
     assert np.allclose(sparse.grad(z), dense.grad(z), atol=1e-12)
     assert estimate_L(sparse) == pytest.approx(estimate_L(dense), rel=1e-9)
-    s1 = dense.sfo_many(z, 50, np.random.default_rng(9))
-    s2 = sparse.sfo_many(z, 50, np.random.default_rng(9))
+    s1 = _samples(dense, z, 50, np.random.default_rng(9))
+    s2 = _samples(sparse, z, 50, np.random.default_rng(9))
     assert np.allclose(s1, s2, atol=1e-12)
 
 
@@ -299,7 +303,7 @@ def test_gaussian_sfo_moments():
     z = rng.random(5)
     g = base.grad(z)
     assert np.allclose(obj.grad(z), g)
-    S = obj.sfo_many(z, 100_000, np.random.default_rng(15))
+    S = _samples(obj, z, 100_000, np.random.default_rng(15))
     se = S.std(axis=0, ddof=1) / np.sqrt(S.shape[0])
     assert np.all(np.abs(S.mean(axis=0) - g) <= 3.0 * se + 1e-12)
     emp_var = float(np.mean(np.sum((S - g[None, :]) ** 2, axis=1)))

@@ -259,7 +259,9 @@ def test_shape_and_construction_errors():
     with pytest.raises(ValueError):
         DagPath([(0, 1), (2, 3)])  # two sources, two sinks
     with pytest.raises(ValueError):
-        DagPath([(0, 1), (1, 0)])  # cycle
+        DagPath([(0, 1), (1, 0)])  # a 2-cycle: no source and no sink
+    with pytest.raises(ValueError, match="cycle"):
+        DagPath([(0, 1), (1, 2), (2, 1), (2, 3)])  # one source and one sink around a cycle
     with pytest.raises(ValueError):
         Enumerated(np.zeros((5001, 2)))
     with pytest.raises(ValueError):

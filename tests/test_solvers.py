@@ -218,6 +218,22 @@ def test_nonsmooth_bound():
     assert tr.column("sfo_calls")[-1] == N  # single-sample rule
 
 
+def test_nonsmooth_honours_batch_override():
+    obj, _, _ = _simplex_ls(np.random.default_rng(11), noise=1.0)
+    c = ProblemConstants(sigma2=1.0, M=2.0 * math.sqrt(6), D_X=math.sqrt(2.0))
+
+    def run(batch):
+        cfg = SolverConfig("calsgd_nonsmooth", c, _vertex(6), 20, seed=4, batch=batch,
+                           schedule=ScheduleVariant("nonsmooth_stochastic", N=20))
+        return run_solver(cfg, obj, Simplex(6))
+
+    default, one, four = run(None), run(1), run(4)
+    assert default.column("sfo_calls") == list(range(1, 21))
+    assert _drop_wall(one) == _drop_wall(default)
+    assert four.column("sfo_calls") == [4 * k for k in range(1, 21)]
+    assert four.column("f_value") != default.column("f_value")  # the batch reached the sampler
+
+
 def test_ofw_first_step_and_feasibility():
     rng = np.random.default_rng(6)
     obj, base, _ = _simplex_ls(rng, noise=1.0)
@@ -231,8 +247,8 @@ def test_ofw_first_step_and_feasibility():
     assert tr.column("sfo_calls") == list(range(1, 51))  # default batch 1
     # gamma_1 = 1: the first iterate jumps straight to the first LMO vertex,
     # reproduced here from the same seeded stream
-    from lazy_sliding.solvers import _sample_mean, _stream
-    g1 = _sample_mean(obj, x0, 1, _stream(np.random.Generator(np.random.Philox()), 9, 1))
+    from lazy_sliding.solvers import _stream
+    g1 = obj.sfo_batch(x0, 1, _stream(np.random.Generator(np.random.Philox()), 9, 1))
     v1 = region.lmo(g1).point
     f1_expected = obj.value(v1)
     assert tr.column("f_value")[0] == pytest.approx(f1_expected, rel=1e-12)
