@@ -16,6 +16,7 @@ import base64
 import hashlib
 import itertools
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -385,18 +386,28 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
 
 
 def parse_seeds(seeds):
-    """Seeds from "a..b" (inclusive), "a", or a list; ConfigError unless at least one."""
+    """Seeds from "a..b" (inclusive), "a", or a list; ConfigError unless at least one.
+
+    A list entry must name an integer: a bool or a number with a fractional
+    part is rejected, not truncated.
+    """
     try:
         if isinstance(seeds, str):
             a, sep, b = seeds.partition("..")
             parsed = list(range(int(a), int(b if sep else a) + 1))
         else:
-            parsed = [int(s) for s in seeds]
+            parsed = [_seed(s) for s in seeds]
     except (TypeError, ValueError) as exc:
         raise ConfigError("malformed seeds %r: %s" % (seeds, exc)) from exc
     if not parsed:
         raise ConfigError("seeds %r name no seed" % (seeds,))
     return parsed
+
+
+def _seed(s):
+    if isinstance(s, bool) or (isinstance(s, numbers.Real) and not float(s).is_integer()):
+        raise ValueError("seed %r is not an integer" % (s,))
+    return int(s)
 
 
 def summarize(trace_dir) -> dict:

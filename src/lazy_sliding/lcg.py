@@ -2,14 +2,18 @@
 
 `lcg_solve` minimizes psi(x) = <g, x> + (beta/2) ||x - center||^2 over a
 region until the exact duality gap max_y <grad psi(x), x - y> is certified
-to be at most eta.  It never calls the exact LMO directly after the first
-iteration: every step goes through the weak separation oracle.  While u has
-not moved since the last exact LMO (the opening one, or the one behind a
-negative answer), the solver holds the exact minimizer for the current query
-and the oracle answers from it; only queries at a fresh iterate scan the
-vertex cache, and only a cache miss there costs an LMO.  The scale parameter
-Phi halves on every negative answer until it reaches eta, at which point a
-negative answer is an exact certificate and the solver returns.
+to be at most eta.  A solve opens from the vertex cache when it can: if the
+cached vertex that improves most on the start point beats eta, the first
+step goes toward it and the first scale parameter Phi is half its
+improvement, with no exact LMO call.  Otherwise it opens with one exact LMO
+whose gap sets Phi, as the classical lazy method does.  After the opening
+every step goes through the weak separation oracle.  While u has not moved
+since the last exact LMO (the opening one, or the one behind a negative
+answer), the solver holds the exact minimizer for the current query and the
+oracle answers from it; only queries at a fresh iterate scan the vertex
+cache, and only a cache miss there costs an LMO.  Phi halves on every
+negative answer until it reaches eta, at which point a negative answer is
+an exact certificate and the solver returns.
 """
 
 import math
@@ -43,22 +47,30 @@ class Subproblem:
 class LcgResult:
     point: np.ndarray
     cert_gap: float
-    iterations: int            # weak separation calls + 1 for the opening LMO
+    iterations: int            # weak separation calls + 1 for the opening
     phi0: float
     phi_final: float
     weak_sep_calls: int
     exact_lmo_calls: int
     cache_hits: int
     phi_trace: List[float] = field(default_factory=list)
+    # Bound on the opening primal gap psi(u1) - psi* of a solve opened from
+    # the cache (None after an exact-LMO opening); iteration_bound's h0.
+    h0: Optional[float] = None
 
 
-def line_search_quadratic(sub, u, v):
-    """Exact step length for psi along u -> v, clamped to [0, 1]."""
+def line_search_quadratic(sub, u, v, grad=None):
+    """Exact step length for psi along u -> v, clamped to [0, 1].
+
+    ``grad`` is grad psi(u) when the caller already holds it.
+    """
     d = u - v
     dd = float(d @ d)
     if dd == 0.0:
         return 0.0
-    lam = float(sub.grad(u) @ d) / (sub.beta * dd)
+    if grad is None:
+        grad = sub.grad(u)
+    lam = float(grad @ d) / (sub.beta * dd)
     return min(1.0, max(0.0, lam))
 
 
@@ -75,15 +87,48 @@ def _clog2(x):
     return max(0.0, math.log2(x)) if x > 0 else 0.0
 
 
-def iteration_bound(phi0, c_phi, eta, alpha):
+def iteration_bound(phi0, c_phi, eta, alpha, h0=None):
     """Worst-case total iteration count for `lcg_solve`.
 
     c_phi is the curvature proxy beta * D^2 of the subproblem over the
     region.  Logarithms are base 2 and clamped at 0 for arguments below 1.
-    Counts the opening exact-LMO iteration, matching LcgResult.iterations.
+    Counts the opening iteration, matching LcgResult.iterations.
+
+    With h0=None the solve opened with the exact LMO: phi0 bounds the
+    opening primal gap, and every epoch (the queries at one Phi) starts
+    from a certificate, as in the lazy conditional gradient analysis of
+    Braun, Pokutta and Zink (2017).
+
+    A solve opened from the cache passes h0 >= psi(u1) - psi*; lcg_solve
+    uses ||grad psi(u1)|| * D, since by convexity and Cauchy-Schwarz
+    psi(u1) - psi* <= <grad psi(u1), u1 - x*> <= ||grad psi(u1)|| * D.  Its
+    phi0 is the improvement of a cached vertex, which certifies nothing, so
+    its first epoch, at phi1 = max(phi0/2, eta), is bounded by progress
+    alone.  A positive answer at phi1 improves on u by g > phi1/alpha
+    along u -> v, whose curvature is beta ||u - v||^2 <= c_phi, so the
+    exact line search lowers psi - psi* >= 0 by min(g/2, g^2/(2 c_phi)) or
+    more, that is by at least
+
+        prog(phi1) = min(phi1 / (2 alpha), phi1^2 / (2 alpha^2 c_phi)),
+
+    and the opening step is one such answer: it improves by phi0 > phi1
+    (phi0 > eta and phi0 > phi0/2), more than phi1/alpha.  So the epoch,
+    opening step included, has at most h0 / prog(phi1) positive answers.  It ends on a negative answer
+    backed by an exact LMO (no minimizer is held once u has moved), which
+    certifies the gap <= phi1/alpha <= phi1.  From there on the solve runs
+    the certified epochs of a solve opened at phi1, which
+    iteration_bound(phi1, ...) bounds with its opening iteration to spare:
+
+        bound = floor(h0 / prog(phi1)) + iteration_bound(phi1, c_phi, eta, alpha).
     """
     if phi0 <= 0 or eta <= 0 or alpha < 1:
         raise ValueError("iteration_bound needs phi0 > 0, eta > 0, alpha >= 1")
+    if h0 is not None:
+        phi1 = max(phi0 / 2.0, eta)
+        prog = phi1 / (2.0 * alpha)
+        if c_phi > 0:
+            prog = min(prog, phi1 * phi1 / (2.0 * alpha * alpha * c_phi))
+        return math.floor(h0 / prog) + iteration_bound(phi1, c_phi, eta, alpha)
     if c_phi <= 0:
         # Degenerate subproblem (single-point region); one negative call ends it.
         return int(math.ceil(2 + _clog2(phi0 / eta)))
@@ -99,6 +144,16 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
               on_iter=None) -> LcgResult:
     """Run the lazy conditional gradient loop until the gap is certified <= eta.
 
+    The solve opens in one of two ways.  If the cached vertex v_c that
+    improves most on u1, by g_c = <grad psi(u1), u1 - v_c>, beats eta, then
+    Phi0 = g_c, the first step goes toward v_c (a positive answer at Phi0/2,
+    since g_c > Phi0/2), and the loop starts at Phi = max(Phi0/2, eta) with
+    no exact LMO call and no held minimizer.  Otherwise one exact LMO gives
+    the gap Phi0 at u1 and the loop starts at Phi = max(Phi0, eta), holding
+    that minimizer.  The cache opening is neither a weak separation query
+    nor a scan, so it books only ``counters.cache_openings``.  Either way
+    the solve ends only on an LMO-backed negative answer at Phi = eta.
+
     Parameters
     ----------
     sub : Subproblem
@@ -112,7 +167,9 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
     cache : VertexCache
         Shared across invocations within one outer solver run.
     cap : int, optional
-        Iteration budget; defaults to 4x the worst-case bound.
+        Budget of weak separation queries; defaults to 4x the worst-case
+        bound `iteration_bound(phi0, c_phi, eta, alpha, h0)` of the opening
+        taken.
     counters : Counters, optional
     on_iter : callable, optional
         Called as on_iter(t, u_t, phi) before each weak separation query
@@ -120,7 +177,7 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
 
     Returns
     -------
-    LcgResult whose point carries a certified gap cert_gap <= eta.
+    LcgResult whose point carries a certified gap cert_gap <= eta / alpha.
 
     Raises
     ------
@@ -137,17 +194,30 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
 
     u = np.array(u1, dtype=float, copy=True)
     grad = sub.grad(u)
-    phi_raw, v0 = initial_gap(region, grad, u, cache, counters)
-    phi = max(phi_raw, eta)  # never start below the target accuracy
-    phi0 = phi
-    phi_trace = [phi]
-    # Exact answer for the current (grad, u) query; stays valid until a step
-    # moves u (negative answers never move u, so a whole run of halvings is
-    # served by the one LMO call that opened it).
-    exact_hint = (v0, phi_raw)
+    diameter = region.diameter()
+    slot, improvement = cache.best(grad, float(grad @ u))
+    if improvement > eta:
+        counters.cache_openings += 1
+        cache.move_to_front(slot)
+        v = cache.get(slot).point
+        phi0, h0 = improvement, float(np.linalg.norm(grad)) * diameter
+        lam = line_search_quadratic(sub, u, v, grad)
+        u = (1.0 - lam) * u + lam * v
+        grad = sub.grad(u)
+        phi = max(phi0 / 2.0, eta)
+        phi_trace = [phi0, phi]
+        exact_hint = None
+    else:
+        phi_raw, v0 = initial_gap(region, grad, u, cache, counters)
+        phi = phi0 = max(phi_raw, eta)  # never start below the target accuracy
+        h0 = None
+        phi_trace = [phi]
+        # Exact answer for the current (grad, u) query; stays valid until a
+        # step moves u (negative answers never move u, so a whole run of
+        # halvings is served by the one LMO call that opened it).
+        exact_hint = (v0, phi_raw)
     if cap is None:
-        c_phi = sub.beta * region.diameter() ** 2
-        cap = 4 * iteration_bound(phi0, c_phi, eta, alpha)
+        cap = 4 * iteration_bound(phi0, sub.beta * diameter ** 2, eta, alpha, h0)
 
     t = 0
     while True:
@@ -163,7 +233,7 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
         resp = weak_separation(cache, region, grad, u, phi, alpha, counters,
                                exact_hint=exact_hint)
         if resp.positive:
-            lam = line_search_quadratic(sub, u, resp.vertex.point)
+            lam = line_search_quadratic(sub, u, resp.vertex.point, grad)
             if lam > 0.0:
                 u = (1.0 - lam) * u + lam * resp.vertex.point
                 grad = sub.grad(u)
@@ -181,6 +251,7 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
                     exact_lmo_calls=counters.exact_lmo_calls - base.exact_lmo_calls,
                     cache_hits=counters.cache_hits - base.cache_hits,
                     phi_trace=phi_trace,
+                    h0=h0,
                 )
             phi = max(phi / 2.0, eta)
             phi_trace.append(phi)

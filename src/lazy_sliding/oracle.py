@@ -13,11 +13,14 @@ recency stamp; a scan answers with the hit of highest stamp, which is the
 first hit of a move-to-front list, without ever reordering the stored rows.
 Regions whose vertices have at most ``support`` nonzeros are stored as
 padded index/value rows and scored by a gather, so a scan costs
-O(capacity * support) rather than O(capacity * dim).
+O(capacity * support) rather than O(capacity * dim).  `VertexCache.best`
+scores the cache the same way with no threshold; `lcg_solve` uses it to
+open a subproblem from the cache.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +43,7 @@ class VertexCache:
     many nonzeros, and is stored as a (support,) row of indices and a row
     of values, padded with index 0 and value 0.
 
-    Slot numbers are the handles `scan` returns and `get` and
+    Slot numbers are the handles `scan` and `best` return and `get` and
     `move_to_front` take; they are stable until the slot is evicted.
     """
 
@@ -70,17 +73,34 @@ class VertexCache:
 
     def scan(self, c, cx, threshold) -> Optional[int]:
         """Slot of the most recently used y with cx - <c, y> > threshold, else None."""
-        n = len(self._ids)
-        if n == 0:
+        if not self._ids:
             return None
-        if self.support is None:
-            scores = self._rows[:n] @ c
-        else:
-            scores = np.einsum("ij,ij->i", c[self._index[:n]], self._rows[:n])
-        hits = np.flatnonzero(cx - scores > threshold)
+        hits = np.flatnonzero(cx - self._scores(c) > threshold)
         if len(hits) == 0:
             return None
         return int(hits[np.argmax(self._stamps[hits])])
+
+    def best(self, c, cx) -> Tuple[Optional[int], float]:
+        """(slot, cx - <c, y>) of the cached y with the largest improvement.
+
+        The improvement of y over a point x is cx - <c, y> with cx = <c, x>,
+        computed as `scan` computes it; ties go to the lowest slot.  An
+        empty cache gives (None, -inf).  Unlike `scan` this scores the
+        cache without a threshold, so the caller learns by how much the
+        best cached vertex improves, not only whether one clears a bar.
+        """
+        if not self._ids:
+            return None, -math.inf
+        improvement = cx - self._scores(c)
+        slot = int(np.argmax(improvement))
+        return slot, float(improvement[slot])
+
+    def _scores(self, c):
+        """<c, y> for every cached y, in slot order."""
+        n = len(self._ids)
+        if self.support is None:
+            return self._rows[:n] @ c
+        return np.einsum("ij,ij->i", c[self._index[:n]], self._rows[:n])
 
     def get(self, slot) -> Vertex:
         """The vertex in ``slot``, its point rebuilt bit for bit."""

@@ -226,8 +226,13 @@ def test_parse_seeds():
     assert parse_seeds("0..3") == [0, 1, 2, 3]
     assert parse_seeds("7") == [7]
     assert parse_seeds([1, 2]) == [1, 2]
+    assert parse_seeds([3.0, np.int64(4)]) == [3, 4]
     for bad in ("5..2", [], "", "x", "1..x", "1..", "1..2..3", [0, None]):
         with pytest.raises(ConfigError, match="seed"):
+            parse_seeds(bad)
+    # a fractional or boolean seed is named, not truncated to another seed
+    for bad, named in (([1.5, 2.9], "1.5"), ([True, 2], "True"), ([0, float("inf")], "inf")):
+        with pytest.raises(ConfigError, match="seed %s is not an integer" % named):
             parse_seeds(bad)
 
 
@@ -381,20 +386,29 @@ def test_calgd_threshold_table_monotone(tmp_path):
 
 
 def test_budget_error_keeps_partial_trace(tmp_path, monkeypatch):
+    cap = 2
     real = bench.run_solver
     monkeypatch.setattr(bench, "run_solver", lambda cfg, objective, region: real(
-        dataclasses.replace(cfg, lcg_cap=3), objective, region))
-    config = _experiment(tmp_path, [CALGD_ENTRY], seeds=(0,), outer=60)
-    out = tmp_path / "runs"
-    summary, code = run_experiment(config, out_dir=str(out))
-    assert code == 1
-    meta = json.loads((out / "calgd__s0.meta.json").read_text())
-    k = meta["failed_outer_k"]
-    assert meta["status"] == "budget_error" and k > 1
-    rows = read_trace_csv(str(out / "calgd__s0.csv"))
-    assert [r["outer_k"] for r in rows] == list(range(1, k))
-    assert meta["final_counters"]["exact_lmo_calls"] > rows[-1]["exact_lmo_calls"]
-    assert [e["solver"] for e in summary["budget_errors"]] == ["calgd"]
+        dataclasses.replace(cfg, lcg_cap=cap), objective, region))
+    # with the default cache a solve may open from it, with no exact LMO;
+    # without one every solve, the failed one too, opens with an exact LMO
+    for capacity in (None, 0):
+        entry = CALGD_ENTRY if capacity is None else dict(CALGD_ENTRY, cache_capacity=capacity)
+        config = _experiment(tmp_path, [entry], seeds=(0,), outer=60)
+        out = tmp_path / ("runs%s" % capacity)
+        summary, code = run_experiment(config, out_dir=str(out))
+        assert code == 1
+        meta = json.loads((out / "calgd__s0.meta.json").read_text())
+        k = meta["failed_outer_k"]
+        assert meta["status"] == "budget_error" and k > 1
+        rows = read_trace_csv(str(out / "calgd__s0.csv"))
+        assert [r["outer_k"] for r in rows] == list(range(1, k))
+        final = meta["final_counters"]
+        # the failed solve spent its whole budget of cap queries
+        assert final["weak_sep_calls"] == rows[-1]["weak_sep_calls"] + cap
+        if capacity == 0:
+            assert final["exact_lmo_calls"] > rows[-1]["exact_lmo_calls"]
+        assert [e["solver"] for e in summary["budget_errors"]] == ["calgd"]
 
 
 def test_run_error_is_recorded_for_that_run_only(tmp_path, monkeypatch):

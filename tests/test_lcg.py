@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lazy_sliding.bench import hamiltonian_cycle_vertices
 from lazy_sliding.errors import BudgetExceeded
 from lazy_sliding.lcg import (
     LcgResult,
@@ -11,7 +12,15 @@ from lazy_sliding.lcg import (
     line_search_quadratic,
 )
 from lazy_sliding.oracle import VertexCache
-from lazy_sliding.regions import Box, DagPath, L1Ball, Simplex
+from lazy_sliding.regions import (
+    Birkhoff,
+    Box,
+    DagPath,
+    Enumerated,
+    L1Ball,
+    Simplex,
+    Spectrahedron,
+)
 from lazy_sliding.trace import Counters
 
 from helpers import count_scans, kkt_simplex_project, proj_l1_ball, quad_psi_opt
@@ -83,6 +92,12 @@ def test_iteration_bound_worked_examples():
     assert iteration_bound(1.0, 1.0, 1.0 / 8.0, 1.0) == 69
     b = iteration_bound(1.0, 1.0, 1.0 / 8.0, 2.0)
     assert b == 261 and b > 8 * 4 * 8  # dominant 8 alpha^2 C/eta term = 256
+    # cache opening at phi0 = 2: floor(h0 / prog(1)) uncertified positives,
+    # then the certified bound from phi1 = 1, prog(1) = min(1/2a, 1/2a^2)
+    assert iteration_bound(2.0, 1.0, 1.0 / 8.0, 1.0, h0=3.0) == 6 + 69
+    assert iteration_bound(2.0, 1.0, 1.0 / 8.0, 2.0, h0=3.0) == 24 + 261
+    # phi1 clamps to eta: prog(1/8) = 1/128
+    assert iteration_bound(0.2, 1.0, 1.0 / 8.0, 1.0, h0=1.0) == 128 + 66
     with pytest.raises(ValueError):
         iteration_bound(0.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -173,6 +188,75 @@ def test_certification_fuzz():
         assert res.iterations == res.weak_sep_calls + 1
         assert ctr.exact_lmo_calls == res.exact_lmo_calls
         assert ctr.cache_hits == res.cache_hits
+
+
+def test_cache_holding_the_minimizer_opens_without_an_lmo():
+    # psi is minimized at the vertex e3; from e0 the best cached vertex is
+    # e3, the opening step reaches it, and the only exact LMO is the one
+    # behind the certifying negative answer
+    region = Simplex(5)
+    sub = Subproblem(g=-10.0 * np.eye(5)[3], center=np.eye(5)[0], beta=1.0)
+    for warm in (True, False):
+        cache, ctr = VertexCache(16, region.support), Counters()
+        if warm:
+            for i in range(5):
+                cache.insert(region.lmo(-np.eye(5)[i]))
+        res = lcg_solve(sub, region, np.eye(5)[0], alpha=2.0, eta=1e-3, cache=cache,
+                        counters=ctr)
+        assert np.array_equal(res.point, np.eye(5)[3]) and res.cert_gap == 0.0
+        assert ctr.cache_openings == int(warm)
+        # a cold solve opens with an exact LMO as well
+        assert res.exact_lmo_calls == ctr.exact_lmo_calls == (1 if warm else 2)
+        assert res.iterations == res.weak_sep_calls + 1
+        if warm:
+            assert res.phi0 == 10.0 and res.phi_trace[:2] == [10.0, 5.0]
+            assert res.h0 == 10.0 * region.diameter()
+        else:
+            assert res.h0 is None
+
+
+def test_warm_cache_certification_fuzz():
+    # caches that already hold vertices, as they do across the inner solves
+    # of one run: every certificate survives the exact-LMO audit, and a
+    # solve opened from the cache stays within its derived iteration bound
+    # at the default cap
+    rng = np.random.default_rng(33)
+    regions = [
+        Simplex(8),
+        L1Ball(5, radius=1.5),
+        Box(4, lo=-1.0, hi=2.0),
+        Birkhoff(3),
+        Spectrahedron(4),
+        DagPath([(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)]),
+        Enumerated(hamiltonian_cycle_vertices(5)),
+    ]
+    openings = {region.kind: [0, 0] for region in regions}
+    for trial in range(420):
+        region = regions[trial % len(regions)]
+        c_phi_unit = region.diameter() ** 2
+        cache = VertexCache(int(rng.choice([16, 512])), region.support)
+        for _ in range(int(rng.integers(1, 40))):
+            cache.insert(region.lmo(rng.standard_normal(region.dim)))
+        alpha = float(rng.choice([1.0, 2.0]))
+        u = region.lmo(rng.standard_normal(region.dim)).point
+        for _ in range(2):  # the second solve starts where the first ended
+            g = rng.standard_normal(region.dim) * 10.0 ** rng.integers(-1, 2)
+            beta = float(10.0 ** rng.uniform(-1, 1.5))
+            sub = Subproblem(g=g, center=u, beta=beta)
+            c_phi = beta * c_phi_unit
+            eta = float(c_phi * 10.0 ** rng.uniform(-4.0, -1.0))
+            ctr = Counters()
+            res = lcg_solve(sub, region, u, alpha=alpha, eta=eta, cache=cache, counters=ctr)
+            assert region.contains(res.point, tol=1e-9)
+            assert res.cert_gap <= eta / alpha
+            assert duality_gap(sub, region, res.point) <= eta + 1e-12
+            assert res.iterations <= iteration_bound(res.phi0, c_phi, eta, alpha, res.h0)
+            assert res.iterations == res.weak_sep_calls + 1
+            assert ctr.cache_openings == (res.h0 is not None)
+            openings[region.kind][ctr.cache_openings] += 1
+            u = res.point
+    # both openings occur on every region kind
+    assert all(lmo > 0 and cached > 0 for lmo, cached in openings.values()), openings
 
 
 def test_shared_counters_give_per_solve_counts():

@@ -262,6 +262,7 @@ def test_cache_matches_move_to_front_list(name, capacity):
     cache, ref = VertexCache(capacity, region.support), MoveToFrontCache(capacity)
     lmo_points = {}
     queries = [rng.standard_normal(region.dim) for _ in range(3 * capacity)]
+    assert cache.best(queries[0], 0.0) == (None, -np.inf)
     hits = evicted = 0
     for _ in range(1500):
         c = queries[rng.integers(len(queries))]  # repeats re-insert cached ids
@@ -275,6 +276,10 @@ def test_cache_matches_move_to_front_list(name, capacity):
             scores = np.array([float(c @ e.point) for e in ref.entries])
             cx = float(rng.uniform(scores.min(), scores.max() + 1.0))
             threshold = float(rng.uniform(0.0, 1.0))
+            # best: the largest improvement over the whole cache, no threshold
+            slot, best = cache.best(c, cx)
+            assert best == pytest.approx(float(np.max(cx - scores)), rel=0, abs=1e-12)
+            assert cx - float(c @ cache.get(slot).point) == pytest.approx(best, rel=0, abs=1e-12)
             if np.min(np.abs(cx - scores - threshold)) < 1e-9:
                 continue  # a score within rounding of the threshold
             i, slot = ref.scan(c, cx, threshold), cache.scan(c, cx, threshold)

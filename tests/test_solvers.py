@@ -122,6 +122,7 @@ def test_scgs_identical_to_calsgd_without_cache():
     tr_scgs2 = run_solver(SolverConfig("scgs", c2, x0, N, schedule=sv, seed=1,
                                        cache_capacity=512), obj, Simplex(6))
     assert _drop_wall(tr_scgs2) == _drop_wall(tr_scgs)
+    assert tr_scgs2.metadata["final_counters"]["cache_openings"] == 0
     tr_lazy = run_solver(SolverConfig("calsgd", c, x0, N, schedule=sv, seed=1,
                                       cache_capacity=512), obj, Simplex(6))
     assert tr_lazy.column("exact_lmo_calls")[-1] < tr_scgs.column("exact_lmo_calls")[-1]
@@ -330,6 +331,12 @@ def test_counter_algebra():
     fc = tr.metadata["final_counters"]
     assert fc["cache_hits"] + fc["cache_misses"] == fc["weak_sep_calls"]
     assert 0 < fc["hint_answers"] <= fc["cache_misses"]
+    # each of the N inner solves opens once, from the cache or with an
+    # exact LMO; every other exact LMO is behind a scanned cache miss
+    assert fc["inner_iters"] == fc["weak_sep_calls"] + N
+    assert 0 < fc["cache_openings"] < N
+    assert fc["exact_lmo_calls"] == (N - fc["cache_openings"]
+                                     + fc["cache_misses"] - fc["hint_answers"])
 
 
 def test_time_limit_zero_stops_immediately():
@@ -361,7 +368,7 @@ def test_lcg_cap_budget_error_propagates():
         run_solver(cfg, base, Simplex(6))
 
 
-@pytest.mark.parametrize("variant,cap", [("calgd", 3), ("calgd_sc", 6)])
+@pytest.mark.parametrize("variant,cap", [("calgd", 2), ("calgd_sc", 6)])
 def test_budget_error_carries_partial_trace(variant, cap):
     rng = np.random.default_rng(11)
     _, base, _ = _simplex_ls(rng)
@@ -370,13 +377,19 @@ def test_budget_error_carries_partial_trace(variant, cap):
     c = ProblemConstants(L=estimate_L(base), mu=mu, delta0=base.value(x0), D_X=math.sqrt(2.0))
     cfg = SolverConfig(variant, c, x0, 50, lcg_cap=cap, eps=base.value(x0) / 64.0,
                        schedule=ScheduleVariant("smooth_deterministic") if variant == "calgd" else None)
-    with pytest.raises(BudgetExceeded) as info:
-        run_solver(cfg, base, Simplex(6))
-    exc = info.value
-    assert exc.outer_k > 1
-    assert exc.trace.column("outer_k") == list(range(1, exc.outer_k))
-    counted = exc.trace.metadata["final_counters"]["exact_lmo_calls"]
-    assert counted > exc.trace.column("exact_lmo_calls")[-1]  # the failed solve's LMOs
+    # with a cache the failed solve may open from it, with no exact LMO;
+    # without one it opens with an exact LMO
+    for config in (cfg, dataclasses.replace(cfg, cache_capacity=0)):
+        with pytest.raises(BudgetExceeded) as info:
+            run_solver(config, base, Simplex(6))
+        exc = info.value
+        assert exc.outer_k > 1
+        assert exc.trace.column("outer_k") == list(range(1, exc.outer_k))
+        final = exc.trace.metadata["final_counters"]
+        # the failed solve spent its whole budget of cap queries
+        assert final["weak_sep_calls"] == exc.trace.column("weak_sep_calls")[-1] + cap
+        if config.cache_capacity == 0:
+            assert final["exact_lmo_calls"] > exc.trace.column("exact_lmo_calls")[-1]
 
 
 def test_config_validation():
