@@ -20,7 +20,7 @@ from .objectives import (
     estimate_sigma2,
     simplex_project,
 )
-from .oracle import OracleResponse, VertexCache, initial_gap, weak_separation
+from .oracle import OracleResponse, VertexCache, weak_separation
 from .regions import (
     Birkhoff,
     Box,
@@ -39,11 +39,10 @@ from .schedules import (
     ProblemConstants,
     ScheduleVariant,
     StepParams,
-    gamma_product,
     restart_phase_plan,
     schedule_eval,
 )
-from .solvers import SolverConfig, SolverState, new_state, run_solver
+from .solvers import SolverConfig, run_solver
 from .bench import gen_instance, load_instance, run_experiment, summarize
 from .trace import Counters, RunTrace, TRACE_COLUMNS, TRACE_HEADER, read_trace_csv
 
@@ -53,12 +52,12 @@ __all__ = [
     "line_search_quadratic",
     "GaussianSfo", "L1Distance", "LeastSquares", "SmoothedSaddle",
     "estimate_L", "estimate_sigma2", "simplex_project",
-    "OracleResponse", "VertexCache", "initial_gap", "weak_separation",
+    "OracleResponse", "VertexCache", "weak_separation",
     "Birkhoff", "Box", "DagPath", "Enumerated", "L1Ball", "Region", "Simplex",
     "Spectrahedron", "Vertex", "region_from_spec", "smat", "svec",
-    "ProblemConstants", "ScheduleVariant", "StepParams", "gamma_product",
-    "restart_phase_plan", "schedule_eval",
-    "SolverConfig", "SolverState", "new_state", "run_solver",
+    "ProblemConstants", "ScheduleVariant", "StepParams", "restart_phase_plan",
+    "schedule_eval",
+    "SolverConfig", "run_solver",
     "gen_instance", "load_instance", "run_experiment", "summarize",
     "Counters", "RunTrace", "TRACE_COLUMNS", "TRACE_HEADER", "read_trace_csv",
 ]

@@ -256,7 +256,8 @@ def _entry_schedule(entry, outer):
     sd = entry.get("schedule")
     if sd is None:
         return None
-    return ScheduleVariant(sd["tag"], N=sd.get("N", outer), s=sd.get("s"))
+    return ScheduleVariant(sd["tag"], N=_integer(sd.get("N", outer), "schedule N"),
+                           s=_optional_integer(sd.get("s"), "schedule s"))
 
 
 def _prepare_entry(entry, budgets, region, objective, inst):
@@ -267,7 +268,7 @@ def _prepare_entry(entry, budgets, region, objective, inst):
     NumericalError from estimating a constant is returned in place of the
     config, so that each run of the entry records it.
     """
-    outer = int(entry.get("outer", budgets.get("outer", 100)))
+    outer = _integer(entry.get("outer", budgets.get("outer", 100)), "outer")
     # Built from the given constants first, so that a bad variant, schedule
     # tag, outer, batch, eps or constant name fails before any estimate.
     config = SolverConfig(
@@ -278,8 +279,8 @@ def _prepare_entry(entry, budgets, region, objective, inst):
         outer_limit=outer,
         schedule=_entry_schedule(entry, outer),
         time_limit=budgets.get("wall_seconds"),
-        batch=entry.get("batch"),
-        cache_capacity=int(entry.get("cache_capacity", 512)),
+        batch=_optional_integer(entry.get("batch"), "batch"),
+        cache_capacity=_integer(entry.get("cache_capacity", 512), "cache_capacity"),
         eps=entry.get("eps"),
     )
     if config.variant == "calgd_saddle" and not hasattr(objective, "smoothed"):
@@ -388,15 +389,15 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
 def parse_seeds(seeds):
     """Seeds from "a..b" (inclusive), "a", or a list; ConfigError unless at least one.
 
-    A list entry must name an integer: a bool or a number with a fractional
-    part is rejected, not truncated.
+    A list entry must be an integer number: a bool, a string or a number
+    with a fractional part is rejected, not truncated.
     """
     try:
         if isinstance(seeds, str):
             a, sep, b = seeds.partition("..")
             parsed = list(range(int(a), int(b if sep else a) + 1))
         else:
-            parsed = [_seed(s) for s in seeds]
+            parsed = [_integer(s, "seed") for s in seeds]
     except (TypeError, ValueError) as exc:
         raise ConfigError("malformed seeds %r: %s" % (seeds, exc)) from exc
     if not parsed:
@@ -404,10 +405,20 @@ def parse_seeds(seeds):
     return parsed
 
 
-def _seed(s):
-    if isinstance(s, bool) or (isinstance(s, numbers.Real) and not float(s).is_integer()):
-        raise ValueError("seed %r is not an integer" % (s,))
-    return int(s)
+def _integer(value, name):
+    """``value`` as an int; a ConfigError unless it is a number with an integer value.
+
+    A bool, a string or a number with a fractional part is rejected, not
+    converted or truncated: an entry runs what it names or nothing.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ConfigError("%s %r is not an integer" % (name, value))
+    return int(value)
+
+
+def _optional_integer(value, name):
+    return None if value is None else _integer(value, name)
 
 
 def summarize(trace_dir) -> dict:

@@ -60,7 +60,8 @@ def _print_summary(summary):
         for thr in summary["thresholds"]:
             cell = info["thresholds"][thr]
             if cell["reached"]:
-                print("  f<=%s: %d/%d reached, median outer_k=%d sfo=%d lmo=%d wall_ms=%.1f"
+                # medians as summary.json holds them: one of an even count may be x.5
+                print("  f<=%s: %d/%d reached, median outer_k=%s sfo=%s lmo=%s wall_ms=%.1f"
                       % (thr, cell["reached"], cell["of"], cell["outer_k"],
                          cell["sfo_calls"], cell["exact_lmo_calls"], cell["wall_ms"]))
             else:

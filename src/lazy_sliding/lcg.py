@@ -17,13 +17,13 @@ an exact certificate and the solver returns.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .oracle import initial_gap, weak_separation
+from .oracle import weak_separation
 from .trace import Counters
 
 
@@ -45,18 +45,16 @@ class Subproblem:
 
 @dataclass
 class LcgResult:
+    """What one solve returns; its oracle counts are in the caller's Counters."""
+
     point: np.ndarray
     cert_gap: float
     iterations: int            # weak separation calls + 1 for the opening
     phi0: float
     phi_final: float
-    weak_sep_calls: int
-    exact_lmo_calls: int
-    cache_hits: int
-    phi_trace: List[float] = field(default_factory=list)
     # Bound on the opening primal gap psi(u1) - psi* of a solve opened from
     # the cache (None after an exact-LMO opening); iteration_bound's h0.
-    h0: Optional[float] = None
+    h0: Optional[float]
 
 
 def line_search_quadratic(sub, u, v, grad=None):
@@ -171,6 +169,9 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
         bound `iteration_bound(phi0, c_phi, eta, alpha, h0)` of the opening
         taken.
     counters : Counters, optional
+        Incremented by every oracle call of the solve.  A run passes one
+        Counters to all of its solves; a caller wanting one solve's counts
+        passes a fresh one.
     on_iter : callable, optional
         Called as on_iter(t, u_t, phi) before each weak separation query
         (testing hook).
@@ -190,7 +191,6 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
         raise ValueError("alpha must be >= 1, got %r" % (alpha,))
     if counters is None:
         counters = Counters()
-    base = replace(counters)  # a copy: this solve's counts are differences from it
 
     u = np.array(u1, dtype=float, copy=True)
     grad = sub.grad(u)
@@ -205,13 +205,14 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
         u = (1.0 - lam) * u + lam * v
         grad = sub.grad(u)
         phi = max(phi0 / 2.0, eta)
-        phi_trace = [phi0, phi]
         exact_hint = None
     else:
-        phi_raw, v0 = initial_gap(region, grad, u, cache, counters)
+        v0 = region.lmo(grad)
+        counters.exact_lmo_calls += 1
+        cache.insert(v0)
+        phi_raw = float(grad @ (u - v0.point))
         phi = phi0 = max(phi_raw, eta)  # never start below the target accuracy
         h0 = None
-        phi_trace = [phi]
         # Exact answer for the current (grad, u) query; stays valid until a
         # step moves u (negative answers never move u, so a whole run of
         # halvings is served by the one LMO call that opened it).
@@ -241,17 +242,6 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
         else:
             exact_hint = (resp.vertex, resp.gap)
             if phi == eta:
-                return LcgResult(
-                    point=u,
-                    cert_gap=resp.gap,
-                    iterations=t + 1,
-                    phi0=phi0,
-                    phi_final=phi,
-                    weak_sep_calls=counters.weak_sep_calls - base.weak_sep_calls,
-                    exact_lmo_calls=counters.exact_lmo_calls - base.exact_lmo_calls,
-                    cache_hits=counters.cache_hits - base.cache_hits,
-                    phi_trace=phi_trace,
-                    h0=h0,
-                )
+                return LcgResult(point=u, cert_gap=resp.gap, iterations=t + 1,
+                                 phi0=phi0, phi_final=phi, h0=h0)
             phi = max(phi / 2.0, eta)
-            phi_trace.append(phi)

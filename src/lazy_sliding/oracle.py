@@ -248,14 +248,3 @@ def weak_separation(cache, region, c, x, phi, alpha, counters=None,
         return OracleResponse(True, v)
     return OracleResponse(False, v, gap)
 
-
-def initial_gap(region, grad, u1, cache=None, counters=None):
-    """Exact starting gap max_u <grad, u1 - u>, seeding the cache with the minimizer."""
-    if counters is None:
-        counters = Counters()
-    v = region.lmo(grad)
-    counters.exact_lmo_calls += 1
-    phi0 = float(grad @ (u1 - v.point))
-    if cache is not None:
-        cache.insert(v)
-    return phi0, v

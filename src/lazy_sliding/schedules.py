@@ -18,7 +18,7 @@ in any particular derivation:
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import ConfigError
 
@@ -51,6 +51,10 @@ NEEDS = {
 }
 
 VALID_TAGS = frozenset(NEEDS)
+
+# The constants every schedule that reads them needs > 0: each one scales eta,
+# or a schedule divides by it.  sigma2 and M may be 0 (no noise, or noise only).
+_POSITIVE = frozenset(["L", "D_X", "D_0", "delta0", "A_norm", "D_YW", "sigma_omega"])
 
 _FIXED_N_TAGS = frozenset([
     SMOOTH_STOCHASTIC_FIXED_N,
@@ -88,8 +92,9 @@ class ProblemConstants:
     """Problem constants consumed by the schedules.
 
     All fields are optional; `schedule_eval` raises a ConfigError naming any
-    constant the chosen variant needs but does not find.  mu defaults to 0
-    (no strong convexity), alpha to 1 (exact weak separation).
+    constant the chosen variant needs but does not find, or finds 0 where it
+    needs a positive value.  Every given value must be finite.  mu defaults
+    to 0 (no strong convexity), alpha to 1 (exact weak separation).
     """
 
     L: Optional[float] = None
@@ -108,12 +113,13 @@ class ProblemConstants:
         for name in ("L", "sigma2", "M", "D_X", "D_0", "A_norm", "sigma_omega",
                      "D_YW", "delta0"):
             v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ConfigError("constant %s must be nonnegative, got %r" % (name, v))
-        if self.mu < 0:
-            raise ConfigError("mu must be nonnegative, got %r" % (self.mu,))
-        if self.alpha < 1:
-            raise ConfigError("alpha must be >= 1, got %r" % (self.alpha,))
+            if v is not None and not 0 <= v < math.inf:  # NaN fails too
+                raise ConfigError("constant %s must be finite and nonnegative, got %r"
+                                  % (name, v))
+        if not 0 <= self.mu < math.inf:
+            raise ConfigError("mu must be finite and nonnegative, got %r" % (self.mu,))
+        if not 1 <= self.alpha < math.inf:
+            raise ConfigError("alpha must be finite and >= 1, got %r" % (self.alpha,))
         if self.D_X is not None and self.D_0 is not None and self.D_0 > self.D_X * (1 + 1e-12):
             raise ConfigError("D_0 must not exceed D_X (%r > %r)" % (self.D_0, self.D_X))
 
@@ -132,6 +138,8 @@ def _need(c, tag):
     for name, v in zip(NEEDS[tag], values):
         if v is None:
             raise ConfigError("schedule %r requires constant %r" % (tag, name))
+        if name in _POSITIVE:
+            _positive(tag, name, v)
     return values
 
 
@@ -153,8 +161,9 @@ def schedule_eval(variant, k, c):
     k : int
         Outer iteration index, 1-based.
     c : ProblemConstants
-        Must hold every constant ``NEEDS[variant.tag]`` names; a missing one
-        raises a ConfigError naming it.
+        Must hold every constant ``NEEDS[variant.tag]`` names; a missing one,
+        or a 0 where the schedule needs a positive value, raises a
+        ConfigError naming it.
 
     Returns
     -------
@@ -174,7 +183,6 @@ def schedule_eval(variant, k, c):
 
     elif tag == SMOOTH_STOCHASTIC_FIXED_N:
         L, sigma2, D0 = _need(c, tag)
-        _positive(tag, "D_0", D0)  # eta and the batch divide by D_0
         N = variant.N
         beta = 3.0 * L / k
         gamma = 2.0 / (k + 1)
@@ -190,7 +198,6 @@ def schedule_eval(variant, k, c):
 
     elif tag == SMOOTH_DETERMINISTIC_FIXED_N:
         L, D0 = _need(c, tag)
-        _positive(tag, "D_0", D0)
         N = variant.N
         beta = 2.0 * L / k
         gamma = 2.0 / (k + 1)
@@ -229,6 +236,7 @@ def schedule_eval(variant, k, c):
 
     elif tag == NONSMOOTH_STOCHASTIC:
         M, sigma2, D = _need(c, tag)
+        _positive(tag, "sigma2 + M^2", sigma2 + M * M)  # eta and beta scale with it
         N = variant.N
         beta = math.sqrt(N * (sigma2 + M * M)) / D
         gamma = 1.0 / k
@@ -239,20 +247,6 @@ def schedule_eval(variant, k, c):
         raise ConfigError("unknown schedule tag %r" % (tag,))
 
     return StepParams(beta=beta, gamma=gamma, eta=eta, batch=batch, tau=tau)
-
-
-def gamma_product(gammas: Sequence[float]) -> float:
-    """Cumulative weight Gamma_k: Gamma_1 = 1, Gamma_k = Gamma_{k-1} (1 - gamma_k).
-
-    The first element of the sequence is gamma_1 and, per the recursion,
-    never enters the product.
-    """
-    if len(gammas) == 0:
-        raise ValueError("gamma_product needs at least one gamma")
-    out = 1.0
-    for g in gammas[1:]:
-        out *= (1.0 - g)
-    return out
 
 
 def restart_phase_plan(c, stochastic, eps) -> Tuple[int, int]:

@@ -17,7 +17,10 @@ only in how the gradient estimate is produced:
                     so one exact LMO per iterate; ignores cache_capacity
 - ofw               online Frank-Wolfe baseline with fixed exponents
 
-`run_solver` runs every variant in one loop, one trace row per iteration.
+`run_solver` runs every variant in one loop, one trace row per iteration,
+and owns the whole state of the run as locals: the prox center x, the
+output y, the vertex cache, the counters, the random generator, ofw's
+gradient average and the last inner solve's Phi and certified gap.
 Every stochastic gradient, ofw's included, is one ``sfo_batch(z, size, rng)``
 call: the mean of ``size`` samples, counted as ``size`` SFO calls.
 Randomness is drawn from counter-based streams keyed (seed, outer index), so
@@ -25,8 +28,9 @@ changing one iteration's batch size never reshuffles any other iteration's
 samples and runs are bit-reproducible on one platform.
 """
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -92,8 +96,9 @@ class SolverConfig:
             raise ConfigError("unknown solver variant %r" % (self.variant,))
         if self.outer_limit < 1:
             raise ConfigError("outer_limit must be >= 1")
-        if self.variant in RESTARTS and (self.eps is None or self.eps <= 0):
-            raise ConfigError("restart variants require a target accuracy eps > 0")
+        if self.variant in RESTARTS and (self.eps is None or not 0 < self.eps < math.inf):
+            # a NaN or infinite eps would plan zero phases and run nothing
+            raise ConfigError("restart variants require a finite target accuracy eps > 0")
         if self.variant in _ALLOWED_TAGS:
             if self.schedule is None:
                 raise ConfigError("variant %r requires a schedule" % (self.variant,))
@@ -110,34 +115,6 @@ class SolverConfig:
             raise ConfigError("cache_capacity must be >= 0, got %r" % (self.cache_capacity,))
         if self.audit and self.variant == "ofw":
             raise ConfigError("ofw has no inner solve to audit; audit needs a sliding variant")
-
-
-@dataclass
-class SolverState:
-    """Mutable state threaded through the outer iterations of one run."""
-
-    x: np.ndarray
-    y: np.ndarray
-    k: int
-    cache: VertexCache
-    counters: Counters
-    seed: int
-    stream_offset: int = 0
-    last_z: Optional[np.ndarray] = None
-    last_sub: Optional[Subproblem] = None
-    last_cert_gap: float = float("nan")
-    last_phi_final: float = float("nan")
-    avg_grad: Optional[np.ndarray] = None    # ofw's running gradient average
-    # one Philox generator per run, re-keyed by _stream before every draw; a
-    # string annotation, so that importing the package does not import numpy.random
-    rng: "np.random.Generator" = field(
-        default_factory=lambda: np.random.Generator(np.random.Philox(0)))
-
-
-def new_state(x0, seed, cache_capacity=512, support=None):
-    x0 = np.array(x0, dtype=float, copy=True)
-    return SolverState(x=x0, y=x0.copy(), k=0, cache=VertexCache(cache_capacity, support),
-                       counters=Counters(), seed=seed)
 
 
 def _stream(rng, seed, k):
@@ -157,43 +134,21 @@ def _stream(rng, seed, k):
     return rng
 
 
-def _gradient(variant, state, objective, params, k, batch):
-    """Gradient estimate at z_k plus the SFO/FO bookkeeping."""
+def _gradient(variant, objective, z, params, batch, rng, counters):
+    """Gradient estimate at z plus the SFO/FO bookkeeping."""
     if variant in ("calsgd", "scgs", "calsgd_nonsmooth"):
         size = batch if batch is not None else params.batch
-        rng = _stream(state.rng, state.seed, state.stream_offset + k)
-        g = objective.sfo_batch(state.last_z, size, rng)
-        state.counters.sfo_calls += size
+        g = objective.sfo_batch(z, size, rng)
+        counters.sfo_calls += size
     elif variant == "calgd":
-        g = objective.grad(state.last_z)
-        state.counters.fo_calls += 1
+        g = objective.grad(z)
+        counters.fo_calls += 1
     elif variant == "calgd_saddle":
-        _, g = objective.smoothed(state.last_z, params.tau)
-        state.counters.fo_calls += 1
+        _, g = objective.smoothed(z, params.tau)
+        counters.fo_calls += 1
     else:
         raise ConfigError("no gradient rule for variant %r" % (variant,))
     return g
-
-
-def sliding_step(variant, state, objective, region, params, alpha,
-                 batch=None, lcg_cap=None):
-    """One outer iteration of any sliding variant; mutates and returns state."""
-    k = state.k + 1
-    gamma = params.gamma
-    state.last_z = (1.0 - gamma) * state.y + gamma * state.x
-    g = _gradient(variant, state, objective, params, k, batch)
-    sub = Subproblem(g, state.x, params.beta)
-    res = lcg_solve(sub, region, state.x, 1.0 if variant == "scgs" else alpha,
-                    params.eta, state.cache, cap=lcg_cap, counters=state.counters)
-
-    state.counters.inner_iters += res.iterations
-    state.x = res.point
-    state.y = (1.0 - gamma) * state.y + gamma * res.point
-    state.k = k
-    state.last_sub = sub
-    state.last_cert_gap = res.cert_gap
-    state.last_phi_final = res.phi_final
-    return state
 
 
 def _metadata(config, plan):
@@ -228,21 +183,6 @@ def _iterations(config, plan):
             for s in range(1, S + 1) for k in range(1, N + 1))
 
 
-def _ofw_step(state, objective, region, batch):
-    """One online Frank-Wolfe step: averaged gradient, one exact LMO."""
-    t = state.k + 1
-    size = batch if batch is not None else 1
-    g = objective.sfo_batch(state.x, size, _stream(state.rng, state.seed, t))
-    state.counters.sfo_calls += size
-    rho = t ** -OFW_RHO_EXP
-    state.avg_grad = g if state.avg_grad is None else (1.0 - rho) * state.avg_grad + rho * g
-    v = region.lmo(state.avg_grad)
-    state.counters.exact_lmo_calls += 1
-    gamma = t ** -OFW_GAMMA_EXP
-    state.x = state.y = (1.0 - gamma) * state.x + gamma * v.point
-    state.k = t
-
-
 def run_solver(config: SolverConfig, objective, region) -> RunTrace:
     """Run one solver to its outer limit, returning the per-iteration trace.
 
@@ -255,36 +195,60 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
     """
     plan = (restart_phase_plan(config.constants, config.variant == "calsgd_sc", config.eps)
             if config.variant in RESTARTS else None)
-    # scgs is the classical baseline: no cache, whatever cache_capacity says
-    capacity = 0 if config.variant == "scgs" else config.cache_capacity
-    state = new_state(config.x0, config.seed, capacity, region.support)
+    # scgs is the classical baseline: alpha = 1 and no cache, whatever the config says
+    scgs = config.variant == "scgs"
+    alpha = 1.0 if scgs else config.constants.alpha
+    cache = VertexCache(0 if scgs else config.cache_capacity, region.support)
+    counters = Counters()
+    # one Philox generator per run, re-keyed to the stream (seed, outer_k)
+    # for the draws of each iteration
+    rng = np.random.Generator(np.random.Philox(0))
+    y = np.array(config.x0, dtype=float)
+    avg_grad = None                      # ofw's running gradient average
+    phi_final = cert_gap = float("nan")  # of the last inner solve
     trace = RunTrace(metadata=_metadata(config, plan))
     if config.audit:
         trace.metadata["max_audit_excess"] = -float("inf")
     t0 = time.perf_counter()
     for outer_k, (variant, schedule, k) in enumerate(_iterations(config, plan), 1):
         if k == 1:  # each phase restarts from the previous phase's output
-            state.x, state.y, state.k = state.y.copy(), state.y.copy(), 0
-            state.stream_offset = outer_k - 1
+            x = y
         if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
             trace.metadata["status"] = "time_limit"
             break
-        if variant == "ofw":
-            _ofw_step(state, objective, region, config.batch)
+        if variant == "ofw":  # averaged stochastic gradient, one exact LMO
+            size = config.batch if config.batch is not None else 1
+            g = objective.sfo_batch(x, size, _stream(rng, config.seed, outer_k))
+            counters.sfo_calls += size
+            rho = k ** -OFW_RHO_EXP
+            avg_grad = g if avg_grad is None else (1.0 - rho) * avg_grad + rho * g
+            v = region.lmo(avg_grad)
+            counters.exact_lmo_calls += 1
+            gamma = k ** -OFW_GAMMA_EXP
+            x = y = (1.0 - gamma) * x + gamma * v.point
         else:
             params = schedule_eval(schedule, k, config.constants)
+            gamma = params.gamma
+            z = (1.0 - gamma) * y + gamma * x
+            g = _gradient(variant, objective, z, params, config.batch,
+                          _stream(rng, config.seed, outer_k), counters)
+            sub = Subproblem(g, x, params.beta)
             try:
-                sliding_step(variant, state, objective, region, params, config.constants.alpha,
-                             batch=config.batch, lcg_cap=config.lcg_cap)
+                res = lcg_solve(sub, region, x, alpha, params.eta, cache,
+                                cap=config.lcg_cap, counters=counters)
             except BudgetExceeded as exc:
-                trace.metadata["final_counters"] = state.counters.as_dict()
+                trace.metadata["final_counters"] = counters.as_dict()
                 exc.trace, exc.outer_k = trace, outer_k
                 raise
-        if config.audit:
-            gap = duality_gap(state.last_sub, region, state.x, state.counters)
-            trace.metadata["max_audit_excess"] = max(trace.metadata["max_audit_excess"],
-                                                     gap - params.eta)
-        trace.append(outer_k, (time.perf_counter() - t0) * 1e3, objective.value(state.y),
-                     state.counters, state.last_phi_final, state.last_cert_gap)
-    trace.metadata["final_counters"] = state.counters.as_dict()
+            counters.inner_iters += res.iterations
+            x = res.point
+            y = (1.0 - gamma) * y + gamma * x
+            phi_final, cert_gap = res.phi_final, res.cert_gap
+            if config.audit:
+                gap = duality_gap(sub, region, x, counters)
+                trace.metadata["max_audit_excess"] = max(trace.metadata["max_audit_excess"],
+                                                         gap - params.eta)
+        trace.append(outer_k, (time.perf_counter() - t0) * 1e3, objective.value(y),
+                     counters, phi_final, cert_gap)
+    trace.metadata["final_counters"] = counters.as_dict()
     return trace

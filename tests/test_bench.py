@@ -23,7 +23,7 @@ from lazy_sliding.bench import (
     summarize,
     write_json,
 )
-from lazy_sliding.cli import main
+from lazy_sliding.cli import _print_summary, main
 from lazy_sliding.errors import ConfigError, NumericalError
 from lazy_sliding.trace import TRACE_HEADER, read_trace_csv
 
@@ -293,7 +293,27 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         dict(CALGD_ENTRY, name="bad", variant="calsgd", x0="x_star",
              schedule={"tag": "smooth_stochastic_fixed_n"}),
         dict(CALGD_ENTRY, name="bad", x0="origin"),
+        # a zero constant gives eta = 0 or divides by zero
+        dict(CALGD_ENTRY, name="bad", constants={"L": 0}),
+        dict(CALGD_ENTRY, name="bad", constants={"D_X": 0.0}),
+        dict(CALGD_ENTRY, name="bad", constants={"L": float("nan")}),  # JSON NaN
+        dict(CALGD_ENTRY, name="bad", constants={"L": float("inf")}),
+        dict(CALGD_ENTRY, name="bad", variant="calsgd", schedule={"tag": "smooth_stochastic"},
+             constants={"L": 0.0}),
+        dict(CALGD_ENTRY, name="bad", variant="calgd_sc", schedule=None, eps=1e-3,
+             constants={"L": 0.0, "mu": 1.0}),
+        # a fractional, boolean or string count is not truncated or converted
+        dict(CALGD_ENTRY, name="bad", batch=1.5),
+        dict(CALGD_ENTRY, name="bad", batch=True),
+        dict(CALGD_ENTRY, name="bad", outer=2.7),
+        dict(CALGD_ENTRY, name="bad", outer="4"),
+        dict(CALGD_ENTRY, name="bad", cache_capacity=3.9),
+        dict(CALGD_ENTRY, name="bad", schedule={"tag": "smooth_deterministic_fixed_n", "N": 10.5}),
+        dict(CALGD_ENTRY, name="bad", schedule={"tag": "smooth_deterministic", "s": "1"}),
         dict(CALGD_ENTRY, name="bad", variant="calgd_sc", schedule=None, eps=1e-3),  # no mu
+        # a NaN eps plans zero restart phases
+        dict(CALGD_ENTRY, name="bad", variant="calgd_sc", schedule=None, eps=float("nan"),
+             constants={"mu": 1.0}),
         # a list x0 must be a point of the region
         dict(CALGD_ENTRY, name="bad", x0=[1.0, 0.0]),
         dict(CALGD_ENTRY, name="bad", x0=[2, 0, 0, 0, 0, 0]),
@@ -304,6 +324,32 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         with pytest.raises(ConfigError, match=r"solver entry 1 \(bad\)"):
             run_experiment(config, out_dir=str(out))
         assert not out.exists() or not any(out.iterdir())
+
+
+def test_integer_fields_must_be_integers(tmp_path):
+    # the budget's outer counts for every entry without its own
+    out = tmp_path / "runs"
+    entry = {k: v for k, v in CALGD_ENTRY.items() if k != "outer"}
+    config = _experiment(tmp_path, [entry])
+    config["budgets"]["outer"] = 2.5
+    with pytest.raises(ConfigError, match="outer 2.5 is not an integer"):
+        run_experiment(config, out_dir=str(out))
+    assert not out.exists()
+    # an integer value in float form is the integer
+    config = _experiment(tmp_path, [dict(CALGD_ENTRY, outer=3.0, cache_capacity=2.0,
+                                         schedule={"tag": "smooth_deterministic", "N": 3.0})])
+    _, code = run_experiment(config, out_dir=str(out))
+    assert code == 0 and len(read_trace_csv(str(out / "calgd__s0.csv"))) == 3
+
+
+def test_print_summary_shows_fractional_medians(capsys):
+    # over two seeds a median crossing count may end in .5; the printed line
+    # shows the medians as summary.json holds them
+    cell = {"reached": 2, "of": 2, "outer_k": 12.5, "sfo_calls": 1536.0,
+            "exact_lmo_calls": 40.5, "wall_ms": 3.25}
+    _print_summary({"thresholds": ["1e-01"],
+                    "solvers": {"lazy": {"runs": 2, "thresholds": {"1e-01": cell}}}})
+    assert "2/2 reached, median outer_k=12.5 sfo=1536.0 lmo=40.5 " in capsys.readouterr().out
 
 
 def test_nonsmooth_entry_runs_with_given_or_estimated_sigma2(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,12 +35,14 @@ def test_optimum_at_start_returns_immediately():
     # u1 minimizes psi, so the opening gap is 0, phi0 clamps to eta and the
     # first (hint-served) negative certifies at once
     sub = Subproblem(g=np.array([0.0, 1.0]), center=E1.copy(), beta=1.0)
-    res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-3, cache=VertexCache())
+    ctr, phis = Counters(), []
+    res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-3, cache=VertexCache(),
+                    counters=ctr, on_iter=lambda t, u, phi: phis.append(phi))
     assert np.array_equal(res.point, E1)
     assert res.cert_gap == 0.0
     assert res.iterations == 2
-    assert res.exact_lmo_calls == 1  # the opening call is the only one
-    assert res.phi_trace == [1e-3]
+    assert ctr.exact_lmo_calls == 1  # the opening call is the only one
+    assert phis == [1e-3]
 
 
 def test_eta_above_initial_gap_returns_start():
@@ -124,8 +128,8 @@ def test_monotone_descent_and_phi_trace():
     for a, b in zip(phis, phis[1:]):
         assert b == a or b == a / 2.0 or (b == eta and a / 2.0 <= eta)
     assert res.phi_final == eta
-    assert min(res.phi_trace) >= eta
-    assert res.phi_trace[0] == res.phi0
+    assert min(phis) >= eta
+    assert phis[0] == res.phi0
 
 
 def test_functional_gap_sandwich():
@@ -185,9 +189,11 @@ def test_certification_fuzz():
         assert res.cert_gap <= eta / alpha
         assert duality_gap(sub, region, res.point) <= eta + 1e-12
         assert res.iterations <= iteration_bound(res.phi0, c_phi, eta, alpha)
-        assert res.iterations == res.weak_sep_calls + 1
-        assert ctr.exact_lmo_calls == res.exact_lmo_calls
-        assert ctr.cache_hits == res.cache_hits
+        assert res.iterations == ctr.weak_sep_calls + 1
+        # an empty cache cannot open the solve, so the opening is one exact
+        # LMO and every other one backs a weak separation miss
+        assert ctr.exact_lmo_calls == 1 + ctr.cache_misses - ctr.hint_answers
+        assert ctr.cache_hits + ctr.cache_misses == ctr.weak_sep_calls
 
 
 def test_cache_holding_the_minimizer_opens_without_an_lmo():
@@ -201,15 +207,17 @@ def test_cache_holding_the_minimizer_opens_without_an_lmo():
         if warm:
             for i in range(5):
                 cache.insert(region.lmo(-np.eye(5)[i]))
+        phis = []
         res = lcg_solve(sub, region, np.eye(5)[0], alpha=2.0, eta=1e-3, cache=cache,
-                        counters=ctr)
+                        counters=ctr, on_iter=lambda t, u, phi: phis.append(phi))
         assert np.array_equal(res.point, np.eye(5)[3]) and res.cert_gap == 0.0
         assert ctr.cache_openings == int(warm)
         # a cold solve opens with an exact LMO as well
-        assert res.exact_lmo_calls == ctr.exact_lmo_calls == (1 if warm else 2)
-        assert res.iterations == res.weak_sep_calls + 1
+        assert ctr.exact_lmo_calls == (1 if warm else 2)
+        assert res.iterations == ctr.weak_sep_calls + 1
         if warm:
-            assert res.phi0 == 10.0 and res.phi_trace[:2] == [10.0, 5.0]
+            # the loop's first query is at phi0 / 2
+            assert res.phi0 == 10.0 and phis[0] == 5.0
             assert res.h0 == 10.0 * region.diameter()
         else:
             assert res.h0 is None
@@ -251,7 +259,7 @@ def test_warm_cache_certification_fuzz():
             assert res.cert_gap <= eta / alpha
             assert duality_gap(sub, region, res.point) <= eta + 1e-12
             assert res.iterations <= iteration_bound(res.phi0, c_phi, eta, alpha, res.h0)
-            assert res.iterations == res.weak_sep_calls + 1
+            assert res.iterations == ctr.weak_sep_calls + 1
             assert ctr.cache_openings == (res.h0 is not None)
             openings[region.kind][ctr.cache_openings] += 1
             u = res.point
@@ -260,24 +268,26 @@ def test_warm_cache_certification_fuzz():
 
 
 def test_shared_counters_give_per_solve_counts():
-    # one run's Counters accumulates over every subproblem; each LcgResult
-    # reports only its own solve's share
+    # one run's Counters accumulates over every subproblem; a caller wanting
+    # one solve's counts passes it a fresh Counters, and those add up to the
+    # shared one
     rng = np.random.default_rng(31)
-    region, cache, ctr = Simplex(32), VertexCache(), Counters()
-    u = region.lmo(np.ones(32)).point
-    results, before = [], []
-    for _ in range(2):
-        sub = Subproblem(g=rng.standard_normal(32), center=u, beta=4.0)
-        before.append((ctr.exact_lmo_calls, ctr.weak_sep_calls, ctr.cache_hits))
-        res = lcg_solve(sub, region, u, alpha=2.0, eta=1e-4, cache=cache, counters=ctr)
-        results.append(res)
-        u = res.point
-    first, second = results
-    assert before[1] == (first.exact_lmo_calls, first.weak_sep_calls, first.cache_hits)
-    assert min(before[1]) > 0
-    assert second.exact_lmo_calls == ctr.exact_lmo_calls - before[1][0]
-    assert second.weak_sep_calls == ctr.weak_sep_calls - before[1][1]
-    assert second.cache_hits == ctr.cache_hits - before[1][2]
+    gs = [rng.standard_normal(32) for _ in range(2)]
+
+    def solve_all(counters):
+        region, cache = Simplex(32), VertexCache()
+        u = region.lmo(np.ones(32)).point
+        for g, ctr in zip(gs, counters):
+            sub = Subproblem(g=g, center=u, beta=4.0)
+            u = lcg_solve(sub, region, u, alpha=2.0, eta=1e-4, cache=cache, counters=ctr).point
+        return u
+
+    shared, first, second = Counters(), Counters(), Counters()
+    assert np.array_equal(solve_all([shared, shared]), solve_all([first, second]))
+    names = ("exact_lmo_calls", "weak_sep_calls", "cache_hits")
+    assert min(getattr(first, name) for name in names) > 0
+    for name in names:
+        assert getattr(shared, name) == getattr(first, name) + getattr(second, name)
     assert second.weak_sep_calls > 0
 
 
@@ -320,7 +330,11 @@ def test_domain_errors():
 
 def test_result_is_dataclass_with_expected_fields():
     sub = Subproblem(g=np.array([0.0, 1.0]), center=E1.copy(), beta=1.0)
-    res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-2, cache=VertexCache())
+    ctr = Counters()
+    res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-2, cache=VertexCache(),
+                    counters=ctr)
     assert isinstance(res, LcgResult)
+    assert [f.name for f in dataclasses.fields(res)] == [
+        "point", "cert_gap", "iterations", "phi0", "phi_final", "h0"]
     assert res.phi0 >= res.phi_final >= 1e-2
-    assert res.weak_sep_calls >= 1 and res.exact_lmo_calls >= 1
+    assert ctr.weak_sep_calls >= 1 and ctr.exact_lmo_calls >= 1

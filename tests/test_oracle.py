@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lazy_sliding.oracle import VertexCache, initial_gap, weak_separation
+from lazy_sliding.lcg import Subproblem, lcg_solve
+from lazy_sliding.oracle import VertexCache, weak_separation
 from lazy_sliding.regions import (
     Birkhoff,
     Box,
@@ -61,13 +62,25 @@ def test_boundary_equality_is_negative():
 
 
 def test_initial_gap_worked_examples():
-    phi0, _ = initial_gap(Simplex(3), np.zeros(3), np.array([0.2, 0.3, 0.5]))
-    assert phi0 == 0.0
-    cache, ctr = VertexCache(), Counters()
-    phi0, v = initial_gap(Simplex(2), np.array([1.0, 0.0]), E1, cache, ctr)
-    assert phi0 == 1.0 and np.array_equal(v.point, E2)
-    assert ctr.exact_lmo_calls == 1 and len(cache) == 1
-    phi0, _ = initial_gap(Box(1, 0.0, 1.0), np.array([-2.0]), np.array([0.0]))
+    # an inner solve with an empty cache opens with the exact gap
+    # max_u <grad psi(u1), u1 - u>, clamped to eta, and caches the minimizer
+    def opening(region, g, u1, eta=1e-9):
+        cache, ctr, first = VertexCache(), Counters(), []
+
+        def watch(t, u, phi):
+            if t == 1:
+                first.append((ctr.exact_lmo_calls, [v.point for v in cache.entries]))
+
+        res = lcg_solve(Subproblem(g, u1, 1.0), region, u1, 1.0, eta, cache,
+                        counters=ctr, on_iter=watch)
+        return res.phi0, first[0]
+
+    phi0, _ = opening(Simplex(3), np.zeros(3), np.array([0.2, 0.3, 0.5]), eta=1e-3)
+    assert phi0 == 1e-3  # a zero gap starts the solve at eta
+    phi0, (lmo_calls, cached) = opening(Simplex(2), np.array([1.0, 0.0]), E1)
+    assert phi0 == 1.0 and len(cached) == 1 and np.array_equal(cached[0], E2)
+    assert lmo_calls == 1
+    phi0, _ = opening(Box(1, 0.0, 1.0), np.array([-2.0]), np.array([0.0]))
     assert phi0 == 2.0
 
 

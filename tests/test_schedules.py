@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lazy_sliding import ConfigError, ProblemConstants, ScheduleVariant, gamma_product, schedule_eval
+from lazy_sliding import ConfigError, ProblemConstants, ScheduleVariant, schedule_eval
 from lazy_sliding.schedules import NEEDS, VALID_TAGS, restart_phase_plan
 
 
@@ -78,20 +78,6 @@ def test_saddle_tau_and_beta_consistency():
     # static variant: tau constant in k
     taus = [schedule_eval(_sv("saddle_static", N=20), k, c).tau for k in range(1, 21)]
     assert max(taus) == pytest.approx(min(taus))
-
-
-def test_gamma_product_worked_examples():
-    gam = [3.0 / (k + 2) for k in range(1, 31)]
-    assert gamma_product(gam[:2]) == pytest.approx(0.25)
-    for k in range(1, 31):
-        assert gamma_product(gam[:k]) == pytest.approx(6.0 / (k * (k + 1) * (k + 2)))
-    gam = [1.0 / k for k in range(1, 20)]
-    assert gamma_product(gam[:3]) == pytest.approx(1.0 / 3.0)
-    for k in range(1, 20):
-        assert gamma_product(gam[:k]) == pytest.approx(1.0 / k)
-    assert gamma_product([1.0]) == 1.0
-    with pytest.raises(ValueError):
-        gamma_product([])
 
 
 def test_restart_phase_plan_worked_examples():
@@ -183,9 +169,18 @@ def test_needs_table_names_exactly_the_constants_each_schedule_reads():
         if mu > 0:
             with pytest.raises(ConfigError, match="mu"):
                 schedule_eval(sv, 3, ProblemConstants(**given))
-        if "D_0" in names:  # eta and the batch divide by D_0
-            with pytest.raises(ConfigError, match="D_0"):
-                schedule_eval(sv, 3, ProblemConstants(**dict(given, D_0=0.0)))
+        # a zero scale constant would give eta = 0 or a division by zero;
+        # zero noise is a valid regime
+        for name in {"L", "D_X", "D_0", "delta0", "A_norm", "D_YW", "sigma_omega"} & set(names):
+            with pytest.raises(ConfigError, match="'%s' > 0" % name):
+                schedule_eval(sv, 3, ProblemConstants(mu=mu, **dict(given, **{name: 0.0})))
+        if "sigma2" in names:
+            assert schedule_eval(sv, 3, ProblemConstants(mu=mu, **dict(given, sigma2=0.0))).eta > 0
+    # the nonsmooth schedule needs noise or a Lipschitz constant
+    sv = _sv("nonsmooth_stochastic", N=10)
+    with pytest.raises(ConfigError, match="M"):
+        schedule_eval(sv, 1, ProblemConstants(sigma2=0.0, M=0.0, D_X=1.0))
+    assert schedule_eval(sv, 1, ProblemConstants(sigma2=1.0, M=0.0, D_X=1.0)).eta > 0
 
 
 def test_variant_validation():
@@ -199,3 +194,6 @@ def test_variant_validation():
         ProblemConstants(L=1.0, D_X=1.0, alpha=0.5)
     with pytest.raises(ValueError):
         ProblemConstants(L=1.0, D_X=1.0, D_0=2.0)  # D_0 > D_X
+    for bad in ({"L": math.nan}, {"sigma2": math.inf}, {"mu": math.nan}, {"alpha": math.inf}):
+        with pytest.raises(ConfigError, match="finite"):
+            ProblemConstants(**bad)

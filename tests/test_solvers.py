@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lazy_sliding import solvers
 from lazy_sliding.errors import BudgetExceeded, ConfigError
 from lazy_sliding.objectives import (
     GaussianSfo,
@@ -14,12 +15,7 @@ from lazy_sliding.objectives import (
 )
 from lazy_sliding.regions import Box, Simplex, Spectrahedron
 from lazy_sliding.schedules import ProblemConstants, ScheduleVariant, schedule_eval
-from lazy_sliding.solvers import (
-    SolverConfig,
-    new_state,
-    run_solver,
-    sliding_step,
-)
+from lazy_sliding.solvers import SolverConfig, run_solver
 
 from helpers import grid_game_value, phase_end_values, reference_ofw
 
@@ -40,31 +36,61 @@ def _vertex(n, i=0):
     return x
 
 
-def test_first_iteration_collapses_to_x0():
+def _spied_run(monkeypatch, config, objective, region):
+    """run_solver under spies: the point z of every gradient, the output x of
+    every inner solve and the point y of every trace row's objective value."""
+    seen = {"z": [], "x": [], "y": []}
+
+    def recording(key, method):
+        def spy(point, *args):
+            seen[key].append(point)
+            return method(point, *args)
+        return spy
+
+    def solve(*args, **kwargs):
+        res = lcg_solve(*args, **kwargs)
+        seen["x"].append(res.point)
+        return res
+
+    lcg_solve = solvers.lcg_solve
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "lcg_solve", solve)
+        m.setattr(objective, "value", recording("y", objective.value))
+        for name in ("grad", "sfo_batch"):
+            m.setattr(objective, name, recording("z", getattr(objective, name)))
+        run_solver(config, objective, region)
+    return seen
+
+
+def test_first_iteration_collapses_to_x0(monkeypatch):
     # gamma_1 = 1 forces z_1 = x_0 and y_1 = x_1 for every smooth schedule
     rng = np.random.default_rng(0)
     obj, base, _ = _simplex_ls(rng)
     c = ProblemConstants(L=estimate_L(base), sigma2=0.0, D_X=math.sqrt(2.0))
     x0 = _vertex(6)
-    state = new_state(x0, 0)
-    params = schedule_eval(ScheduleVariant("smooth_deterministic"), 1, c)
-    sliding_step("calgd", state, obj, Simplex(6), params, 1.0)
-    assert np.array_equal(state.last_z, x0)
-    assert np.array_equal(state.y, state.x)
+    cfg = SolverConfig("calgd", c, x0, 1, schedule=ScheduleVariant("smooth_deterministic"))
+    seen = _spied_run(monkeypatch, cfg, obj, Simplex(6))
+    assert np.array_equal(seen["z"][0], x0)
+    assert np.array_equal(seen["y"][0], seen["x"][0])
 
 
-def test_zero_noise_calsgd_matches_calgd_bitwise():
+def test_zero_noise_calsgd_matches_calgd_bitwise(monkeypatch):
+    # both runs read the deterministic schedule, so a zero-noise batch of one
+    # sample must reproduce the exact gradient's iterates bit for bit
     rng = np.random.default_rng(1)
     obj, base, _ = _simplex_ls(rng, noise=0.0)
     c = ProblemConstants(L=estimate_L(base), sigma2=0.0, D_X=math.sqrt(2.0))
     x0 = _vertex(6)
-    sa, sb = new_state(x0, 3), new_state(x0, 3)
     sv = ScheduleVariant("smooth_deterministic")
-    for k in range(1, 30):
-        params = schedule_eval(sv, k, c)
-        sliding_step("calsgd", sa, obj, Simplex(6), params, 1.0, batch=1)
-        sliding_step("calgd", sb, obj, Simplex(6), params, 1.0)
-        assert np.array_equal(sa.x, sb.x) and np.array_equal(sa.y, sb.y)
+    monkeypatch.setattr(solvers, "schedule_eval", lambda _, k, c: schedule_eval(sv, k, c))
+    sa = _spied_run(monkeypatch, SolverConfig("calsgd", c, x0, 29, seed=3, batch=1,
+                                              schedule=ScheduleVariant("smooth_stochastic")),
+                    obj, Simplex(6))
+    sb = _spied_run(monkeypatch, SolverConfig("calgd", c, x0, 29, seed=3, schedule=sv),
+                    obj, Simplex(6))
+    assert len(sa["x"]) == len(sb["x"]) == len(sa["y"]) == len(sb["y"]) == 29
+    for key in ("x", "y"):
+        assert all(np.array_equal(a, b) for a, b in zip(sa[key], sb[key]))
 
 
 def test_calgd_anytime_bound():
@@ -273,7 +299,7 @@ def test_ofw_matches_reference_loop(batch, region):
     assert tr.metadata["status"] == "time_limit" and tr.rows == []
 
 
-def test_iterates_stay_feasible_across_variants():
+def test_iterates_stay_feasible_across_variants(monkeypatch):
     rng = np.random.default_rng(7)
     obj, base, _ = _simplex_ls(rng, noise=0.5)
     region = Simplex(6)
@@ -286,13 +312,11 @@ def test_iterates_stay_feasible_across_variants():
          ProblemConstants(L=L, D_X=math.sqrt(2.0))),
     ]
     for variant, sv, c in cases:
-        state = new_state(x0, 11)
-        for k in range(1, 25):
-            params = schedule_eval(sv, k, c)
-            sliding_step(variant, state, obj, region, params, 1.0)
-            assert region.contains(state.x, tol=1e-9)
-            assert region.contains(state.y, tol=1e-9)
-            assert region.contains(state.last_z, tol=1e-9)
+        seen = _spied_run(monkeypatch, SolverConfig(variant, c, x0, 24, schedule=sv, seed=11),
+                          obj, region)
+        assert len(seen["x"]) == len(seen["y"]) == len(seen["z"]) == 24
+        for key in ("x", "y", "z"):
+            assert all(region.contains(p, tol=1e-9) for p in seen[key]), (variant, key)
 
 
 def test_run_is_deterministic():
