@@ -2,15 +2,12 @@
 
 `lcg_solve` minimizes psi(x) = <g, x> + (beta/2) ||x - center||^2 over a
 region until the exact duality gap max_y <grad psi(x), x - y> is certified
-to be at most eta.  A solve opens from the vertex cache when it can: if the
-cached vertex that improves most on the start point beats eta, the first
-step goes toward it and the first scale parameter Phi is half its
-improvement, with no exact LMO call.  Otherwise it opens with one exact LMO
-whose gap sets Phi, as the classical lazy method does.  After the opening
-every step goes through the weak separation oracle.  While u has not moved
-since the last exact LMO (the opening one, or the one behind a negative
-answer), the solver holds the exact minimizer for the current query and the
-oracle answers from it; only queries at a fresh iterate scan the vertex
+to be at most eta.  Every vertex a solve uses comes from one weak
+separation oracle, which answers in one order: the held exact minimizer,
+then the best cached vertex, then the exact LMO.  The solve's first query,
+its opening, asks whether any vertex improves on the start point by more
+than eta.  The solver holds the exact minimizer behind a negative answer
+until a step moves u; only queries at a fresh iterate scan the vertex
 cache, and only a cache miss there costs an LMO.  Phi halves on every
 negative answer until it reaches eta, at which point a negative answer is
 an exact certificate and the solver returns.
@@ -49,11 +46,11 @@ class LcgResult:
 
     point: np.ndarray
     cert_gap: float
-    iterations: int            # weak separation calls + 1 for the opening
+    iterations: int            # weak separation queries, the opening included
     phi0: float
     phi_final: float
-    # Bound on the opening primal gap psi(u1) - psi* of a solve opened from
-    # the cache (None after an exact-LMO opening); iteration_bound's h0.
+    # Bound on the opening primal gap psi(u1) - psi* after a positive
+    # opening (None after a negative one); iteration_bound's h0.
     h0: Optional[float]
 
 
@@ -90,32 +87,37 @@ def iteration_bound(phi0, c_phi, eta, alpha, h0=None):
 
     c_phi is the curvature proxy beta * D^2 of the subproblem over the
     region.  Logarithms are base 2 and clamped at 0 for arguments below 1.
-    Counts the opening iteration, matching LcgResult.iterations.
+    Counts every weak separation query, the opening one included, matching
+    LcgResult.iterations.
 
-    With h0=None the solve opened with the exact LMO: phi0 bounds the
-    opening primal gap, and every epoch (the queries at one Phi) starts
-    from a certificate, as in the lazy conditional gradient analysis of
-    Braun, Pokutta and Zink (2017).
+    With h0=None the solve starts certified: its gap is at most phi0 when
+    the query after the opening is made.  lcg_solve passes it after a
+    negative opening, which certifies the gap <= eta and starts the loop at
+    phi0 = eta.  Every epoch (the queries at one Phi) then starts from a
+    certificate, as in the lazy conditional gradient analysis of Braun,
+    Pokutta and Zink (2017), and the opening query is counted on top.
 
-    A solve opened from the cache passes h0 >= psi(u1) - psi*; lcg_solve
-    uses ||grad psi(u1)|| * D, since by convexity and Cauchy-Schwarz
-    psi(u1) - psi* <= <grad psi(u1), u1 - x*> <= ||grad psi(u1)|| * D.  Its
-    phi0 is the improvement of a cached vertex, which certifies nothing, so
-    its first epoch, at phi1 = max(phi0/2, eta), is bounded by progress
-    alone.  A positive answer at phi1 improves on u by g > phi1/alpha
-    along u -> v, whose curvature is beta ||u - v||^2 <= c_phi, so the
-    exact line search lowers psi - psi* >= 0 by min(g/2, g^2/(2 c_phi)) or
-    more, that is by at least
+    A solve whose opening answer is positive passes h0 >= psi(u1) - psi*;
+    lcg_solve uses ||grad psi(u1)|| * D, since by convexity and
+    Cauchy-Schwarz psi(u1) - psi* <= <grad psi(u1), u1 - x*> <=
+    ||grad psi(u1)|| * D.  Its phi0 is the improvement of the answer's
+    vertex, which certifies nothing when a cache hit gave it, so its first
+    epoch, at phi1 = max(phi0/2, eta), is bounded by progress alone.  A
+    positive answer at phi1 improves on u by g > phi1/alpha along u -> v,
+    whose curvature is beta ||u - v||^2 <= c_phi, so the exact line search
+    lowers psi - psi* >= 0 by min(g/2, g^2/(2 c_phi)) or more, that is by
+    at least
 
         prog(phi1) = min(phi1 / (2 alpha), phi1^2 / (2 alpha^2 c_phi)),
 
     and the opening step is one such answer: it improves by phi0 > phi1
     (phi0 > eta and phi0 > phi0/2), more than phi1/alpha.  So the epoch,
-    opening step included, has at most h0 / prog(phi1) positive answers.  It ends on a negative answer
-    backed by an exact LMO (no minimizer is held once u has moved), which
-    certifies the gap <= phi1/alpha <= phi1.  From there on the solve runs
-    the certified epochs of a solve opened at phi1, which
-    iteration_bound(phi1, ...) bounds with its opening iteration to spare:
+    opening included, has at most h0 / prog(phi1) positive answers.  It
+    ends on a negative answer backed by an exact LMO (no minimizer is held
+    once u has moved), which certifies the gap <= phi1/alpha <= phi1.  That
+    answer and the certified epochs after it are those of a solve that
+    starts certified at phi1, with the answer in the place of its opening
+    query, so iteration_bound(phi1, ...) bounds them:
 
         bound = floor(h0 / prog(phi1)) + iteration_bound(phi1, c_phi, eta, alpha).
     """
@@ -142,15 +144,14 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
               on_iter=None) -> LcgResult:
     """Run the lazy conditional gradient loop until the gap is certified <= eta.
 
-    The solve opens in one of two ways.  If the cached vertex v_c that
-    improves most on u1, by g_c = <grad psi(u1), u1 - v_c>, beats eta, then
-    Phi0 = g_c, the first step goes toward v_c (a positive answer at Phi0/2,
-    since g_c > Phi0/2), and the loop starts at Phi = max(Phi0/2, eta) with
-    no exact LMO call and no held minimizer.  Otherwise one exact LMO gives
-    the gap Phi0 at u1 and the loop starts at Phi = max(Phi0, eta), holding
-    that minimizer.  The cache opening is neither a weak separation query
-    nor a scan, so it books only ``counters.cache_openings``.  Either way
-    the solve ends only on an LMO-backed negative answer at Phi = eta.
+    Query 1, the opening, is a weak separation query at Phi = alpha * eta
+    from u1.  A positive answer with vertex v and improvement
+    g = <grad psi(u1), u1 - v> > eta sets Phi0 = g; the first step goes
+    toward v and the loop goes on at Phi = max(Phi0/2, eta) with no held
+    minimizer.  A negative answer certifies the gap at u1 <= eta, sets
+    Phi0 = eta and holds that exact minimizer for the query at Phi = eta.
+    Either way the solve ends only on an LMO-backed negative answer at
+    Phi = eta.
 
     Parameters
     ----------
@@ -165,16 +166,16 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
     cache : VertexCache
         Shared across invocations within one outer solver run.
     cap : int, optional
-        Budget of weak separation queries; defaults to 4x the worst-case
-        bound `iteration_bound(phi0, c_phi, eta, alpha, h0)` of the opening
-        taken.
+        Budget of weak separation queries, the opening included; defaults
+        to 4x the worst-case bound `iteration_bound(phi0, c_phi, eta,
+        alpha, h0)` of the opening answer.
     counters : Counters, optional
         Incremented by every oracle call of the solve.  A run passes one
         Counters to all of its solves; a caller wanting one solve's counts
         passes a fresh one.
     on_iter : callable, optional
-        Called as on_iter(t, u_t, phi) before each weak separation query
-        (testing hook).
+        Called as on_iter(t, u_t, phi) before each weak separation query,
+        the opening (t = 1, phi = alpha * eta) included (testing hook).
 
     Returns
     -------
@@ -195,35 +196,15 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
     u = np.array(u1, dtype=float, copy=True)
     grad = sub.grad(u)
     diameter = region.diameter()
-    slot, improvement = cache.best(grad, float(grad @ u))
-    if improvement > eta:
-        counters.cache_openings += 1
-        cache.move_to_front(slot)
-        v = cache.get(slot).point
-        phi0, h0 = improvement, float(np.linalg.norm(grad)) * diameter
-        lam = line_search_quadratic(sub, u, v, grad)
-        u = (1.0 - lam) * u + lam * v
-        grad = sub.grad(u)
-        phi = max(phi0 / 2.0, eta)
-        exact_hint = None
-    else:
-        v0 = region.lmo(grad)
-        counters.exact_lmo_calls += 1
-        cache.insert(v0)
-        phi_raw = float(grad @ (u - v0.point))
-        phi = phi0 = max(phi_raw, eta)  # never start below the target accuracy
-        h0 = None
-        # Exact answer for the current (grad, u) query; stays valid until a
-        # step moves u (negative answers never move u, so a whole run of
-        # halvings is served by the one LMO call that opened it).
-        exact_hint = (v0, phi_raw)
-    if cap is None:
-        cap = 4 * iteration_bound(phi0, sub.beta * diameter ** 2, eta, alpha, h0)
-
+    phi = alpha * eta          # the opening asks for an improvement beyond eta
+    # Exact answer for the current (grad, u) query; stays valid until a step
+    # moves u (negative answers never move u, so a whole run of halvings is
+    # served by the one LMO call behind the first of them).
+    exact_hint = None
     t = 0
     while True:
         t += 1
-        if t > cap:
+        if cap is not None and t > cap:
             raise BudgetExceeded(
                 "lazy conditional gradient cap %d exhausted (phi=%.3e, eta=%.3e)"
                 % (cap, phi, eta),
@@ -233,6 +214,11 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
             on_iter(t, u, phi)
         resp = weak_separation(cache, region, grad, u, phi, alpha, counters,
                                exact_hint=exact_hint)
+        if t == 1:
+            phi0 = max(resp.gap, eta)
+            h0 = float(np.linalg.norm(grad)) * diameter if resp.positive else None
+            if cap is None:
+                cap = 4 * iteration_bound(phi0, sub.beta * diameter ** 2, eta, alpha, h0)
         if resp.positive:
             lam = line_search_quadratic(sub, u, resp.vertex.point, grad)
             if lam > 0.0:
@@ -242,6 +228,9 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
         else:
             exact_hint = (resp.vertex, resp.gap)
             if phi == eta:
-                return LcgResult(point=u, cert_gap=resp.gap, iterations=t + 1,
+                return LcgResult(point=u, cert_gap=resp.gap, iterations=t,
                                  phi0=phi0, phi_final=phi, h0=h0)
+        if t == 1:
+            phi = max(phi0 / 2.0, eta)
+        elif not resp.positive:
             phi = max(phi / 2.0, eta)

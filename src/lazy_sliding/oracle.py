@@ -1,24 +1,22 @@
-"""Weak separation oracle with a recency-ordered vertex cache.
+"""Weak separation oracle with a least-recently-used vertex cache.
 
 A weak separation query either produces a vertex improving on the current
 point by more than phi/alpha (a *positive* answer, possibly served straight
 from the cache without touching the exact LMO), or falls back to one exact
-LMO call and certifies that no vertex improves by more than phi (a
-*negative* answer whose vertex is the exact minimizer of <c, .>).  A caller
-that already holds the exact minimizer for the query passes it as a hint,
-and the query is answered from it before the cache is looked at.
+LMO call and certifies that no vertex improves by more than phi/alpha (a
+*negative* answer whose vertex is the exact minimizer of <c, .>).  Every
+answer carries the improvement of its vertex in ``gap``.  Answers come in
+one order: the held exact minimizer, when the caller passes it as a hint,
+then the best cached vertex, then the exact LMO.
 
-The cache keeps its vertices in fixed slots.  Each slot carries a
-recency stamp; a scan answers with the hit of highest stamp, which is the
-first hit of a move-to-front list, without ever reordering the stored rows.
-Regions whose vertices have at most ``support`` nonzeros are stored as
-padded index/value rows and scored by a gather, so a scan costs
-O(capacity * support) rather than O(capacity * dim).  `VertexCache.best`
-scores the cache the same way with no threshold; `lcg_solve` uses it to
-open a subproblem from the cache.
+The cache keeps its vertices in fixed slots.  A scan scores every slot at
+once and answers with the vertex of largest improvement; recency stamps
+only choose the slot a new vertex evicts, so no stored row is ever
+reordered.  Regions whose vertices have at most ``support`` nonzeros are
+stored as padded index/value rows and scored by a gather, so a scan costs
+O(capacity * support) rather than O(capacity * dim).
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -43,7 +41,7 @@ class VertexCache:
     many nonzeros, and is stored as a (support,) row of indices and a row
     of values, padded with index 0 and value 0.
 
-    Slot numbers are the handles `scan` and `best` return and `get` and
+    Slot numbers are the handles `scan` returns and `get` and
     `move_to_front` take; they are stable until the slot is evicted.
     """
 
@@ -71,36 +69,24 @@ class VertexCache:
         order = np.argsort(-self._stamps[:len(self._ids)])
         return [self.get(int(slot)) for slot in order]
 
-    def scan(self, c, cx, threshold) -> Optional[int]:
-        """Slot of the most recently used y with cx - <c, y> > threshold, else None."""
-        if not self._ids:
-            return None
-        hits = np.flatnonzero(cx - self._scores(c) > threshold)
-        if len(hits) == 0:
-            return None
-        return int(hits[np.argmax(self._stamps[hits])])
+    def scan(self, c, cx, threshold) -> Optional[Tuple[int, float]]:
+        """(slot, improvement) of the cached y that improves most, if that beats threshold.
 
-    def best(self, c, cx) -> Tuple[Optional[int], float]:
-        """(slot, cx - <c, y>) of the cached y with the largest improvement.
-
-        The improvement of y over a point x is cx - <c, y> with cx = <c, x>,
-        computed as `scan` computes it; ties go to the lowest slot.  An
-        empty cache gives (None, -inf).  Unlike `scan` this scores the
-        cache without a threshold, so the caller learns by how much the
-        best cached vertex improves, not only whether one clears a bar.
+        The improvement of y over a point x is cx - <c, y> with cx = <c, x>;
+        ties go to the lowest slot.  A miss, an empty cache included, gives
+        None.
         """
-        if not self._ids:
-            return None, -math.inf
-        improvement = cx - self._scores(c)
-        slot = int(np.argmax(improvement))
-        return slot, float(improvement[slot])
-
-    def _scores(self, c):
-        """<c, y> for every cached y, in slot order."""
         n = len(self._ids)
+        if n == 0:
+            return None
         if self.support is None:
-            return self._rows[:n] @ c
-        return np.einsum("ij,ij->i", c[self._index[:n]], self._rows[:n])
+            improvement = cx - self._rows[:n] @ c
+        else:
+            improvement = cx - np.einsum("ij,ij->i", c[self._index[:n]], self._rows[:n])
+        slot = int(np.argmax(improvement))
+        if not improvement[slot] > threshold:
+            return None
+        return slot, float(improvement[slot])
 
     def get(self, slot) -> Vertex:
         """The vertex in ``slot``, its point rebuilt bit for bit."""
@@ -179,15 +165,16 @@ class VertexCache:
 
 @dataclass(frozen=True)
 class OracleResponse:
-    """positive=True: vertex improves by more than phi/alpha.
+    """``gap`` = <c, x - vertex>, the improvement of the answer's vertex.
 
-    positive=False: vertex is the exact minimizer of <c, .> and ``gap`` =
+    positive=True: gap > phi/alpha.
+    positive=False: vertex is the exact minimizer of <c, .>, so gap =
     max_z <c, x - z> <= phi/alpha.
     """
 
     positive: bool
     vertex: Vertex
-    gap: Optional[float] = None
+    gap: float
 
 
 def weak_separation(cache, region, c, x, phi, alpha, counters=None,
@@ -212,14 +199,17 @@ def weak_separation(cache, region, c, x, phi, alpha, counters=None,
         cache_hits + cache_misses == weak_sep_calls.
     exact_hint : (Vertex, float), optional
         The exact minimizer of <c, .> and its gap max_z <c, x - z>, when the
-        caller already holds them for this very (c, x) query (e.g. from the
-        opening gap computation, or from a previous negative answer at the
-        same iterate).  The query is then answered from the hint alone, with
-        no cache scan and no LMO call: positive with the minimizer if the
-        gap beats phi/alpha, else negative with that gap.  This is exactly
-        the answer of a cache miss followed by a fresh LMO call, and it loses
-        no positive answer, since the minimizer clears phi/alpha whenever any
-        cached vertex does.
+        caller already holds them for this very (c, x) query (e.g. from a
+        previous negative answer at the same iterate).  The query is then
+        answered from the hint alone, with no cache scan and no LMO call:
+        positive with the minimizer if the gap beats phi/alpha, else
+        negative with that gap.  This is exactly the answer of a cache miss
+        followed by a fresh LMO call, and it loses no positive answer, since
+        the minimizer clears phi/alpha whenever any cached vertex does.
+
+    Without a hint the cache is scanned; a hit answers with the cached
+    vertex of largest improvement, and a miss costs one exact LMO, whose
+    vertex is cached when the answer is positive.
     """
     if phi <= 0:
         raise ValueError("phi must be positive, got %r" % (phi,))
@@ -231,11 +221,12 @@ def weak_separation(cache, region, c, x, phi, alpha, counters=None,
     threshold = phi / alpha
     if exact_hint is None:
         cx = float(c @ x)
-        idx = cache.scan(c, cx, threshold)
-        if idx is not None:
+        hit = cache.scan(c, cx, threshold)
+        if hit is not None:
+            slot, gap = hit
             counters.cache_hits += 1
-            cache.move_to_front(idx)
-            return OracleResponse(True, cache.get(idx))
+            cache.move_to_front(slot)
+            return OracleResponse(True, cache.get(slot), gap)
         v = region.lmo(c)
         counters.exact_lmo_calls += 1
         gap = cx - float(c @ v.point)
@@ -243,8 +234,7 @@ def weak_separation(cache, region, c, x, phi, alpha, counters=None,
         counters.hint_answers += 1
         v, gap = exact_hint
     counters.cache_misses += 1
-    if gap > threshold:
+    positive = gap > threshold
+    if positive:
         cache.insert(v)
-        return OracleResponse(True, v)
-    return OracleResponse(False, v, gap)
-
+    return OracleResponse(positive, v, gap)

@@ -21,7 +21,7 @@ vectors equal their Frobenius counterparts.
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable
 
 import numpy as np
 

@@ -258,12 +258,12 @@ def restart_phase_plan(c, stochastic, eps) -> Tuple[int, int]:
     """
     if c.L is None:
         raise ConfigError("restart plan requires constant 'L'")
-    if c.mu is None or c.mu <= 0:
+    if c.mu <= 0:
         raise ConfigError("restart plan requires constant 'mu' > 0")
     if c.delta0 is None:
         raise ConfigError("restart plan requires constant 'delta0'")
-    if eps <= 0:
-        raise ValueError("target accuracy eps must be positive, got %r" % (eps,))
+    if not 0 < eps < math.inf:  # a NaN or infinite eps would plan zero phases
+        raise ConfigError("target accuracy eps must be finite and positive, got %r" % (eps,))
     if stochastic:
         N = int(math.ceil(4.0 * math.sqrt(2.0 * c.L / c.mu)))
     else:

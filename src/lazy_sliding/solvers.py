@@ -29,6 +29,7 @@ samples and runs are bit-reproducible on one platform.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -96,6 +97,12 @@ class SolverConfig:
             raise ConfigError("unknown solver variant %r" % (self.variant,))
         if self.outer_limit < 1:
             raise ConfigError("outer_limit must be >= 1")
+        if self.time_limit is not None and (
+                not isinstance(self.time_limit, numbers.Real) or isinstance(self.time_limit, bool)
+                or not 0 <= self.time_limit < math.inf):
+            # a NaN limit never fires, and a negative one ends every run at once
+            raise ConfigError("time_limit must be a finite number of seconds >= 0, got %r"
+                              % (self.time_limit,))
         if self.variant in RESTARTS and (self.eps is None or not 0 < self.eps < math.inf):
             # a NaN or infinite eps would plan zero phases and run nothing
             raise ConfigError("restart variants require a finite target accuracy eps > 0")

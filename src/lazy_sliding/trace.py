@@ -16,7 +16,6 @@ class Counters:
     cache_hits: int = 0
     cache_misses: int = 0        # includes hint_answers
     hint_answers: int = 0        # answered from the held exact minimizer, no scan
-    cache_openings: int = 0      # inner solves opened from the cache, no LMO
     inner_iters: int = 0
 
     def as_dict(self):

@@ -155,12 +155,13 @@ def reference_ofw(objective, region, x0, steps, seed, batch=1):
     return rows
 
 
-class MoveToFrontCache:
+class BestHitCache:
     """A vertex cache as a plain list, most recently used first.
 
-    `scan` walks the list front to back and returns the position of the
-    first vertex y with cx - <c, y> > threshold; a hit moved to the front
-    and an insert go to position 0, and a full list drops its back entry.
+    `scan` scores every vertex y and returns (position, cx - <c, y>) of the
+    one with the largest improvement, if it beats the threshold; a hit
+    moved to the front and an insert go to position 0, and a full list
+    drops its back entry, the least recently used one.
     """
 
     def __init__(self, capacity):
@@ -168,10 +169,12 @@ class MoveToFrontCache:
         self.entries = []
 
     def scan(self, c, cx, threshold):
+        best = None
         for i, v in enumerate(self.entries):
-            if cx - float(c @ v.point) > threshold:
-                return i
-        return None
+            improvement = cx - float(c @ v.point)
+            if improvement > threshold and (best is None or improvement > best[1]):
+                best = (i, improvement)
+        return best
 
     def move_to_front(self, i):
         self.entries.insert(0, self.entries.pop(i))

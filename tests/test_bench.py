@@ -324,6 +324,15 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         with pytest.raises(ConfigError, match=r"solver entry 1 \(bad\)"):
             run_experiment(config, out_dir=str(out))
         assert not out.exists() or not any(out.iterdir())
+    # a time budget that is not a finite number of seconds >= 0: a string
+    # fails in the first run, NaN never stops a run and -1 stops every one
+    for wall_seconds in ("10", float("nan"), -1):
+        config = _experiment(tmp_path, [CALGD_ENTRY])
+        config["budgets"]["wall_seconds"] = wall_seconds
+        out = tmp_path / "timed_runs"
+        with pytest.raises(ConfigError, match="time_limit"):
+            run_experiment(config, out_dir=str(out))
+        assert not out.exists()
 
 
 def test_integer_fields_must_be_integers(tmp_path):
@@ -436,8 +445,9 @@ def test_budget_error_keeps_partial_trace(tmp_path, monkeypatch):
     real = bench.run_solver
     monkeypatch.setattr(bench, "run_solver", lambda cfg, objective, region: real(
         dataclasses.replace(cfg, lcg_cap=cap), objective, region))
-    # with the default cache a solve may open from it, with no exact LMO;
-    # without one every solve, the failed one too, opens with an exact LMO
+    # with the default cache a solve's opening query may be a cache hit, with
+    # no exact LMO; without one every opening, the failed solve's too, costs
+    # an exact LMO
     for capacity in (None, 0):
         entry = CALGD_ENTRY if capacity is None else dict(CALGD_ENTRY, cache_capacity=capacity)
         config = _experiment(tmp_path, [entry], seeds=(0,), outer=60)
@@ -450,7 +460,8 @@ def test_budget_error_keeps_partial_trace(tmp_path, monkeypatch):
         rows = read_trace_csv(str(out / "calgd__s0.csv"))
         assert [r["outer_k"] for r in rows] == list(range(1, k))
         final = meta["final_counters"]
-        # the failed solve spent its whole budget of cap queries
+        # the failed solve spent its whole budget of cap queries, the opening
+        # included
         assert final["weak_sep_calls"] == rows[-1]["weak_sep_calls"] + cap
         if capacity == 0:
             assert final["exact_lmo_calls"] > rows[-1]["exact_lmo_calls"]

@@ -1,0 +1,45 @@
+"""Static checks over the package source."""
+
+import ast
+import os
+
+import lazy_sliding
+
+PACKAGE_DIR = os.path.dirname(lazy_sliding.__file__)
+
+
+def _unused_imports(source):
+    """Names a module imports but never reads; names in ``__all__`` count as read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(elt.value for elt in node.value.elts)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_scan_finds_dead_names():
+    source = ("import math\nimport numpy as np\nfrom typing import List, Optional\n"
+              "from .x import kept, exported\n__all__ = ['exported']\n"
+              "def f(v: Optional[int]):\n    return np.zeros(kept)\n")
+    assert _unused_imports(source) == [(1, "math"), (3, "List")]
+
+
+def test_package_modules_import_nothing_unused():
+    found = {}
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name)) as fh:
+                unused = _unused_imports(fh.read())
+            if unused:
+                found[name] = unused
+    assert found == {}

@@ -32,25 +32,25 @@ E2 = np.array([0.0, 1.0])
 
 
 def test_optimum_at_start_returns_immediately():
-    # u1 minimizes psi, so the opening gap is 0, phi0 clamps to eta and the
-    # first (hint-served) negative certifies at once
+    # u1 minimizes psi, so at alpha = 1 the opening query at Phi = eta is
+    # answered negative by its exact LMO and certifies at once
     sub = Subproblem(g=np.array([0.0, 1.0]), center=E1.copy(), beta=1.0)
     ctr, phis = Counters(), []
     res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-3, cache=VertexCache(),
                     counters=ctr, on_iter=lambda t, u, phi: phis.append(phi))
     assert np.array_equal(res.point, E1)
     assert res.cert_gap == 0.0
-    assert res.iterations == 2
-    assert ctr.exact_lmo_calls == 1  # the opening call is the only one
-    assert phis == [1e-3]
+    assert res.iterations == ctr.weak_sep_calls == 1
+    assert ctr.exact_lmo_calls == 1  # the opening's LMO is the only one
+    assert phis == [1e-3] and res.phi0 == 1e-3 and res.h0 is None
 
 
 def test_eta_above_initial_gap_returns_start():
     sub = Subproblem(g=np.array([1.0, -1.0]), center=E1.copy(), beta=1.0)
-    # initial gap at e1 is 2; choose eta above it
+    # initial gap at e1 is 2; choose eta above it: the opening is negative
     res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=5.0, cache=VertexCache())
     assert np.array_equal(res.point, E1)
-    assert res.iterations == 2
+    assert res.iterations == 1 and res.cert_gap == 2.0
     assert res.phi0 == 5.0 and res.phi_final == 5.0
 
 
@@ -96,7 +96,7 @@ def test_iteration_bound_worked_examples():
     assert iteration_bound(1.0, 1.0, 1.0 / 8.0, 1.0) == 69
     b = iteration_bound(1.0, 1.0, 1.0 / 8.0, 2.0)
     assert b == 261 and b > 8 * 4 * 8  # dominant 8 alpha^2 C/eta term = 256
-    # cache opening at phi0 = 2: floor(h0 / prog(1)) uncertified positives,
+    # positive opening at phi0 = 2: floor(h0 / prog(1)) uncertified positives,
     # then the certified bound from phi1 = 1, prog(1) = min(1/2a, 1/2a^2)
     assert iteration_bound(2.0, 1.0, 1.0 / 8.0, 1.0, h0=3.0) == 6 + 69
     assert iteration_bound(2.0, 1.0, 1.0 / 8.0, 2.0, h0=3.0) == 24 + 261
@@ -123,18 +123,22 @@ def test_monotone_descent_and_phi_trace():
     res = lcg_solve(sub, region, region.lmo(rng.standard_normal(6)).point,
                     alpha=2.0, eta=eta, cache=VertexCache(), on_iter=watch)
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-    # phi ladder: non-increasing, each drop is exactly /2 or the clamp to eta
-    assert all(b <= a for a, b in zip(phis, phis[1:]))
-    for a, b in zip(phis, phis[1:]):
+    # the opening asks at alpha * eta; the loop then starts at half its gap
+    assert phis[0] == 2.0 * eta and phis[1] == max(res.phi0 / 2.0, eta)
+    # phi ladder after the opening: non-increasing, each drop is exactly /2
+    # or the clamp to eta
+    ladder = phis[1:]
+    assert all(b <= a for a, b in zip(ladder, ladder[1:]))
+    for a, b in zip(ladder, ladder[1:]):
         assert b == a or b == a / 2.0 or (b == eta and a / 2.0 <= eta)
     assert res.phi_final == eta
     assert min(phis) >= eta
-    assert phis[0] == res.phi0
 
 
 def test_functional_gap_sandwich():
-    # psi(u_t) - psi* <= 2 * Phi_{t-1}, with psi* from an independent
-    # projection oracle
+    # psi(u_t) - psi* <= 2 * Phi_{t-1} at every query after the opening,
+    # with psi* from an independent projection oracle; the opening query,
+    # at Phi = alpha * eta, only asks whether a vertex beats eta
     rng = np.random.default_rng(1)
     cases = [
         (Simplex(5), kkt_simplex_project),
@@ -156,7 +160,8 @@ def test_functional_gap_sandwich():
             eta = beta * region.diameter() ** 2 * 1e-5
             lcg_solve(sub, region, region.lmo(rng.standard_normal(region.dim)).point,
                       alpha=1.0, eta=eta, cache=VertexCache(), on_iter=watch)
-            for val, phi in records:
+            assert records[0][1] == eta
+            for val, phi in records[1:]:
                 assert val - psi_star <= 2.0 * phi + 1e-9
 
 
@@ -189,17 +194,17 @@ def test_certification_fuzz():
         assert res.cert_gap <= eta / alpha
         assert duality_gap(sub, region, res.point) <= eta + 1e-12
         assert res.iterations <= iteration_bound(res.phi0, c_phi, eta, alpha)
-        assert res.iterations == ctr.weak_sep_calls + 1
-        # an empty cache cannot open the solve, so the opening is one exact
-        # LMO and every other one backs a weak separation miss
-        assert ctr.exact_lmo_calls == 1 + ctr.cache_misses - ctr.hint_answers
+        assert res.iterations == ctr.weak_sep_calls
+        # every exact LMO backs a scanned weak separation miss
+        assert ctr.exact_lmo_calls == ctr.cache_misses - ctr.hint_answers
         assert ctr.cache_hits + ctr.cache_misses == ctr.weak_sep_calls
 
 
 def test_cache_holding_the_minimizer_opens_without_an_lmo():
-    # psi is minimized at the vertex e3; from e0 the best cached vertex is
-    # e3, the opening step reaches it, and the only exact LMO is the one
-    # behind the certifying negative answer
+    # psi is minimized at the vertex e3; from e0 the opening query finds e3,
+    # in the warm cache as its best vertex, the opening step reaches it, and
+    # the only exact LMO of a warm solve is the one behind the certifying
+    # negative answer
     region = Simplex(5)
     sub = Subproblem(g=-10.0 * np.eye(5)[3], center=np.eye(5)[0], beta=1.0)
     for warm in (True, False):
@@ -211,23 +216,21 @@ def test_cache_holding_the_minimizer_opens_without_an_lmo():
         res = lcg_solve(sub, region, np.eye(5)[0], alpha=2.0, eta=1e-3, cache=cache,
                         counters=ctr, on_iter=lambda t, u, phi: phis.append(phi))
         assert np.array_equal(res.point, np.eye(5)[3]) and res.cert_gap == 0.0
-        assert ctr.cache_openings == int(warm)
-        # a cold solve opens with an exact LMO as well
+        assert ctr.cache_hits == int(warm)
+        # a cold solve's opening is answered by an exact LMO
         assert ctr.exact_lmo_calls == (1 if warm else 2)
-        assert res.iterations == ctr.weak_sep_calls + 1
-        if warm:
-            # the loop's first query is at phi0 / 2
-            assert res.phi0 == 10.0 and phis[0] == 5.0
-            assert res.h0 == 10.0 * region.diameter()
-        else:
-            assert res.h0 is None
+        assert res.iterations == ctr.weak_sep_calls
+        # either way the opening is positive by 10 at Phi = alpha * eta, and
+        # the loop's first query is at phi0 / 2
+        assert res.phi0 == 10.0 and phis[:2] == [2e-3, 5.0]
+        assert res.h0 == 10.0 * region.diameter()
 
 
 def test_warm_cache_certification_fuzz():
     # caches that already hold vertices, as they do across the inner solves
     # of one run: every certificate survives the exact-LMO audit, and a
-    # solve opened from the cache stays within its derived iteration bound
-    # at the default cap
+    # solve whose opening is answered from the cache stays within its
+    # derived iteration bound at the default cap
     rng = np.random.default_rng(33)
     regions = [
         Simplex(8),
@@ -253,17 +256,25 @@ def test_warm_cache_certification_fuzz():
             sub = Subproblem(g=g, center=u, beta=beta)
             c_phi = beta * c_phi_unit
             eta = float(c_phi * 10.0 ** rng.uniform(-4.0, -1.0))
-            ctr = Counters()
-            res = lcg_solve(sub, region, u, alpha=alpha, eta=eta, cache=cache, counters=ctr)
+            ctr, opening_hits = Counters(), []
+
+            def watch(t, u, phi):
+                if t == 2:
+                    opening_hits.append(ctr.cache_hits)
+
+            res = lcg_solve(sub, region, u, alpha=alpha, eta=eta, cache=cache, counters=ctr,
+                            on_iter=watch)
             assert region.contains(res.point, tol=1e-9)
             assert res.cert_gap <= eta / alpha
             assert duality_gap(sub, region, res.point) <= eta + 1e-12
             assert res.iterations <= iteration_bound(res.phi0, c_phi, eta, alpha, res.h0)
-            assert res.iterations == ctr.weak_sep_calls + 1
-            assert ctr.cache_openings == (res.h0 is not None)
-            openings[region.kind][ctr.cache_openings] += 1
+            assert res.iterations == ctr.weak_sep_calls
+            # a solve of one query opened negative, and a hit is positive
+            from_cache = opening_hits[0] if opening_hits else 0
+            assert from_cache <= (res.h0 is not None)
+            openings[region.kind][from_cache] += 1
             u = res.point
-    # both openings occur on every region kind
+    # openings answered from the cache and from the LMO occur on every kind
     assert all(lmo > 0 and cached > 0 for lmo, cached in openings.values()), openings
 
 

@@ -17,7 +17,7 @@ from lazy_sliding.regions import (
 )
 from lazy_sliding.trace import Counters
 
-from helpers import MoveToFrontCache, count_scans
+from helpers import BestHitCache, count_scans
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -29,6 +29,7 @@ def test_positive_from_exact_fallback():
     assert resp.positive
     assert np.array_equal(resp.vertex.point, E2)
     assert ctr.exact_lmo_calls == 1 and ctr.cache_hits == 0 and ctr.cache_misses == 1
+    assert resp.gap == 1.0
     assert len(cache) == 1  # positive fallback answers are cached
 
 
@@ -62,22 +63,23 @@ def test_boundary_equality_is_negative():
 
 
 def test_initial_gap_worked_examples():
-    # an inner solve with an empty cache opens with the exact gap
-    # max_u <grad psi(u1), u1 - u>, clamped to eta, and caches the minimizer
+    # with an empty cache an inner solve's opening query is answered by the
+    # exact LMO: phi0 is the exact gap max_u <grad psi(u1), u1 - u>, clamped
+    # to eta, and a minimizer that beats eta is cached
     def opening(region, g, u1, eta=1e-9):
-        cache, ctr, first = VertexCache(), Counters(), []
+        cache, ctr, after = VertexCache(), Counters(), []
 
         def watch(t, u, phi):
-            if t == 1:
-                first.append((ctr.exact_lmo_calls, [v.point for v in cache.entries]))
+            if t == 2:
+                after.append((ctr.exact_lmo_calls, [v.point for v in cache.entries]))
 
         res = lcg_solve(Subproblem(g, u1, 1.0), region, u1, 1.0, eta, cache,
                         counters=ctr, on_iter=watch)
-        return res.phi0, first[0]
+        return res.phi0, after
 
-    phi0, _ = opening(Simplex(3), np.zeros(3), np.array([0.2, 0.3, 0.5]), eta=1e-3)
-    assert phi0 == 1e-3  # a zero gap starts the solve at eta
-    phi0, (lmo_calls, cached) = opening(Simplex(2), np.array([1.0, 0.0]), E1)
+    phi0, after = opening(Simplex(3), np.zeros(3), np.array([0.2, 0.3, 0.5]), eta=1e-3)
+    assert phi0 == 1e-3 and after == []  # a zero gap certifies at the opening
+    phi0, [(lmo_calls, cached)] = opening(Simplex(2), np.array([1.0, 0.0]), E1)
     assert phi0 == 1.0 and len(cached) == 1 and np.array_equal(cached[0], E2)
     assert lmo_calls == 1
     phi0, _ = opening(Box(1, 0.0, 1.0), np.array([-2.0]), np.array([0.0]))
@@ -241,7 +243,7 @@ def test_cache_positive_may_differ_but_is_valid():
     resp = weak_separation(cache, region, c, x, 1.0, 1.0)
     assert resp.positive
     assert np.array_equal(resp.vertex.point, [0.0, 1.0, 0.0])  # hit, not e_3
-    assert float(c @ (x - resp.vertex.point)) > 1.0
+    assert resp.gap == float(c @ (x - resp.vertex.point)) == 2.0
 
 
 def _layered_dag(width, depth):
@@ -268,45 +270,47 @@ _CACHE_REGIONS = {
 @pytest.mark.parametrize("capacity", [3, 64])
 @pytest.mark.parametrize("name", sorted(_CACHE_REGIONS))
 def test_cache_matches_move_to_front_list(name, capacity):
-    # same hits and the same recency order as the list cache, evictions
-    # included, and every stored point rebuilt exactly as the LMO gave it
+    # same best hits, improvements and recency order as a move-to-front list
+    # that scans for the largest improvement, evictions included, and every
+    # stored point rebuilt exactly as the LMO gave it; scan objectives are
+    # fresh continuous draws, so two vertices never tie for the best
     region = _CACHE_REGIONS[name]
     rng = np.random.default_rng(capacity)
-    cache, ref = VertexCache(capacity, region.support), MoveToFrontCache(capacity)
+    cache, ref = VertexCache(capacity, region.support), BestHitCache(capacity)
     lmo_points = {}
     queries = [rng.standard_normal(region.dim) for _ in range(3 * capacity)]
-    assert cache.best(queries[0], 0.0) == (None, -np.inf)
-    hits = evicted = 0
+    assert cache.scan(queries[0], 0.0, -np.inf) is None  # empty
+    hits = misses = evicted = 0
     for _ in range(1500):
-        c = queries[rng.integers(len(queries))]  # repeats re-insert cached ids
         if rng.random() < 0.5:
-            v = region.lmo(c)
+            v = region.lmo(queries[rng.integers(len(queries))])  # repeats re-insert ids
             lmo_points.setdefault(v.id, v.point)
             evicted += len(ref.entries) == capacity and v.id not in [e.id for e in ref.entries]
             cache.insert(v)
             ref.insert(v)
         elif ref.entries:
+            c = rng.standard_normal(region.dim)
             scores = np.array([float(c @ e.point) for e in ref.entries])
             cx = float(rng.uniform(scores.min(), scores.max() + 1.0))
             threshold = float(rng.uniform(0.0, 1.0))
-            # best: the largest improvement over the whole cache, no threshold
-            slot, best = cache.best(c, cx)
-            assert best == pytest.approx(float(np.max(cx - scores)), rel=0, abs=1e-12)
-            assert cx - float(c @ cache.get(slot).point) == pytest.approx(best, rel=0, abs=1e-12)
             if np.min(np.abs(cx - scores - threshold)) < 1e-9:
                 continue  # a score within rounding of the threshold
-            i, slot = ref.scan(c, cx, threshold), cache.scan(c, cx, threshold)
-            assert (i is None) == (slot is None)
-            if i is not None:
+            want, got = ref.scan(c, cx, threshold), cache.scan(c, cx, threshold)
+            assert (want is None) == (got is None)
+            if want is None:
+                misses += 1
+            else:
                 hits += 1
+                (i, improvement), (slot, gap) = want, got
                 assert cache.get(slot).id == ref.entries[i].id
+                assert gap == pytest.approx(improvement, rel=0, abs=1e-12)
                 ref.move_to_front(i)
                 cache.move_to_front(slot)
         assert [v.id for v in cache.entries] == [v.id for v in ref.entries]
     assert len(cache) == len(ref.entries) <= capacity
     for v in cache.entries:
         assert np.array_equal(v.point, lmo_points[v.id])
-    assert hits > 50
+    assert hits > 50 and misses > 20
     if capacity == 3:
         assert evicted > 50
 

@@ -93,6 +93,15 @@ def test_restart_phase_plan_worked_examples():
                            False, 0.5)
 
 
+def test_restart_phase_plan_rejects_eps_that_plans_no_phase():
+    # a NaN or infinite eps gives delta0 / eps no log2 > 0, so zero phases
+    c = ProblemConstants(L=1.0, mu=0.5, delta0=2.0)
+    for stochastic in (False, True):
+        for eps in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ConfigError, match="eps"):
+                restart_phase_plan(c, stochastic, eps)
+
+
 SMOOTH_TAGS = [
     ("smooth_stochastic", {}),
     ("smooth_stochastic_fixed_n", {"N": 10 ** 4}),
