@@ -115,7 +115,9 @@ def _sample_x_star(region, rng, averages=10):
 
 def gen_instance(spec: dict) -> dict:
     """Generate an instance dict from a generator spec (deterministic in seed)."""
-    seed = int(spec.get("seed", 0))
+    seed = _integer(spec.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0, got %r" % (seed,))
     rng = np.random.default_rng(seed)
     region_spec = expand_region_spec(spec["region"])
     region = region_from_spec(region_spec)
@@ -123,7 +125,9 @@ def gen_instance(spec: dict) -> dict:
     ospec = spec.get("objective", {})
     if ospec.get("type", "least_squares") != "least_squares":
         raise ConfigError("only least_squares objectives are generated")
-    m = int(ospec.get("m", 100))
+    m = _integer(ospec.get("m", 100), "m")
+    if m < 1:
+        raise ConfigError("m must be >= 1, got %r" % (m,))
     density = float(ospec.get("density", 1.0))
     if not (0.0 < density <= 1.0):
         raise ConfigError("density must lie in (0, 1], got %r" % (density,))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 from .bench import gen_instance, run_experiment, summarize, write_json
+from .errors import ConfigError
 
 
 def _cmd_gen(args):
@@ -104,8 +105,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Exit code 0: every run completed; 1: a run failed; 2: a rejected config."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        # argparse's code for a usage error, so that a script can tell it from a failed run
+        print("lazy-sliding: error: %s" % (exc,), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ than eta.  The solver holds the exact minimizer behind a negative answer
 until a step moves u; only queries at a fresh iterate scan the vertex
 cache, and only a cache miss there costs an LMO.  Phi halves on every
 negative answer until it reaches eta, at which point a negative answer is
-an exact certificate and the solver returns.
+an exact certificate and the solver returns.  A solve is steered by its
+inputs alone; to observe every query, wrap `weak_separation` where this
+module imports it.
 """
 
 import math
@@ -48,7 +50,6 @@ class LcgResult:
     cert_gap: float
     iterations: int            # weak separation queries, the opening included
     phi0: float
-    phi_final: float
     # Bound on the opening primal gap psi(u1) - psi* after a positive
     # opening (None after a negative one); iteration_bound's h0.
     h0: Optional[float]
@@ -69,13 +70,10 @@ def line_search_quadratic(sub, u, v, grad=None):
     return min(1.0, max(0.0, lam))
 
 
-def duality_gap(sub, region, x, counters=None):
+def duality_gap(sub, region, x):
     """Exact gap max_y <grad psi(x), x - y>; costs one exact LMO."""
     g = sub.grad(x)
-    v = region.lmo(g)
-    if counters is not None:
-        counters.exact_lmo_calls += 1
-    return float(g @ (x - v.point))
+    return float(g @ (x - region.lmo(g).point))
 
 
 def _clog2(x):
@@ -140,8 +138,7 @@ def iteration_bound(phi0, c_phi, eta, alpha, h0=None):
     return int(math.ceil(total))
 
 
-def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
-              on_iter=None) -> LcgResult:
+def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None) -> LcgResult:
     """Run the lazy conditional gradient loop until the gap is certified <= eta.
 
     Query 1, the opening, is a weak separation query at Phi = alpha * eta
@@ -173,18 +170,17 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
         Incremented by every oracle call of the solve.  A run passes one
         Counters to all of its solves; a caller wanting one solve's counts
         passes a fresh one.
-    on_iter : callable, optional
-        Called as on_iter(t, u_t, phi) before each weak separation query,
-        the opening (t = 1, phi = alpha * eta) included (testing hook).
 
     Returns
     -------
-    LcgResult whose point carries a certified gap cert_gap <= eta / alpha.
+    LcgResult whose point carries a certified gap cert_gap <= eta / alpha;
+    the solve returns only at Phi = eta.
 
     Raises
     ------
     BudgetExceeded
-        If the cap runs out first; carries the best iterate and last Phi.
+        If the cap runs out first; carries the best iterate, the last Phi
+        and, as iterations, the queries made (the cap).
     """
     if eta <= 0:
         raise ValueError("eta must be positive, got %r" % (eta,))
@@ -208,10 +204,8 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
             raise BudgetExceeded(
                 "lazy conditional gradient cap %d exhausted (phi=%.3e, eta=%.3e)"
                 % (cap, phi, eta),
-                best_point=u, last_phi=phi, iterations=t,
+                best_point=u, last_phi=phi, iterations=t - 1,
             )
-        if on_iter is not None:
-            on_iter(t, u, phi)
         resp = weak_separation(cache, region, grad, u, phi, alpha, counters,
                                exact_hint=exact_hint)
         if t == 1:
@@ -228,8 +222,7 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None,
         else:
             exact_hint = (resp.vertex, resp.gap)
             if phi == eta:
-                return LcgResult(point=u, cert_gap=resp.gap, iterations=t,
-                                 phi0=phi0, phi_final=phi, h0=h0)
+                return LcgResult(point=u, cert_gap=resp.gap, iterations=t, phi0=phi0, h0=h0)
         if t == 1:
             phi = max(phi0 / 2.0, eta)
         elif not resp.positive:

@@ -436,33 +436,21 @@ class Enumerated(Region):
         return {"kind": self.kind, "vertices": self.vertices.tolist()}
 
 
-_REGION_KINDS = {
-    "simplex": Simplex,
-    "l1_ball": L1Ball,
-    "box": Box,
-    "birkhoff": Birkhoff,
-    "spectrahedron": Spectrahedron,
-    "dag_path": DagPath,
-    "enumerated": Enumerated,
+_REGION_BUILDERS = {
+    "simplex": lambda spec: Simplex(spec["n"]),
+    "l1_ball": lambda spec: L1Ball(spec["n"], spec.get("radius", 1.0)),
+    "box": lambda spec: Box(spec["n"], spec.get("lo", 0.0), spec.get("hi", 1.0)),
+    "birkhoff": lambda spec: Birkhoff(spec["n"]),
+    # Older files also carry an eigenvalue tolerance, which the exact LMO ignores.
+    "spectrahedron": lambda spec: Spectrahedron(spec["n"]),
+    "dag_path": lambda spec: DagPath(spec["edges"]),
+    "enumerated": lambda spec: Enumerated(spec["vertices"]),
 }
 
 
 def region_from_spec(spec: dict) -> Region:
     """Build a region from its JSON-able spec dict (inverse of ``to_spec``)."""
-    kind = spec.get("kind")
-    if kind not in _REGION_KINDS:
-        raise ValueError("unknown region kind %r" % (kind,))
-    if kind == "simplex":
-        return Simplex(spec["n"])
-    if kind == "l1_ball":
-        return L1Ball(spec["n"], spec.get("radius", 1.0))
-    if kind == "box":
-        return Box(spec["n"], spec.get("lo", 0.0), spec.get("hi", 1.0))
-    if kind == "birkhoff":
-        return Birkhoff(spec["n"])
-    if kind == "spectrahedron":
-        # Older files also carry an eigenvalue tolerance, which the exact LMO ignores.
-        return Spectrahedron(spec["n"])
-    if kind == "dag_path":
-        return DagPath(spec["edges"])
-    return Enumerated(spec["vertices"])
+    build = _REGION_BUILDERS.get(spec.get("kind"))
+    if build is None:
+        raise ValueError("unknown region kind %r" % (spec.get("kind"),))
+    return build(spec)

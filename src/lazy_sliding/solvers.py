@@ -20,7 +20,9 @@ only in how the gradient estimate is produced:
 `run_solver` runs every variant in one loop, one trace row per iteration,
 and owns the whole state of the run as locals: the prox center x, the
 output y, the vertex cache, the counters, the random generator, ofw's
-gradient average and the last inner solve's Phi and certified gap.
+gradient average and the last inner solve's Phi and certified gap.  A run
+is steered by its `SolverConfig` alone, every field of which an experiment
+config names; each inner solve runs at `lcg_solve`'s default query budget.
 Every stochastic gradient, ofw's included, is one ``sfo_batch(z, size, rng)``
 call: the mean of ``size`` samples, counted as ``size`` SFO calls.
 Randomness is drawn from counter-based streams keyed (seed, outer index), so
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetExceeded, ConfigError
-from .lcg import Subproblem, duality_gap, lcg_solve
+from .lcg import Subproblem, lcg_solve
 from .oracle import VertexCache
 from .schedules import (
     NONSMOOTH_STOCHASTIC,
@@ -88,9 +90,7 @@ class SolverConfig:
     time_limit: Optional[float] = None
     batch: Optional[int] = None          # fixed-batch override for comparability runs
     cache_capacity: int = 512
-    lcg_cap: Optional[int] = None
     eps: Optional[float] = None          # restart target accuracy
-    audit: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -120,8 +120,6 @@ class SolverConfig:
             raise ConfigError("batch override must be >= 1")
         if self.cache_capacity < 0:
             raise ConfigError("cache_capacity must be >= 0, got %r" % (self.cache_capacity,))
-        if self.audit and self.variant == "ofw":
-            raise ConfigError("ofw has no inner solve to audit; audit needs a sliding variant")
 
 
 def _stream(rng, seed, k):
@@ -214,8 +212,6 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
     avg_grad = None                      # ofw's running gradient average
     phi_final = cert_gap = float("nan")  # of the last inner solve
     trace = RunTrace(metadata=_metadata(config, plan))
-    if config.audit:
-        trace.metadata["max_audit_excess"] = -float("inf")
     t0 = time.perf_counter()
     for outer_k, (variant, schedule, k) in enumerate(_iterations(config, plan), 1):
         if k == 1:  # each phase restarts from the previous phase's output
@@ -241,20 +237,15 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
                           _stream(rng, config.seed, outer_k), counters)
             sub = Subproblem(g, x, params.beta)
             try:
-                res = lcg_solve(sub, region, x, alpha, params.eta, cache,
-                                cap=config.lcg_cap, counters=counters)
+                res = lcg_solve(sub, region, x, alpha, params.eta, cache, counters=counters)
             except BudgetExceeded as exc:
                 trace.metadata["final_counters"] = counters.as_dict()
                 exc.trace, exc.outer_k = trace, outer_k
                 raise
-            counters.inner_iters += res.iterations
             x = res.point
             y = (1.0 - gamma) * y + gamma * x
-            phi_final, cert_gap = res.phi_final, res.cert_gap
-            if config.audit:
-                gap = duality_gap(sub, region, x, counters)
-                trace.metadata["max_audit_excess"] = max(trace.metadata["max_audit_excess"],
-                                                         gap - params.eta)
+            # a solve returns only at Phi = eta
+            phi_final, cert_gap = params.eta, res.cert_gap
         trace.append(outer_k, (time.perf_counter() - t0) * 1e3, objective.value(y),
                      counters, phi_final, cert_gap)
     trace.metadata["final_counters"] = counters.as_dict()

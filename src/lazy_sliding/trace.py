@@ -16,7 +16,6 @@ class Counters:
     cache_hits: int = 0
     cache_misses: int = 0        # includes hint_answers
     hint_answers: int = 0        # answered from the held exact minimizer, no scan
-    inner_iters: int = 0
 
     def as_dict(self):
         """The counters by name, as run metadata records them."""
@@ -44,7 +43,8 @@ class RunTrace:
             int(outer_k), float(wall_ms), float(f_value),
             int(counters.sfo_calls), int(counters.fo_calls),
             int(counters.exact_lmo_calls), int(counters.weak_sep_calls),
-            int(counters.cache_hits), int(counters.inner_iters),
+            # an inner iteration is one weak separation query
+            int(counters.cache_hits), int(counters.weak_sep_calls),
             float(phi_final), float(cert_gap),
         ))
 

@@ -206,3 +206,23 @@ def count_scans(monkeypatch):
 
     monkeypatch.setattr(VertexCache, "scan", counted)
     return calls
+
+
+def record_queries(monkeypatch, probe=None):
+    """List that records (u, Phi) of every weak separation query of lcg_solve from now on.
+
+    Wraps `weak_separation` where `lazy_sliding.lcg` imports it, as the
+    benchmark's tracer does.  With ``probe``, each entry is (u, Phi,
+    probe()), the probe called as the query is asked, before its answer.
+    """
+    from lazy_sliding import lcg
+    from lazy_sliding.oracle import weak_separation
+
+    queries = []
+
+    def recorded(cache, region, c, x, phi, *args, **kwargs):
+        queries.append((x, phi) if probe is None else (x, phi, probe()))
+        return weak_separation(cache, region, c, x, phi, *args, **kwargs)
+
+    monkeypatch.setattr(lcg, "weak_separation", recorded)
+    return queries

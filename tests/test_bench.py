@@ -1,5 +1,5 @@
 import base64
-import dataclasses
+import functools
 import json
 import math
 import os
@@ -25,6 +25,7 @@ from lazy_sliding.bench import (
 )
 from lazy_sliding.cli import _print_summary, main
 from lazy_sliding.errors import ConfigError, NumericalError
+from lazy_sliding.lcg import lcg_solve
 from lazy_sliding.trace import TRACE_HEADER, read_trace_csv
 
 SIMPLEX_SPEC = {
@@ -177,6 +178,13 @@ def test_gen_density_validation_and_formats():
         gen_instance(dict(SIMPLEX_SPEC, objective={"m": 10, "density": 0.0}))
     with pytest.raises(ConfigError):
         gen_instance(dict(SIMPLEX_SPEC, objective={"m": 10, "density": 1.5}))
+    # counts are integers, never truncated: m >= 1 and seed >= 0
+    for objective, seed, fault in (({"m": 7.9}, 5, "m 7.9"), ({"m": 0}, 5, "m must"),
+                                   ({"m": True}, 5, "m True"), ({"m": 10}, 2.5, "seed 2.5"),
+                                   ({"m": 10}, True, "seed True"), ({"m": 10}, -1, "seed must")):
+        with pytest.raises(ConfigError, match=fault):
+            gen_instance(dict(SIMPLEX_SPEC, objective=objective, seed=seed))
+    assert gen_instance(dict(SIMPLEX_SPEC, seed=5.0))["generator"]["seed"] == 5
     dense = gen_instance(SIMPLEX_SPEC)
     assert dense["objective"]["A"]["format"] == "dense"
     A = np.asarray(dense["objective"]["A"]["data"])
@@ -442,9 +450,7 @@ def test_calgd_threshold_table_monotone(tmp_path):
 
 def test_budget_error_keeps_partial_trace(tmp_path, monkeypatch):
     cap = 2
-    real = bench.run_solver
-    monkeypatch.setattr(bench, "run_solver", lambda cfg, objective, region: real(
-        dataclasses.replace(cfg, lcg_cap=cap), objective, region))
+    monkeypatch.setattr(lazy_sliding.solvers, "lcg_solve", functools.partial(lcg_solve, cap=cap))
     # with the default cache a solve's opening query may be a cache hit, with
     # no exact LMO; without one every opening, the failed solve's too, costs
     # an exact LMO
@@ -614,6 +620,19 @@ def test_cli_gen_seed_override(tmp_path):
     b = json.loads(p2.read_text())
     assert a["generator"]["seed"] == 5 and b["generator"]["seed"] == 9
     assert a["objective"]["b"] != b["objective"]["b"]
+
+
+def test_cli_rejected_config_exits_2(tmp_path, capsys):
+    # 1 means a run failed; a config rejected before any work exits 2
+    cfg_path, run_dir = tmp_path / "exp.json", tmp_path / "runs"
+    for entry, seeds, fault in ((dict(CALGD_ENTRY, variant="no_such"), [], "no_such"),
+                                (CALGD_ENTRY, ["--seeds", "abc"], "seeds 'abc'")):
+        cfg_path.write_text(json.dumps(_experiment(tmp_path, [entry])))
+        assert main(["run", "--config", str(cfg_path), "--out", str(run_dir)] + seeds) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lazy-sliding: error: ") and fault in err
+        assert "Traceback" not in err
+        assert not run_dir.exists()
 
 
 def test_cli_verify_runs_pytest_target(tmp_path):

@@ -1,9 +1,11 @@
 """Static checks over the package source."""
 
 import ast
+import dataclasses
 import os
 
 import lazy_sliding
+from lazy_sliding.solvers import SolverConfig
 
 PACKAGE_DIR = os.path.dirname(lazy_sliding.__file__)
 
@@ -43,3 +45,16 @@ def test_package_modules_import_nothing_unused():
             if unused:
                 found[name] = unused
     assert found == {}
+
+
+def test_every_solver_config_field_is_set_by_an_experiment_entry():
+    # a SolverConfig field that no entry can name is a knob only tests turn
+    with open(os.path.join(PACKAGE_DIR, "bench.py")) as fh:
+        tree = ast.parse(fh.read())
+    prepare = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_prepare_entry")
+    named = {kw.arg for node in ast.walk(prepare)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SolverConfig"
+             for kw in node.keywords}
+    # _run_one sets the seed of each run
+    assert {f.name for f in dataclasses.fields(SolverConfig)} - named == {"seed"}

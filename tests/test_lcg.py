@@ -25,19 +25,20 @@ from lazy_sliding.regions import (
 )
 from lazy_sliding.trace import Counters
 
-from helpers import count_scans, kkt_simplex_project, proj_l1_ball, quad_psi_opt
+from helpers import count_scans, kkt_simplex_project, proj_l1_ball, quad_psi_opt, record_queries
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 
 
-def test_optimum_at_start_returns_immediately():
+def test_optimum_at_start_returns_immediately(monkeypatch):
     # u1 minimizes psi, so at alpha = 1 the opening query at Phi = eta is
     # answered negative by its exact LMO and certifies at once
     sub = Subproblem(g=np.array([0.0, 1.0]), center=E1.copy(), beta=1.0)
-    ctr, phis = Counters(), []
+    ctr, queries = Counters(), record_queries(monkeypatch)
     res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-3, cache=VertexCache(),
-                    counters=ctr, on_iter=lambda t, u, phi: phis.append(phi))
+                    counters=ctr)
+    phis = [phi for _, phi in queries]
     assert np.array_equal(res.point, E1)
     assert res.cert_gap == 0.0
     assert res.iterations == ctr.weak_sep_calls == 1
@@ -45,13 +46,14 @@ def test_optimum_at_start_returns_immediately():
     assert phis == [1e-3] and res.phi0 == 1e-3 and res.h0 is None
 
 
-def test_eta_above_initial_gap_returns_start():
+def test_eta_above_initial_gap_returns_start(monkeypatch):
     sub = Subproblem(g=np.array([1.0, -1.0]), center=E1.copy(), beta=1.0)
     # initial gap at e1 is 2; choose eta above it: the opening is negative
+    queries = record_queries(monkeypatch)
     res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=5.0, cache=VertexCache())
     assert np.array_equal(res.point, E1)
     assert res.iterations == 1 and res.cert_gap == 2.0
-    assert res.phi0 == 5.0 and res.phi_final == 5.0
+    assert res.phi0 == 5.0 and queries[-1][1] == 5.0  # the last query is at eta
 
 
 def test_derived_two_vertex_subproblem():
@@ -108,20 +110,17 @@ def test_iteration_bound_worked_examples():
         iteration_bound(1.0, 1.0, 1.0, 0.5)
 
 
-def test_monotone_descent_and_phi_trace():
+def test_monotone_descent_and_phi_trace(monkeypatch):
     rng = np.random.default_rng(0)
     region = L1Ball(6, radius=1.5)
     sub = Subproblem(g=rng.standard_normal(6), center=rng.standard_normal(6) * 0.1,
                      beta=0.7)
-    values, phis = [], []
-
-    def watch(t, u, phi):
-        values.append(sub.value(u))
-        phis.append(phi)
-
+    queries = record_queries(monkeypatch)
     eta = 1e-4
     res = lcg_solve(sub, region, region.lmo(rng.standard_normal(6)).point,
-                    alpha=2.0, eta=eta, cache=VertexCache(), on_iter=watch)
+                    alpha=2.0, eta=eta, cache=VertexCache())
+    values = [sub.value(u) for u, _ in queries]
+    phis = [phi for _, phi in queries]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     # the opening asks at alpha * eta; the loop then starts at half its gap
     assert phis[0] == 2.0 * eta and phis[1] == max(res.phi0 / 2.0, eta)
@@ -131,15 +130,16 @@ def test_monotone_descent_and_phi_trace():
     assert all(b <= a for a, b in zip(ladder, ladder[1:]))
     for a, b in zip(ladder, ladder[1:]):
         assert b == a or b == a / 2.0 or (b == eta and a / 2.0 <= eta)
-    assert res.phi_final == eta
+    assert phis[-1] == eta
     assert min(phis) >= eta
 
 
-def test_functional_gap_sandwich():
+def test_functional_gap_sandwich(monkeypatch):
     # psi(u_t) - psi* <= 2 * Phi_{t-1} at every query after the opening,
     # with psi* from an independent projection oracle; the opening query,
     # at Phi = alpha * eta, only asks whether a vertex beats eta
     rng = np.random.default_rng(1)
+    queries = record_queries(monkeypatch)
     cases = [
         (Simplex(5), kkt_simplex_project),
         (Box(4, -0.5, 1.5), lambda v: np.clip(v, -0.5, 1.5)),
@@ -152,14 +152,11 @@ def test_functional_gap_sandwich():
             beta = float(10.0 ** rng.uniform(-1, 1))
             sub = Subproblem(g=g, center=center, beta=beta)
             psi_star, _ = quad_psi_opt(g, center, beta, project)
-            records = []
-
-            def watch(t, u, phi):
-                records.append((sub.value(u), phi))
-
             eta = beta * region.diameter() ** 2 * 1e-5
+            queries.clear()
             lcg_solve(sub, region, region.lmo(rng.standard_normal(region.dim)).point,
-                      alpha=1.0, eta=eta, cache=VertexCache(), on_iter=watch)
+                      alpha=1.0, eta=eta, cache=VertexCache())
+            records = [(sub.value(u), phi) for u, phi in queries]
             assert records[0][1] == eta
             for val, phi in records[1:]:
                 assert val - psi_star <= 2.0 * phi + 1e-9
@@ -200,21 +197,23 @@ def test_certification_fuzz():
         assert ctr.cache_hits + ctr.cache_misses == ctr.weak_sep_calls
 
 
-def test_cache_holding_the_minimizer_opens_without_an_lmo():
+def test_cache_holding_the_minimizer_opens_without_an_lmo(monkeypatch):
     # psi is minimized at the vertex e3; from e0 the opening query finds e3,
     # in the warm cache as its best vertex, the opening step reaches it, and
     # the only exact LMO of a warm solve is the one behind the certifying
     # negative answer
     region = Simplex(5)
     sub = Subproblem(g=-10.0 * np.eye(5)[3], center=np.eye(5)[0], beta=1.0)
+    queries = record_queries(monkeypatch)
     for warm in (True, False):
         cache, ctr = VertexCache(16, region.support), Counters()
         if warm:
             for i in range(5):
                 cache.insert(region.lmo(-np.eye(5)[i]))
-        phis = []
+        queries.clear()
         res = lcg_solve(sub, region, np.eye(5)[0], alpha=2.0, eta=1e-3, cache=cache,
-                        counters=ctr, on_iter=lambda t, u, phi: phis.append(phi))
+                        counters=ctr)
+        phis = [phi for _, phi in queries]
         assert np.array_equal(res.point, np.eye(5)[3]) and res.cert_gap == 0.0
         assert ctr.cache_hits == int(warm)
         # a cold solve's opening is answered by an exact LMO
@@ -226,7 +225,7 @@ def test_cache_holding_the_minimizer_opens_without_an_lmo():
         assert res.h0 == 10.0 * region.diameter()
 
 
-def test_warm_cache_certification_fuzz():
+def test_warm_cache_certification_fuzz(monkeypatch):
     # caches that already hold vertices, as they do across the inner solves
     # of one run: every certificate survives the exact-LMO audit, and a
     # solve whose opening is answered from the cache stays within its
@@ -242,6 +241,8 @@ def test_warm_cache_certification_fuzz():
         Enumerated(hamiltonian_cycle_vertices(5)),
     ]
     openings = {region.kind: [0, 0] for region in regions}
+    # the cache hits of a solve when its second query is asked: its opening's
+    queries = record_queries(monkeypatch, probe=lambda: ctr.cache_hits)
     for trial in range(420):
         region = regions[trial % len(regions)]
         c_phi_unit = region.diameter() ** 2
@@ -256,14 +257,10 @@ def test_warm_cache_certification_fuzz():
             sub = Subproblem(g=g, center=u, beta=beta)
             c_phi = beta * c_phi_unit
             eta = float(c_phi * 10.0 ** rng.uniform(-4.0, -1.0))
-            ctr, opening_hits = Counters(), []
-
-            def watch(t, u, phi):
-                if t == 2:
-                    opening_hits.append(ctr.cache_hits)
-
-            res = lcg_solve(sub, region, u, alpha=alpha, eta=eta, cache=cache, counters=ctr,
-                            on_iter=watch)
+            ctr = Counters()
+            queries.clear()
+            res = lcg_solve(sub, region, u, alpha=alpha, eta=eta, cache=cache, counters=ctr)
+            opening_hits = [hits for _, _, hits in queries[1:2]]
             assert region.contains(res.point, tol=1e-9)
             assert res.cert_gap <= eta / alpha
             assert duality_gap(sub, region, res.point) <= eta + 1e-12
@@ -322,13 +319,15 @@ def test_scans_only_queries_without_exact_hint(monkeypatch):
 
 def test_cap_exhaustion_carries_state():
     sub = Subproblem(g=np.array([1.0, -1.0]), center=E1.copy(), beta=1.0)
+    ctr = Counters()
     with pytest.raises(BudgetExceeded) as exc:
         lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-9,
-                  cache=VertexCache(), cap=2)
+                  cache=VertexCache(), cap=2, counters=ctr)
     err = exc.value
     assert err.best_point is not None and Simplex(2).contains(err.best_point)
     assert err.last_phi is not None and err.last_phi >= 1e-9
-    assert err.iterations == 3
+    # the queries made, as LcgResult.iterations counts them
+    assert err.iterations == ctr.weak_sep_calls == 2
 
 
 def test_domain_errors():
@@ -346,6 +345,6 @@ def test_result_is_dataclass_with_expected_fields():
                     counters=ctr)
     assert isinstance(res, LcgResult)
     assert [f.name for f in dataclasses.fields(res)] == [
-        "point", "cert_gap", "iterations", "phi0", "phi_final", "h0"]
-    assert res.phi0 >= res.phi_final >= 1e-2
+        "point", "cert_gap", "iterations", "phi0", "h0"]
+    assert res.phi0 >= 1e-2
     assert ctr.weak_sep_calls >= 1 and ctr.exact_lmo_calls >= 1

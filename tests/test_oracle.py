@@ -17,7 +17,7 @@ from lazy_sliding.regions import (
 )
 from lazy_sliding.trace import Counters
 
-from helpers import BestHitCache, count_scans
+from helpers import BestHitCache, count_scans, record_queries
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -62,20 +62,18 @@ def test_boundary_equality_is_negative():
     assert not resp.positive and resp.gap == pytest.approx(1.0)
 
 
-def test_initial_gap_worked_examples():
+def test_initial_gap_worked_examples(monkeypatch):
     # with an empty cache an inner solve's opening query is answered by the
     # exact LMO: phi0 is the exact gap max_u <grad psi(u1), u1 - u>, clamped
     # to eta, and a minimizer that beats eta is cached
     def opening(region, g, u1, eta=1e-9):
-        cache, ctr, after = VertexCache(), Counters(), []
-
-        def watch(t, u, phi):
-            if t == 2:
-                after.append((ctr.exact_lmo_calls, [v.point for v in cache.entries]))
-
+        cache, ctr = VertexCache(), Counters()
+        # the state when the second query is asked: the opening's doing
+        queries = record_queries(monkeypatch, probe=lambda: (
+            ctr.exact_lmo_calls, [v.point for v in cache.entries]))
         res = lcg_solve(Subproblem(g, u1, 1.0), region, u1, 1.0, eta, cache,
-                        counters=ctr, on_iter=watch)
-        return res.phi0, after
+                        counters=ctr)
+        return res.phi0, [after for _, _, after in queries[1:2]]
 
     phi0, after = opening(Simplex(3), np.zeros(3), np.array([0.2, 0.3, 0.5]), eta=1e-3)
     assert phi0 == 1e-3 and after == []  # a zero gap certifies at the opening

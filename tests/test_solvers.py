@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from lazy_sliding import solvers
 from lazy_sliding.errors import BudgetExceeded, ConfigError
+from lazy_sliding.lcg import duality_gap, lcg_solve
 from lazy_sliding.objectives import (
     GaussianSfo,
     L1Distance,
@@ -34,6 +36,23 @@ def _vertex(n, i=0):
     x = np.zeros(n)
     x[i] = 1.0
     return x
+
+
+def _audited_solves(monkeypatch):
+    """(LcgResult, audit excess) of every inner solve run_solver makes from now on.
+
+    The excess is the exact duality gap of the solve's point minus its eta;
+    the audit's LMOs are not in the run's counters.
+    """
+    solves = []
+
+    def audited(sub, region, u1, alpha, eta, *args, **kwargs):
+        res = lcg_solve(sub, region, u1, alpha, eta, *args, **kwargs)
+        solves.append((res, duality_gap(sub, region, res.point) - eta))
+        return res
+
+    monkeypatch.setattr(solvers, "lcg_solve", audited)
+    return solves
 
 
 def _spied_run(monkeypatch, config, objective, region):
@@ -93,18 +112,19 @@ def test_zero_noise_calsgd_matches_calgd_bitwise(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(sa[key], sb[key]))
 
 
-def test_calgd_anytime_bound():
+def test_calgd_anytime_bound(monkeypatch):
     rng = np.random.default_rng(2)
     _, base, _ = _simplex_ls(rng, m=10, n=8)
     L = estimate_L(base)
     D = math.sqrt(2.0)
     c = ProblemConstants(L=L, D_X=D, alpha=1.0)
     cfg = SolverConfig("calgd", c, _vertex(8), 60,
-                       schedule=ScheduleVariant("smooth_deterministic"), audit=True)
+                       schedule=ScheduleVariant("smooth_deterministic"))
+    solves = _audited_solves(monkeypatch)
     tr = run_solver(cfg, base, Simplex(8))
     for k, f in zip(tr.column("outer_k"), tr.column("f_value")):
         assert f <= 15.0 * L * D * D / (2.0 * (k + 1) * (k + 2))  # f* = 0
-    assert tr.metadata["max_audit_excess"] <= 1e-12
+    assert len(solves) == 60 and max(excess for _, excess in solves) <= 1e-12
 
 
 def test_calgd_fixed_n_bound():
@@ -178,6 +198,7 @@ def test_oracle_wrappers_count_what_the_run_counts(monkeypatch):
 
     monkeypatch.setattr(lcg, "weak_separation", counted_query)
     monkeypatch.setattr(VertexCache, "scan", counted_scan)
+    solves = _audited_solves(monkeypatch)
     rng = np.random.default_rng(12)
     obj, base, _ = _simplex_ls(rng, noise=1.0)
     c = ProblemConstants(L=estimate_L(base), sigma2=1.0, D_X=math.sqrt(2.0),
@@ -186,12 +207,14 @@ def test_oracle_wrappers_count_what_the_run_counts(monkeypatch):
     for variant in ("calsgd", "scgs"):
         queries.clear()
         scans.clear()
+        solves.clear()
         tr = run_solver(SolverConfig(variant, c, _vertex(6), 60, schedule=sv, seed=3),
                         obj, Simplex(6))
         fc = tr.metadata["final_counters"]
         assert len(queries) == fc["weak_sep_calls"] == tr.column("weak_sep_calls")[-1]
         assert sum(hit is not None for hit in scans) == fc["cache_hits"]
-        assert fc["inner_iters"] == fc["weak_sep_calls"]
+        # an inner solve's iterations are its queries, the opening included
+        assert sum(res.iterations for res, _ in solves) == fc["weak_sep_calls"]
         assert fc["exact_lmo_calls"] == fc["cache_misses"] - fc["hint_answers"]
         # the warm cache answers some queries; scgs has none to answer from
         assert (fc["cache_hits"] > 0) == (variant == "calsgd")
@@ -209,7 +232,7 @@ def test_calsgd_stochastic_descends():
     assert tr.column("sfo_calls")[-1] > 40  # batches grow beyond one sample
 
 
-def test_deterministic_restart_decays_per_phase():
+def test_deterministic_restart_decays_per_phase(monkeypatch):
     rng = np.random.default_rng(22)
     B = rng.standard_normal((8, 5)) + 0.5
     xs = np.full(5, 0.2)
@@ -227,10 +250,12 @@ def test_deterministic_restart_decays_per_phase():
         assert f <= d0 * 2.0 ** -s  # f* = 0
     assert tr.metadata["phases"] == 6
     assert tr.column("outer_k") == list(range(1, 6 * tr.metadata["phase_length"] + 1))
-    # restart phases run the same loop body, audit included
-    tr3 = run_solver(dataclasses.replace(cfg, audit=True), ls, Simplex(5))
+    # restart phases run the same loop body, and every certificate of it
+    # survives the exact-LMO audit
+    solves = _audited_solves(monkeypatch)
+    tr3 = run_solver(cfg, ls, Simplex(5))
     assert tr3.column("f_value") == tr.column("f_value")
-    assert tr3.metadata["max_audit_excess"] <= 1e-12
+    assert len(solves) == len(tr.rows) and max(excess for _, excess in solves) <= 1e-12
 
 
 def test_stochastic_restart_decays_per_phase():
@@ -395,9 +420,11 @@ def test_counter_algebra():
     fc = tr.metadata["final_counters"]
     assert fc["cache_hits"] + fc["cache_misses"] == fc["weak_sep_calls"]
     assert 0 < fc["hint_answers"] <= fc["cache_misses"]
-    # the opening of each inner solve is its first weak separation query,
-    # and every exact LMO is behind a scanned cache miss
-    assert fc["inner_iters"] == fc["weak_sep_calls"]
+    # the inner_iters column counts weak separation queries, the opening of
+    # each inner solve included, and every exact LMO is behind a scanned
+    # cache miss
+    assert tr.column("inner_iters") == tr.column("weak_sep_calls")
+    assert "inner_iters" not in fc
     assert fc["cache_hits"] > 0
     assert fc["exact_lmo_calls"] == fc["cache_misses"] - fc["hint_answers"]
 
@@ -421,25 +448,27 @@ def test_time_limit_zero_stops_immediately():
     assert len(tr.rows) == 0 and phase_end_values(tr) == []
 
 
-def test_lcg_cap_budget_error_propagates():
+def test_lcg_cap_budget_error_propagates(monkeypatch):
     rng = np.random.default_rng(11)
     obj, base, _ = _simplex_ls(rng)
     c = ProblemConstants(L=estimate_L(base), D_X=math.sqrt(2.0))
     cfg = SolverConfig("calgd", c, _vertex(6), 50,
-                       schedule=ScheduleVariant("smooth_deterministic"), lcg_cap=1)
+                       schedule=ScheduleVariant("smooth_deterministic"))
+    monkeypatch.setattr(solvers, "lcg_solve", functools.partial(lcg_solve, cap=1))
     with pytest.raises(BudgetExceeded):
         run_solver(cfg, base, Simplex(6))
 
 
 @pytest.mark.parametrize("variant,cap", [("calgd", 2), ("calgd_sc", 6)])
-def test_budget_error_carries_partial_trace(variant, cap):
+def test_budget_error_carries_partial_trace(variant, cap, monkeypatch):
     rng = np.random.default_rng(11)
     _, base, _ = _simplex_ls(rng)
     x0 = _vertex(6)
     mu = 2.0 * np.linalg.svd(base.A, compute_uv=False)[-1] ** 2
     c = ProblemConstants(L=estimate_L(base), mu=mu, delta0=base.value(x0), D_X=math.sqrt(2.0))
-    cfg = SolverConfig(variant, c, x0, 50, lcg_cap=cap, eps=base.value(x0) / 64.0,
+    cfg = SolverConfig(variant, c, x0, 50, eps=base.value(x0) / 64.0,
                        schedule=ScheduleVariant("smooth_deterministic") if variant == "calgd" else None)
+    monkeypatch.setattr(solvers, "lcg_solve", functools.partial(lcg_solve, cap=cap))
     # with a cache the failed solve's opening query may be a cache hit, with
     # no exact LMO; without one it costs an exact LMO
     for config in (cfg, dataclasses.replace(cfg, cache_capacity=0)):
@@ -474,8 +503,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig("calsgd", c, x0, 10,
                      schedule=ScheduleVariant("smooth_stochastic"), batch=0)
-    with pytest.raises(ConfigError, match="audit"):
-        SolverConfig("ofw", c, x0, 10, audit=True)  # nothing to audit
     for variant in ("ofw", "calgd_sc"):  # neither reads a given schedule
         with pytest.raises(ConfigError, match="takes no schedule"):
             SolverConfig(variant, c, x0, 10, eps=0.1,
