@@ -119,8 +119,11 @@ def gen_instance(spec: dict) -> dict:
     if seed < 0:
         raise ConfigError("seed must be >= 0, got %r" % (seed,))
     rng = np.random.default_rng(seed)
-    region_spec = expand_region_spec(spec["region"])
-    region = region_from_spec(region_spec)
+    try:
+        region_spec = expand_region_spec(spec["region"])
+        region = region_from_spec(region_spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("bad region spec: %s %s" % (type(exc).__name__, exc)) from exc
 
     ospec = spec.get("objective", {})
     if ospec.get("type", "least_squares") != "least_squares":
@@ -128,9 +131,10 @@ def gen_instance(spec: dict) -> dict:
     m = _integer(ospec.get("m", 100), "m")
     if m < 1:
         raise ConfigError("m must be >= 1, got %r" % (m,))
-    density = float(ospec.get("density", 1.0))
-    if not (0.0 < density <= 1.0):
-        raise ConfigError("density must lie in (0, 1], got %r" % (density,))
+    density = ospec.get("density", 1.0)
+    if (isinstance(density, bool) or not isinstance(density, numbers.Real)
+            or not 0.0 < density <= 1.0):
+        raise ConfigError("density must be a number in (0, 1], got %r" % (density,))
     n = region.dim
     mask = rng.random((m, n)) < density
     A = np.where(mask, rng.random((m, n)), 0.0)
@@ -252,7 +256,7 @@ def resolve_constants(entry, region, objective, inst, x0):
 def _schedule_tag(entry):
     """The tag of the schedule the entry's runs read: a restart variant's phase tag."""
     if entry.get("variant") in RESTARTS:
-        return RESTARTS[entry["variant"]][1]
+        return RESTARTS[entry["variant"]]
     return (entry.get("schedule") or {}).get("tag")
 
 
@@ -268,7 +272,8 @@ def _prepare_entry(entry, budgets, region, objective, inst):
     """The SolverConfig (seed 0) shared by every run of a solver entry.
 
     Raises if a run of the entry would reject it, including a schedule that
-    needs a constant the entry neither gives nor gets estimated.  A
+    needs a constant the entry neither gives nor gets estimated, or would
+    ignore its ``batch`` under a schedule that takes exact gradients.  A
     NumericalError from estimating a constant is returned in place of the
     config, so that each run of the entry records it.
     """
@@ -297,7 +302,9 @@ def _prepare_entry(entry, budgets, region, objective, inst):
     config = replace(config, constants=constants)
     tag = _schedule_tag(entry)
     if tag is not None:  # a restart config has no schedule; check its first phase's
-        schedule_eval(config.schedule or ScheduleVariant(tag, N=1, s=1), 1, constants)
+        params = schedule_eval(config.schedule or ScheduleVariant(tag, N=1, s=1), 1, constants)
+        if params.batch is None and config.batch is not None:
+            raise ConfigError("schedule %r takes exact gradients; it has no batch" % (tag,))
     return config
 
 
@@ -353,13 +360,17 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     and summary.json land in the output directory.  The instance is loaded
     once, and each solver entry's x0 and constants are resolved once and
     checked (schedule included) before the first run.  Bad seeds (parsed
-    first, so they cost no estimate) or a bad entry raise ConfigError, and a
-    bad instance file raises, before anything is written.
+    first, so they cost no estimate), an instance file that cannot be read or
+    parsed, or a bad entry raise ConfigError before anything is written.
     """
     seeds = parse_seeds(config.get("seeds", [0]) if seeds is None else seeds)
     instance = config["instance"]
     instance_path = instance if os.path.isabs(instance) else os.path.join(base_dir, instance)
-    region, objective, inst = load_instance(instance_path)
+    try:
+        region, objective, inst = load_instance(instance_path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("cannot load instance %r: %s %s"
+                          % (instance_path, type(exc).__name__, exc)) from exc
     budgets = dict(config.get("budgets", {}))
     if time_limit is not None:
         budgets["wall_seconds"] = time_limit

@@ -33,8 +33,9 @@ class VertexCache:
     vertex evicts the slot with the lowest stamp (the least recently used
     one).  Inserting a vertex whose id is already cached only bumps its
     stamp.  Capacity 0 disables caching entirely (every query falls through
-    to the exact LMO).  Row storage grows with the cache, doubling up to
-    ``capacity`` rows, so a cache that never fills holds no unused rows.
+    to the exact LMO).  All ``capacity`` rows are allocated uninitialized at
+    the first insert; a row the cache never fills takes address space, not
+    memory.
 
     With ``support=None`` the points are rows of one dense (rows, dim)
     array.  With an integer ``support`` every point must have at most that
@@ -112,8 +113,6 @@ class VertexCache:
             row = self._row(np.asarray(vertex.point, dtype=float))
             if len(self._ids) < self.capacity:
                 slot = len(self._ids)
-                if slot == len(self._rows):
-                    self._grow()
                 self._ids.append(vertex.id)
             else:
                 slot = int(np.argmin(self._stamps))
@@ -126,27 +125,18 @@ class VertexCache:
                 self._index[slot], self._rows[slot] = row
         self.move_to_front(slot)
 
-    def _grow(self):
-        """Double the allocated slots: at least 16, at most ``capacity``.
-
-        New rows are left uninitialized; only rows [:len(self)] are read,
-        and each is written whole when a vertex first takes its slot.
-        """
-        n = len(self._rows)
-        extra = min(self.capacity, max(16, 2 * n)) - n
-        self._rows = np.concatenate([self._rows, np.empty((extra, self._rows.shape[1]))])
-        if self._index is not None:
-            self._index = np.concatenate(
-                [self._index, np.empty((extra, self.support), dtype=np.intp)])
-
     def _row(self, point):
-        """The stored form of ``point``; creates the empty store at the first insert."""
+        """The stored form of ``point``; allocates the store at the first insert.
+
+        Only rows [:len(self)] are read, and each is written whole when a
+        vertex first takes its slot.
+        """
         if self._dim is None:
             self._dim = point.shape[0]
             width = self._dim if self.support is None else self.support
-            self._rows = np.empty((0, width))
+            self._rows = np.empty((self.capacity, width))
             if self.support is not None:
-                self._index = np.empty((0, width), dtype=np.intp)
+                self._index = np.empty((self.capacity, width), dtype=np.intp)
         if point.shape != (self._dim,):
             raise ValueError("cache holds points of shape (%d,), got %r"
                              % (self._dim, point.shape))

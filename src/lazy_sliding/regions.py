@@ -303,16 +303,9 @@ class DagPath(Region):
                 % (len(sources), len(sinks)))
         self.source, self.sink = sources[0], sinks[0]
         self._topo = self._topo_sort()
-        # Longest source->sink path length (edges) for the diameter bound; finite,
-        # since every node of an acyclic graph is reachable from its one source.
-        longest = {v: -np.inf for v in nodes}
-        longest[self.source] = 0
-        for v in self._topo:
-            for idx in self._out_edges[v]:
-                w = self.edges[idx][1]
-                if longest[v] + 1 > longest[w]:
-                    longest[w] = longest[v] + 1
-        self.max_path_edges = int(longest[self.sink])
+        # Longest source->sink path length (edges) for the diameter bound: the
+        # min-cost path at cost -1 per edge.
+        self.max_path_edges = len(self.lmo(-np.ones(self.dim)).id)
         self.support = self.max_path_edges
 
     def _topo_sort(self):

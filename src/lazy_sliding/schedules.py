@@ -126,10 +126,12 @@ class ProblemConstants:
 
 @dataclass(frozen=True)
 class StepParams:
+    """One step's parameters; ``batch`` is B_k, or None where the step takes exact gradients."""
+
     beta: float
     gamma: float
     eta: float
-    batch: int
+    batch: Optional[int]
     tau: float = 0.0
 
 
@@ -194,7 +196,7 @@ def schedule_eval(variant, k, c):
         beta = 3.0 * L / (k + 1)
         gamma = 3.0 / (k + 2)
         eta = L * D * D / (k * (k + 1))
-        batch = 1
+        batch = None
 
     elif tag == SMOOTH_DETERMINISTIC_FIXED_N:
         L, D0 = _need(c, tag)
@@ -202,7 +204,7 @@ def schedule_eval(variant, k, c):
         beta = 2.0 * L / k
         gamma = 2.0 / (k + 1)
         eta = 2.0 * L * D0 * D0 / (N * k)
-        batch = 1
+        batch = None
 
     elif tag == STRONGLY_CONVEX_DET_PHASE:
         L, delta0 = _need(c, tag)
@@ -211,7 +213,7 @@ def schedule_eval(variant, k, c):
         beta = 2.0 * L / k
         gamma = 2.0 / (k + 1)
         eta = 8.0 * L * delta0 * 2.0 ** (-s) / (c.mu * N * k)
-        batch = 1
+        batch = None
 
     elif tag == STRONGLY_CONVEX_STOCH_PHASE:
         L, delta0, sigma2 = _need(c, tag)
@@ -232,7 +234,7 @@ def schedule_eval(variant, k, c):
         beta = 3.0 * L_tau / (k + 1)
         gamma = 3.0 / (k + 2)
         eta = L_tau * D * D / (k * k)
-        batch = 1
+        batch = None
 
     elif tag == NONSMOOTH_STOCHASTIC:
         M, sigma2, D = _need(c, tag)
@@ -249,24 +251,23 @@ def schedule_eval(variant, k, c):
     return StepParams(beta=beta, gamma=gamma, eta=eta, batch=batch, tau=tau)
 
 
-def restart_phase_plan(c, stochastic, eps) -> Tuple[int, int]:
+def restart_phase_plan(c, tag, eps) -> Tuple[int, int]:
     """Phase length N and phase count S for the strongly convex restart scheme.
 
-    N = ceil(2 sqrt(6 L / mu)) in the deterministic regime and
-    N = ceil(4 sqrt(2 L / mu)) in the stochastic one; S = ceil(log2 max(1, delta0/eps))
-    phases then guarantee a final gap of at most eps.
+    N = ceil(2 sqrt(6 L / mu)) for the deterministic phase tag and
+    N = ceil(4 sqrt(2 L / mu)) for the stochastic one; S = ceil(log2 max(1, delta0/eps))
+    phases then guarantee a final gap of at most eps.  The tag's constants
+    and mu are checked as `schedule_eval` checks them.
     """
-    if c.L is None:
-        raise ConfigError("restart plan requires constant 'L'")
-    if c.mu <= 0:
-        raise ConfigError("restart plan requires constant 'mu' > 0")
-    if c.delta0 is None:
-        raise ConfigError("restart plan requires constant 'delta0'")
+    if tag not in _PHASE_TAGS:
+        raise ConfigError("restart plan needs a phase schedule, got %r" % (tag,))
+    L, delta0 = _need(c, tag)[:2]
+    _positive(tag, "mu", c.mu)
     if not 0 < eps < math.inf:  # a NaN or infinite eps would plan zero phases
         raise ConfigError("target accuracy eps must be finite and positive, got %r" % (eps,))
-    if stochastic:
-        N = int(math.ceil(4.0 * math.sqrt(2.0 * c.L / c.mu)))
+    if tag == STRONGLY_CONVEX_STOCH_PHASE:
+        N = int(math.ceil(4.0 * math.sqrt(2.0 * L / c.mu)))
     else:
-        N = int(math.ceil(2.0 * math.sqrt(6.0 * c.L / c.mu)))
-    S = int(math.ceil(math.log2(max(1.0, c.delta0 / eps))))
+        N = int(math.ceil(2.0 * math.sqrt(6.0 * L / c.mu)))
+    S = int(math.ceil(math.log2(max(1.0, delta0 / eps))))
     return N, S

@@ -3,16 +3,19 @@
 All sliding variants share the same three-sequence outer loop: a lookahead
 point z_k mixing the running output y with the prox center x, a gradient
 estimate at z_k, an inexact prox subproblem solved by lazy conditional
-gradient to accuracy eta_k, and the averaged output update.  They differ
-only in how the gradient estimate is produced:
+gradient to accuracy eta_k, and the averaged output update.  The schedule
+decides the gradient estimate: the mean of B_k SFO samples (or ``batch``)
+when it sets B_k, else one exact gradient, of the smoothed max-function when
+tau_k > 0.  A variant only chooses the schedules it accepts:
 
-- calsgd            mini-batch stochastic gradients
-- calgd             exact gradients
-- calgd_saddle      gradients of the smoothed max-function (needs tau_k)
-- calsgd_nonsmooth  stochastic subgradients, one per step unless ``batch`` is set
-- calgd_sc / calsgd_sc   restarts of calgd / calsgd, S phases of N
-                          iterations, linear convergence under strong convexity
-- scgs              same outer loop, classical conditional gradient inner
+- calsgd            smooth stochastic schedules
+- calgd             smooth deterministic schedules
+- calgd_saddle      saddle schedules (smoothed max-function)
+- calsgd_nonsmooth  the nonsmooth schedule: one stochastic subgradient per step
+- calgd_sc / calsgd_sc   restarts on the deterministic / stochastic phase
+                          schedule, S phases of N iterations, linear
+                          convergence under strong convexity
+- scgs              any smooth schedule, classical conditional gradient inner
                     solver: the lazy loop at alpha = 1 with no vertex cache,
                     so one exact LMO per iterate; ignores cache_capacity
 - ofw               online Frank-Wolfe baseline with fixed exponents
@@ -74,9 +77,9 @@ _ALLOWED_TAGS = {
              SMOOTH_DETERMINISTIC, SMOOTH_DETERMINISTIC_FIXED_N},
 }
 
-# restart variant -> (inner variant, phase schedule tag)
-RESTARTS = {"calgd_sc": ("calgd", STRONGLY_CONVEX_DET_PHASE),
-            "calsgd_sc": ("calsgd", STRONGLY_CONVEX_STOCH_PHASE)}
+# restart variant -> phase schedule tag
+RESTARTS = {"calgd_sc": STRONGLY_CONVEX_DET_PHASE,
+            "calsgd_sc": STRONGLY_CONVEX_STOCH_PHASE}
 
 
 @dataclass
@@ -139,20 +142,15 @@ def _stream(rng, seed, k):
     return rng
 
 
-def _gradient(variant, objective, z, params, batch, rng, counters):
-    """Gradient estimate at z plus the SFO/FO bookkeeping."""
-    if variant in ("calsgd", "scgs", "calsgd_nonsmooth"):
+def _gradient(objective, z, params, batch, rng, counters):
+    """The gradient estimate at z that the step ``params`` names, plus its bookkeeping."""
+    if params.batch is None:
+        g = objective.smoothed(z, params.tau)[1] if params.tau > 0 else objective.grad(z)
+        counters.fo_calls += 1
+    else:
         size = batch if batch is not None else params.batch
         g = objective.sfo_batch(z, size, rng)
         counters.sfo_calls += size
-    elif variant == "calgd":
-        g = objective.grad(z)
-        counters.fo_calls += 1
-    elif variant == "calgd_saddle":
-        _, g = objective.smoothed(z, params.tau)
-        counters.fo_calls += 1
-    else:
-        raise ConfigError("no gradient rule for variant %r" % (variant,))
     return g
 
 
@@ -175,16 +173,15 @@ def _metadata(config, plan):
 
 
 def _iterations(config, plan):
-    """(variant, schedule, k) of every outer iteration of a run, in order.
+    """(schedule, k) of every outer iteration of a run, in order.
 
-    A restart run is S phases of N iterations of its inner variant, k = 1..N
+    A restart run is S phases of N iterations of its phase schedule, k = 1..N
     in each; every other run is one phase of outer_limit iterations.
     """
     if plan is None:
-        return ((config.variant, config.schedule, k)
-                for k in range(1, config.outer_limit + 1))
-    (inner, tag), (N, S) = RESTARTS[config.variant], plan
-    return ((inner, ScheduleVariant(tag, N=N, s=s), k)
+        return ((config.schedule, k) for k in range(1, config.outer_limit + 1))
+    tag, (N, S) = RESTARTS[config.variant], plan
+    return ((ScheduleVariant(tag, N=N, s=s), k)
             for s in range(1, S + 1) for k in range(1, N + 1))
 
 
@@ -198,7 +195,7 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
     raised in outer iteration k carries the trace of iterations 1..k-1 in
     ``trace`` and k in ``outer_k``.
     """
-    plan = (restart_phase_plan(config.constants, config.variant == "calsgd_sc", config.eps)
+    plan = (restart_phase_plan(config.constants, RESTARTS[config.variant], config.eps)
             if config.variant in RESTARTS else None)
     # scgs is the classical baseline: alpha = 1 and no cache, whatever the config says
     scgs = config.variant == "scgs"
@@ -213,13 +210,13 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
     phi_final = cert_gap = float("nan")  # of the last inner solve
     trace = RunTrace(metadata=_metadata(config, plan))
     t0 = time.perf_counter()
-    for outer_k, (variant, schedule, k) in enumerate(_iterations(config, plan), 1):
+    for outer_k, (schedule, k) in enumerate(_iterations(config, plan), 1):
         if k == 1:  # each phase restarts from the previous phase's output
             x = y
         if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
             trace.metadata["status"] = "time_limit"
             break
-        if variant == "ofw":  # averaged stochastic gradient, one exact LMO
+        if config.variant == "ofw":  # averaged stochastic gradient, one exact LMO
             size = config.batch if config.batch is not None else 1
             g = objective.sfo_batch(x, size, _stream(rng, config.seed, outer_k))
             counters.sfo_calls += size
@@ -233,7 +230,7 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
             params = schedule_eval(schedule, k, config.constants)
             gamma = params.gamma
             z = (1.0 - gamma) * y + gamma * x
-            g = _gradient(variant, objective, z, params, config.batch,
+            g = _gradient(objective, z, params, config.batch,
                           _stream(rng, config.seed, outer_k), counters)
             sub = Subproblem(g, x, params.beta)
             try:

@@ -10,6 +10,11 @@ import itertools
 
 import numpy as np
 
+# The schedule tags that take exact gradients, and so set no SFO batch: the
+# deterministic schemes and the smoothed saddle.
+EXACT_TAGS = frozenset(["smooth_deterministic", "smooth_deterministic_fixed_n",
+                        "strongly_convex_det_phase", "saddle_static", "saddle_dynamic"])
+
 
 def brute_birkhoff_min(c_flat, n):
     """Min-cost over all n! permutation matrices; returns (value, flat matrix)."""

@@ -276,6 +276,23 @@ CALGD_ENTRY = {
 }
 
 
+def test_batch_on_an_exact_gradient_entry_is_rejected(tmp_path):
+    # a run whose schedule takes exact gradients would ignore the batch
+    for entry in (dict(CALGD_ENTRY, batch=128), dict(CALGD_ENTRY, variant="scgs", batch=128),
+                  dict(CALGD_ENTRY, variant="calgd_sc", schedule=None, eps=1e-3, batch=4,
+                       constants={"mu": 1.0})):
+        out = tmp_path / "runs"
+        with pytest.raises(ConfigError, match="takes exact gradients"):
+            run_experiment(_experiment(tmp_path, [entry]), out_dir=str(out))
+        assert not out.exists()
+    # ofw and a stochastic schedule keep theirs
+    region, objective, inst = load_instance(_write_instance(tmp_path)[0])
+    for entry in ({"variant": "ofw", "batch": 4},
+                  dict(CALGD_ENTRY, variant="scgs", schedule={"tag": "smooth_stochastic"},
+                       batch=4)):
+        assert bench._prepare_entry(entry, {}, region, objective, inst).batch == 4
+
+
 def test_bad_entry_fails_before_any_run(tmp_path):
     bad_entries = [
         dict(CALGD_ENTRY, name="bad", constants={"L": -1}),
@@ -411,8 +428,9 @@ def test_instance_loaded_once_per_experiment(tmp_path, monkeypatch):
     assert calls == [config["instance"]]
 
     out = tmp_path / "missing"
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ConfigError, match="nope.json") as info:
         run_experiment(dict(config, instance=str(tmp_path / "nope.json")), out_dir=str(out))
+    assert isinstance(info.value.__cause__, FileNotFoundError)
     assert not out.exists()
 
 
@@ -633,6 +651,35 @@ def test_cli_rejected_config_exits_2(tmp_path, capsys):
         assert err.startswith("lazy-sliding: error: ") and fault in err
         assert "Traceback" not in err
         assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("spec,fault", [
+    (dict(SIMPLEX_SPEC, region={"kind": "no_such"}), "unknown region kind 'no_such'"),
+    (dict(SIMPLEX_SPEC, region={"kind": "simplex"}), "KeyError 'n'"),
+    (dict(SIMPLEX_SPEC, objective={"m": 10, "density": "x"}), "density must be a number"),
+])
+def test_cli_bad_gen_spec_exits_2(tmp_path, capsys, spec, fault):
+    spec_path, inst_path = tmp_path / "spec.json", tmp_path / "instance.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["gen", "--config", str(spec_path), "--out", str(inst_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lazy-sliding: error: ") and fault in err
+    assert not inst_path.exists()
+
+
+@pytest.mark.parametrize("text,fault", [(None, "FileNotFoundError"),
+                                        ("{not json", "JSONDecodeError")])
+def test_cli_unreadable_instance_exits_2(tmp_path, capsys, text, fault):
+    inst_path, cfg_path, run_dir = tmp_path / "inst.json", tmp_path / "exp.json", tmp_path / "runs"
+    if text is not None:
+        inst_path.write_text(text)
+    config = {"instance": str(inst_path), "seeds": [0], "solvers": [CALGD_ENTRY]}
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lazy-sliding: error: cannot load instance")
+    assert "inst.json" in err and fault in err
+    assert not run_dir.exists()
 
 
 def test_cli_verify_runs_pytest_target(tmp_path):

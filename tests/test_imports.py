@@ -58,3 +58,32 @@ def test_every_solver_config_field_is_set_by_an_experiment_entry():
              for kw in node.keywords}
     # _run_one sets the seed of each run
     assert {f.name for f in dataclasses.fields(SolverConfig)} - named == {"seed"}
+
+
+def _variant_literals(source):
+    """(line, literal) of every string a comparison against a ``variant`` name tests."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left] + node.comparators
+        names = {getattr(n, "id", getattr(n, "attr", None))
+                 for op in operands for n in ast.walk(op)}
+        if "variant" in names:
+            found += [(c.lineno, c.value) for op in operands for c in ast.walk(op)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    return found
+
+
+def test_variant_literal_scan_finds_comparisons():
+    source = ("if config.variant == 'calgd' or v in ('a', 'b'):\n    pass\n"
+              "if variant in RESTARTS and x == 'y':\n    pass\n")
+    assert _variant_literals(source) == [(1, "calgd")]
+
+
+def test_solvers_dispatch_on_no_variant_but_ofw_and_scgs():
+    # the schedule decides the gradient; a variant name only picks ofw's own
+    # loop and scgs's alpha = 1 without a cache
+    with open(os.path.join(PACKAGE_DIR, "solvers.py")) as fh:
+        literals = _variant_literals(fh.read())
+    assert {value for _, value in literals} <= {"ofw", "scgs"}, literals

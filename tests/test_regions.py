@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lazy_sliding.bench import layered_dag_edges
 from lazy_sliding.regions import (
     Birkhoff,
     Box,
@@ -148,6 +149,26 @@ def test_dag_path_vs_brute_force():
         v = r.lmo(c)
         best, _ = brute_dag_min(edges, c, 0, 5)
         assert float(c @ v.point) == pytest.approx(best, abs=1e-10)
+
+
+def _random_dag(rng, n):
+    """Edges i -> j (i < j) at random, then patched to one source 0 and one sink n - 1."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    edges += [(0, v) for v in range(1, n) if all(e[1] != v for e in edges)]
+    edges += [(v, n - 1) for v in range(n - 1) if all(e[0] != v for e in edges)]
+    return edges
+
+
+def test_dag_path_max_path_edges_is_the_longest_path():
+    rng = np.random.default_rng(17)
+    graphs = [(layered_dag_edges(layers, width), 1 + layers * width)
+              for layers, width in ((1, 1), (1, 4), (2, 3), (3, 2), (5, 1))]
+    graphs += [(_random_dag(rng, n), n - 1) for n in rng.integers(2, 9, size=60)]
+    for edges, sink in graphs:
+        longest = max(len(path) for path in enumerate_dag_paths(edges, 0, sink))
+        r = DagPath(edges)
+        assert r.max_path_edges == r.support == longest, edges
+        assert r.diameter() == pytest.approx(math.sqrt(2.0 * longest))
 
 
 def test_enumerated_lmo_is_argmin_over_rows():

@@ -6,6 +6,10 @@ import pytest
 from lazy_sliding import ConfigError, ProblemConstants, ScheduleVariant, schedule_eval
 from lazy_sliding.schedules import NEEDS, VALID_TAGS, restart_phase_plan
 
+from helpers import EXACT_TAGS
+
+DET_PHASE, STOCH_PHASE = "strongly_convex_det_phase", "strongly_convex_stoch_phase"
+
 
 def _sv(tag, **kw):
     return ScheduleVariant(tag, **kw)
@@ -26,7 +30,7 @@ def test_smooth_deterministic_worked_example():
     assert p.beta == pytest.approx(1.0)
     assert p.gamma == pytest.approx(0.75)
     assert p.eta == pytest.approx(1.0 / 6.0)
-    assert p.batch == 1
+    assert p.batch is None  # exact gradients: no SFO batch
 
 
 def test_nonsmooth_worked_example():
@@ -82,24 +86,38 @@ def test_saddle_tau_and_beta_consistency():
 
 def test_restart_phase_plan_worked_examples():
     assert restart_phase_plan(ProblemConstants(L=6.0, mu=1.0, delta0=1.0, D_X=1.0),
-                              False, 0.5)[0] == 12
-    assert restart_phase_plan(ProblemConstants(L=2.0, mu=1.0, delta0=1.0, D_X=1.0),
-                              True, 0.5)[0] == 8
+                              DET_PHASE, 0.5)[0] == 12
+    assert restart_phase_plan(ProblemConstants(L=2.0, mu=1.0, delta0=1.0, sigma2=1.0, D_X=1.0),
+                              STOCH_PHASE, 0.5)[0] == 8
     _, S = restart_phase_plan(ProblemConstants(L=1.0, mu=1.0, delta0=1.0, D_X=1.0),
-                              False, 1.0 / 8.0)
+                              DET_PHASE, 1.0 / 8.0)
     assert S == 3
     with pytest.raises(ValueError):
         restart_phase_plan(ProblemConstants(L=1.0, mu=0.0, delta0=1.0, D_X=1.0),
-                           False, 0.5)
+                           DET_PHASE, 0.5)
 
 
 def test_restart_phase_plan_rejects_eps_that_plans_no_phase():
     # a NaN or infinite eps gives delta0 / eps no log2 > 0, so zero phases
-    c = ProblemConstants(L=1.0, mu=0.5, delta0=2.0)
-    for stochastic in (False, True):
+    c = ProblemConstants(L=1.0, mu=0.5, delta0=2.0, sigma2=0.0)
+    for tag in (DET_PHASE, STOCH_PHASE):
         for eps in (float("nan"), float("inf"), 0.0, -1.0):
             with pytest.raises(ConfigError, match="eps"):
-                restart_phase_plan(c, stochastic, eps)
+                restart_phase_plan(c, tag, eps)
+
+
+def test_restart_phase_plan_checks_its_phase_constants():
+    # an L or delta0 of 0 would plan phases of 0 iterations, or none at all
+    given = {"L": 1.0, "mu": 0.5, "delta0": 2.0, "sigma2": 0.0}
+    for tag in (DET_PHASE, STOCH_PHASE):
+        for name in NEEDS[tag]:
+            with pytest.raises(ConfigError, match="'%s'" % name):
+                restart_phase_plan(ProblemConstants(**dict(given, **{name: None})), tag, 0.1)
+        for name in ("L", "delta0", "mu"):
+            with pytest.raises(ConfigError, match="'%s' > 0" % name):
+                restart_phase_plan(ProblemConstants(**dict(given, **{name: 0.0})), tag, 0.1)
+    with pytest.raises(ConfigError, match="phase schedule"):
+        restart_phase_plan(ProblemConstants(**given), "smooth_deterministic", 0.1)
 
 
 SMOOTH_TAGS = [
@@ -120,7 +138,8 @@ def test_step_condition_gamma1_and_L_gamma_le_beta():
             p = schedule_eval(sv, k, c)
             assert 0.0 <= p.gamma <= 1.0
             assert c.L * p.gamma <= p.beta + 1e-12, (tag, k)
-            assert p.batch >= 1 and p.eta > 0 and p.beta > 0
+            assert p.eta > 0 and p.beta > 0
+            assert p.batch is None if tag in EXACT_TAGS else p.batch >= 1
 
 
 def test_beta_gamma_over_Gamma_monotonicity():
@@ -170,7 +189,8 @@ def test_needs_table_names_exactly_the_constants_each_schedule_reads():
         sv = _sv(tag, N=10, s=2)
         given = {name: values[name] for name in names}
         p = schedule_eval(sv, 3, ProblemConstants(mu=mu, **given))
-        assert p.beta > 0 and p.eta > 0 and p.batch >= 1, tag
+        assert p.beta > 0 and p.eta > 0, tag
+        assert p.batch is None if tag in EXACT_TAGS else p.batch >= 1, tag
         for name in names:
             fewer = {n: v for n, v in given.items() if n != name}
             with pytest.raises(ConfigError, match=name):

@@ -19,7 +19,7 @@ from lazy_sliding.regions import Box, Simplex, Spectrahedron
 from lazy_sliding.schedules import ProblemConstants, ScheduleVariant, schedule_eval
 from lazy_sliding.solvers import SolverConfig, run_solver
 
-from helpers import grid_game_value, phase_end_values, reference_ofw
+from helpers import EXACT_TAGS, grid_game_value, phase_end_values, reference_ofw
 
 
 def _simplex_ls(rng, m=8, n=6, noise=0.0):
@@ -94,14 +94,16 @@ def test_first_iteration_collapses_to_x0(monkeypatch):
 
 
 def test_zero_noise_calsgd_matches_calgd_bitwise(monkeypatch):
-    # both runs read the deterministic schedule, so a zero-noise batch of one
-    # sample must reproduce the exact gradient's iterates bit for bit
+    # both runs read the deterministic schedule's steps, the calsgd one with a
+    # batch of one sample, so a zero-noise sample must reproduce the exact
+    # gradient's iterates bit for bit
     rng = np.random.default_rng(1)
     obj, base, _ = _simplex_ls(rng, noise=0.0)
     c = ProblemConstants(L=estimate_L(base), sigma2=0.0, D_X=math.sqrt(2.0))
     x0 = _vertex(6)
     sv = ScheduleVariant("smooth_deterministic")
-    monkeypatch.setattr(solvers, "schedule_eval", lambda _, k, c: schedule_eval(sv, k, c))
+    monkeypatch.setattr(solvers, "schedule_eval",
+                        lambda _, k, c: dataclasses.replace(schedule_eval(sv, k, c), batch=1))
     sa = _spied_run(monkeypatch, SolverConfig("calsgd", c, x0, 29, seed=3, batch=1,
                                               schedule=ScheduleVariant("smooth_stochastic")),
                     obj, Simplex(6))
@@ -175,6 +177,59 @@ def test_scgs_identical_to_calsgd_without_cache():
     assert tr_lazy.column("cache_hits")[-1] > 0
     # paired comparison contract: same SFO usage per outer iteration
     assert tr_lazy.column("sfo_calls") == tr_scgs.column("sfo_calls")
+
+
+def test_the_schedule_decides_the_gradient_oracle():
+    ls_obj, ls, _ = _simplex_ls(np.random.default_rng(13), noise=0.5)
+    saddle = SmoothedSaddle(np.random.default_rng(14).standard_normal((3, 6)))
+    x0 = _vertex(6)
+    L = estimate_L(ls)
+    c = ProblemConstants(L=L, mu=L, sigma2=0.5, M=1.0, D_X=math.sqrt(2.0), D_0=1.0,
+                         delta0=ls.value(x0), A_norm=saddle.a_norm(), sigma_omega=1.0,
+                         D_YW=math.sqrt(saddle.d2_yw))
+    pairs = [(variant, tag) for variant, tags in solvers._ALLOWED_TAGS.items()
+             for tag in sorted(tags)] + sorted(solvers.RESTARTS.items())
+    assert len(pairs) == 13
+    for variant, tag in pairs:
+        obj = saddle if tag.startswith("saddle") else ls_obj
+        if variant in solvers.RESTARTS:
+            cfg = SolverConfig(variant, c, x0, 10, eps=c.delta0 / 2.0)
+        else:
+            cfg = SolverConfig(variant, c, x0, 5, schedule=ScheduleVariant(tag, N=5))
+        tr = run_solver(cfg, obj, Simplex(6))
+        fc = tr.metadata["final_counters"]
+        assert tr.rows, (variant, tag)
+        assert (fc["fo_calls"] > 0) == (tag in EXACT_TAGS), (variant, tag)
+        assert (fc["sfo_calls"] > 0) == (tag not in EXACT_TAGS), (variant, tag)
+
+
+def test_scgs_on_a_deterministic_schedule_is_calgd_without_cache():
+    rng = np.random.default_rng(15)
+    obj, base, xs = _simplex_ls(rng, noise=0.5)
+    x0 = _vertex(6)
+    c = ProblemConstants(L=estimate_L(base), D_X=math.sqrt(2.0),
+                         D_0=float(np.linalg.norm(x0 - xs)))
+    for sv in (ScheduleVariant("smooth_deterministic"),
+               ScheduleVariant("smooth_deterministic_fixed_n", N=30)):
+        tr_calgd = run_solver(SolverConfig("calgd", c, x0, 30, schedule=sv, seed=2,
+                                           cache_capacity=0), obj, Simplex(6))
+        tr_scgs = run_solver(SolverConfig("scgs", c, x0, 30, schedule=sv, seed=2),
+                             obj, Simplex(6))
+        assert _drop_wall(tr_scgs) == _drop_wall(tr_calgd)
+        assert tr_scgs.column("sfo_calls")[-1] == 0
+        assert tr_scgs.column("fo_calls")[-1] == 30
+
+
+def test_restart_with_a_zero_scale_constant_is_rejected():
+    # L = 0 would plan phases of 0 iterations, delta0 = 0 no phase at all
+    c = ProblemConstants(L=1.0, mu=1.0, delta0=1.0, sigma2=0.0, D_X=math.sqrt(2.0))
+    obj = _simplex_ls(np.random.default_rng(16))[0]
+    for variant in solvers.RESTARTS:
+        for name in ("L", "delta0"):
+            cfg = SolverConfig(variant, dataclasses.replace(c, **{name: 0.0}), _vertex(6), 10,
+                               eps=0.1)
+            with pytest.raises(ConfigError, match="'%s' > 0" % name):
+                run_solver(cfg, obj, Simplex(6))
 
 
 def test_oracle_wrappers_count_what_the_run_counts(monkeypatch):
