@@ -29,10 +29,12 @@ from .objectives import LeastSquares, estimate_L, estimate_sigma2
 from .regions import region_from_spec, svec
 from .schedules import NEEDS, ProblemConstants, ScheduleVariant, schedule_eval
 from .solvers import RESTARTS, SolverConfig, run_solver
-from .trace import RunTrace, read_trace_csv
+from .trace import TRACE_COLUMNS, RunTrace, read_trace_csv
 
 SIGMA2_SAMPLES = 2000  # samples behind an estimated sigma^2, drawn with seed 0
 THRESHOLDS = tuple(10.0 ** (-e) for e in range(1, 7))
+_FAILED = ("budget_error", "error")  # the statuses of a failed run
+_CSV_NAME = "%s__s%d.csv"  # a run's trace file, by solver name and seed
 
 
 # ---------------------------------------------------------------------------
@@ -43,19 +45,15 @@ def hamiltonian_cycle_vertices(nodes):
     """Indicator vectors (over undirected edges of K_nodes) of all Hamiltonian cycles."""
     if nodes < 3:
         raise ValueError("hamiltonian cycles need at least 3 nodes")
-    pairs = [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
-    index = {p: k for k, p in enumerate(pairs)}
-    verts = []
-    rest = list(range(1, nodes))
-    for perm in itertools.permutations(rest):
-        if perm[0] > perm[-1]:
-            continue  # each undirected cycle once
-        tour = (0,) + perm
-        v = np.zeros(len(pairs))
-        for a, b in zip(tour, tour[1:] + (0,)):
-            v[index[(min(a, b), max(a, b))]] = 1.0
-        verts.append(v)
-    return np.array(verts)
+    index = np.zeros((nodes, nodes), dtype=np.intp)  # the coordinate of edge {a, b}
+    index[np.triu_indices(nodes, 1)] = np.arange(nodes * (nodes - 1) // 2)
+    index += index.T
+    # tours from node 0, each undirected cycle once
+    tours = np.array([(0,) + perm for perm in itertools.permutations(range(1, nodes))
+                      if perm[0] < perm[-1]])
+    verts = np.zeros((len(tours), nodes * (nodes - 1) // 2))
+    np.put_along_axis(verts, index[tours, np.roll(tours, -1, axis=1)], 1.0, axis=1)
+    return verts
 
 
 def cut_polytope_vertices(nodes):
@@ -64,13 +62,10 @@ def cut_polytope_vertices(nodes):
         raise ValueError("cut polytope needs at least 2 nodes")
     if 2 ** (nodes - 1) > 5000:
         raise ValueError("cut polytope enumeration capped at 5000 vertices")
-    pairs = [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
-    verts = []
-    for mask in range(2 ** (nodes - 1)):
-        side = [0] + [(mask >> b) & 1 for b in range(nodes - 1)]
-        v = np.array([1.0 if side[i] != side[j] else 0.0 for i, j in pairs])
-        verts.append(v)
-    return np.array(verts)
+    # node 0 on side 0; node b + 1 on the side of bit b of the mask
+    side = (2 * np.arange(2 ** (nodes - 1)))[:, None] >> np.arange(nodes) & 1
+    i, j = np.triu_indices(nodes, 1)
+    return (side[:, i] != side[:, j]).astype(float)
 
 
 def layered_dag_edges(layers, width):
@@ -315,6 +310,7 @@ def config_hash(obj) -> str:
 def _run_one(task):
     """Worker: run one (solver entry, seed) pair and write its trace files.
 
+    Returns ``(record, rows)``, the rows as `read_trace_csv` reads them back.
     A BudgetExceeded keeps the rows computed before the failing outer
     iteration and records that iteration as ``failed_outer_k``.  A
     NumericalError or ConfigError (including one raised while the entry's
@@ -323,7 +319,7 @@ def _run_one(task):
     """
     (entry, seed, config, region, objective, instance_name, out_dir) = task
     name = entry.get("name", entry["variant"])
-    stem = "%s__s%d" % (name, seed)
+    csv_path = os.path.join(out_dir, _CSV_NAME % (name, seed))
     status, message = "completed", ""
     try:
         if isinstance(config, NumericalError):
@@ -337,18 +333,13 @@ def _run_one(task):
     except (NumericalError, ConfigError) as exc:
         trace = RunTrace(metadata={"variant": entry["variant"]})
         status, message = "error", "%s: %s" % (type(exc).__name__, exc)
-    trace.metadata.update({
-        "solver_name": name,
-        "seed": seed,
-        "status": status,
-        "message": message,
-        "config_hash": config_hash({"entry": entry, "seed": seed}),
-        "instance": instance_name,
-    })
-    csv_path = os.path.join(out_dir, stem + ".csv")
+    trace.metadata.update(solver_name=name, seed=seed, status=status, message=message,
+                          config_hash=config_hash({"entry": entry, "seed": seed}),
+                          instance=instance_name)
     trace.write_csv(csv_path)
-    write_json(os.path.join(out_dir, stem + ".meta.json"), trace.metadata)
-    return {"solver": name, "seed": seed, "status": status, "message": message}
+    write_json(csv_path[:-4] + ".meta.json", trace.metadata)
+    record = {"solver": name, "seed": seed, "status": status, "message": message}
+    return record, [dict(zip(TRACE_COLUMNS, r)) for r in trace.rows]
 
 
 def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
@@ -357,14 +348,19 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
 
     Returns (summary_dict, exit_code); exit code is nonzero if any run hit a
     budget error or ended in ``error`` status.  Trace CSVs, per-run metadata,
-    and summary.json land in the output directory.  The instance is loaded
-    once, and each solver entry's x0 and constants are resolved once and
-    checked (schedule included) before the first run.  Bad seeds (parsed
-    first, so they cost no estimate), an instance file that cannot be read or
-    parsed, or a bad entry raise ConfigError before anything is written.
+    and summary.json land in the output directory.  The summary covers the
+    runs of this experiment only, from the rows they return: no file is read
+    back.  The instance is loaded once, and each solver entry's x0 and
+    constants are resolved once and checked (schedule included) before the
+    first run.  Bad seeds (parsed first, so they cost no estimate), a config
+    without an instance path or a solvers list, an unreadable instance file,
+    or a bad entry raise ConfigError before anything is written.
     """
     seeds = parse_seeds(config.get("seeds", [0]) if seeds is None else seeds)
-    instance = config["instance"]
+    instance, entries = config.get("instance"), config.get("solvers", [])
+    if not isinstance(instance, str) or not isinstance(entries, list):
+        raise ConfigError("a config needs an instance path and a solvers list, got "
+                          "instance %r and solvers of type %s" % (instance, type(entries).__name__))
     instance_path = instance if os.path.isabs(instance) else os.path.join(base_dir, instance)
     try:
         region, objective, inst = load_instance(instance_path)
@@ -374,7 +370,6 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     budgets = dict(config.get("budgets", {}))
     if time_limit is not None:
         budgets["wall_seconds"] = time_limit
-    entries = config.get("solvers", [])
     prepared = []
     for i, entry in enumerate(entries):
         try:
@@ -394,11 +389,11 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     else:
         results = [_run_one(t) for t in tasks]
 
-    summary = summarize(out_dir)
-    summary["runs"] = results
+    # in file-name order, as summarize(out_dir) reads a fresh directory
+    summary = _summary(sorted(results, key=lambda r: _CSV_NAME % (r[0]["solver"], r[0]["seed"])))
+    summary["runs"] = [record for record, _ in results]
     write_json(os.path.join(out_dir, "summary.json"), summary)
-    exit_code = 1 if any(r["status"] in ("budget_error", "error") for r in results) else 0
-    return summary, exit_code
+    return summary, 1 if summary["budget_errors"] or summary["errors"] else 0
 
 
 def parse_seeds(seeds):
@@ -437,42 +432,47 @@ def _optional_integer(value, name):
 
 
 def summarize(trace_dir) -> dict:
-    """Recompute the summary table by scanning the trace CSVs in a directory."""
-    per_solver = {}
-    failed = {"budget_error": [], "error": []}
+    """The summary of the runs whose trace CSVs are in a directory, in file-name order.
+
+    A run's solver is its metadata's ``solver_name`` (without a .meta.json,
+    the file name up to ``__``); the CSV of a run that failed is not read.
+    """
+    runs = []
     for fname in sorted(os.listdir(trace_dir)):
         if not fname.endswith(".csv"):
             continue
-        meta_path = os.path.join(trace_dir, fname[:-4] + ".meta.json")
+        path = os.path.join(trace_dir, fname)
         meta = {}
-        if os.path.exists(meta_path):
-            with open(meta_path) as fh:
+        if os.path.exists(path[:-4] + ".meta.json"):
+            with open(path[:-4] + ".meta.json") as fh:
                 meta = json.load(fh)
-        name = meta.get("solver_name", fname.split("__")[0])
-        if meta.get("status") in failed:
-            failed[meta["status"]].append({"solver": name, "seed": meta.get("seed"),
-                                           "message": meta.get("message", "")})
-            continue
-        rows = read_trace_csv(os.path.join(trace_dir, fname))
-        per_solver.setdefault(name, []).append(rows)
+        record = dict(meta, solver=meta.get("solver_name", fname.split("__")[0]))
+        runs.append((record, None if meta.get("status") in _FAILED else read_trace_csv(path)))
+    return _summary(runs)
+
+
+def _summary(runs):
+    """The summary table of ``(record, rows)`` runs; failed runs are listed in their order."""
+    per_solver = {}
+    failed = {status: [] for status in _FAILED}
+    for record, rows in runs:
+        if record.get("status") in failed:
+            failed[record["status"]].append({"solver": record["solver"], "seed": record.get("seed"),
+                                             "message": record.get("message", "")})
+        else:
+            per_solver.setdefault(record["solver"], []).append(rows)
 
     solvers = {}
-    for name, runs in per_solver.items():
+    for name, traces in per_solver.items():
         table = {}
         for thr in THRESHOLDS:
-            crossings = []
-            for rows in runs:
-                hit = next((r for r in rows if r["f_value"] <= thr), None)
-                if hit is not None:
-                    crossings.append(hit)
-            cell = {"reached": len(crossings), "of": len(runs)}
+            hits = (next((r for r in rows if r["f_value"] <= thr), None) for rows in traces)
+            crossings = [hit for hit in hits if hit is not None]
+            cell = {"reached": len(crossings), "of": len(traces)}
             if crossings:
                 for key in ("outer_k", "sfo_calls", "exact_lmo_calls", "wall_ms"):
                     cell[key] = float(np.median([c[key] for c in crossings]))
             table["%.0e" % thr] = cell
-        solvers[name] = {"runs": len(runs), "thresholds": table}
-    return {"version": __version__,
-            "thresholds": ["%.0e" % t for t in THRESHOLDS],
-            "solvers": solvers,
-            "budget_errors": failed["budget_error"],
-            "errors": failed["error"]}
+        solvers[name] = {"runs": len(traces), "thresholds": table}
+    return {"version": __version__, "thresholds": ["%.0e" % t for t in THRESHOLDS],
+            "solvers": solvers, "budget_errors": failed["budget_error"], "errors": failed["error"]}

@@ -10,9 +10,20 @@ from .bench import gen_instance, run_experiment, summarize, write_json
 from .errors import ConfigError
 
 
+def _read_config(path):
+    """The JSON object a config file holds; ConfigError if it holds none or cannot be read."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("cannot read config %r: %s %s" % (path, type(exc).__name__, exc)) from exc
+    if not isinstance(config, dict):
+        raise ConfigError("config %r is not a JSON object" % (path,))
+    return config
+
+
 def _cmd_gen(args):
-    with open(args.config) as fh:
-        spec = json.load(fh)
+    spec = _read_config(args.config)
     if args.seed is not None:
         spec["seed"] = args.seed
     inst = gen_instance(spec)
@@ -27,32 +38,24 @@ def _cmd_gen(args):
 
 
 def _cmd_run(args):
-    with open(args.config) as fh:
-        config = json.load(fh)
     summary, code = run_experiment(
-        config,
-        base_dir=os.path.dirname(os.path.abspath(args.config)),
-        out_dir=args.out,
-        seeds=args.seeds,
-        time_limit=args.time_limit,
-        jobs=args.jobs,
-    )
+        _read_config(args.config), base_dir=os.path.dirname(os.path.abspath(args.config)),
+        out_dir=args.out, seeds=args.seeds, time_limit=args.time_limit, jobs=args.jobs)
     _print_summary(summary)
     return code
 
 
 def _cmd_summarize(args):
-    out_dir = args.out or "."
-    summary = summarize(out_dir)
-    write_json(os.path.join(out_dir, "summary.json"), summary)
+    if not os.path.isdir(args.out):
+        raise ConfigError("no directory %r to summarize" % (args.out,))
+    summary = summarize(args.out)
+    write_json(os.path.join(args.out, "summary.json"), summary)
     _print_summary(summary)
     return 0
 
 
 def _cmd_verify(args):
-    target = args.tests or "tests/test_acceptance.py"
-    cmd = [sys.executable, "-m", "pytest", target, "-v"]
-    return subprocess.call(cmd)
+    return subprocess.call([sys.executable, "-m", "pytest", args.tests, "-v"])
 
 
 def _print_summary(summary):
@@ -95,17 +98,18 @@ def build_parser():
     r.set_defaults(func=_cmd_run)
 
     s = sub.add_parser("summarize", help="recompute summary.json from trace CSVs")
-    s.add_argument("--out", help="directory holding trace CSVs (default .)")
+    s.add_argument("--out", default=".", help="directory holding trace CSVs (default .)")
     s.set_defaults(func=_cmd_summarize)
 
     v = sub.add_parser("verify", help="run the acceptance test suite")
-    v.add_argument("--tests", help="pytest target (default tests/test_acceptance.py)")
+    v.add_argument("--tests", default="tests/test_acceptance.py",
+                   help="pytest target (default tests/test_acceptance.py)")
     v.set_defaults(func=_cmd_verify)
     return p
 
 
 def main(argv=None):
-    """Exit code 0: every run completed; 1: a run failed; 2: a rejected config."""
+    """Exit code 0: every run completed; 1: a run failed; 2: rejected input, nothing written."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

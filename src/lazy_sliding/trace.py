@@ -1,8 +1,9 @@
 """Run counters and the per-iteration trace table written by the solvers."""
 
-import csv
 from dataclasses import asdict, dataclass, field
 from typing import List
+
+import numpy as np
 
 
 @dataclass
@@ -22,11 +23,12 @@ class Counters:
         return asdict(self)
 
 
-TRACE_COLUMNS = (
-    "outer_k", "wall_ms", "f_value", "sfo_calls", "fo_calls",
-    "exact_lmo_calls", "weak_sep_calls", "cache_hits", "inner_iters",
-    "phi_final", "cert_gap",
-)
+_TRACE_DTYPE = np.dtype([
+    ("outer_k", "i8"), ("wall_ms", "f8"), ("f_value", "f8"), ("sfo_calls", "i8"),
+    ("fo_calls", "i8"), ("exact_lmo_calls", "i8"), ("weak_sep_calls", "i8"), ("cache_hits", "i8"),
+    ("inner_iters", "i8"), ("phi_final", "f8"), ("cert_gap", "f8")])
+
+TRACE_COLUMNS = _TRACE_DTYPE.names
 
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
@@ -53,33 +55,26 @@ class RunTrace:
         return [r[i] for r in self.rows]
 
     def write_csv(self, path):
+        # no field needs CSV quoting: integers, and floats as %.17g (nan, inf too)
         with open(path, "w", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
-            w = csv.writer(fh, lineterminator="\n")
-            for r in self.rows:
-                w.writerow([_fmt(v) for v in r])
+            fh.writelines(",".join(map(_fmt, r)) + "\n" for r in self.rows)
 
 
 def _fmt(v):
-    if isinstance(v, int):
-        return str(v)
-    return "%.17g" % (v,)
+    return str(v) if isinstance(v, int) else "%.17g" % (v,)
 
 
 def read_trace_csv(path):
-    """Read a trace CSV back into a list of dict rows (floats/ints)."""
-    out = []
-    with open(path, newline="") as fh:
-        rd = csv.DictReader(fh)
-        if rd.fieldnames != list(TRACE_COLUMNS):
-            raise ValueError("unexpected trace header in %s" % (path,))
-        for row in rd:
-            parsed = {}
-            for k, v in row.items():
-                if k in ("outer_k", "sfo_calls", "fo_calls", "exact_lmo_calls",
-                         "weak_sep_calls", "cache_hits", "inner_iters"):
-                    parsed[k] = int(v)
-                else:
-                    parsed[k] = float(v)
-            out.append(parsed)
-    return out
+    """The rows of a trace CSV as dicts keyed by TRACE_COLUMNS, counts as ints.
+
+    Another header raises ValueError; a header-only file (an ``error`` run) reads as [].
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if lines[:1] != [TRACE_HEADER]:
+        raise ValueError("unexpected trace header in %s" % (path,))
+    if len(lines) == 1:
+        return []  # np.loadtxt warns on a file with no data
+    table = np.loadtxt(lines[1:], delimiter=",", dtype=_TRACE_DTYPE, ndmin=1)
+    return [dict(zip(TRACE_COLUMNS, row)) for row in table.tolist()]

@@ -1,11 +1,14 @@
 import base64
+import csv
 import functools
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from lazy_sliding.bench import (
 from lazy_sliding.cli import _print_summary, main
 from lazy_sliding.errors import ConfigError, NumericalError
 from lazy_sliding.lcg import lcg_solve
-from lazy_sliding.trace import TRACE_HEADER, read_trace_csv
+from lazy_sliding.trace import TRACE_COLUMNS, TRACE_HEADER, RunTrace, read_trace_csv
 
 SIMPLEX_SPEC = {
     "region": {"kind": "simplex", "n": 6},
@@ -200,7 +203,36 @@ def test_gen_density_validation_and_formats():
     assert objective.value(x_star) <= 1e-18 * 300
 
 
+def _loop_hamiltonian_cycle_vertices(nodes):
+    """Reference: one vector per tour from node 0, in permutation order."""
+    pairs = [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
+    verts = []
+    for perm in itertools.permutations(range(1, nodes)):
+        if perm[0] > perm[-1]:
+            continue  # each undirected cycle once
+        tour = (0,) + perm
+        v = np.zeros(len(pairs))
+        for a, b in zip(tour, tour[1:] + (0,)):
+            v[pairs.index((min(a, b), max(a, b)))] = 1.0
+        verts.append(v)
+    return np.array(verts)
+
+
+def _loop_cut_polytope_vertices(nodes):
+    """Reference: one cut vector per bitmask of nodes 1.., node 0 on side 0."""
+    pairs = [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
+    verts = []
+    for mask in range(2 ** (nodes - 1)):
+        side = [0] + [(mask >> b) & 1 for b in range(nodes - 1)]
+        verts.append([1.0 if side[i] != side[j] else 0.0 for i, j in pairs])
+    return np.array(verts)
+
+
 def test_hamiltonian_cycle_vertices():
+    for nodes in range(3, 9):
+        V = hamiltonian_cycle_vertices(nodes)
+        assert V.dtype == np.float64
+        assert np.array_equal(V, _loop_hamiltonian_cycle_vertices(nodes)), nodes
     V5 = hamiltonian_cycle_vertices(5)
     assert V5.shape == (12, 10)  # (5-1)!/2 cycles over C(5,2) edge coords
     assert np.all(V5.sum(axis=1) == 5.0)  # every cycle uses 5 edges
@@ -211,6 +243,10 @@ def test_hamiltonian_cycle_vertices():
 
 
 def test_cut_polytope_vertices():
+    for nodes in range(2, 12):
+        V = cut_polytope_vertices(nodes)
+        assert V.dtype == np.float64
+        assert np.array_equal(V, _loop_cut_polytope_vertices(nodes)), nodes
     V = cut_polytope_vertices(3)
     assert V.shape == (4, 3)
     assert any(np.all(r == 0.0) for r in V)  # the empty cut
@@ -561,14 +597,89 @@ def test_reproducible_across_runs_modulo_wall(tmp_path):
     assert ma["config_hash"] == mb["config_hash"]
 
 
-def test_summary_recomputable_from_traces(tmp_path):
-    config = _experiment(tmp_path, _paired_entries(), seeds=(0, 1), outer=25)
+def test_summary_recomputable_from_traces(tmp_path, monkeypatch):
+    # scgs runs end in error and calgd runs in budget_error; over 12 seeds the
+    # file-name order (s10 before s2) differs from the run order
+    real = bench.run_solver
+
+    def run_solver(cfg, objective, region):
+        if cfg.variant == "scgs":
+            raise NumericalError("no convergence")
+        if cfg.variant == "calgd":
+            with monkeypatch.context() as m:
+                m.setattr(lazy_sliding.solvers, "lcg_solve", functools.partial(lcg_solve, cap=2))
+                return real(cfg, objective, region)
+        return real(cfg, objective, region)
+
+    monkeypatch.setattr(bench, "run_solver", run_solver)
+    seeds = list(range(12))
+    config = _experiment(tmp_path, _paired_entries(outer=25) + [CALGD_ENTRY], seeds=seeds)
     out = tmp_path / "runs"
-    run_experiment(config, out_dir=str(out))
+    _, code = run_experiment(config, out_dir=str(out))
+    assert code == 1
     written = json.loads((out / "summary.json").read_text())
     written.pop("runs")
+    file_order = [0, 1, 10, 11] + list(range(2, 10))
+    for key, solver in (("errors", "scgs"), ("budget_errors", "calgd")):
+        assert [(e["solver"], e["seed"]) for e in written[key]] == [(solver, s) for s in file_order]
+    assert list(written["solvers"]) == ["lazy"] and written["solvers"]["lazy"]["runs"] == 12
     recomputed = summarize(str(out))
     assert recomputed == written
+
+
+def test_second_run_into_a_used_directory_summarizes_only_its_runs(tmp_path):
+    out = tmp_path / "runs"
+    run_experiment(_experiment(tmp_path, _paired_entries(outer=10), seeds=range(4)),
+                   out_dir=str(out))
+    lazy = _paired_entries(outer=10)[0]
+    summary, code = run_experiment(_experiment(tmp_path, [lazy], seeds=[0]), out_dir=str(out))
+    assert code == 0
+    written = json.loads((out / "summary.json").read_text())
+    assert written == summary and len(written["runs"]) == 1
+    assert list(written["solvers"]) == ["lazy"] and written["solvers"]["lazy"]["runs"] == 1
+    # the directory still holds the first experiment's traces, which summarize reads
+    assert summarize(str(out))["solvers"]["scgs"]["runs"] == 4
+
+
+def test_run_experiment_reads_no_output_back(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("run_experiment read its own output")
+
+    monkeypatch.setattr(bench, "summarize", refuse)
+    monkeypatch.setattr(bench, "read_trace_csv", refuse)
+    out = tmp_path / "runs"
+    config = _experiment(tmp_path, _paired_entries(outer=25), seeds=(0, 1))
+    summary, code = run_experiment(config, out_dir=str(out))
+    assert code == 0
+    monkeypatch.undo()
+    assert summary["solvers"]["lazy"]["thresholds"]["1e-01"]["reached"] == 2
+    assert {k: v for k, v in summary.items() if k != "runs"} == summarize(str(out))
+
+
+def test_write_csv_bytes_match_a_csv_writer(tmp_path):
+    rows = [(1, 0.25, 1.5e-300, 2, 0, 3, 4, 1, 4, -0.0, float("nan")),
+            (2, 1234.5678901234567, -2.0e+20, 10**12, 7, -1, 0, 0, 0, float("inf"), 1e-7)]
+    path = tmp_path / "t.csv"
+    RunTrace(rows=rows).write_csv(str(path))
+    fmt = [str(v) if isinstance(v, int) else "%.17g" % v for row in rows for v in row]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerows([fmt[:11], fmt[11:]])
+    assert path.read_bytes() == ref.read_bytes()
+    read = read_trace_csv(str(path))
+    assert [repr(tuple(r.values())) for r in read] == [repr(r) for r in rows]
+    assert [type(v) for v in read[1].values()] == [type(v) for v in rows[1]]
+
+
+def test_header_only_trace_reads_as_no_rows(tmp_path):
+    path = tmp_path / "error.csv"
+    RunTrace().write_csv(str(path))
+    assert path.read_text() == TRACE_HEADER + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_trace_csv(str(path)) == []
 
 
 def test_csv_header_exact_and_roundtrip(tmp_path):
@@ -582,8 +693,8 @@ def test_csv_header_exact_and_roundtrip(tmp_path):
         "weak_sep_calls,cache_hits,inner_iters,phi_final,cert_gap")
     rows = read_trace_csv(str(path))
     assert [r["outer_k"] for r in rows] == list(range(1, 11))
-    assert all(isinstance(r["f_value"], float) for r in rows)
-    assert all(isinstance(r["exact_lmo_calls"], int) for r in rows)
+    floats = {"wall_ms", "f_value", "phi_final", "cert_gap"}
+    assert all(type(v) is (float if k in floats else int) for r in rows for k, v in r.items())
     with pytest.raises(ValueError):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope,header\n1,2\n")
@@ -680,6 +791,33 @@ def test_cli_unreadable_instance_exits_2(tmp_path, capsys, text, fault):
     assert err.startswith("lazy-sliding: error: cannot load instance")
     assert "inst.json" in err and fault in err
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("command,config,fault", [
+    ("gen", None, "FileNotFoundError"),
+    ("gen", "{not json", "JSONDecodeError"),
+    ("gen", "[1, 2]", "is not a JSON object"),
+    ("run", None, "FileNotFoundError"),
+    ("run", "{not json", "JSONDecodeError"),
+    ("run", '"exp"', "is not a JSON object"),
+    ("run", {"seeds": [0], "solvers": [CALGD_ENTRY]}, "got instance None"),
+    ("run", {"instance": "INSTANCE", "solvers": CALGD_ENTRY}, "solvers of type dict"),
+    ("summarize", None, "no directory"),
+], ids=["gen-missing", "gen-not-json", "gen-list", "run-missing", "run-not-json", "run-string",
+        "run-no-instance", "run-solvers-dict", "summarize-missing-dir"])
+def test_cli_rejected_input_exits_2(tmp_path, capsys, command, config, fault):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    if isinstance(config, dict):  # with a valid instance file where it says INSTANCE
+        config = json.dumps({k: _write_instance(tmp_path)[0] if v == "INSTANCE" else v
+                             for k, v in config.items()})
+    if config is not None:
+        cfg_path.write_text(config)
+    argv = ([command] if command == "summarize" else [command, "--config", str(cfg_path)])
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lazy-sliding: error: ") and fault in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_verify_runs_pytest_target(tmp_path):
