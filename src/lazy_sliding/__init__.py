@@ -44,7 +44,7 @@ from .schedules import (
 )
 from .solvers import SolverConfig, run_solver
 from .bench import gen_instance, load_instance, run_experiment, summarize
-from .trace import Counters, RunTrace, TRACE_COLUMNS, TRACE_HEADER, read_trace_csv
+from .trace import Counters, RunTrace, TRACE_COLUMNS, TRACE_HEADER, TraceTable, read_trace_csv
 
 __all__ = [
     "BudgetExceeded", "ConfigError", "NumericalError",
@@ -59,5 +59,5 @@ __all__ = [
     "schedule_eval",
     "SolverConfig", "run_solver",
     "gen_instance", "load_instance", "run_experiment", "summarize",
-    "Counters", "RunTrace", "TRACE_COLUMNS", "TRACE_HEADER", "read_trace_csv",
+    "Counters", "RunTrace", "TRACE_COLUMNS", "TRACE_HEADER", "TraceTable", "read_trace_csv",
 ]

@@ -29,10 +29,11 @@ from .objectives import LeastSquares, estimate_L, estimate_sigma2
 from .regions import region_from_spec, svec
 from .schedules import NEEDS, ProblemConstants, ScheduleVariant, schedule_eval
 from .solvers import RESTARTS, SolverConfig, run_solver
-from .trace import TRACE_COLUMNS, RunTrace, read_trace_csv
+from .trace import RunTrace, TraceTable, read_trace_csv
 
 SIGMA2_SAMPLES = 2000  # samples behind an estimated sigma^2, drawn with seed 0
 THRESHOLDS = tuple(10.0 ** (-e) for e in range(1, 7))
+_THRESHOLD_COLUMN = np.array(THRESHOLDS)[:, None]
 _FAILED = ("budget_error", "error")  # the statuses of a failed run
 _CSV_NAME = "%s__s%d.csv"  # a run's trace file, by solver name and seed
 
@@ -310,7 +311,8 @@ def config_hash(obj) -> str:
 def _run_one(task):
     """Worker: run one (solver entry, seed) pair and write its trace files.
 
-    Returns ``(record, rows)``, the rows as `read_trace_csv` reads them back.
+    Returns ``(record, rows)``, the rows a `TraceTable` equal to what
+    `read_trace_csv` reads back.
     A BudgetExceeded keeps the rows computed before the failing outer
     iteration and records that iteration as ``failed_outer_k``.  A
     NumericalError or ConfigError (including one raised while the entry's
@@ -339,7 +341,7 @@ def _run_one(task):
     trace.write_csv(csv_path)
     write_json(csv_path[:-4] + ".meta.json", trace.metadata)
     record = {"solver": name, "seed": seed, "status": status, "message": message}
-    return record, [dict(zip(TRACE_COLUMNS, r)) for r in trace.rows]
+    return record, TraceTable(trace.rows)
 
 
 def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
@@ -436,6 +438,8 @@ def summarize(trace_dir) -> dict:
 
     A run's solver is its metadata's ``solver_name`` (without a .meta.json,
     the file name up to ``__``); the CSV of a run that failed is not read.
+    A trace or metadata file that cannot be read or parsed raises
+    ConfigError naming it.
     """
     runs = []
     for fname in sorted(os.listdir(trace_dir)):
@@ -444,15 +448,35 @@ def summarize(trace_dir) -> dict:
         path = os.path.join(trace_dir, fname)
         meta = {}
         if os.path.exists(path[:-4] + ".meta.json"):
-            with open(path[:-4] + ".meta.json") as fh:
-                meta = json.load(fh)
+            meta = _read_run_file(path[:-4] + ".meta.json", _read_meta)
         record = dict(meta, solver=meta.get("solver_name", fname.split("__")[0]))
-        runs.append((record, None if meta.get("status") in _FAILED else read_trace_csv(path)))
+        failed = meta.get("status") in _FAILED
+        runs.append((record, None if failed else _read_run_file(path, read_trace_csv)))
     return _summary(runs)
 
 
+def _read_meta(path):
+    with open(path) as fh:
+        meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError("not a JSON object")
+    return meta
+
+
+def _read_run_file(path, read):
+    """``read(path)``; a ConfigError naming the file if it cannot be read or parsed."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("cannot read run file %r: %s %s"
+                          % (path, type(exc).__name__, exc)) from exc
+
+
 def _summary(runs):
-    """The summary table of ``(record, rows)`` runs; failed runs are listed in their order."""
+    """The summary table of ``(record, rows)`` runs; failed runs are listed in their order.
+
+    ``rows`` is a `TraceTable` (None for a failed run).
+    """
     per_solver = {}
     failed = {status: [] for status in _FAILED}
     for record, rows in runs:
@@ -464,10 +488,11 @@ def _summary(runs):
 
     solvers = {}
     for name, traces in per_solver.items():
+        # per run and threshold, the first row with f <= it (-1: none)
+        firsts = [_first_crossings(rows.column("f_value")) for rows in traces]
         table = {}
-        for thr in THRESHOLDS:
-            hits = (next((r for r in rows if r["f_value"] <= thr), None) for rows in traces)
-            crossings = [hit for hit in hits if hit is not None]
+        for j, thr in enumerate(THRESHOLDS):
+            crossings = [rows[first[j]] for rows, first in zip(traces, firsts) if first[j] >= 0]
             cell = {"reached": len(crossings), "of": len(traces)}
             if crossings:
                 for key in ("outer_k", "sfo_calls", "exact_lmo_calls", "wall_ms"):
@@ -476,3 +501,11 @@ def _summary(runs):
         solvers[name] = {"runs": len(traces), "thresholds": table}
     return {"version": __version__, "thresholds": ["%.0e" % t for t in THRESHOLDS],
             "solvers": solvers, "budget_errors": failed["budget_error"], "errors": failed["error"]}
+
+
+def _first_crossings(f):
+    """Per threshold, the index of the first ``f`` value at or below it, or -1."""
+    if not len(f):  # a time-limited run may end before its first row
+        return np.full(len(THRESHOLDS), -1)
+    below = f <= _THRESHOLD_COLUMN
+    return np.where(below.any(axis=1), below.argmax(axis=1), -1)

@@ -1,5 +1,6 @@
 """Run counters and the per-iteration trace table written by the solvers."""
 
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 from typing import List
 
@@ -31,6 +32,8 @@ _TRACE_DTYPE = np.dtype([
 TRACE_COLUMNS = _TRACE_DTYPE.names
 
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
+
+_INDEX = {name: i for i, name in enumerate(TRACE_COLUMNS)}
 
 
 @dataclass
@@ -65,16 +68,82 @@ def _fmt(v):
     return str(v) if isinstance(v, int) else "%.17g" % (v,)
 
 
-def read_trace_csv(path):
-    """The rows of a trace CSV as dicts keyed by TRACE_COLUMNS, counts as ints.
+class TraceRow(Mapping):
+    """One trace row, read-only: its values by column name as Python ints and floats."""
 
-    Another header raises ValueError; a header-only file (an ``error`` run) reads as [].
+    __slots__ = ("_values",)
+
+    def __init__(self, values):
+        self._values = values
+
+    def __getitem__(self, name):
+        return self._values[_INDEX[name]]
+
+    def __iter__(self):
+        return iter(TRACE_COLUMNS)
+
+    def __len__(self):
+        return len(TRACE_COLUMNS)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class TraceTable(Sequence):
+    """Read-only trace rows held in one `_TRACE_DTYPE` structured array.
+
+    A row is a `TraceRow`, made when it is read, so the table keeps 88 bytes
+    per row where a dict per row keeps about 700.  ``column(name)`` is the
+    column as a read-only ndarray.  A table equals a list of rows (dicts or
+    `TraceRow`s) with the same values.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self, rows):
+        """``rows``: a `_TRACE_DTYPE` array, or a sequence of `RunTrace.rows` tuples."""
+        # a read-only view: an array handed in keeps its own flags
+        self._array = np.asarray(rows, dtype=_TRACE_DTYPE).view()
+        self._array.flags.writeable = False
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TraceTable(self._array[i])
+        return TraceRow(self._array[i].item())
+
+    def __iter__(self):
+        return map(TraceRow, self._array.tolist())
+
+    def __len__(self):
+        return len(self._array)
+
+    def __eq__(self, other):
+        if isinstance(other, (TraceTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "TraceTable(%r)" % (list(self),)
+
+    def __reduce__(self):
+        return TraceTable, (self._array,)
+
+    def column(self, name):
+        return self._array[name]
+
+
+def read_trace_csv(path):
+    """The rows of a trace CSV as a `TraceTable`.
+
+    Another header, or a row without exactly one field per column, raises
+    ValueError; a header-only file (an ``error`` run) reads as no rows.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if lines[:1] != [TRACE_HEADER]:
         raise ValueError("unexpected trace header in %s" % (path,))
     if len(lines) == 1:
-        return []  # np.loadtxt warns on a file with no data
-    table = np.loadtxt(lines[1:], delimiter=",", dtype=_TRACE_DTYPE, ndmin=1)
-    return [dict(zip(TRACE_COLUMNS, row)) for row in table.tolist()]
+        return TraceTable([])  # np.loadtxt warns on a file with no data
+    return TraceTable(np.loadtxt(lines[1:], delimiter=",", dtype=_TRACE_DTYPE, ndmin=1))

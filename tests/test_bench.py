@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -29,7 +30,7 @@ from lazy_sliding.bench import (
 from lazy_sliding.cli import _print_summary, main
 from lazy_sliding.errors import ConfigError, NumericalError
 from lazy_sliding.lcg import lcg_solve
-from lazy_sliding.trace import TRACE_COLUMNS, TRACE_HEADER, RunTrace, read_trace_csv
+from lazy_sliding.trace import TRACE_COLUMNS, TRACE_HEADER, RunTrace, TraceTable, read_trace_csv
 
 SIMPLEX_SPEC = {
     "region": {"kind": "simplex", "n": 6},
@@ -708,6 +709,102 @@ def test_jobs_parallel_matches_sequential(tmp_path):
     run_experiment(config, out_dir=str(par), jobs=2)
     for name in ("lazy__s0.csv", "scgs__s0.csv"):
         assert _csv_modulo_wall(seq / name) == _csv_modulo_wall(par / name)
+
+
+def _typed_reprs(rows):
+    # every value with its type and exact repr, so NaN equals NaN
+    return [[(k, type(v), repr(v)) for k, v in r.items()] for r in rows]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_returned_rows_equal_the_written_trace(tmp_path, monkeypatch, jobs):
+    # the rows each run hands to the summary, pickled across processes at
+    # jobs=2, are the rows its CSV reads back: values, types and NaNs alike
+    returned = []
+    real = bench._summary
+    monkeypatch.setattr(bench, "_summary", lambda runs: returned.extend(runs) or real(runs))
+    ofw = {"name": "ofw", "variant": "ofw", "outer": 30}
+    config = _experiment(tmp_path, _paired_entries(outer=20) + [ofw], seeds=(0, 1))
+    out = tmp_path / "runs"
+    _, code = run_experiment(config, out_dir=str(out), jobs=jobs)
+    assert code == 0 and len(returned) == 6
+    nans = 0
+    for record, rows in returned:
+        assert isinstance(rows, TraceTable) and len(rows) == (30 if record["solver"] == "ofw" else 20)
+        written = read_trace_csv(str(out / ("%s__s%d.csv" % (record["solver"], record["seed"]))))
+        assert _typed_reprs(rows) == _typed_reprs(written)
+        unpickled = pickle.loads(pickle.dumps(rows))
+        assert _typed_reprs(unpickled) == _typed_reprs(rows)
+        assert not unpickled.column("f_value").flags.writeable
+        nans += sum(math.isnan(v) for v in rows.column("cert_gap"))
+    assert nans == 2 * 30  # ofw has no inner solve to certify
+
+
+def test_trace_table_reads_like_a_list_of_dicts():
+    rows = [(k, 0.5 * k, 1.0 / k, 4 * k, 0, k, 2 * k, k // 2, 2 * k, float("nan"), 1e-3)
+            for k in range(1, 6)]
+    table = TraceTable(rows)
+    dicts = [dict(zip(TRACE_COLUMNS, r)) for r in rows]
+    assert len(table) == 5 and table and not TraceTable([]) and TraceTable([]) == []
+    assert _typed_reprs(table) == _typed_reprs(dicts) == _typed_reprs(table[:])
+    assert _typed_reprs([table[-1]]) == _typed_reprs(dicts[-1:])
+    assert list(table[1]) == list(TRACE_COLUMNS) and table[1]["outer_k"] == 2
+    assert json.dumps(table[-1]["sfo_calls"]) == "20"
+    with pytest.raises(KeyError):
+        table[0]["no_such"]
+    column = table.column("f_value")
+    assert column.tolist() == [1.0 / k for k in range(1, 6)]
+    with pytest.raises(ValueError):
+        column[0] = 0.0  # read-only
+
+
+def test_first_crossings_match_a_scan_of_the_rows():
+    nan = float("nan")
+    columns = [[], [nan, nan], [5.0, 0.1, 2.0, 1e-3, nan, 1e-7], [1e-6, 1.0, 1e-2],
+               np.random.default_rng(0).lognormal(-6.0, 4.0, 200).tolist()]
+    for f in columns:
+        scan = [next((i for i, v in enumerate(f) if v <= thr), -1) for thr in bench.THRESHOLDS]
+        assert bench._first_crossings(np.array(f, dtype=float)).tolist() == scan
+
+
+def test_trace_rows_keep_under_200_bytes_each(tmp_path):
+    # a dict per row keeps about 700 bytes alive; the structured array 88
+    n = 10000
+    rows = [(k, 0.25 * k, 1.0 / k, 128 * k, 0, k, 3 * k, k // 2, 3 * k, 1e-3, 2e-4)
+            for k in range(1, n + 1)]
+    path = tmp_path / "t.csv"
+    RunTrace(rows=rows).write_csv(str(path))
+    for build in (lambda: read_trace_csv(str(path)), lambda: TraceTable(rows)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = build()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table) == n and kept <= 200 * n, kept / n
+
+
+@pytest.mark.parametrize("fname,text,fault", [
+    ("calgd__s0.csv", "a,b\n1,2\n", "unexpected trace header"),
+    ("calgd__s0.csv", TRACE_HEADER + "\n" + ",".join(["1"] * 10) + "\n", "ValueError"),
+    ("calgd__s0.meta.json", '{"solver_name": "calgd", "sta', "JSONDecodeError"),
+], ids=["header", "ten-fields", "truncated-meta"])
+def test_summarize_rejects_an_unreadable_run_file(tmp_path, capsys, fname, text, fault):
+    out = tmp_path / "runs"
+    _, code = run_experiment(_experiment(tmp_path, [CALGD_ENTRY], seeds=(0, 1), outer=10),
+                             out_dir=str(out))
+    assert code == 0
+    (out / "summary.json").unlink()
+    (out / fname).write_text(text)
+    with pytest.raises(ConfigError, match=fname) as info:
+        summarize(str(out))
+    assert fault in str(info.value) and isinstance(info.value.__cause__, ValueError)
+    assert main(["summarize", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lazy-sliding: error: cannot read run file") and fname in err
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()
 
 
 def test_cli_gen_run_summarize(tmp_path, capsys):
