@@ -4,7 +4,8 @@ Each region exposes:
 
 - ``lmo(c)``       -> Vertex minimizing <c, x> over the region (exact),
 - ``diameter()``   -> Euclidean diameter (exact or a provable upper bound),
-- ``contains(x)``  -> membership test within a tolerance,
+- ``contains(x)``  -> membership test within a tolerance; a point with a
+                      NaN or infinite coordinate is never a member,
 - ``dim``          -> ambient dimension of the points handed around,
 - ``support``      -> the most nonzeros a vertex can have, or None when
                       vertices may be dense; the vertex cache stores
@@ -88,6 +89,12 @@ class Region:
         raise NotImplementedError
 
     def contains(self, x, tol=1e-9) -> bool:
+        """Whether x is a member up to ``tol``, by the region's own test; False if x
+        has a NaN or infinite coordinate."""
+        x = self._check(x)
+        return bool(np.all(np.isfinite(x))) and self._contains(x, tol)
+
+    def _contains(self, x, tol) -> bool:
         raise NotImplementedError
 
     def to_spec(self) -> dict:
@@ -116,8 +123,7 @@ class Simplex(Region):
     def diameter(self):
         return math.sqrt(2.0) if self.n >= 2 else 0.0
 
-    def contains(self, x, tol=1e-9):
-        x = self._check(x)
+    def _contains(self, x, tol):
         return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - 1.0) <= tol)
 
     def to_spec(self):
@@ -150,8 +156,7 @@ class L1Ball(Region):
     def diameter(self):
         return 2.0 * self.radius
 
-    def contains(self, x, tol=1e-9):
-        x = self._check(x)
+    def _contains(self, x, tol):
         return bool(float(np.sum(np.abs(x))) <= self.radius + tol)
 
     def to_spec(self):
@@ -182,8 +187,7 @@ class Box(Region):
     def diameter(self):
         return float(np.linalg.norm(self.hi - self.lo))
 
-    def contains(self, x, tol=1e-9):
-        x = self._check(x)
+    def _contains(self, x, tol):
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
     def to_spec(self):
@@ -216,8 +220,7 @@ class Birkhoff(Region):
     def diameter(self):
         return math.sqrt(2.0 * self.n)
 
-    def contains(self, x, tol=1e-9):
-        x = self._check(x)
+    def _contains(self, x, tol):
         P = x.reshape(self.n, self.n)
         return bool(
             np.all(P >= -tol)
@@ -260,8 +263,7 @@ class Spectrahedron(Region):
     def diameter(self):
         return math.sqrt(2.0)
 
-    def contains(self, x, tol=1e-9):
-        x = self._check(x)
+    def _contains(self, x, tol):
         X = smat(x)
         ev = np.linalg.eigvalsh(X)
         return bool(ev[0] >= -tol and abs(float(np.trace(X)) - 1.0) <= tol)
@@ -353,8 +355,7 @@ class DagPath(Region):
     def diameter(self):
         return math.sqrt(2.0 * self.max_path_edges)
 
-    def contains(self, x, tol=1e-9):
-        x = self._check(x)
+    def _contains(self, x, tol):
         if np.any(x < -tol):
             return False
         for v in self._nodes:
@@ -369,8 +370,68 @@ class DagPath(Region):
         return {"kind": self.kind, "edges": [[u, v] for u, v in self.edges]}
 
 
+# A guard, not a budget: Wolfe's algorithm is finite, and on the cut and
+# Hamiltonian-cycle polytopes (up to 4096 vertices, dim 78) it has taken at
+# most dim + 2 steps.
+_MNP_MAX_ITERS = 10000
+# Height of a row block of the diameter's Gram matrix: about 8 MB a block.
+_DIAMETER_BLOCK_BYTES = 8 << 20
+
+
+def _min_norm_point(P, tol):
+    """Wolfe's (1976) minimum-norm point of the convex hull of the rows of P.
+
+    Returns ``(active, weights, p)`` with ``p = weights @ P[active]``, the
+    weights positive and summing to one.  It stops inside once
+    ``||p|| <= tol``: the weights are then a convex combination within tol of
+    the origin.  Otherwise it stops when no row improves on ``||p||^2``:
+    ``<P_i, p> >= ||p||^2`` for every row up to rounding, so p is the
+    minimum-norm point and separates the hull from the origin.  Rows must be
+    finite.  By Caratheodory at most ``dim + 1`` rows are active, so each
+    affine step is one small least squares solve.
+    """
+    sq = np.einsum("ij,ij->i", P, P)
+    active = [int(np.argmin(sq))]
+    weights = np.ones(1)
+    p, p_sq = P[active[0]], float(sq[active[0]])
+    for _ in range(_MNP_MAX_ITERS):
+        if p_sq <= tol * tol:
+            return active, weights, p
+        proj = P @ p
+        j = int(np.argmin(proj))  # the LMO at cost p
+        if j in active or proj[j] >= p_sq:
+            return active, weights, p
+        corral, lam = active + [j], np.append(weights, 0.0)
+        while True:
+            # Affine minimizer of the corral: mu_0 = 1 - sum(mu[1:]).
+            Q = P[corral]
+            rest = np.linalg.lstsq((Q[1:] - Q[0]).T, -Q[0], rcond=None)[0]
+            mu = np.concatenate(([1.0 - rest.sum()], rest))
+            if np.all(mu > 0.0):
+                break
+            # Move from lam toward mu until the first weight reaches 0; drop it.
+            # lam - mu >= lam > 0 on every row but the new one (lam = 0), whose
+            # ratio is 0 if it gets mu = 0.
+            out = np.flatnonzero(mu <= 0.0)
+            ratios = lam[out] / np.maximum(lam[out] - mu[out], np.finfo(float).tiny)
+            lam = lam + float(np.min(ratios)) * (mu - lam)
+            lam[out[np.argmin(ratios)]] = 0.0
+            keep = lam > 0.0
+            corral, lam = [i for i, k in zip(corral, keep) if k], lam[keep]
+        q = mu @ Q
+        q_sq = float(q @ q)
+        if q_sq >= p_sq:  # rounding ate the step: p is as near as it gets
+            return active, weights, p
+        active, weights, p, p_sq = corral, mu, q, q_sq
+    raise NumericalError("minimum-norm point: no answer after %d iterations" % (_MNP_MAX_ITERS,))
+
+
 class Enumerated(Region):
-    """Convex hull of an explicit vertex list (at most 5000 vertices)."""
+    """Convex hull of an explicit vertex list (at most 5000 finite vertices).
+
+    ``contains(x, tol)`` holds when the Euclidean distance from x to the hull
+    is at most tol, decided by Wolfe's minimum-norm point of ``V - x``.
+    """
 
     kind = "enumerated"
     MAX_VERTICES = 5000
@@ -383,6 +444,8 @@ class Enumerated(Region):
             raise ValueError(
                 "enumerated region capped at %d vertices, got %d"
                 % (self.MAX_VERTICES, V.shape[0]))
+        if not np.all(np.isfinite(V)):
+            raise ValueError("enumerated region has a vertex with a NaN or infinite coordinate")
         self.vertices = V
         self.dim = V.shape[1]
         self._diameter = None
@@ -394,36 +457,21 @@ class Enumerated(Region):
 
     def diameter(self):
         if self._diameter is None:
-            # Exact pairwise max via ||v-w||^2 = ||v||^2 + ||w||^2 - 2 v.w.
-            sq = np.sum(self.vertices ** 2, axis=1)
-            G = self.vertices @ self.vertices.T
-            d2 = sq[:, None] + sq[None, :] - 2.0 * G
-            self._diameter = float(math.sqrt(max(0.0, float(np.max(d2)))))
+            # Exact pairwise max via ||v-w||^2 = ||v||^2 + ||w||^2 - 2 v.w, a
+            # block of rows at a time so that no nv x nv matrix is held.
+            V = self.vertices
+            sq = np.sum(V ** 2, axis=1)
+            rows = max(1, _DIAMETER_BLOCK_BYTES // (8 * len(V)))
+            best = 0.0
+            for lo in range(0, len(V), rows):
+                d2 = sq[lo:lo + rows, None] + sq[None, :] - 2.0 * (V[lo:lo + rows] @ V.T)
+                best = max(best, float(np.max(d2)))
+            self._diameter = math.sqrt(best)
         return self._diameter
 
-    def contains(self, x, tol=1e-9):
-        # Deferred: a slow import that most regions never need.
-        from scipy.optimize import linprog
-
-        # Chebyshev fit: min t s.t. |V^T lam - x|_inf <= t, lam in simplex.
-        x = self._check(x)
-        nv = self.vertices.shape[0]
-        d = self.dim
-        c = np.zeros(nv + 1)
-        c[-1] = 1.0
-        A_ub = np.zeros((2 * d, nv + 1))
-        A_ub[:d, :nv] = self.vertices.T
-        A_ub[:d, -1] = -1.0
-        A_ub[d:, :nv] = -self.vertices.T
-        A_ub[d:, -1] = -1.0
-        b_ub = np.concatenate([x, -x])
-        A_eq = np.zeros((1, nv + 1))
-        A_eq[0, :nv] = 1.0
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                      bounds=[(0, None)] * nv + [(0, None)], method="highs")
-        if not res.success:
-            raise NumericalError("membership LP failed: %s" % (res.message,))
-        return bool(res.fun <= tol)
+    def _contains(self, x, tol):
+        p = _min_norm_point(self.vertices - x, tol)[2]
+        return float(p @ p) <= tol * tol
 
     def to_spec(self):
         return {"kind": self.kind, "vertices": self.vertices.tolist()}

@@ -231,3 +231,26 @@ def record_queries(monkeypatch, probe=None):
 
     monkeypatch.setattr(lcg, "weak_separation", recorded)
     return queries
+
+
+def lp_hull_distance(V, x):
+    """Chebyshev distance from x to the convex hull of the rows of V, by LP (HiGHS).
+
+    min t subject to |V^T lam - x|_inf <= t, lam >= 0, sum lam = 1.
+    """
+    from scipy.optimize import linprog
+
+    V = np.asarray(V, dtype=float)
+    nv, d = V.shape
+    c = np.zeros(nv + 1)
+    c[-1] = 1.0
+    A_ub = np.zeros((2 * d, nv + 1))
+    A_ub[:d, :nv] = V.T
+    A_ub[d:, :nv] = -V.T
+    A_ub[:, -1] = -1.0
+    A_eq = np.zeros((1, nv + 1))
+    A_eq[0, :nv] = 1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.concatenate([x, -x]), A_eq=A_eq, b_eq=[1.0],
+                  bounds=[(0, None)] * (nv + 1), method="highs")
+    assert res.success, res.message
+    return float(res.fun)

@@ -88,6 +88,46 @@ def test_import_does_not_load_scipy_optimize():
     assert out.strip() == "False"
 
 
+def test_enumerated_experiment_does_not_load_scipy_optimize(tmp_path):
+    # membership in an enumerated region is a minimum-norm point, not an LP
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lazy_sliding.__file__)))
+    spec = {"region": {"kind": "hamiltonian_cycles", "nodes": 5},
+            "objective": {"m": 40, "density": 0.8}, "seed": 3}
+    config = {"seeds": [0, 1], "budgets": {"outer": 20},
+              "solvers": _paired_entries(outer=20) + [{"name": "ofw", "variant": "ofw"}]}
+    code = ("import json, sys\n"
+            "from lazy_sliding import objectives\n"
+            "from lazy_sliding.bench import gen_instance, load_instance, run_experiment, write_json\n"
+            "points, value = [], objectives.LeastSquares.value\n"
+            "objectives.LeastSquares.value = lambda self, x: points.append(x) or value(self, x)\n"
+            "path, out = sys.argv[1], sys.argv[2]\n"
+            "write_json(path, gen_instance(json.loads(sys.argv[3])))\n"
+            "config = dict(json.loads(sys.argv[4]), instance=path)\n"
+            "assert run_experiment(config, out_dir=out)[1] == 0\n"
+            "region = load_instance(path)[0]\n"
+            "assert len(points) > 100 and all(region.contains(x) for x in points)\n"
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "ham5.json"),
+                          str(tmp_path / "runs"), json.dumps(spec), json.dumps(config)],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                         check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_instance_with_a_non_finite_vertex_exits_2(tmp_path, capsys):
+    inst = gen_instance({"region": {"kind": "hamiltonian_cycles", "nodes": 5},
+                         "objective": {"m": 20}, "seed": 1})
+    inst["region"]["vertices"][3][2] = float("nan")
+    write_json(str(tmp_path / "bad.json"), inst)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": str(tmp_path / "bad.json"), "solvers": [CALGD_ENTRY]}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "NaN or infinite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_import_does_not_load_scipy_sparse(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(lazy_sliding.__file__)))
     code = ("import json, sys\n"

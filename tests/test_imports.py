@@ -87,3 +87,65 @@ def test_solvers_dispatch_on_no_variant_but_ofw_and_scgs():
     with open(os.path.join(PACKAGE_DIR, "solvers.py")) as fh:
         literals = _variant_literals(fh.read())
     assert {value for _, value in literals} <= {"ofw", "scgs"}, literals
+
+
+def _scipy_imports(source):
+    """(scope, branch, module) of every import of scipy.optimize or scipy.sparse.
+
+    scope is the dotted name of the enclosing classes and functions ("" at
+    module level); branch is the test of the innermost enclosing ``if``, with
+    ``not`` for its else part ("" outside any ``if``).
+    """
+    found = set()
+
+    def visit(node, scope, branch):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + ["%s.%s" % (node.module, a.name) for a in node.names]
+        for module in ("scipy.optimize", "scipy.sparse"):
+            if any(n == module or n.startswith(module + ".") for n in names):
+                found.add((scope, branch, module))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if not scope else scope + "." + node.name
+        for field, value in ast.iter_fields(node):
+            for child in value if isinstance(value, list) else [value]:
+                if not isinstance(child, ast.AST):
+                    continue
+                if isinstance(node, ast.If) and field in ("body", "orelse"):
+                    test = ast.unparse(node.test)
+                    visit(child, scope, test if field == "body" else "not " + test)
+                else:
+                    visit(child, scope, branch)
+
+    visit(ast.parse(source), "", "")
+    return found
+
+
+def test_scipy_import_scan_finds_scope_and_branch():
+    source = ("import scipy.sparse as sp\n"
+              "class R:\n    def lmo(self):\n        from scipy.optimize import linprog\n"
+              "def load(fmt):\n    if fmt == 'csr':\n        from scipy import sparse\n"
+              "    else:\n        import scipy.optimize._lsq\n"
+              "    import scipy.linalg\n")
+    assert _scipy_imports(source) == {
+        ("", "", "scipy.sparse"), ("R.lmo", "", "scipy.optimize"),
+        ("load", "fmt == 'csr'", "scipy.sparse"), ("load", "not fmt == 'csr'", "scipy.optimize")}
+
+
+def test_package_loads_scipy_optimize_and_sparse_only_where_needed():
+    # Each import costs hundreds of ms and tens of MB, so only the code
+    # paths that cannot work without it may load it: the Birkhoff LMO
+    # (an assignment solve) and the CSR branches of instance I/O.
+    allowed = {
+        ("regions.py", "Birkhoff.lmo", "", "scipy.optimize"),
+        ("bench.py", "gen_instance", "fmt == 'csr'", "scipy.sparse"),
+        ("bench.py", "load_instance", "amat['format'] == 'csr'", "scipy.sparse"),
+    }
+    found = set()
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name)) as fh:
+                found |= {(name,) + site for site in _scipy_imports(fh.read())}
+    assert found <= allowed, found - allowed

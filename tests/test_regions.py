@@ -1,10 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lazy_sliding.bench import layered_dag_edges
+from lazy_sliding.bench import cut_polytope_vertices, hamiltonian_cycle_vertices, layered_dag_edges
+from lazy_sliding.errors import NumericalError
+from lazy_sliding import regions
 from lazy_sliding.regions import (
     Birkhoff,
     Box,
@@ -13,12 +16,19 @@ from lazy_sliding.regions import (
     L1Ball,
     Simplex,
     Spectrahedron,
+    _min_norm_point,
     region_from_spec,
     smat,
     svec,
 )
 
-from helpers import brute_birkhoff_min, brute_dag_min, dense_spectra_min, enumerate_dag_paths
+from helpers import (
+    brute_birkhoff_min,
+    brute_dag_min,
+    dense_spectra_min,
+    enumerate_dag_paths,
+    lp_hull_distance,
+)
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]  # two parallel 2-edge paths
 
@@ -85,6 +95,12 @@ def test_contains_worked_examples():
     sp = Spectrahedron(2)
     assert sp.contains(svec(0.5 * np.eye(2)))
     assert not sp.contains(svec(np.diag([1.5, -0.5])))
+    tri = Enumerated([(-1.0, 0.0), (1.0, 0.0), (0.0, 0.5)])
+    # the nearest vertex, where the search starts, lies straight above the edge
+    # point (0, 0): no vertex projects below 0 on that direction, yet the
+    # point is a member
+    assert tri.contains(np.array([0.0, 0.0]))
+    assert not tri.contains(np.array([0.0, -1e-6]))
 
 
 ALL_REGIONS = [
@@ -285,5 +301,180 @@ def test_shape_and_construction_errors():
         DagPath([(0, 1), (1, 2), (2, 1), (2, 3)])  # one source and one sink around a cycle
     with pytest.raises(ValueError):
         Enumerated(np.zeros((5001, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            Enumerated([[bad, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         region_from_spec({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("region", ALL_REGIONS + [DagPath([(0, 1), (1, 2), (0, 2)])],
+                         ids=lambda r: r.kind)
+def test_contains_is_false_for_a_non_finite_point(region):
+    member = region.lmo(np.ones(region.dim)).point
+    assert region.contains(member)
+    for i in (0, region.dim - 1):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = member.copy()
+            x[i] = bad
+            assert region.contains(x) is False, (i, bad)
+
+
+def _unblocked_diameter(V):
+    sq = np.sum(V ** 2, axis=1)
+    return float(math.sqrt(max(0.0, float(np.max(sq[:, None] + sq[None, :] - 2.0 * (V @ V.T))))))
+
+
+def test_enumerated_diameter_in_row_blocks_equals_the_full_gram_maximum():
+    # Integer coordinates make every Gram entry exact, so the blocks must give
+    # the very value of the single nv x nv computation; float coordinates
+    # agree to rounding (numpy forms V @ V.T by a symmetric rank-k update,
+    # whose rounding differs from that of a product of a row block).
+    rng = np.random.default_rng(21)
+    lists = [hamiltonian_cycle_vertices(n) for n in (5, 6, 7)]
+    lists += [cut_polytope_vertices(n) for n in range(6, 14)]
+    lists += [rng.integers(-50, 51, size=(3000, 12))]
+    for V in lists:
+        V = np.asarray(V, dtype=float)
+        assert Enumerated(V).diameter() == _unblocked_diameter(V), V.shape
+    V = rng.standard_normal((2500, 9))
+    assert Enumerated(V).diameter() == pytest.approx(_unblocked_diameter(V), rel=1e-12)
+
+
+def test_enumerated_diameter_memory_is_a_few_row_blocks():
+    V = np.random.default_rng(22).standard_normal((5000, 20))
+    region = Enumerated(V)
+    tracemalloc.start()
+    try:
+        region.diameter()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one full 5000 x 5000 matrix alone is 200 MB
+    assert peak <= 40e6, peak
+
+
+def _assert_certified(V, x, tol, distance):
+    """The minimum-norm point behind contains(x) proves its answer.
+
+    distance is that of x from the hull, 0 for a member.
+    """
+    active, weights, p = _min_norm_point(V - x, tol)
+    scale = float(np.max(np.abs(V - x)))
+    assert len(set(active)) == len(active) <= V.shape[1] + 1
+    assert np.all(weights > 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-12
+    assert np.allclose(weights @ (V[active] - x), p, rtol=0.0, atol=1e-12 * scale)
+    if distance == 0.0:  # a convex combination of vertices within tol of x
+        assert float(np.linalg.norm(weights @ V[active] - x)) <= tol + 1e-14 * scale
+    else:  # a hyperplane keeps every vertex farther than tol from x
+        norm = float(np.linalg.norm(p))
+        assert float(np.min((V - x) @ p)) / norm > tol
+        assert abs(norm - distance) <= 1e-8 * distance  # the nearest point, not just a near one
+
+
+def _exposed_faces(V, rng, count=6):
+    """(vertex indices, unit cost c) of faces with 2 or 3 vertices: c.v is least on them.
+
+    Small integer costs tie on a list of integer points; a list of generic
+    points (full-dimensional, in few dimensions) takes 2-3 vertices of a
+    facet of its hull.
+    """
+    from scipy.spatial import ConvexHull
+
+    faces = []
+    if not np.array_equal(V, np.round(V)):
+        hull = ConvexHull(V)
+        for simplex, eq in zip(hull.simplices[:count], hull.equations):
+            size = min(len(simplex), int(rng.integers(2, 4)))
+            faces.append((rng.choice(simplex, size=size, replace=False), -eq[:-1]))
+        return faces
+    while len(faces) < count:
+        c = rng.integers(-3, 4, size=V.shape[1]).astype(float)
+        values = V @ c
+        face = np.flatnonzero(values == values.min())
+        if len(face) in (2, 3):
+            faces.append((face, c / np.linalg.norm(c)))
+    return faces
+
+
+def _membership_fuzz(V, rng):
+    """(point, distance to the hull) pairs: vertices, sparse and dense convex
+    combinations and points of 2-3-vertex faces (distance 0), and the face
+    points pushed 1e-6 and 1e-3 out along the face's unit cost."""
+    nv = len(V)
+    cases = [(V[i], 0.0) for i in rng.choice(nv, size=min(nv, 6), replace=False)]
+    for _ in range(6):
+        idx = rng.choice(nv, size=min(nv, int(rng.integers(2, 5))), replace=False)
+        cases.append((rng.dirichlet(np.ones(len(idx))) @ V[idx], 0.0))
+        cases.append((rng.dirichlet(np.ones(nv)) @ V, 0.0))
+    for face, c in _exposed_faces(V, rng):
+        x = rng.dirichlet(np.ones(len(face))) @ V[face]
+        cases.append((x, 0.0))
+        cases += [(x - delta * c, delta) for delta in (1e-6, 1e-3)]
+    return cases
+
+
+MEMBERSHIP_LISTS = {
+    "ham5": hamiltonian_cycle_vertices(5),
+    "ham6": hamiltonian_cycle_vertices(6),
+    "cut6": cut_polytope_vertices(6),
+    "cut7": cut_polytope_vertices(7),
+    "cut8": cut_polytope_vertices(8),
+    "random6": np.random.default_rng(23).standard_normal((40, 6)),
+    "square": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_LISTS))
+def test_enumerated_contains_agrees_with_the_lp_and_is_certified(name):
+    V = np.asarray(MEMBERSHIP_LISTS[name], dtype=float)
+    region, tol = Enumerated(V), 1e-9
+    for x, distance in _membership_fuzz(V, np.random.default_rng(24)):
+        assert region.contains(x, tol) is (distance == 0.0)
+        assert (lp_hull_distance(V, x) <= tol) is (distance == 0.0)
+        _assert_certified(V, x, tol, distance)
+
+
+def _degenerate_lists(rng):
+    flat = rng.standard_normal((12, 3)) @ np.linalg.qr(rng.standard_normal((6, 3)))[0].T
+    return {
+        "duplicates": np.repeat(rng.standard_normal((8, 3)), 2, axis=0)[rng.permutation(16)],
+        "single": rng.standard_normal((1, 4)),
+        "collinear": np.outer(rng.uniform(-1.0, 1.0, 5), rng.standard_normal(3)) + 1.0,
+        "flat": flat + rng.standard_normal(6),
+    }
+
+
+@pytest.mark.parametrize("name", ["duplicates", "single", "collinear", "flat"])
+def test_enumerated_contains_on_degenerate_lists(name):
+    # Vertices and convex combinations are members; a vertex pushed against a
+    # cost it minimizes, and a combination pushed off the affine hull of a
+    # lower-dimensional list, lie exactly delta away.
+    rng = np.random.default_rng(25)
+    V = _degenerate_lists(rng)[name]
+    region, tol = Enumerated(V), 1e-9
+    _, s, Vt = np.linalg.svd(V - V[0])
+    normals = Vt[int(np.sum(s > 1e-9)):]
+    cases = [(v, 0.0) for v in V]
+    for _ in range(8):
+        combo = rng.dirichlet(np.ones(len(V))) @ V
+        cases.append((combo, 0.0))
+        c = rng.standard_normal(V.shape[1])
+        c /= np.linalg.norm(c)
+        v = V[np.argmin(V @ c)]
+        for delta in (1e-6, 1e-3):
+            cases.append((v - delta * c, delta))
+            if len(normals):
+                cases.append((combo + delta * normals[rng.integers(len(normals))], delta))
+    for x, distance in cases:
+        assert region.contains(x, tol) is (distance == 0.0)
+        assert (lp_hull_distance(V, x) <= tol) is (distance == 0.0)
+        _assert_certified(V, x, tol, distance)
+
+
+def test_enumerated_contains_raises_at_the_iteration_cap(monkeypatch):
+    V = hamiltonian_cycle_vertices(6).astype(float)
+    x = np.full(len(V), 1.0 / len(V)) @ V  # needs more than one step
+    monkeypatch.setattr(regions, "_MNP_MAX_ITERS", 1)
+    with pytest.raises(NumericalError, match="minimum-norm point"):
+        Enumerated(V).contains(x)
