@@ -154,9 +154,12 @@ class LeastSquares:
         idx = rng.integers(0, self.m, size=count)
         for block in _row_slices(count, self.n):
             sub = idx[block]
-            rows = self._rows(sub)
+            rows = self._rows(sub)  # a fresh array: scaled in place
             resid = rows @ z - self.b[sub]
-            yield 2.0 * self.m * rows * resid[:, None]
+            rows *= 2.0 * self.m
+            rows *= resid[:, None]
+            yield rows
+            del rows  # else the next block is drawn while this one is held
 
     def lipschitz(self):
         """L = 2 sigma_max(A)^2, via power iteration on v -> A^T (A v)."""
@@ -194,7 +197,10 @@ class GaussianSfo:
     def sfo_blocks(self, z, count, rng):
         g = self.base.grad(z)
         for block in _row_slices(count, len(g)):
-            yield g[None, :] + self._noise(len(g), rng, count=block.stop - block.start)
+            noise = self._noise(len(g), rng, count=block.stop - block.start)
+            noise += g
+            yield noise
+            del noise
 
     def lipschitz(self):
         return self.base.lipschitz()
@@ -277,12 +283,19 @@ def estimate_sigma2(obj, x_ref, samples, rng):
 
     Requires at least 1000 samples so the estimate is stable enough to feed
     batch-size rules, and a sampler with ``sfo_blocks``.  Samples are reduced
-    one row block at a time, so memory is bounded by SFO_BLOCK_BYTES and the
-    value does not depend on it.
+    one row block at a time, in place, so one block of about SFO_BLOCK_BYTES
+    and the ``samples``-long vector of squared distances are all it holds,
+    and the value does not depend on the block size.
     """
     if samples < 1000:
         raise ValueError("estimate_sigma2 needs samples >= 1000, got %d" % (samples,))
     g = obj.grad(x_ref)
-    sq = np.concatenate([np.sum((S - g[None, :]) ** 2, axis=1)
-                         for S in obj.sfo_blocks(x_ref, samples, rng)])
+    sq = np.empty(samples)
+    start = 0
+    for S in obj.sfo_blocks(x_ref, samples, rng):
+        S -= g
+        np.square(S, out=S)
+        np.sum(S, axis=1, out=sq[start:start + len(S)])
+        start += len(S)
+        del S  # else the next block is drawn while this one is held
     return 1.1 * float(np.mean(sq))

@@ -2,7 +2,9 @@
 
 Each region exposes:
 
-- ``lmo(c)``       -> Vertex minimizing <c, x> over the region (exact),
+- ``lmo(c)``       -> Vertex minimizing <c, x> over the region (exact); a
+                      cost with a NaN or infinite entry raises
+                      NumericalError,
 - ``diameter()``   -> Euclidean diameter (exact or a provable upper bound),
 - ``contains(x)``  -> membership test within a tolerance; a point with a
                       NaN or infinite coordinate is never a member,
@@ -69,7 +71,8 @@ def smat(v):
 
 
 class Region:
-    """Base class; subclasses fill in kind, dim and the three operations."""
+    """Base class; subclasses fill in kind, dim, ``_lmo``, ``_contains``,
+    ``diameter`` and ``to_spec``."""
 
     kind = None
     dim = None
@@ -83,6 +86,17 @@ class Region:
         return c
 
     def lmo(self, c) -> Vertex:
+        """A vertex minimizing <c, x>, by the region's own exact oracle.
+
+        Raises NumericalError if c has a NaN or infinite entry: no vertex
+        minimizes such a cost, and each oracle would answer it differently.
+        """
+        c = self._check(c)
+        if not np.isfinite(c).all():
+            raise NumericalError("%s LMO got a cost with a NaN or infinite entry" % (self.kind,))
+        return self._lmo(c)
+
+    def _lmo(self, c) -> Vertex:
         raise NotImplementedError
 
     def diameter(self) -> float:
@@ -113,8 +127,7 @@ class Simplex(Region):
         self.n = n
         self.dim = n
 
-    def lmo(self, c):
-        c = self._check(c)
+    def _lmo(self, c):
         i = int(np.argmin(c))  # lowest index on ties
         p = np.zeros(self.n)
         p[i] = 1.0
@@ -145,8 +158,7 @@ class L1Ball(Region):
         self.radius = float(radius)
         self.dim = n
 
-    def lmo(self, c):
-        c = self._check(c)
+    def _lmo(self, c):
         i = int(np.argmax(np.abs(c)))
         sign = -1.0 if c[i] > 0 else 1.0
         p = np.zeros(self.n)
@@ -178,8 +190,7 @@ class Box(Region):
         if np.any(self.hi < self.lo):
             raise ValueError("box needs hi >= lo componentwise")
 
-    def lmo(self, c):
-        c = self._check(c)
+    def _lmo(self, c):
         at_hi = c < 0  # ties (c_i = 0) go to lo
         p = np.where(at_hi, self.hi, self.lo)
         return Vertex(p, tuple(int(b) for b in at_hi))
@@ -206,16 +217,14 @@ class Birkhoff(Region):
         self.dim = n * n
         self.support = n
 
-    def lmo(self, c):
+    def _lmo(self, c):
         # Deferred: a slow import that most regions never need.
         from scipy.optimize import linear_sum_assignment
 
-        c = self._check(c)
-        cost = c.reshape(self.n, self.n)
-        rows, cols = linear_sum_assignment(cost)
-        P = np.zeros((self.n, self.n))
-        P[rows, cols] = 1.0
-        return Vertex(P.reshape(-1), tuple(int(j) for j in cols))
+        rows, cols = linear_sum_assignment(c.reshape(self.n, self.n))
+        p = np.zeros(self.dim)
+        p[rows * self.n + cols] = 1.0
+        return Vertex(p, tuple(cols.tolist()))
 
     def diameter(self):
         return math.sqrt(2.0 * self.n)
@@ -249,15 +258,21 @@ class Spectrahedron(Region):
             raise ValueError("spectrahedron needs n >= 1")
         self.n = n
         self.dim = svec_dim(n)
+        # The svec bookkeeping, made once: the upper triangle, its transpose
+        # and the scale (sqrt(2) off the diagonal, 1 on it) of each entry.
+        self._iu = np.triu_indices(n)
+        self._iu_t = (self._iu[1], self._iu[0])
+        self._scale = np.where(self._iu[0] == self._iu[1], 1.0, _SQRT2)
 
-    def lmo(self, c):
-        c = self._check(c)
-        v = np.linalg.eigh(smat(c))[1][:, 0]
+    def _lmo(self, c):
+        C = np.empty((self.n, self.n))  # the two triangles write every entry
+        C[self._iu] = C[self._iu_t] = c / self._scale
+        v = np.linalg.eigh(C)[1][:, 0]
         # Sign convention for the id: first non-negligible entry positive.
         nz = np.nonzero(np.abs(v) > 1e-8)[0]
         if len(nz) and v[nz[0]] < 0:
             v = -v
-        p = svec(np.outer(v, v))
+        p = np.outer(v, v)[self._iu] * self._scale
         return Vertex(p, ("rank1",) + tuple(np.round(v, 12)))
 
     def diameter(self):
@@ -327,8 +342,7 @@ class DagPath(Region):
             raise ValueError("edge list contains a cycle")
         return order
 
-    def lmo(self, c):
-        c = self._check(c)
+    def _lmo(self, c):
         dist = {v: np.inf for v in self._nodes}
         best_in = {v: None for v in self._nodes}
         dist[self.source] = 0.0
@@ -450,8 +464,7 @@ class Enumerated(Region):
         self.dim = V.shape[1]
         self._diameter = None
 
-    def lmo(self, c):
-        c = self._check(c)
+    def _lmo(self, c):
         i = int(np.argmin(self.vertices @ c))  # lowest index on ties
         return Vertex(self.vertices[i].copy(), i)
 

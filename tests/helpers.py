@@ -6,7 +6,10 @@ than reusing library code paths, so the tests compare two independent routes
 to the same quantity.
 """
 
+import contextlib
 import itertools
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -254,3 +257,22 @@ def lp_hull_distance(V, x):
                   bounds=[(0, None)] * (nv + 1), method="highs")
     assert res.success, res.message
     return float(res.fun)
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace Python allocations over a with-block.
+
+    Yields a record whose ``peak`` (the most bytes allocated at once) and
+    ``held`` (the bytes still allocated at the end) are set when the block
+    exits; both count only what the block allocated.
+    """
+    usage = SimpleNamespace(peak=None, held=None)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        yield usage
+        now, peak = tracemalloc.get_traced_memory()
+        usage.peak, usage.held = peak - start, now - start
+    finally:
+        tracemalloc.stop()

@@ -8,7 +8,6 @@ import os
 import pickle
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +30,8 @@ from lazy_sliding.cli import _print_summary, main
 from lazy_sliding.errors import ConfigError, NumericalError
 from lazy_sliding.lcg import lcg_solve
 from lazy_sliding.trace import TRACE_COLUMNS, TRACE_HEADER, RunTrace, TraceTable, read_trace_csv
+
+from helpers import traced_peak
 
 SIMPLEX_SPEC = {
     "region": {"kind": "simplex", "n": 6},
@@ -199,13 +200,9 @@ def test_load_instance_memory_bounded(tmp_path):
     spec = {"region": {"kind": "simplex", "n": 2500},
             "objective": {"m": 2000, "density": 0.05, "format": "csr"}, "seed": 3}
     path, _ = _write_instance(tmp_path, spec)
-    tracemalloc.start()
-    try:
+    with traced_peak() as usage:
         load_instance(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16e6  # the same file with list-form arrays peaks at ~23 MB
+    assert usage.peak <= 16e6  # the same file with list-form arrays peaks at ~23 MB
 
 
 def test_generated_instance_has_zero_optimum(tmp_path):
@@ -528,6 +525,32 @@ def test_constant_estimation_error_marks_that_entry_only(tmp_path, monkeypatch):
     assert meta["message"] == "NumericalError: power iteration did not converge"
 
 
+def test_nan_gradient_fails_its_run_only(tmp_path, monkeypatch):
+    # the first sampled gradient of the experiment is NaN: that run's LMO
+    # raises NumericalError, and the runs after it still complete
+    from lazy_sliding.objectives import LeastSquares
+
+    sfo_batch, calls = LeastSquares.sfo_batch, []
+
+    def poisoned(self, z, size, rng):
+        calls.append(size)
+        g = sfo_batch(self, z, size, rng)
+        return np.full_like(g, np.nan) if len(calls) == 1 else g
+
+    monkeypatch.setattr(LeastSquares, "sfo_batch", poisoned)
+    config = _experiment(tmp_path, [{"variant": "ofw", "batch": 4}, CALGD_ENTRY],
+                         seeds=(0, 1, 2), outer=20)
+    out = tmp_path / "runs"
+    summary, code = run_experiment(config, out_dir=str(out))
+    assert code == 1
+    status = {(r["solver"], r["seed"]): r["status"] for r in summary["runs"]}
+    assert status == {("ofw", 0): "error", ("ofw", 1): "completed", ("ofw", 2): "completed",
+                      ("calgd", 0): "completed", ("calgd", 1): "completed",
+                      ("calgd", 2): "completed"}
+    meta = json.loads((out / "ofw__s0.meta.json").read_text())
+    assert meta["message"] == "NumericalError: simplex LMO got a cost with a NaN or infinite entry"
+
+
 def test_calgd_threshold_table_monotone(tmp_path):
     config = _experiment(tmp_path, [CALGD_ENTRY], seeds=(0,), outer=60)
     out = tmp_path / "runs"
@@ -815,14 +838,9 @@ def test_trace_rows_keep_under_200_bytes_each(tmp_path):
     path = tmp_path / "t.csv"
     RunTrace(rows=rows).write_csv(str(path))
     for build in (lambda: read_trace_csv(str(path)), lambda: TraceTable(rows)):
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        with traced_peak() as usage:
             table = build()
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(table) == n and kept <= 200 * n, kept / n
+        assert len(table) == n and usage.held <= 200 * n, usage.held / n
 
 
 @pytest.mark.parametrize("fname,text,fault", [

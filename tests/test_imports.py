@@ -139,7 +139,7 @@ def test_package_loads_scipy_optimize_and_sparse_only_where_needed():
     # paths that cannot work without it may load it: the Birkhoff LMO
     # (an assignment solve) and the CSR branches of instance I/O.
     allowed = {
-        ("regions.py", "Birkhoff.lmo", "", "scipy.optimize"),
+        ("regions.py", "Birkhoff._lmo", "", "scipy.optimize"),
         ("bench.py", "gen_instance", "fmt == 'csr'", "scipy.sparse"),
         ("bench.py", "load_instance", "amat['format'] == 'csr'", "scipy.sparse"),
     }

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from lazy_sliding.objectives import (
     simplex_project,
 )
 
-from helpers import central_diff, kkt_simplex_project
+from helpers import central_diff, kkt_simplex_project, traced_peak
 
 
 def _random_ls(rng, m=12, n=6):
@@ -127,17 +126,43 @@ def test_estimate_sigma2_blocks_match_full_matrix_bitwise():
             assert estimate_sigma2(obj, x, samples, np.random.default_rng(18)) == full
 
 
+def _sigma2_objectives(rng, n):
+    """A spectra30-shaped CSR objective, a dense one and a Gaussian sampler, all of width n."""
+    return [LeastSquares(_random_csr(rng, 2000, n, 0.1), rng.random(2000)),
+            LeastSquares(rng.random((2000, n)), rng.random(2000)),
+            GaussianSfo(LeastSquares(rng.random((50, n)), rng.random(50)), 3.0)]
+
+
 def test_estimate_sigma2_memory_bounded_by_block():
+    # One live block of samples, plus the vector of their squared distances:
+    # a second block held (by the sampler or by the reduction) goes over.
     rng = np.random.default_rng(20)
-    obj = LeastSquares(_random_csr(rng, 2000, 2500, 0.05), rng.random(2000))
-    x = rng.random(2500)
-    tracemalloc.start()
-    try:
-        estimate_sigma2(obj, x, 2000, np.random.default_rng(21))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16e6  # the full (2000, 2500) sample matrix alone is 40 MB
+    n, samples = 465, 2000
+    block = _block_rows(n) * n * 8
+    assert samples > 3 * _block_rows(n)  # several blocks per call
+    for obj in _sigma2_objectives(rng, n):
+        x = rng.random(n)
+        obj.grad(x)
+        with traced_peak() as usage:
+            estimate_sigma2(obj, x, samples, np.random.default_rng(21))
+        # the sampled CSR rows before densifying take ~0.15 block
+        assert usage.peak <= 1.25 * block + 8 * samples, (type(obj).__name__, usage.peak / block)
+
+
+def test_estimate_sigma2_leaves_its_inputs_unchanged():
+    # the samples are scaled and reduced in place; the objective and z are not
+    rng = np.random.default_rng(22)
+    n = 300
+    for obj in _sigma2_objectives(rng, n):
+        base = getattr(obj, "base", obj)
+        A = base.A
+        parts = [A.data, A.indices, A.indptr] if sp.issparse(A) else [A]
+        x = rng.random(n)
+        parts += [base.b, x]
+        before = [a.copy() for a in parts]
+        first = estimate_sigma2(obj, x, 1000, np.random.default_rng(23))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(parts, before))
+        assert estimate_sigma2(obj, x, 1000, np.random.default_rng(23)) == first
 
 
 def test_estimate_L_worked_examples():

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from helpers import (
     dense_spectra_min,
     enumerate_dag_paths,
     lp_hull_distance,
+    traced_peak,
 )
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]  # two parallel 2-edge paths
@@ -320,6 +320,57 @@ def test_contains_is_false_for_a_non_finite_point(region):
             assert region.contains(x) is False, (i, bad)
 
 
+@pytest.mark.parametrize("region", ALL_REGIONS, ids=lambda r: r.kind)
+def test_lmo_raises_numerical_error_on_a_non_finite_cost(region):
+    # one error for every oracle, where argmin, the assignment solver and
+    # the eigensolver would each answer a NaN in their own way
+    for i in (0, region.dim - 1):
+        for bad in (np.nan, np.inf, -np.inf):
+            c = -np.ones(region.dim)
+            c[i] = bad
+            with pytest.raises(NumericalError, match="NaN or infinite"):
+                region.lmo(c)
+    assert region.contains(region.lmo(-np.ones(region.dim)).point)
+
+
+def _tie_heavy_costs(rng, dim):
+    """All-ones and zero costs, integer-valued costs that tie often, and continuous ones."""
+    costs = [np.ones(dim), np.zeros(dim)]
+    costs += [rng.integers(-2, 3, dim).astype(float) for _ in range(60)]
+    costs += [rng.integers(0, 2, dim).astype(float) for _ in range(60)]
+    return costs + [rng.standard_normal(dim) for _ in range(60)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+def test_spectrahedron_lmo_matches_svec_formulation(n):
+    # the region's own index bookkeeping builds C and the vertex bit for bit
+    # as smat and svec do
+    region = Spectrahedron(n)
+    for c in _tie_heavy_costs(np.random.default_rng(n), region.dim):
+        v = np.linalg.eigh(smat(c))[1][:, 0]
+        nz = np.nonzero(np.abs(v) > 1e-8)[0]
+        if len(nz) and v[nz[0]] < 0:
+            v = -v
+        got = region.lmo(c)
+        assert got.point.tobytes() == svec(np.outer(v, v)).tobytes()
+        assert got.id == ("rank1",) + tuple(np.round(v, 12))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+def test_birkhoff_lmo_matches_assignment_formulation(n):
+    from scipy.optimize import linear_sum_assignment
+
+    region = Birkhoff(n)
+    for c in _tie_heavy_costs(np.random.default_rng(n), region.dim):
+        rows, cols = linear_sum_assignment(c.reshape(n, n))
+        P = np.zeros((n, n))
+        P[rows, cols] = 1.0
+        got = region.lmo(c)
+        assert got.point.tobytes() == P.reshape(-1).tobytes()
+        assert got.id == tuple(int(j) for j in cols)
+        assert all(type(j) is int for j in got.id)
+
+
 def _unblocked_diameter(V):
     sq = np.sum(V ** 2, axis=1)
     return float(math.sqrt(max(0.0, float(np.max(sq[:, None] + sq[None, :] - 2.0 * (V @ V.T))))))
@@ -344,14 +395,10 @@ def test_enumerated_diameter_in_row_blocks_equals_the_full_gram_maximum():
 def test_enumerated_diameter_memory_is_a_few_row_blocks():
     V = np.random.default_rng(22).standard_normal((5000, 20))
     region = Enumerated(V)
-    tracemalloc.start()
-    try:
+    with traced_peak() as usage:
         region.diameter()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # one full 5000 x 5000 matrix alone is 200 MB
-    assert peak <= 40e6, peak
+    assert usage.peak <= 40e6, usage.peak
 
 
 def _assert_certified(V, x, tol, distance):
