@@ -18,7 +18,6 @@ import itertools
 import json
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -313,11 +312,13 @@ def _run_one(task):
 
     Returns ``(record, rows)``, the rows a `TraceTable` equal to what
     `read_trace_csv` reads back.
-    A BudgetExceeded keeps the rows computed before the failing outer
-    iteration and records that iteration as ``failed_outer_k``.  A
-    NumericalError or ConfigError (including one raised while the entry's
-    constants were estimated) marks this run ``error``; the other runs of
-    the experiment still go ahead.
+    A BudgetExceeded marks this run ``budget_error``; a NumericalError or
+    ConfigError (including one raised while the entry's constants were
+    estimated) marks it ``error``.  Either way the run keeps the rows
+    computed before the failing outer iteration, its ``final_counters``,
+    and that iteration as ``failed_outer_k``, and the other runs of the
+    experiment still go ahead.  An error raised before the run started (a
+    constant's estimate) leaves no rows.
     """
     (entry, seed, config, region, objective, instance_name, out_dir) = task
     name = entry.get("name", entry["variant"])
@@ -328,13 +329,16 @@ def _run_one(task):
             raise config
         trace = run_solver(replace(config, seed=seed), objective, region)
         status = trace.metadata.get("status", "completed")
-    except BudgetExceeded as exc:
-        trace = exc.trace
-        trace.metadata["failed_outer_k"] = exc.outer_k
-        status, message = "budget_error", str(exc)
-    except (NumericalError, ConfigError) as exc:
-        trace = RunTrace(metadata={"variant": entry["variant"]})
-        status, message = "error", "%s: %s" % (type(exc).__name__, exc)
+    except (BudgetExceeded, NumericalError, ConfigError) as exc:
+        if isinstance(exc, BudgetExceeded):
+            status, message = "budget_error", str(exc)
+        else:
+            status, message = "error", "%s: %s" % (type(exc).__name__, exc)
+        trace = getattr(exc, "trace", None)
+        if trace is None:
+            trace = RunTrace(metadata={"variant": entry["variant"]})
+        else:
+            trace.metadata["failed_outer_k"] = exc.outer_k
     trace.metadata.update(solver_name=name, seed=seed, status=status, message=message,
                           config_hash=config_hash({"entry": entry, "seed": seed}),
                           instance=instance_name)
@@ -386,6 +390,9 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     tasks = [(entry, seed, solver_config, region, objective, instance_name, out_dir)
              for entry, solver_config in zip(entries, prepared) for seed in seeds]
     if jobs > 1 and len(tasks) > 1:
+        # Deferred: multiprocessing is ~2 MB that a serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_one, tasks))
     else:

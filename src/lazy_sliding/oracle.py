@@ -88,7 +88,7 @@ class VertexCache:
             improvement = cx - self._rows[:n] @ c
         else:
             improvement = cx - np.einsum("ij,ij->i", c[self._index[:n]], self._rows[:n])
-        slot = int(np.argmax(improvement))
+        slot = int(improvement.argmax())
         if not improvement[slot] > threshold:
             return None
         return slot, float(improvement[slot])

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import BudgetExceeded, ConfigError
+from .errors import ConfigError
 from .lcg import Subproblem, lcg_solve
 from .oracle import VertexCache
 from .schedules import (
@@ -191,9 +191,10 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
     Every variant runs through this loop.  A restart run concatenates its
     phases under a globally increasing outer index, keeps its cache across
     phases, and records ``phase_length`` and ``phases``; the value at the end
-    of phase s is the row with outer_k = s * phase_length.  A BudgetExceeded
-    raised in outer iteration k carries the trace of iterations 1..k-1 in
-    ``trace`` and k in ``outer_k``.
+    of phase s is the row with outer_k = s * phase_length.  An exception
+    raised in outer iteration k (a BudgetExceeded, or a NumericalError from
+    an LMO on a NaN gradient, say) carries the trace of iterations 1..k-1,
+    with ``final_counters``, in ``trace`` and k in ``outer_k``.
     """
     plan = (restart_phase_plan(config.constants, RESTARTS[config.variant], config.eps)
             if config.variant in RESTARTS else None)
@@ -210,40 +211,41 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
     phi_final = cert_gap = float("nan")  # of the last inner solve
     trace = RunTrace(metadata=_metadata(config, plan))
     t0 = time.perf_counter()
-    for outer_k, (schedule, k) in enumerate(_iterations(config, plan), 1):
-        if k == 1:  # each phase restarts from the previous phase's output
-            x = y
-        if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
-            trace.metadata["status"] = "time_limit"
-            break
-        if config.variant == "ofw":  # averaged stochastic gradient, one exact LMO
-            size = config.batch if config.batch is not None else 1
-            g = objective.sfo_batch(x, size, _stream(rng, config.seed, outer_k))
-            counters.sfo_calls += size
-            rho = k ** -OFW_RHO_EXP
-            avg_grad = g if avg_grad is None else (1.0 - rho) * avg_grad + rho * g
-            v = region.lmo(avg_grad)
-            counters.exact_lmo_calls += 1
-            gamma = k ** -OFW_GAMMA_EXP
-            x = y = (1.0 - gamma) * x + gamma * v.point
-        else:
-            params = schedule_eval(schedule, k, config.constants)
-            gamma = params.gamma
-            z = (1.0 - gamma) * y + gamma * x
-            g = _gradient(objective, z, params, config.batch,
-                          _stream(rng, config.seed, outer_k), counters)
-            sub = Subproblem(g, x, params.beta)
-            try:
+    try:
+        for outer_k, (schedule, k) in enumerate(_iterations(config, plan), 1):
+            if k == 1:  # each phase restarts from the previous phase's output
+                x = y
+            if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
+                trace.metadata["status"] = "time_limit"
+                break
+            if config.variant == "ofw":  # averaged stochastic gradient, one exact LMO
+                size = config.batch if config.batch is not None else 1
+                g = objective.sfo_batch(x, size, _stream(rng, config.seed, outer_k))
+                counters.sfo_calls += size
+                rho = k ** -OFW_RHO_EXP
+                avg_grad = g if avg_grad is None else (1.0 - rho) * avg_grad + rho * g
+                v = region.lmo(avg_grad)
+                counters.exact_lmo_calls += 1
+                gamma = k ** -OFW_GAMMA_EXP
+                x = y = (1.0 - gamma) * x + gamma * v.point
+            else:
+                params = schedule_eval(schedule, k, config.constants)
+                gamma = params.gamma
+                z = (1.0 - gamma) * y + gamma * x
+                g = _gradient(objective, z, params, config.batch,
+                              _stream(rng, config.seed, outer_k), counters)
+                sub = Subproblem(g, x, params.beta)
                 res = lcg_solve(sub, region, x, alpha, params.eta, cache, counters=counters)
-            except BudgetExceeded as exc:
-                trace.metadata["final_counters"] = counters.as_dict()
-                exc.trace, exc.outer_k = trace, outer_k
-                raise
-            x = res.point
-            y = (1.0 - gamma) * y + gamma * x
-            # a solve returns only at Phi = eta
-            phi_final, cert_gap = params.eta, res.cert_gap
-        trace.append(outer_k, (time.perf_counter() - t0) * 1e3, objective.value(y),
-                     counters, phi_final, cert_gap)
+                x = res.point
+                y = (1.0 - gamma) * y + gamma * x
+                # a solve returns only at Phi = eta
+                phi_final, cert_gap = params.eta, res.cert_gap
+            trace.append(outer_k, (time.perf_counter() - t0) * 1e3, objective.value(y),
+                         counters, phi_final, cert_gap)
+    except Exception as exc:
+        # every completed iteration appended one row
+        trace.metadata["final_counters"] = counters.as_dict()
+        exc.trace, exc.outer_k = trace, len(trace.rows) + 1
+        raise
     trace.metadata["final_counters"] = counters.as_dict()
     return trace

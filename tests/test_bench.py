@@ -89,11 +89,12 @@ def test_import_does_not_load_scipy_optimize():
     assert out.strip() == "False"
 
 
-def test_enumerated_experiment_does_not_load_scipy_optimize(tmp_path):
-    # membership in an enumerated region is a minimum-norm point, not an LP
+def _experiment_loads(tmp_path, spec, *modules):
+    """Per module, whether a fresh process that runs lazy, scgs and ofw on the
+    instance of ``spec`` (two seeds, 20 outer iterations) has it in
+    sys.modules; every point whose value a trace row records must be in the
+    region."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lazy_sliding.__file__)))
-    spec = {"region": {"kind": "hamiltonian_cycles", "nodes": 5},
-            "objective": {"m": 40, "density": 0.8}, "seed": 3}
     config = {"seeds": [0, 1], "budgets": {"outer": 20},
               "solvers": _paired_entries(outer=20) + [{"name": "ofw", "variant": "ofw"}]}
     code = ("import json, sys\n"
@@ -107,12 +108,27 @@ def test_enumerated_experiment_does_not_load_scipy_optimize(tmp_path):
             "assert run_experiment(config, out_dir=out)[1] == 0\n"
             "region = load_instance(path)[0]\n"
             "assert len(points) > 100 and all(region.contains(x) for x in points)\n"
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "ham5.json"),
-                          str(tmp_path / "runs"), json.dumps(spec), json.dumps(config)],
+            "print(json.dumps([m in sys.modules for m in sys.argv[5:]]))")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "instance.json"),
+                          str(tmp_path / "runs"), json.dumps(spec), json.dumps(config), *modules],
                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
                          check=True).stdout
-    assert out.strip() == "False"
+    return json.loads(out)
+
+
+def test_enumerated_experiment_does_not_load_scipy_optimize(tmp_path):
+    # membership in an enumerated region is a minimum-norm point, not an LP
+    spec = {"region": {"kind": "hamiltonian_cycles", "nodes": 5},
+            "objective": {"m": 40, "density": 0.8}, "seed": 3}
+    assert _experiment_loads(tmp_path, spec, "scipy.optimize") == [False]
+
+
+def test_birkhoff_experiment_loads_only_the_assignment_solver(tmp_path):
+    # the Birkhoff LMO loads scipy's compiled assignment module by itself
+    spec = {"region": {"kind": "birkhoff", "n": 6},
+            "objective": {"m": 40, "density": 0.8}, "seed": 3}
+    assert _experiment_loads(tmp_path, spec, "scipy.optimize", "scipy.optimize._lsap") == [
+        False, True]
 
 
 def test_instance_with_a_non_finite_vertex_exits_2(tmp_path, capsys):
@@ -127,6 +143,15 @@ def test_instance_with_a_non_finite_vertex_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "NaN or infinite" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_import_does_not_load_multiprocessing():
+    # only an experiment run with jobs > 1 needs the process pool
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lazy_sliding.__file__)))
+    code = "import sys, lazy_sliding; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_import_does_not_load_scipy_sparse(tmp_path):
@@ -549,6 +574,38 @@ def test_nan_gradient_fails_its_run_only(tmp_path, monkeypatch):
                       ("calgd", 2): "completed"}
     meta = json.loads((out / "ofw__s0.meta.json").read_text())
     assert meta["message"] == "NumericalError: simplex LMO got a cost with a NaN or infinite entry"
+
+
+@pytest.mark.parametrize("entry, method", [({"variant": "ofw", "batch": 4}, "sfo_batch"),
+                                           (CALGD_ENTRY, "grad")])
+def test_failed_run_keeps_the_rows_before_its_nan_gradient(tmp_path, monkeypatch, entry, method):
+    # one gradient per outer iteration; the 7th is NaN, so that iteration's
+    # LMO raises and the run ends in error with the rows of iterations 1..6
+    from lazy_sliding.objectives import LeastSquares
+
+    config = _experiment(tmp_path, [entry], seeds=(0,), outer=20)
+    assert run_experiment(config, out_dir=str(tmp_path / "clean"))[1] == 0
+    name = entry.get("name", entry["variant"])
+    clean = _csv_modulo_wall(tmp_path / "clean" / ("%s__s0.csv" % name))
+    gradient, calls = getattr(LeastSquares, method), []
+
+    def poisoned(self, *args):
+        calls.append(1)
+        g = gradient(self, *args)
+        return np.full_like(g, np.nan) if len(calls) == 7 else g
+
+    monkeypatch.setattr(LeastSquares, method, poisoned)
+    out = tmp_path / "runs"
+    summary, code = run_experiment(config, out_dir=str(out))
+    assert code == 1 and [e["solver"] for e in summary["errors"]] == [name]
+    meta = json.loads((out / ("%s__s0.meta.json" % name)).read_text())
+    assert meta["status"] == "error" and meta["failed_outer_k"] == 7
+    assert "NaN or infinite" in meta["message"]
+    rows = read_trace_csv(str(out / ("%s__s0.csv" % name)))
+    assert [r["outer_k"] for r in rows] == list(range(1, 7))
+    assert _csv_modulo_wall(out / ("%s__s0.csv" % name)) == clean[:7]  # header + 6 rows
+    assert meta["final_counters"]["sfo_calls"] >= rows[-1]["sfo_calls"]
+    assert meta["final_counters"]["fo_calls"] >= rows[-1]["fo_calls"]
 
 
 def test_calgd_threshold_table_monotone(tmp_path):

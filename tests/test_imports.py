@@ -136,10 +136,13 @@ def test_scipy_import_scan_finds_scope_and_branch():
 
 def test_package_loads_scipy_optimize_and_sparse_only_where_needed():
     # Each import costs hundreds of ms and tens of MB, so only the code
-    # paths that cannot work without it may load it: the Birkhoff LMO
-    # (an assignment solve) and the CSR branches of instance I/O.
+    # paths that cannot work without it may load it: the CSR branches of
+    # instance I/O.  The Birkhoff LMO loads scipy's compiled assignment
+    # module alone; it imports scipy.optimize only on a scipy layout
+    # without that module.
     allowed = {
-        ("regions.py", "Birkhoff._lmo", "", "scipy.optimize"),
+        ("regions.py", "_load_linear_sum_assignment",
+         "not hasattr(module, 'linear_sum_assignment')", "scipy.optimize"),
         ("bench.py", "gen_instance", "fmt == 'csr'", "scipy.sparse"),
         ("bench.py", "load_instance", "amat['format'] == 'csr'", "scipy.sparse"),
     }

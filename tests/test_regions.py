@@ -356,11 +356,12 @@ def test_spectrahedron_lmo_matches_svec_formulation(n):
         assert got.id == ("rank1",) + tuple(np.round(v, 12))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 50])
 def test_birkhoff_lmo_matches_assignment_formulation(n):
     from scipy.optimize import linear_sum_assignment
 
     region = Birkhoff(n)
+    # the all-ones cost (the first) sets a bench run's x0
     for c in _tie_heavy_costs(np.random.default_rng(n), region.dim):
         rows, cols = linear_sum_assignment(c.reshape(n, n))
         P = np.zeros((n, n))
@@ -369,6 +370,37 @@ def test_birkhoff_lmo_matches_assignment_formulation(n):
         assert got.point.tobytes() == P.reshape(-1).tobytes()
         assert got.id == tuple(int(j) for j in cols)
         assert all(type(j) is int for j in got.id)
+        # the solver the region loaded answers as the public one does
+        loaded = regions._linear_sum_assignment(c.reshape(n, n))
+        assert [a.tolist() for a in loaded] == [rows.tolist(), cols.tolist()]
+
+
+def test_birkhoff_lmo_falls_back_to_the_public_solver(monkeypatch):
+    # a scipy layout without the compiled module: the region imports the
+    # public name, and answers with the same vertices
+    from scipy.optimize import linear_sum_assignment
+
+    n = 7
+    costs = _tie_heavy_costs(np.random.default_rng(n), n * n)
+    loaded = [Birkhoff(n).lmo(c) for c in costs]
+    looked_up = []
+
+    class NoSpec:
+        @staticmethod
+        def find_spec(name, path):
+            looked_up.append(name)
+
+    def no_module(spec):
+        raise AssertionError("no spec to load")
+
+    monkeypatch.setattr(regions, "PathFinder", NoSpec)
+    monkeypatch.setattr(regions, "module_from_spec", no_module)
+    monkeypatch.setattr(regions, "_linear_sum_assignment", None)
+    fallback = [Birkhoff(n).lmo(c) for c in costs]
+    assert looked_up == ["scipy.optimize._lsap"]
+    assert regions._linear_sum_assignment is linear_sum_assignment
+    assert [(v.point.tobytes(), v.id) for v in fallback] == [(v.point.tobytes(), v.id)
+                                                             for v in loaded]
 
 
 def _unblocked_diameter(V):

@@ -540,6 +540,32 @@ def test_budget_error_carries_partial_trace(variant, cap, monkeypatch):
             assert final["exact_lmo_calls"] > exc.trace.column("exact_lmo_calls")[-1]
 
 
+@pytest.mark.parametrize("variant", ["calgd", "ofw"])
+def test_any_error_carries_partial_trace(variant):
+    # the objective's 5th value evaluation (outer iteration 5's trace row) raises
+    rng = np.random.default_rng(12)
+    _, base, _ = _simplex_ls(rng)
+    evaluated = []
+
+    class Failing(LeastSquares):
+        def value(self, x):
+            evaluated.append(1)
+            if len(evaluated) == 5:
+                raise ZeroDivisionError("value")
+            return super().value(x)
+
+    c = ProblemConstants(L=estimate_L(base), D_X=math.sqrt(2.0))
+    cfg = SolverConfig(variant, c, _vertex(6), 20,
+                       schedule=ScheduleVariant("smooth_deterministic") if variant == "calgd" else None)
+    with pytest.raises(ZeroDivisionError) as info:
+        run_solver(cfg, Failing(base.A, base.b), Simplex(6))
+    exc = info.value
+    assert exc.outer_k == 5 and exc.trace.column("outer_k") == [1, 2, 3, 4]
+    final = exc.trace.metadata["final_counters"]
+    # iteration 5 spent its oracle calls before its value was evaluated
+    assert final["exact_lmo_calls"] > exc.trace.column("exact_lmo_calls")[-1]
+
+
 def test_config_validation():
     c = ProblemConstants(L=1.0, D_X=1.0)
     x0 = _vertex(3)
