@@ -30,7 +30,6 @@ from .schedules import NEEDS, ProblemConstants, ScheduleVariant, schedule_eval
 from .solvers import RESTARTS, SolverConfig, run_solver
 from .trace import RunTrace, TraceTable, read_trace_csv
 
-SIGMA2_SAMPLES = 2000  # samples behind an estimated sigma^2, drawn with seed 0
 THRESHOLDS = tuple(10.0 ** (-e) for e in range(1, 7))
 _THRESHOLD_COLUMN = np.array(THRESHOLDS)[:, None]
 _FAILED = ("budget_error", "error")  # the statuses of a failed run
@@ -115,12 +114,12 @@ def gen_instance(spec: dict) -> dict:
         raise ConfigError("seed must be >= 0, got %r" % (seed,))
     rng = np.random.default_rng(seed)
     try:
-        region_spec = expand_region_spec(spec["region"])
+        region_spec = expand_region_spec(_object(spec["region"], "region"))
         region = region_from_spec(region_spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("bad region spec: %s %s" % (type(exc).__name__, exc)) from exc
 
-    ospec = spec.get("objective", {})
+    ospec = _object(spec.get("objective", {}), "objective")
     if ospec.get("type", "least_squares") != "least_squares":
         raise ConfigError("only least_squares objectives are generated")
     m = _integer(ospec.get("m", 100), "m")
@@ -137,6 +136,8 @@ def gen_instance(spec: dict) -> dict:
     b = A @ x_star
 
     fmt = ospec.get("format", "auto")
+    if fmt not in ("auto", "csr", "dense"):
+        raise ConfigError("format must be 'auto', 'csr' or 'dense', got %r" % (fmt,))
     if fmt == "auto":
         fmt = "csr" if density <= 0.25 and m * n > 10000 else "dense"
     if fmt == "csr":
@@ -228,8 +229,8 @@ def resolve_constants(entry, region, objective, inst, x0):
 
     The estimated ones are those of L, sigma^2, D_0 and delta0 that the
     entry's schedule reads (``NEEDS``; a restart variant reads its phase
-    schedule's) and the entry does not give.  D_X defaults to the region's
-    diameter.
+    schedule's) and the entry does not give; sigma^2 is `estimate_sigma2`'s
+    closed form at x0.  D_X defaults to the region's diameter.
     """
     out = {name: float(v) for name, v in entry.get("constants", {}).items()}
     out["alpha"] = float(entry.get("alpha", 1.0))
@@ -237,8 +238,7 @@ def resolve_constants(entry, region, objective, inst, x0):
     x_star = np.asarray(inst["objective"]["x_star"], dtype=float)
     estimators = {
         "L": lambda: estimate_L(objective),
-        "sigma2": lambda: estimate_sigma2(objective, x0, SIGMA2_SAMPLES,
-                                          np.random.default_rng(0)),
+        "sigma2": lambda: estimate_sigma2(objective, x0),
         "D_0": lambda: min(float(np.linalg.norm(x0 - x_star)), out["D_X"]),
         "delta0": lambda: objective.value(x0),  # f* = 0 by construction
     }
@@ -278,7 +278,7 @@ def _prepare_entry(entry, budgets, region, objective, inst):
     config = SolverConfig(
         variant=entry.get("variant"),
         constants=ProblemConstants(**dict(entry.get("constants", {}),
-                                          alpha=float(entry.get("alpha", 1.0)))),
+                                          alpha=entry.get("alpha", 1.0))),
         x0=_default_x0(region, entry.get("x0", "vertex"), inst),
         outer_limit=outer,
         schedule=_entry_schedule(entry, outer),
@@ -373,11 +373,12 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError("cannot load instance %r: %s %s"
                           % (instance_path, type(exc).__name__, exc)) from exc
-    budgets = dict(config.get("budgets", {}))
+    budgets = dict(_object(config.get("budgets", {}), "budgets"))
     if time_limit is not None:
         budgets["wall_seconds"] = time_limit
     prepared = []
     for i, entry in enumerate(entries):
+        _object(entry, "solver entry %d" % i)
         try:
             prepared.append(_prepare_entry(entry, budgets, region, objective, inst))
         except (KeyError, TypeError, ValueError) as exc:
@@ -438,6 +439,13 @@ def _integer(value, name):
 
 def _optional_integer(value, name):
     return None if value is None else _integer(value, name)
+
+
+def _object(value, name):
+    """``value`` if it is a JSON object (a dict); a ConfigError naming it otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError("%s must be a JSON object, got %r" % (name, value))
+    return value
 
 
 def summarize(trace_dir) -> dict:

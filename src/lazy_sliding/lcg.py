@@ -34,10 +34,6 @@ class Subproblem:
     center: np.ndarray
     beta: float
 
-    def value(self, x):
-        d = x - self.center
-        return float(self.g @ x + 0.5 * self.beta * (d @ d))
-
     def grad(self, x):
         return self.g + self.beta * (x - self.center)
 

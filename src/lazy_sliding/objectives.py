@@ -1,4 +1,8 @@
-"""Objective functions, stochastic first-order samplers, and related helpers."""
+"""Objective functions, stochastic first-order samplers, and related helpers.
+
+A sampler draws samples only through ``sfo_batch``; ``sfo_variance`` is the
+variance of one sample in closed form, which `estimate_sigma2` reads.
+"""
 
 import math
 import sys
@@ -6,35 +10,6 @@ import sys
 import numpy as np
 
 from .errors import NumericalError
-
-# Individual stochastic gradients come out in row blocks of about this many
-# bytes, so moment estimates never hold the full (count, n) sample matrix.
-SFO_BLOCK_BYTES = 2 * 1024 * 1024
-# Block heights are multiples of this many rows (at least one multiple, so a
-# block wider than 4096 columns goes over the budget).  gemv kernels work
-# through rows in small aligned groups, so an aligned block evaluates each row
-# exactly as one full-height product does: bit for bit with single-threaded
-# BLAS, and with threaded BLAS whenever its row split is aligned too.
-_ROW_ALIGN = 64
-
-
-def _block_rows(n):
-    """Rows per sample block of width n."""
-    return max(1, SFO_BLOCK_BYTES // (8 * n * _ROW_ALIGN)) * _ROW_ALIGN
-
-
-def _row_slices(count, n):
-    """Consecutive slices of `count` sample rows, one per block."""
-    step = _block_rows(n)
-    start = 0
-    while start < count:
-        stop = start + step
-        if stop >= count - 1:
-            # A lone last row joins this block: numpy evaluates a (1, n) @ z
-            # as a dot product, which rounds differently from gemv.
-            stop = count
-        yield slice(start, stop)
-        start = stop
 
 
 def _sigma_max_sq(A):
@@ -78,9 +53,10 @@ def simplex_project(v):
 class LeastSquares:
     """f(x) = ||A x - b||^2; one SFO sample is 2 m a_i (a_i . z - b_i), i ~ U{1..m}.
 
-    ``sfo_batch`` returns the mean of a batch of samples, ``sfo_blocks`` the
-    samples themselves.  A may be a dense ndarray or a scipy CSR matrix.
-    Instances are immutable and safe to share between concurrent runs.
+    ``sfo_batch`` returns the mean of a batch of samples, ``sfo_variance``
+    the variance of one sample in closed form.  A may be a dense ndarray or
+    a scipy CSR matrix.  Instances are immutable and safe to share between
+    concurrent runs.
     """
 
     def __init__(self, A, b):
@@ -99,6 +75,7 @@ class LeastSquares:
             raise ValueError("b must have shape (%d,)" % (self.m,))
         self._L = None
         self._gram = None
+        self._row_sq = None
 
     def value(self, x):
         """f(x), in Gram form x.Qx - 2 q.x + b.b when Q = A^T A is smaller than A.
@@ -133,33 +110,32 @@ class LeastSquares:
         g = np.asarray(g).ravel()
         return 2.0 * g
 
-    def _rows(self, idx):
-        if self._dense is not None:
-            return self._dense[idx]
-        return self.A[idx].toarray()
-
     def sfo_batch(self, z, size, rng):
         """Mean of `size` independent samples, drawn vectorized from one stream."""
         idx = rng.integers(0, self.m, size=size)
-        rows = self._rows(idx)
+        rows = self._dense[idx] if self._dense is not None else self.A[idx].toarray()
         resid = rows @ z - self.b[idx]
         return (2.0 * self.m / size) * (rows.T @ resid)
 
-    def sfo_blocks(self, z, count, rng):
-        """`count` individual samples as consecutive row blocks.
+    def sfo_variance(self, z):
+        """E||sample - grad f(z)||^2 = 4 m sum_i r_i^2 ||a_i||^2 - ||grad f(z)||^2, r = A z - b.
 
-        All row indices are drawn up front in one call, so the samples do not
-        depend on the block height.
+        The difference is all cancellation when every sample is (nearly) the
+        same, so a value at most 1e3 eps of the first term is returned as 0.
         """
-        idx = rng.integers(0, self.m, size=count)
-        for block in _row_slices(count, self.n):
-            sub = idx[block]
-            rows = self._rows(sub)  # a fresh array: scaled in place
-            resid = rows @ z - self.b[sub]
-            rows *= 2.0 * self.m
-            rows *= resid[:, None]
-            yield rows
-            del rows  # else the next block is drawn while this one is held
+        if self._row_sq is None:  # ||a_i||^2, from the stored entries of A alone
+            if self._dense is not None:
+                self._row_sq = np.einsum("ij,ij->i", self._dense, self._dense)
+            else:
+                ptr = self.A.indptr
+                filled = ptr[:-1] < ptr[1:]  # reduceat cannot sum an empty row
+                self._row_sq = np.zeros(self.m)
+                self._row_sq[filled] = np.add.reduceat(np.square(self.A.data), ptr[:-1][filled])
+        r = self.A @ z - self.b
+        spread = 4.0 * self.m * float((r * r) @ self._row_sq)
+        g = 2.0 * np.asarray(self.A.T @ r).ravel()
+        var = spread - float(g @ g)
+        return var if var > 1e3 * np.finfo(float).eps * spread else 0.0
 
     def lipschitz(self):
         """L = 2 sigma_max(A)^2, via power iteration on v -> A^T (A v)."""
@@ -187,20 +163,13 @@ class GaussianSfo:
     def grad(self, x):
         return self.base.grad(x)
 
-    def _noise(self, n, rng, count):
-        return rng.normal(0.0, math.sqrt(self.sigma2 / n), size=(count, n))
-
     def sfo_batch(self, z, size, rng):
         g = self.base.grad(z)
-        return g + self._noise(len(g), rng, count=size).mean(axis=0)
+        noise = rng.normal(0.0, math.sqrt(self.sigma2 / len(g)), size=(size, len(g)))
+        return g + noise.mean(axis=0)
 
-    def sfo_blocks(self, z, count, rng):
-        g = self.base.grad(z)
-        for block in _row_slices(count, len(g)):
-            noise = self._noise(len(g), rng, count=block.stop - block.start)
-            noise += g
-            yield noise
-            del noise
+    def sfo_variance(self, z):
+        return self.sigma2
 
     def lipschitz(self):
         return self.base.lipschitz()
@@ -278,24 +247,10 @@ def estimate_L(obj):
     return obj.lipschitz()
 
 
-def estimate_sigma2(obj, x_ref, samples, rng):
-    """Empirical SFO variance bound at x_ref, inflated by 10 percent.
+def estimate_sigma2(obj, x_ref, samples=None, rng=None):
+    """The SFO variance bound at x_ref: the sampler's ``sfo_variance``, plus 10 percent.
 
-    Requires at least 1000 samples so the estimate is stable enough to feed
-    batch-size rules, and a sampler with ``sfo_blocks``.  Samples are reduced
-    one row block at a time, in place, so one block of about SFO_BLOCK_BYTES
-    and the ``samples``-long vector of squared distances are all it holds,
-    and the value does not depend on the block size.
+    The variance is exact, not sampled: ``samples`` and ``rng`` are accepted
+    from callers written for a sampled estimate, and ignored.
     """
-    if samples < 1000:
-        raise ValueError("estimate_sigma2 needs samples >= 1000, got %d" % (samples,))
-    g = obj.grad(x_ref)
-    sq = np.empty(samples)
-    start = 0
-    for S in obj.sfo_blocks(x_ref, samples, rng):
-        S -= g
-        np.square(S, out=S)
-        np.sum(S, axis=1, out=sq[start:start + len(S)])
-        start += len(S)
-        del S  # else the next block is drawn while this one is held
-    return 1.1 * float(np.mean(sq))
+    return 1.1 * obj.sfo_variance(x_ref)

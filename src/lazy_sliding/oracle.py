@@ -68,12 +68,6 @@ class VertexCache:
     def __len__(self):
         return len(self._ids)
 
-    @property
-    def entries(self):
-        """The cached vertices, most recently used first."""
-        order = np.argsort(-self._stamps[:len(self._ids)])
-        return [self.get(int(slot)) for slot in order]
-
     def scan(self, c, cx, threshold) -> Optional[Tuple[int, float]]:
         """(slot, improvement) of the cached y that improves most, if that beats threshold.
 

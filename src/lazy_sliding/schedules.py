@@ -93,8 +93,9 @@ class ProblemConstants:
 
     All fields are optional; `schedule_eval` raises a ConfigError naming any
     constant the chosen variant needs but does not find, or finds 0 where it
-    needs a positive value.  Every given value must be finite.  mu defaults
-    to 0 (no strong convexity), alpha to 1 (exact weak separation).
+    needs a positive value.  Every given value must be a finite number, not
+    a bool.  mu defaults to 0 (no strong convexity), alpha to 1 (exact weak
+    separation).
     """
 
     L: Optional[float] = None
@@ -113,12 +114,12 @@ class ProblemConstants:
         for name in ("L", "sigma2", "M", "D_X", "D_0", "A_norm", "sigma_omega",
                      "D_YW", "delta0"):
             v = getattr(self, name)
-            if v is not None and not 0 <= v < math.inf:  # NaN fails too
-                raise ConfigError("constant %s must be finite and nonnegative, got %r"
+            if v is not None and (isinstance(v, bool) or not 0 <= v < math.inf):  # NaN fails too
+                raise ConfigError("constant %s must be a finite nonnegative number, got %r"
                                   % (name, v))
-        if not 0 <= self.mu < math.inf:
+        if isinstance(self.mu, bool) or not 0 <= self.mu < math.inf:
             raise ConfigError("mu must be finite and nonnegative, got %r" % (self.mu,))
-        if not 1 <= self.alpha < math.inf:
+        if isinstance(self.alpha, bool) or not 1 <= self.alpha < math.inf:
             raise ConfigError("alpha must be finite and >= 1, got %r" % (self.alpha,))
         if self.D_X is not None and self.D_0 is not None and self.D_0 > self.D_X * (1 + 1e-12):
             raise ConfigError("D_0 must not exceed D_X (%r > %r)" % (self.D_0, self.D_X))

@@ -196,6 +196,18 @@ class BestHitCache:
         del self.entries[self.capacity:]
 
 
+def cache_entries(cache):
+    """The vertices of a `VertexCache`, most recently used first."""
+    order = np.argsort(-cache._stamps[:len(cache)])
+    return [cache.get(int(slot)) for slot in order]
+
+
+def subproblem_value(sub, x):
+    """psi(x) = <g, x> + (beta/2)||x - center||^2 of a `Subproblem`."""
+    d = x - sub.center
+    return float(sub.g @ x + 0.5 * sub.beta * (d @ d))
+
+
 def phase_end_values(trace):
     """f at the end of each phase of a restart run: rows with outer_k = s * N."""
     N = trace.metadata["phase_length"]

@@ -171,7 +171,7 @@ def test_ac05_stochastic_seed_mean_within_expectation_bound():
     D = math.sqrt(2.0)
     x0 = np.zeros(6)
     x0[0] = 1.0
-    sigma2 = estimate_sigma2(obj, x0, 5000, np.random.default_rng(1050))
+    sigma2 = estimate_sigma2(obj, x0)
     c = ProblemConstants(L=L, sigma2=sigma2, D_X=D)
     checkpoints = (5, 10, 20)
     sums = {k: 0.0 for k in checkpoints}
@@ -237,12 +237,13 @@ def test_ac08_sfo_unbiased_with_bounded_variance():
         refs.append(p / p.sum())
     for i, x in enumerate(refs):
         g = obj.grad(x)
-        S = np.concatenate(list(obj.sfo_blocks(x, 10 ** 5, np.random.default_rng(300 + i))))
+        rng = np.random.default_rng(300 + i)
+        S = np.array([obj.sfo_batch(x, 1, rng) for _ in range(10 ** 5)])
         mean = S.mean(axis=0)
         se = S.std(axis=0, ddof=1) / math.sqrt(S.shape[0])
         assert np.all(np.abs(mean - g) <= 3.0 * se)
         emp_var = float(np.mean(np.sum((S - g[None, :]) ** 2, axis=1)))
-        est = estimate_sigma2(obj, x, 20000, np.random.default_rng(400 + i))
+        est = estimate_sigma2(obj, x)
         assert emp_var <= 1.2 * est
     assert time.monotonic() - t0 < 30.0
 
@@ -265,7 +266,7 @@ def test_ac09_lazy_solver_beats_baselines_on_oracle_counts():
     L = estimate_L(objective)
     D = region.diameter()
     D0 = min(D, float(np.linalg.norm(x0 - x_star)))
-    sigma2 = estimate_sigma2(objective, x0, 2000, np.random.default_rng(9))
+    sigma2 = estimate_sigma2(objective, x0)
     N = 450
     c = ProblemConstants(L=L, sigma2=sigma2, D_X=D, D_0=D0)
     sv = ScheduleVariant("smooth_stochastic_fixed_n", N=N)

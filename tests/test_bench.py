@@ -501,8 +501,7 @@ def test_nonsmooth_entry_runs_with_given_or_estimated_sigma2(tmp_path):
     given = bench.resolve_constants(entries[0], region, objective, inst, x0)
     estimated = bench.resolve_constants(entries[1], region, objective, inst, x0)
     assert given.sigma2 == 3.0 and given.M == estimated.M == 10.0
-    assert estimated.sigma2 == lazy_sliding.estimate_sigma2(
-        objective, x0, bench.SIGMA2_SAMPLES, np.random.default_rng(0))
+    assert estimated.sigma2 == lazy_sliding.estimate_sigma2(objective, x0)
 
 
 def test_list_x0_runs_like_the_named_vertex(tmp_path):
@@ -980,6 +979,10 @@ def test_cli_rejected_config_exits_2(tmp_path, capsys):
     (dict(SIMPLEX_SPEC, region={"kind": "no_such"}), "unknown region kind 'no_such'"),
     (dict(SIMPLEX_SPEC, region={"kind": "simplex"}), "KeyError 'n'"),
     (dict(SIMPLEX_SPEC, objective={"m": 10, "density": "x"}), "density must be a number"),
+    (dict(SIMPLEX_SPEC, objective=7), "objective must be a JSON object, got 7"),
+    (dict(SIMPLEX_SPEC, region="simplex"), "region must be a JSON object, got 'simplex'"),
+    (dict(SIMPLEX_SPEC, objective=dict(SIMPLEX_SPEC["objective"], format="bogus")),
+     "format must be 'auto', 'csr' or 'dense', got 'bogus'"),
 ])
 def test_cli_bad_gen_spec_exits_2(tmp_path, capsys, spec, fault):
     spec_path, inst_path = tmp_path / "spec.json", tmp_path / "instance.json"
@@ -1014,9 +1017,20 @@ def test_cli_unreadable_instance_exits_2(tmp_path, capsys, text, fault):
     ("run", '"exp"', "is not a JSON object"),
     ("run", {"seeds": [0], "solvers": [CALGD_ENTRY]}, "got instance None"),
     ("run", {"instance": "INSTANCE", "solvers": CALGD_ENTRY}, "solvers of type dict"),
+    ("run", {"instance": "INSTANCE", "solvers": ["calgd"]},
+     "solver entry 0 must be a JSON object, got 'calgd'"),
+    ("run", {"instance": "INSTANCE", "budgets": 5, "solvers": [CALGD_ENTRY]},
+     "budgets must be a JSON object, got 5"),
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, constants={"L": True})]},
+     "constant L must be a finite nonnegative number, got True"),
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, constants={"mu": True})]},
+     "mu must be finite and nonnegative, got True"),
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, alpha=True)]},
+     "alpha must be finite and >= 1, got True"),
     ("summarize", None, "no directory"),
 ], ids=["gen-missing", "gen-not-json", "gen-list", "run-missing", "run-not-json", "run-string",
-        "run-no-instance", "run-solvers-dict", "summarize-missing-dir"])
+        "run-no-instance", "run-solvers-dict", "run-entry-string", "run-budgets-number",
+        "run-constant-bool", "run-mu-bool", "run-alpha-bool", "summarize-missing-dir"])
 def test_cli_rejected_input_exits_2(tmp_path, capsys, command, config, fault):
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
     if isinstance(config, dict):  # with a valid instance file where it says INSTANCE

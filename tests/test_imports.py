@@ -3,11 +3,13 @@
 import ast
 import dataclasses
 import os
+import re
 
 import lazy_sliding
 from lazy_sliding.solvers import SolverConfig
 
 PACKAGE_DIR = os.path.dirname(lazy_sliding.__file__)
+README = os.path.join(os.path.dirname(os.path.dirname(PACKAGE_DIR)), "README.md")
 
 
 def _unused_imports(source):
@@ -152,3 +154,45 @@ def test_package_loads_scipy_optimize_and_sparse_only_where_needed():
             with open(os.path.join(PACKAGE_DIR, name)) as fh:
                 found |= {(name,) + site for site in _scipy_imports(fh.read())}
     assert found <= allowed, found - allowed
+
+
+def _references(source):
+    """Names a module reads, as a name or an attribute, outside the def or class of that name."""
+    found = set()
+
+    def visit(node, defining):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in defining:
+            found.add(name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def test_reference_scan_skips_definitions_and_stores():
+    source = ("from .x import imported\n__all__ = ['exported']\nCONSTANT = 1\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class Used:\n    def method(self):\n        self.stored = Used\n"
+              "def caller():\n    return Used().method(), obj.attr\n")
+    assert _references(source) == {"n", "self", "Used", "method", "obj", "attr"}
+
+
+def test_every_public_name_is_used_by_the_package_or_documented():
+    # a public name that only tests call belongs in tests/helpers.py
+    used = set()
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name)) as fh:
+                used |= _references(fh.read())
+    with open(README) as fh:
+        documented = set(re.findall(r"\w+", fh.read()))
+    assert [n for n in lazy_sliding.__all__ if n not in used | documented] == []

@@ -25,7 +25,8 @@ from lazy_sliding.regions import (
 )
 from lazy_sliding.trace import Counters
 
-from helpers import count_scans, kkt_simplex_project, proj_l1_ball, quad_psi_opt, record_queries
+from helpers import (count_scans, kkt_simplex_project, proj_l1_ball, quad_psi_opt, record_queries,
+                     subproblem_value)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -119,7 +120,7 @@ def test_monotone_descent_and_phi_trace(monkeypatch):
     eta = 1e-4
     res = lcg_solve(sub, region, region.lmo(rng.standard_normal(6)).point,
                     alpha=2.0, eta=eta, cache=VertexCache())
-    values = [sub.value(u) for u, _ in queries]
+    values = [subproblem_value(sub, u) for u, _ in queries]
     phis = [phi for _, phi in queries]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     # the opening asks at alpha * eta; the loop then starts at half its gap
@@ -156,7 +157,7 @@ def test_functional_gap_sandwich(monkeypatch):
             queries.clear()
             lcg_solve(sub, region, region.lmo(rng.standard_normal(region.dim)).point,
                       alpha=1.0, eta=eta, cache=VertexCache())
-            records = [(sub.value(u), phi) for u, phi in queries]
+            records = [(subproblem_value(sub, u), phi) for u, phi in queries]
             assert records[0][1] == eta
             for val, phi in records[1:]:
                 assert val - psi_star <= 2.0 * phi + 1e-9

@@ -1,16 +1,13 @@
-import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from lazy_sliding.objectives import (
-    SFO_BLOCK_BYTES,
     GaussianSfo,
     L1Distance,
     LeastSquares,
     SmoothedSaddle,
-    _block_rows,
     estimate_L,
     estimate_sigma2,
     simplex_project,
@@ -51,8 +48,8 @@ def test_gradient_finite_difference_check():
 
 
 def _samples(obj, z, count, rng):
-    """A (count, n) matrix of individual samples, stacked from ``sfo_blocks``."""
-    return np.concatenate(list(obj.sfo_blocks(z, count, rng)))
+    """A (count, n) matrix of individual samples: ``count`` one-sample batches."""
+    return np.array([obj.sfo_batch(z, 1, rng) for _ in range(count)])
 
 
 def test_sfo_single_row_is_exact():
@@ -63,7 +60,7 @@ def test_sfo_single_row_is_exact():
     g = obj.grad(z)
     for _ in range(10):
         assert np.allclose(obj.sfo_batch(z, 1, rng), g, atol=1e-12)
-    assert estimate_sigma2(obj, z, 1000, rng) == pytest.approx(0.0, abs=1e-20)
+    assert estimate_sigma2(obj, z) == 0.0
 
 
 def test_sfo_unbiased_and_variance_bounded():
@@ -75,20 +72,9 @@ def test_sfo_unbiased_and_variance_bounded():
     mean = S.mean(axis=0)
     se = S.std(axis=0, ddof=1) / np.sqrt(S.shape[0])
     assert np.all(np.abs(mean - g) <= 3.0 * se + 1e-12)
-    sig2_hat = estimate_sigma2(obj, z, 20_000, np.random.default_rng(8))
+    sig2_hat = estimate_sigma2(obj, z)
     emp = float(np.mean(np.sum((S - g[None, :]) ** 2, axis=1)))
     assert emp <= 1.2 * sig2_hat
-    with pytest.raises(ValueError):
-        estimate_sigma2(obj, z, 999, rng)
-
-
-def test_sfo_batch_is_mean_of_samples():
-    rng = np.random.default_rng(4)
-    obj = _random_ls(rng)
-    z = rng.random(6)
-    b1 = obj.sfo_batch(z, 64, np.random.default_rng(5))
-    S = _samples(obj, z, 64, np.random.default_rng(5))
-    assert np.allclose(b1, S.mean(axis=0), atol=1e-12)
 
 
 def _random_csr(rng, m, n, density):
@@ -97,33 +83,53 @@ def _random_csr(rng, m, n, density):
 
 
 def _full_matrix_samples(obj, x, samples, rng):
-    """Every sample at once, in one (samples, n) matrix, without row blocks."""
-    g = obj.grad(x)
-    if isinstance(obj, GaussianSfo):
-        noise = rng.normal(0.0, math.sqrt(obj.sigma2 / len(g)), size=(samples, len(g)))
-        return g[None, :] + noise
+    """Every sample at once, in one (samples, n) matrix."""
     idx = rng.integers(0, obj.m, size=samples)
     rows = obj.A[idx].toarray() if sp.issparse(obj.A) else obj.A[idx]
     resid = rows @ x - obj.b[idx]
     return 2.0 * obj.m * rows * resid[:, None]
 
 
-def test_estimate_sigma2_blocks_match_full_matrix_bitwise():
+def test_sfo_batch_is_mean_of_samples():
+    rng = np.random.default_rng(4)
+    obj = _random_ls(rng)
+    z = rng.random(6)
+    b1 = obj.sfo_batch(z, 64, np.random.default_rng(5))
+    S = _full_matrix_samples(obj, z, 64, np.random.default_rng(5))
+    assert np.allclose(b1, S.mean(axis=0), atol=1e-12)
+
+
+def _mean_over_all_rows(obj, x):
+    """E||G - grad f(x)||^2 by brute force: the mean over the samples of all m rows."""
+    A = obj.A.toarray() if sp.issparse(obj.A) else obj.A
+    G = 2.0 * obj.m * A * (A @ x - obj.b)[:, None]
+    return float(np.mean(np.sum((G - obj.grad(x)) ** 2, axis=1)))
+
+
+def test_sfo_variance_is_the_mean_over_all_rows():
     rng = np.random.default_rng(17)
+    A = rng.random((300, 1200)) * (rng.random((300, 1200)) < 0.05)
+    A[[0, 7, 8, 299]] = 0.0  # empty CSR rows, the last one included
+    csr = LeastSquares(sp.csr_matrix(A), rng.random(300))
+    assert np.count_nonzero(np.diff(csr.A.indptr) == 0) == 4
     dense = LeastSquares(rng.random((400, 300)), rng.random(400))
-    csr = LeastSquares(_random_csr(rng, 300, 1200, 0.05), rng.random(300))
-    gauss = GaussianSfo(LeastSquares(rng.random((50, 600)), rng.random(50)), 3.0)
-    for obj, n in ((dense, 300), (csr, 1200), (gauss, 600)):
-        x = rng.random(n)
-        g = obj.grad(x)
-        step = _block_rows(n)
-        # a ragged last block, and one that would leave a lone row behind
-        for samples in (2048, (1000 // step + 1) * step + 1):
-            assert samples * n * 8 > SFO_BLOCK_BYTES  # several blocks per call
-            S = _full_matrix_samples(obj, x, samples, np.random.default_rng(18))
-            assert np.array_equal(_samples(obj, x, samples, np.random.default_rng(18)), S)
-            full = 1.1 * float(np.mean(np.sum((S - g[None, :]) ** 2, axis=1)))
-            assert estimate_sigma2(obj, x, samples, np.random.default_rng(18)) == full
+    for obj in (dense, csr):
+        for _ in range(5):
+            x = rng.random(obj.n)
+            assert obj.sfo_variance(x) == pytest.approx(_mean_over_all_rows(obj, x), rel=1e-12)
+            assert estimate_sigma2(obj, x) == 1.1 * obj.sfo_variance(x)
+    gauss = GaussianSfo(dense, 3.0)
+    assert gauss.sfo_variance(rng.random(300)) == 3.0
+
+
+def test_sfo_variance_is_zero_when_every_sample_is_the_gradient():
+    rng = np.random.default_rng(19)
+    a = rng.random(5)
+    single = LeastSquares(a[None, :], np.array([0.3]))
+    same = LeastSquares(np.tile(a, (40, 1)), np.full(40, 0.3))
+    for obj in (single, same, LeastSquares(sp.csr_matrix(same.A), same.b)):
+        for _ in range(20):
+            assert obj.sfo_variance(rng.standard_normal(5)) == 0.0
 
 
 def _sigma2_objectives(rng, n):
@@ -133,24 +139,22 @@ def _sigma2_objectives(rng, n):
             GaussianSfo(LeastSquares(rng.random((50, n)), rng.random(50)), 3.0)]
 
 
-def test_estimate_sigma2_memory_bounded_by_block():
-    # One live block of samples, plus the vector of their squared distances:
-    # a second block held (by the sampler or by the reduction) goes over.
+def test_sfo_variance_holds_no_more_than_one_copy_of_the_entries():
+    # The row norms are computed from the stored entries, squared in one
+    # float64 copy for CSR and in none for dense A; the rest are vectors of
+    # length m and n.  No (m, n) or (samples, n) matrix is built.
     rng = np.random.default_rng(20)
-    n, samples = 465, 2000
-    block = _block_rows(n) * n * 8
-    assert samples > 3 * _block_rows(n)  # several blocks per call
+    n = 465
     for obj in _sigma2_objectives(rng, n):
+        base = getattr(obj, "base", obj)
+        copy = 8 * base.A.nnz if sp.issparse(base.A) else 0
         x = rng.random(n)
-        obj.grad(x)
         with traced_peak() as usage:
-            estimate_sigma2(obj, x, samples, np.random.default_rng(21))
-        # the sampled CSR rows before densifying take ~0.15 block
-        assert usage.peak <= 1.25 * block + 8 * samples, (type(obj).__name__, usage.peak / block)
+            obj.sfo_variance(x)
+        assert usage.peak <= copy + 64 * (base.m + n), (type(obj).__name__, usage.peak)
 
 
 def test_estimate_sigma2_leaves_its_inputs_unchanged():
-    # the samples are scaled and reduced in place; the objective and z are not
     rng = np.random.default_rng(22)
     n = 300
     for obj in _sigma2_objectives(rng, n):
@@ -160,9 +164,9 @@ def test_estimate_sigma2_leaves_its_inputs_unchanged():
         x = rng.random(n)
         parts += [base.b, x]
         before = [a.copy() for a in parts]
-        first = estimate_sigma2(obj, x, 1000, np.random.default_rng(23))
+        first = estimate_sigma2(obj, x)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(parts, before))
-        assert estimate_sigma2(obj, x, 1000, np.random.default_rng(23)) == first
+        assert estimate_sigma2(obj, x) == first
 
 
 def test_estimate_L_worked_examples():
@@ -332,7 +336,8 @@ def test_gaussian_sfo_moments():
     se = S.std(axis=0, ddof=1) / np.sqrt(S.shape[0])
     assert np.all(np.abs(S.mean(axis=0) - g) <= 3.0 * se + 1e-12)
     emp_var = float(np.mean(np.sum((S - g[None, :]) ** 2, axis=1)))
-    assert emp_var == pytest.approx(sigma2, rel=0.05)
+    assert emp_var == pytest.approx(obj.sfo_variance(z), rel=0.05)
+    assert obj.sfo_variance(z) == sigma2
     with pytest.raises(ValueError):
         GaussianSfo(base, -1.0)
 

@@ -15,7 +15,7 @@ from lazy_sliding.regions import (
 )
 from lazy_sliding.trace import Counters
 
-from helpers import BestHitCache, count_scans, record_queries, traced_peak
+from helpers import BestHitCache, cache_entries, count_scans, record_queries, traced_peak
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -68,7 +68,7 @@ def test_initial_gap_worked_examples(monkeypatch):
         cache, ctr = VertexCache(), Counters()
         # the state when the second query is asked: the opening's doing
         queries = record_queries(monkeypatch, probe=lambda: (
-            ctr.exact_lmo_calls, [v.point for v in cache.entries]))
+            ctr.exact_lmo_calls, [v.point for v in cache_entries(cache)]))
         res = lcg_solve(Subproblem(g, u1, 1.0), region, u1, 1.0, eta, cache,
                         counters=ctr)
         return res.phi0, [after for _, _, after in queries[1:2]]
@@ -102,11 +102,11 @@ def test_cache_dedupe_move_to_front_evict():
     d = Vertex(np.array([0.25, 0.75]), "d")
     for v in (a, b, c):
         cache.insert(v)
-    assert [v.id for v in cache.entries] == ["c", "b", "a"]
+    assert [v.id for v in cache_entries(cache)] == ["c", "b", "a"]
     cache.insert(a)  # dedupe by id: moves to front, no growth
-    assert [v.id for v in cache.entries] == ["a", "c", "b"]
+    assert [v.id for v in cache_entries(cache)] == ["a", "c", "b"]
     cache.insert(d)  # capacity 3: evicts the back entry
-    assert [v.id for v in cache.entries] == ["d", "a", "c"]
+    assert [v.id for v in cache_entries(cache)] == ["d", "a", "c"]
     assert len(cache) == 3
 
 
@@ -163,7 +163,7 @@ def test_soundness_fuzz():
     for cache in caches.values():
         region = [r for r in regions if id(r) in caches and caches[id(r)] is cache][0]
         assert len(cache) <= cache.capacity
-        for v in cache.entries:
+        for v in cache_entries(cache):
             assert region.contains(v.point, tol=1e-9)
 
 
@@ -302,9 +302,9 @@ def test_cache_matches_move_to_front_list(name, capacity):
                 assert gap == pytest.approx(improvement, rel=0, abs=1e-12)
                 ref.move_to_front(i)
                 cache.move_to_front(slot)
-        assert [v.id for v in cache.entries] == [v.id for v in ref.entries]
+        assert [v.id for v in cache_entries(cache)] == [v.id for v in ref.entries]
     assert len(cache) == len(ref.entries) <= capacity
-    for v in cache.entries:
+    for v in cache_entries(cache):
         assert np.array_equal(v.point, lmo_points[v.id])
     assert hits > 50 and misses > 20
     if capacity == 3:
@@ -361,7 +361,7 @@ def test_cache_growth_matches_a_preallocated_store(support):
         sizes.add(len(cache._rows))
     assert len(ref._rows) == capacity and len(cache) == capacity
     assert sizes == {64, 128, 256, 300}
-    assert [v.id for v in cache.entries] == [v.id for v in ref.entries]
+    assert [v.id for v in cache_entries(cache)] == [v.id for v in cache_entries(ref)]
 
 
 def test_dense_cache_store_grows_with_use():
@@ -382,7 +382,7 @@ def test_cache_rejects_vertex_beyond_support():
     cache.insert(Simplex(3).lmo(np.array([0.0, -1.0, 0.0])))
     with pytest.raises(ValueError, match="nonzeros"):
         cache.insert(Vertex(np.array([0.5, 0.5, 0.0]), "edge midpoint"))
-    assert [v.id for v in cache.entries] == [1]
+    assert [v.id for v in cache_entries(cache)] == [1]
     with pytest.raises(ValueError):
         VertexCache(4, support=0)
 
