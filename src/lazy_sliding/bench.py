@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetExceeded, ConfigError, NumericalError
-from .objectives import LeastSquares, estimate_L, estimate_sigma2
+from .objectives import CsrMatrix, LeastSquares, estimate_L, estimate_sigma2
 from .regions import region_from_spec, svec
 from .schedules import NEEDS, ProblemConstants, ScheduleVariant, schedule_eval
 from .solvers import RESTARTS, SolverConfig, run_solver
@@ -141,10 +141,14 @@ def gen_instance(spec: dict) -> dict:
     if fmt == "auto":
         fmt = "csr" if density <= 0.25 and m * n > 10000 else "dense"
     if fmt == "csr":
-        import scipy.sparse as sp
-        Asp = sp.csr_matrix(A)
-        amat = {"format": "csr", "data": Asp.data, "indices": Asp.indices,
-                "indptr": Asp.indptr, "shape": [m, n]}
+        # the arrays scipy.sparse.csr_matrix(A) holds: entries in C order, and
+        # int32 indices unless m, n or the entry count does not fit
+        rows, cols = np.nonzero(A)
+        itype = np.int32 if max(m, n, len(rows)) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(m + 1, dtype=itype)
+        np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+        amat = {"format": "csr", "data": A[rows, cols], "indices": cols.astype(itype),
+                "indptr": indptr, "shape": [m, n]}
     else:
         amat = {"format": "dense", "data": A}
 
@@ -196,9 +200,7 @@ def load_instance(path_or_dict):
     ospec = inst["objective"]
     amat = ospec["A"]
     if amat["format"] == "csr":
-        import scipy.sparse as sp
-        A = sp.csr_matrix((amat["data"], amat["indices"], amat["indptr"]),
-                          shape=tuple(amat["shape"]))
+        A = CsrMatrix(amat["data"], amat["indices"], amat["indptr"], amat["shape"])
     else:
         A = np.asarray(amat["data"], dtype=float)
     obj = LeastSquares(A, np.asarray(ospec["b"], dtype=float))

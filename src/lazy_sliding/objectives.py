@@ -5,15 +5,15 @@ variance of one sample in closed form, which `estimate_sigma2` reads.
 """
 
 import math
-import sys
 
 import numpy as np
 
+from .compiled import load_extension
 from .errors import NumericalError
 
 
 def _sigma_max_sq(A):
-    """sigma_max(A)^2 of an (m, n) dense or sparse A by power iteration on A^T A.
+    """sigma_max(A)^2 of an (m, n) dense or CSR A by power iteration on A^T A.
 
     Deterministic start; stops once ||A^T A v - lam v|| <= 1e-9 max(1, |lam|)
     and raises NumericalError after max(500, 10 n log2(n + 1)) steps.
@@ -25,7 +25,7 @@ def _sigma_max_sq(A):
     v = v / np.linalg.norm(v)
     resid = np.inf
     for _ in range(maxiter):
-        w = np.asarray(A.T @ (A @ v)).ravel()
+        w = A.T @ (A @ v)
         lam = float(v @ w)
         resid = float(np.linalg.norm(w - lam * v))
         if resid <= 1e-9 * max(1.0, abs(lam)):
@@ -50,21 +50,105 @@ def simplex_project(v):
     return np.maximum(v - theta, 0.0)
 
 
+_sparsetools = None  # scipy's compiled CSR kernels, loaded by the first CsrMatrix
+
+
+def _vector(x, length):
+    x = np.asarray(x)
+    if x.shape != (length,):
+        raise ValueError("expected a vector of length %d, got shape %r" % (length, x.shape))
+    return x
+
+
+class CsrMatrix:
+    """An (m, n) CSR matrix held as its arrays and multiplied by scipy's kernels.
+
+    ``A @ x`` runs ``csr_matvec`` and ``A.T @ r`` runs ``csc_matvec`` on the
+    same arrays, which is what ``scipy.sparse`` runs for a CSR matrix and its
+    transpose, so both products are bit-identical to scipy's.  ``rows``
+    gathers rows into a dense block with ``csr_row_index`` and
+    ``csr_todense``, as indexing and ``toarray`` do in scipy.  Only the
+    compiled module ``scipy.sparse._sparsetools`` is loaded, never the
+    ``scipy.sparse`` package.
+    """
+
+    def __init__(self, data, indices, indptr, shape):
+        global _sparsetools
+        m, n = (int(s) for s in shape)
+        indices, indptr = np.asarray(indices), np.asarray(indptr)
+        itype = np.int32 if indices.dtype == indptr.dtype == np.int32 else np.int64
+        self.data = np.asarray(data, dtype=float)
+        self.indices = indices.astype(itype, copy=False)
+        self.indptr = indptr.astype(itype, copy=False)
+        self.shape = (m, n)
+        self.size = len(self.data)  # stored entries
+        # the kernels trust these arrays, so a bad file must fail here
+        if (min(m, n) < 0 or self.data.ndim != 1 or self.indices.shape != self.data.shape
+                or self.indptr.shape != (m + 1,) or self.indptr[0] != 0
+                or self.indptr[-1] != self.size or np.any(self.indptr[1:] < self.indptr[:-1])
+                or self.size and not 0 <= self.indices.min() <= self.indices.max() < n):
+            raise ValueError("CSR arrays do not describe a %d x %d matrix" % (m, n))
+        if _sparsetools is None:
+            _sparsetools = load_extension("scipy.sparse._sparsetools", "scipy.sparse._sparsetools",
+                                          "csr_matvec", "csc_matvec", "csr_row_index",
+                                          "csr_todense")
+
+    @property
+    def T(self):
+        return _CsrTranspose(self)
+
+    def __matmul__(self, x):
+        m, n = self.shape
+        y = np.zeros(m)
+        _sparsetools.csr_matvec(m, n, self.indptr, self.indices, self.data, _vector(x, n), y)
+        return y
+
+    def rows(self, idx):
+        """The rows ``idx`` (a 1-D index array) as a dense (len(idx), n) array."""
+        m, n = self.shape
+        idx = np.asarray(idx, dtype=self.indptr.dtype)
+        if idx.size and not 0 <= idx.min() <= idx.max() < m:
+            raise IndexError("row index out of range for %d rows" % (m,))
+        ptr = np.zeros(len(idx) + 1, dtype=idx.dtype)
+        np.cumsum(self.indptr[idx + 1] - self.indptr[idx], out=ptr[1:])
+        cols, vals = np.empty(ptr[-1], dtype=idx.dtype), np.empty(ptr[-1])
+        _sparsetools.csr_row_index(len(idx), idx, self.indptr, self.indices, self.data, cols, vals)
+        out = np.zeros((len(idx), n))
+        _sparsetools.csr_todense(len(idx), n, ptr, cols, vals, out)
+        return out
+
+
+class _CsrTranspose:
+    """A^T of a CsrMatrix A: the same arrays, read as CSC."""
+
+    def __init__(self, A):
+        self.A = A
+        self.shape = A.shape[::-1]
+
+    def __matmul__(self, r):
+        A = self.A
+        n, m = self.shape
+        y = np.zeros(n)
+        _sparsetools.csc_matvec(n, m, A.indptr, A.indices, A.data, _vector(r, m), y)
+        return y
+
+
 class LeastSquares:
     """f(x) = ||A x - b||^2; one SFO sample is 2 m a_i (a_i . z - b_i), i ~ U{1..m}.
 
     ``sfo_batch`` returns the mean of a batch of samples, ``sfo_variance``
-    the variance of one sample in closed form.  A may be a dense ndarray or
-    a scipy CSR matrix.  Instances are immutable and safe to share between
-    concurrent runs.
+    the variance of one sample in closed form.  A may be a dense array, a
+    `CsrMatrix`, or a scipy sparse matrix (anything with ``tocsr()``), which
+    is held as a `CsrMatrix` on the same arrays.  Instances are immutable and
+    safe to share between concurrent runs.
     """
 
     def __init__(self, A, b):
-        # A sparse matrix can only exist once scipy.sparse is loaded, so dense
-        # callers never pay for importing it.
-        sp = sys.modules.get("scipy.sparse")
-        if sp is not None and sp.issparse(A):
-            self.A = sp.csr_matrix(A)
+        if hasattr(A, "tocsr"):
+            A = A.tocsr()
+            A = CsrMatrix(A.data, A.indices, A.indptr, A.shape)
+        if isinstance(A, CsrMatrix):
+            self.A = A
             self._dense = None
         else:
             self.A = np.asarray(A, dtype=float)
@@ -97,23 +181,26 @@ class LeastSquares:
         """(A^T A, A^T b, b.b, fallback floor), or () when n^2 >= the stored entries of A."""
         if self.n * self.n >= self.A.size:  # stored entries, for CSR too
             return ()
-        Q = self.A.T @ self.A
-        if self._dense is None:
-            Q = Q.toarray()
-        q = np.asarray(self.A.T @ self.b).ravel()
+        if self._dense is not None:
+            Q = self.A.T @ self.A
+        else:  # summed over dense blocks of about 2 MiB of rows
+            Q = np.zeros((self.n, self.n))
+            step = max(1, (1 << 18) // self.n)
+            for lo in range(0, self.m, step):
+                rows = self.A.rows(np.arange(lo, min(lo + step, self.m)))
+                Q += rows.T @ rows
+        q = self.A.T @ self.b
         bb = float(self.b @ self.b)
         return Q, q, bb, 1e3 * np.finfo(float).eps * bb
 
     def grad(self, x):
         r = self.A @ x - self.b
-        g = self.A.T @ r
-        g = np.asarray(g).ravel()
-        return 2.0 * g
+        return 2.0 * (self.A.T @ r)
 
     def sfo_batch(self, z, size, rng):
         """Mean of `size` independent samples, drawn vectorized from one stream."""
         idx = rng.integers(0, self.m, size=size)
-        rows = self._dense[idx] if self._dense is not None else self.A[idx].toarray()
+        rows = self._dense[idx] if self._dense is not None else self.A.rows(idx)
         resid = rows @ z - self.b[idx]
         return (2.0 * self.m / size) * (rows.T @ resid)
 
@@ -133,7 +220,7 @@ class LeastSquares:
                 self._row_sq[filled] = np.add.reduceat(np.square(self.A.data), ptr[:-1][filled])
         r = self.A @ z - self.b
         spread = 4.0 * self.m * float((r * r) @ self._row_sq)
-        g = 2.0 * np.asarray(self.A.T @ r).ravel()
+        g = 2.0 * (self.A.T @ r)
         var = spread - float(g @ g)
         return var if var > 1e3 * np.finfo(float).eps * spread else 0.0
 

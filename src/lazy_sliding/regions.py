@@ -23,14 +23,12 @@ vectors equal their Frobenius counterparts.
 """
 
 import math
-import os
 from dataclasses import dataclass
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
 from typing import Hashable
 
 import numpy as np
 
+from .compiled import load_extension
 from .errors import NumericalError
 
 _SQRT2 = math.sqrt(2.0)
@@ -211,29 +209,6 @@ class Box(Region):
 _linear_sum_assignment = None  # scipy's LSAP solver, loaded by the first Birkhoff LMO
 
 
-def _load_linear_sum_assignment():
-    """scipy's ``linear_sum_assignment``, from its compiled module alone.
-
-    ``scipy.optimize.linear_sum_assignment`` is the builtin of the extension
-    ``scipy.optimize._lsap``.  Loading that file by itself gives the very same
-    function without importing the ``scipy.optimize`` package, which costs
-    ~27 MB and a few hundred ms.  (``importlib.util.find_spec`` would import
-    the parent package, so the file is looked up with ``PathFinder``.)
-    """
-    import scipy
-
-    spec = PathFinder.find_spec("scipy.optimize._lsap",
-                                [os.path.join(os.path.dirname(scipy.__file__), "optimize")])
-    module = None
-    if spec is not None:
-        module = module_from_spec(spec)
-        spec.loader.exec_module(module)
-    if not hasattr(module, "linear_sum_assignment"):  # another scipy layout
-        from scipy.optimize import linear_sum_assignment
-        return linear_sum_assignment
-    return module.linear_sum_assignment
-
-
 class Birkhoff(Region):
     """Doubly stochastic matrices (flattened row-major); vertices are permutations."""
 
@@ -249,7 +224,10 @@ class Birkhoff(Region):
     def _lmo(self, c):
         global _linear_sum_assignment
         if _linear_sum_assignment is None:
-            _linear_sum_assignment = _load_linear_sum_assignment()
+            # scipy.optimize.linear_sum_assignment is this builtin of _lsap
+            _linear_sum_assignment = load_extension(
+                "scipy.optimize._lsap", "scipy.optimize",
+                "linear_sum_assignment").linear_sum_assignment
         rows, cols = _linear_sum_assignment(c.reshape(self.n, self.n))
         p = np.zeros(self.dim)
         p[rows * self.n + cols] = 1.0

@@ -106,9 +106,13 @@ class SolverConfig:
             # a NaN limit never fires, and a negative one ends every run at once
             raise ConfigError("time_limit must be a finite number of seconds >= 0, got %r"
                               % (self.time_limit,))
-        if self.variant in RESTARTS and (self.eps is None or not 0 < self.eps < math.inf):
-            # a NaN or infinite eps would plan zero phases and run nothing
-            raise ConfigError("restart variants require a finite target accuracy eps > 0")
+        if self.variant in RESTARTS and (
+                not isinstance(self.eps, numbers.Real) or isinstance(self.eps, bool)
+                or not 0 < self.eps < math.inf):
+            # a NaN or infinite eps would plan zero phases and run nothing, and
+            # a bool one is no accuracy at all
+            raise ConfigError("restart variants require a finite target accuracy eps > 0, got %r"
+                              % (self.eps,))
         if self.variant in _ALLOWED_TAGS:
             if self.schedule is None:
                 raise ConfigError("variant %r requires a schedule" % (self.variant,))

@@ -248,6 +248,29 @@ def record_queries(monkeypatch, probe=None):
     return queries
 
 
+def hide_scipy_extensions(monkeypatch):
+    """List that records every extension `load_extension` looks up, and finds none of, from now on.
+
+    It stands for a scipy layout without the compiled files, so the loader
+    falls back to importing the public module.
+    """
+    from lazy_sliding import compiled
+
+    looked_up = []
+
+    class NoSpec:
+        @staticmethod
+        def find_spec(name, path):
+            looked_up.append(name)
+
+    def no_module(spec):
+        raise AssertionError("no spec to load")
+
+    monkeypatch.setattr(compiled, "PathFinder", NoSpec)
+    monkeypatch.setattr(compiled, "module_from_spec", no_module)
+    return looked_up
+
+
 def lp_hull_distance(V, x):
     """Chebyshev distance from x to the convex hull of the rows of V, by LP (HiGHS).
 
@@ -269,6 +292,16 @@ def lp_hull_distance(V, x):
                   bounds=[(0, None)] * (nv + 1), method="highs")
     assert res.success, res.message
     return float(res.fun)
+
+
+def dense_matrix(A):
+    """A as a dense array; a `CsrMatrix` is built from its stored entries."""
+    if isinstance(A, np.ndarray):
+        return A
+    out = np.zeros(A.shape)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    np.add.at(out, (rows, A.indices), A.data)  # duplicate entries add up
+    return out
 
 
 @contextlib.contextmanager

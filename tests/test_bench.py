@@ -29,6 +29,7 @@ from lazy_sliding.bench import (
 from lazy_sliding.cli import _print_summary, main
 from lazy_sliding.errors import ConfigError, NumericalError
 from lazy_sliding.lcg import lcg_solve
+from lazy_sliding.objectives import CsrMatrix
 from lazy_sliding.trace import TRACE_COLUMNS, TRACE_HEADER, RunTrace, TraceTable, read_trace_csv
 
 from helpers import traced_peak
@@ -131,6 +132,12 @@ def test_birkhoff_experiment_loads_only_the_assignment_solver(tmp_path):
         False, True]
 
 
+def test_csr_experiment_loads_only_the_sparse_kernels(tmp_path):
+    # CSR least squares runs scipy's compiled CSR kernels, loaded by themselves
+    assert _experiment_loads(tmp_path, CSR_SPEC, "scipy.sparse", "scipy.sparse._sparsetools") == [
+        False, True]
+
+
 def test_instance_with_a_non_finite_vertex_exits_2(tmp_path, capsys):
     inst = gen_instance({"region": {"kind": "hamiltonian_cycles", "nodes": 5},
                          "objective": {"m": 20}, "seed": 1})
@@ -172,6 +179,26 @@ CSR_SPEC = {
     "objective": {"m": 300, "density": 0.1},
     "seed": 1,
 }
+
+
+@pytest.mark.parametrize("density,seed", [(0.02, 1), (0.02, 2), (0.1, 3)])
+def test_gen_csr_arrays_are_the_arrays_of_scipy_csr_matrix(density, seed):
+    # gen_instance builds the CSR arrays with numpy; they must be the very
+    # arrays scipy.sparse.csr_matrix makes of the same dense draw
+    import scipy.sparse as sp
+
+    def spec(fmt):
+        return dict(CSR_SPEC, seed=seed, objective=dict(CSR_SPEC["objective"], density=density,
+                                                        format=fmt))
+
+    want = sp.csr_matrix(gen_instance(spec("dense"))["objective"]["A"]["data"])
+    got = gen_instance(spec("csr"))["objective"]["A"]
+    assert got["shape"] == list(want.shape)
+    for key in ("data", "indices", "indptr"):
+        assert got[key].dtype == getattr(want, key).dtype, key
+        assert np.array_equal(got[key], getattr(want, key)), key
+    if density < 0.1:
+        assert np.count_nonzero(np.diff(want.indptr) == 0) > 0  # empty rows
 
 
 def _array_fields(inst):
@@ -221,7 +248,7 @@ def test_list_form_instance_loads_bit_identical(tmp_path, spec):
 
 
 def test_load_instance_memory_bounded(tmp_path):
-    import scipy.sparse  # noqa: F401  (the load is measured, not the import)
+    CsrMatrix([], [], [0], (0, 1))  # loads the CSR kernels: the load is measured, not that
     spec = {"region": {"kind": "simplex", "n": 2500},
             "objective": {"m": 2000, "density": 0.05, "format": "csr"}, "seed": 3}
     path, _ = _write_instance(tmp_path, spec)
@@ -1008,6 +1035,20 @@ def test_cli_unreadable_instance_exits_2(tmp_path, capsys, text, fault):
     assert not run_dir.exists()
 
 
+def test_cli_csr_instance_with_a_column_past_n_exits_2(tmp_path, capsys):
+    # the compiled kernels trust the CSR arrays, so a bad one fails at load
+    inst = gen_instance(CSR_SPEC)
+    inst["objective"]["A"]["indices"][-1] = CSR_SPEC["region"]["n"]
+    write_json(str(tmp_path / "bad.json"), inst)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": str(tmp_path / "bad.json"), "solvers": [CALGD_ENTRY]}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot load instance" in err and "ValueError" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,config,fault", [
     ("gen", None, "FileNotFoundError"),
     ("gen", "{not json", "JSONDecodeError"),
@@ -1027,10 +1068,14 @@ def test_cli_unreadable_instance_exits_2(tmp_path, capsys, text, fault):
      "mu must be finite and nonnegative, got True"),
     ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, alpha=True)]},
      "alpha must be finite and >= 1, got True"),
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, variant="calgd_sc",
+                                                      schedule=None, eps=True)]},
+     "eps > 0, got True"),
     ("summarize", None, "no directory"),
 ], ids=["gen-missing", "gen-not-json", "gen-list", "run-missing", "run-not-json", "run-string",
         "run-no-instance", "run-solvers-dict", "run-entry-string", "run-budgets-number",
-        "run-constant-bool", "run-mu-bool", "run-alpha-bool", "summarize-missing-dir"])
+        "run-constant-bool", "run-mu-bool", "run-alpha-bool", "run-eps-bool",
+        "summarize-missing-dir"])
 def test_cli_rejected_input_exits_2(tmp_path, capsys, command, config, fault):
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
     if isinstance(config, dict):  # with a valid instance file where it says INSTANCE

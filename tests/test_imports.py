@@ -137,23 +137,20 @@ def test_scipy_import_scan_finds_scope_and_branch():
 
 
 def test_package_loads_scipy_optimize_and_sparse_only_where_needed():
-    # Each import costs hundreds of ms and tens of MB, so only the code
-    # paths that cannot work without it may load it: the CSR branches of
-    # instance I/O.  The Birkhoff LMO loads scipy's compiled assignment
-    # module alone; it imports scipy.optimize only on a scipy layout
-    # without that module.
-    allowed = {
-        ("regions.py", "_load_linear_sum_assignment",
-         "not hasattr(module, 'linear_sum_assignment')", "scipy.optimize"),
-        ("bench.py", "gen_instance", "fmt == 'csr'", "scipy.sparse"),
-        ("bench.py", "load_instance", "amat['format'] == 'csr'", "scipy.sparse"),
-    }
-    found = set()
+    # Each import costs hundreds of ms and tens of MB.  The Birkhoff LMO and
+    # CSR least squares load scipy's compiled modules alone, through
+    # compiled.load_extension, which imports a package by name only on a
+    # scipy layout without those files; no module imports either package.
+    found, by_name = set(), set()
     for name in sorted(os.listdir(PACKAGE_DIR)):
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE_DIR, name)) as fh:
-                found |= {(name,) + site for site in _scipy_imports(fh.read())}
-    assert found <= allowed, found - allowed
+                source = fh.read()
+            found |= {(name,) + site for site in _scipy_imports(source)}
+            if "import_module" in _references(source):
+                by_name.add(name)
+    assert found == set()
+    assert by_name == {"compiled.py"}
 
 
 def _references(source):

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lazy_sliding import objectives
 from lazy_sliding.objectives import (
+    CsrMatrix,
     GaussianSfo,
     L1Distance,
     LeastSquares,
@@ -13,7 +15,13 @@ from lazy_sliding.objectives import (
     simplex_project,
 )
 
-from helpers import central_diff, kkt_simplex_project, traced_peak
+from helpers import (
+    central_diff,
+    dense_matrix,
+    hide_scipy_extensions,
+    kkt_simplex_project,
+    traced_peak,
+)
 
 
 def _random_ls(rng, m=12, n=6):
@@ -85,7 +93,7 @@ def _random_csr(rng, m, n, density):
 def _full_matrix_samples(obj, x, samples, rng):
     """Every sample at once, in one (samples, n) matrix."""
     idx = rng.integers(0, obj.m, size=samples)
-    rows = obj.A[idx].toarray() if sp.issparse(obj.A) else obj.A[idx]
+    rows = dense_matrix(obj.A)[idx]
     resid = rows @ x - obj.b[idx]
     return 2.0 * obj.m * rows * resid[:, None]
 
@@ -101,7 +109,7 @@ def test_sfo_batch_is_mean_of_samples():
 
 def _mean_over_all_rows(obj, x):
     """E||G - grad f(x)||^2 by brute force: the mean over the samples of all m rows."""
-    A = obj.A.toarray() if sp.issparse(obj.A) else obj.A
+    A = dense_matrix(obj.A)
     G = 2.0 * obj.m * A * (A @ x - obj.b)[:, None]
     return float(np.mean(np.sum((G - obj.grad(x)) ** 2, axis=1)))
 
@@ -147,7 +155,7 @@ def test_sfo_variance_holds_no_more_than_one_copy_of_the_entries():
     n = 465
     for obj in _sigma2_objectives(rng, n):
         base = getattr(obj, "base", obj)
-        copy = 8 * base.A.nnz if sp.issparse(base.A) else 0
+        copy = 0 if isinstance(base.A, np.ndarray) else 8 * base.A.data.size
         x = rng.random(n)
         with traced_peak() as usage:
             obj.sfo_variance(x)
@@ -160,7 +168,7 @@ def test_estimate_sigma2_leaves_its_inputs_unchanged():
     for obj in _sigma2_objectives(rng, n):
         base = getattr(obj, "base", obj)
         A = base.A
-        parts = [A.data, A.indices, A.indptr] if sp.issparse(A) else [A]
+        parts = [A] if isinstance(A, np.ndarray) else [A.data, A.indices, A.indptr]
         x = rng.random(n)
         parts += [base.b, x]
         before = [a.copy() for a in parts]
@@ -202,6 +210,84 @@ def test_csr_matches_dense():
     s1 = _samples(dense, z, 50, np.random.default_rng(9))
     s2 = _samples(sparse, z, 50, np.random.default_rng(9))
     assert np.allclose(s1, s2, atol=1e-12)
+
+
+def _csr_cases(rng):
+    """scipy CSR matrices: empty rows (the last one too), int64 indices, unsorted indices."""
+    D = rng.random((60, 25)) * (rng.random((60, 25)) < 0.15)
+    D[[0, 31, 59]] = 0.0
+    A = sp.csr_matrix(D)
+    wide = A.copy()  # scipy's constructor would narrow the indices back to int32
+    wide.indices, wide.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+    unsorted = A.copy()
+    for i in range(unsorted.shape[0]):  # reverse each row's entries
+        lo, hi = unsorted.indptr[i], unsorted.indptr[i + 1]
+        unsorted.indices[lo:hi] = unsorted.indices[lo:hi][::-1].copy()
+        unsorted.data[lo:hi] = unsorted.data[lo:hi][::-1].copy()
+    unsorted.has_sorted_indices = False
+    return [A, wide, unsorted]
+
+
+def test_csr_products_and_rows_are_scipys_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for A in _csr_cases(rng):
+        held = CsrMatrix(A.data, A.indices, A.indptr, A.shape)
+        assert held.size == A.nnz and held.indices.dtype == A.indices.dtype
+        for _ in range(3):
+            x, r = rng.standard_normal(25), rng.standard_normal(60)
+            assert (held @ x).tobytes() == (A @ x).tobytes()
+            assert (held.T @ r).tobytes() == (A.T @ r).tobytes()
+        for idx in ([59], [0], [31, 59, 59, 3, 0], rng.integers(0, 60, size=128)):
+            idx = np.asarray(idx)
+            assert held.rows(idx).tobytes() == A[idx].toarray().tobytes()
+        obj, z = LeastSquares(A, rng.random(60)), rng.random(25)
+        assert obj.grad(z).tobytes() == (2.0 * (A.T @ (A @ z - obj.b))).tobytes()
+        batch = obj.sfo_batch(z, 1, np.random.default_rng(24))
+        i = np.random.default_rng(24).integers(0, 60, size=1)
+        rows = A[i].toarray()
+        assert batch.tobytes() == ((2.0 * 60 / 1) * (rows.T @ (rows @ z - obj.b[i]))).tobytes()
+
+
+def test_csr_matrix_rejects_arrays_the_kernels_cannot_trust():
+    ok = ([1.0, 2.0], [0, 2], [0, 1, 2])
+    CsrMatrix(*ok, (2, 3))
+    for data, indices, indptr, shape in [
+            (*ok, (2, 2)),                        # a column index past n
+            (*ok, (3, 3)),                        # indptr too short
+            ([1.0, 2.0], [0, -1], [0, 1, 2], (2, 3)),
+            ([1.0, 2.0], [0, 2], [0, 2, 1], (2, 3)),  # indptr falls
+            ([1.0, 2.0], [0, 2], [1, 1, 2], (2, 3)),
+            ([1.0], [0, 2], [0, 1, 2], (2, 3)),
+            ([], [], [], (-1, 3))]:
+        with pytest.raises(ValueError):
+            CsrMatrix(data, indices, indptr, shape)
+    held = CsrMatrix(*ok, (2, 3))
+    with pytest.raises(ValueError):
+        held @ np.ones(2)
+    with pytest.raises(ValueError):
+        held.T @ np.ones(3)
+    for bad in ([2], [-1]):
+        with pytest.raises(IndexError):
+            held.rows(np.asarray(bad))
+
+
+def test_csr_kernels_fall_back_to_the_scipy_sparse_package(monkeypatch):
+    # a scipy layout without the compiled file: the kernels come from
+    # importing scipy.sparse, and every product is the same
+    import scipy.sparse._sparsetools as public
+
+    rng = np.random.default_rng(25)
+    A = _csr_cases(rng)[0]
+    x, r = rng.standard_normal(25), rng.standard_normal(60)
+    loaded = CsrMatrix(A.data, A.indices, A.indptr, A.shape)
+    want = [loaded @ x, loaded.T @ r, loaded.rows(np.arange(60))]
+    looked_up = hide_scipy_extensions(monkeypatch)
+    monkeypatch.setattr(objectives, "_sparsetools", None)
+    held = CsrMatrix(A.data, A.indices, A.indptr, A.shape)
+    assert looked_up == ["scipy.sparse._sparsetools"]
+    assert objectives._sparsetools is public
+    got = [held @ x, held.T @ r, held.rows(np.arange(60))]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def _residual_value(obj, x):

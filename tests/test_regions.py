@@ -26,6 +26,7 @@ from helpers import (
     brute_dag_min,
     dense_spectra_min,
     enumerate_dag_paths,
+    hide_scipy_extensions,
     lp_hull_distance,
     traced_peak,
 )
@@ -383,18 +384,7 @@ def test_birkhoff_lmo_falls_back_to_the_public_solver(monkeypatch):
     n = 7
     costs = _tie_heavy_costs(np.random.default_rng(n), n * n)
     loaded = [Birkhoff(n).lmo(c) for c in costs]
-    looked_up = []
-
-    class NoSpec:
-        @staticmethod
-        def find_spec(name, path):
-            looked_up.append(name)
-
-    def no_module(spec):
-        raise AssertionError("no spec to load")
-
-    monkeypatch.setattr(regions, "PathFinder", NoSpec)
-    monkeypatch.setattr(regions, "module_from_spec", no_module)
+    looked_up = hide_scipy_extensions(monkeypatch)
     monkeypatch.setattr(regions, "_linear_sum_assignment", None)
     fallback = [Birkhoff(n).lmo(c) for c in costs]
     assert looked_up == ["scipy.optimize._lsap"]

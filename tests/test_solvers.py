@@ -578,6 +578,9 @@ def test_config_validation():
                      schedule=ScheduleVariant("smooth_stochastic"))  # wrong tag
     with pytest.raises(ConfigError):
         SolverConfig("calgd_sc", c, x0, 10)  # restart without eps
+    for eps in (True, "0.1", float("nan")):
+        with pytest.raises(ConfigError, match="eps > 0, got"):
+            SolverConfig("calgd_sc", c, x0, 10, eps=eps)
     with pytest.raises(ConfigError):
         SolverConfig("calgd", c, x0, 0,
                      schedule=ScheduleVariant("smooth_deterministic"))
