@@ -5,14 +5,16 @@ feasible regions, with b = A x_star for a feasible x_star so the optimum
 value is exactly zero and objective thresholds are meaningful across
 instances.  Everything is JSON on disk and deterministic given the seed.
 
-In an instance file the numeric arrays (A or its CSR parts, b, x_star) are
-``{"__ndarray__": dtype, "shape": [...], "base64": ...}`` objects holding the
-base64 of the array's C-order little-endian bytes, so a round trip is exact
-and no load builds Python float lists.  Arrays written as plain JSON lists
-are still accepted.  Region specs stay plain lists.
+In an instance file the numeric arrays (A or its CSR parts, b, x_star, and
+the vertices of an enumerated region) are ``{"__ndarray__": dtype, "shape":
+[...], "base64": ...}`` objects holding the base64 of the array's C-order
+little-endian bytes, so a round trip is exact and no load builds Python
+float lists.  Arrays written as plain JSON lists are still accepted.  Other
+region specs stay plain lists.
 """
 
 import base64
+import binascii
 import hashlib
 import itertools
 import json
@@ -85,11 +87,9 @@ def expand_region_spec(spec):
     """Expand generator shorthands into concrete region specs."""
     kind = spec.get("kind")
     if kind == "hamiltonian_cycles":
-        return {"kind": "enumerated",
-                "vertices": hamiltonian_cycle_vertices(spec["nodes"]).tolist()}
+        return {"kind": "enumerated", "vertices": hamiltonian_cycle_vertices(spec["nodes"])}
     if kind == "cut_polytope":
-        return {"kind": "enumerated",
-                "vertices": cut_polytope_vertices(spec["nodes"]).tolist()}
+        return {"kind": "enumerated", "vertices": cut_polytope_vertices(spec["nodes"])}
     if kind == "layered_dag":
         return {"kind": "dag_path",
                 "edges": [[u, v] for u, v in layered_dag_edges(spec["layers"], spec["width"])]}
@@ -174,12 +174,34 @@ def _encode_array(obj):
 
 
 def _decode_array(d):
-    """`json.load` object hook: the inverse of `_encode_array`, in native byte order."""
-    if _NDARRAY not in d:
-        return d
+    """The inverse of `_encode_array`: a read-only array in native byte order.
+
+    The base64 text is popped from ``d`` and decoded from the str itself
+    (``a2b_base64`` takes ASCII text without the bytes copy ``b64decode``
+    makes), and the array views the decoded bytes; only an array stored in
+    non-native byte order is converted.
+    """
     dtype = np.dtype(d[_NDARRAY])
-    flat = np.frombuffer(base64.b64decode(d["base64"]), dtype=dtype)
-    return flat.reshape(d["shape"]).astype(dtype.newbyteorder("="))
+    flat = np.frombuffer(binascii.a2b_base64(d.pop("base64")), dtype=dtype)
+    array = flat.reshape(d["shape"]).astype(dtype.newbyteorder("="), copy=False)
+    array.flags.writeable = False
+    return array
+
+
+def _decode_arrays(node):
+    """``node`` with every `_encode_array` object in it decoded, containers in place."""
+    if isinstance(node, dict):
+        if _NDARRAY in node:
+            return _decode_array(node)
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return node
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            node[key] = _decode_arrays(value)
+    return node
 
 
 def write_json(path, obj):
@@ -190,12 +212,20 @@ def write_json(path, obj):
 
 
 def load_instance(path_or_dict):
-    """(region, objective, instance_dict) from an instance file or dict."""
+    """(region, objective, instance_dict) from an instance file or dict.
+
+    A file is parsed first and its arrays decoded after, so the file text is
+    gone before the first array is made: the load peaks at about twice the
+    file size.  Every encoded array, in a file or in a dict (which is decoded
+    in place), becomes a read-only array that views its decoded bytes;
+    instances are immutable.
+    """
     if isinstance(path_or_dict, str):
         with open(path_or_dict) as fh:
-            inst = json.load(fh, object_hook=_decode_array)
+            inst = json.load(fh)
     else:
         inst = path_or_dict
+    _decode_arrays(inst)
     region = region_from_spec(inst["region"])
     ospec = inst["objective"]
     amat = ospec["A"]

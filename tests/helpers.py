@@ -6,8 +6,12 @@ than reusing library code paths, so the tests compare two independent routes
 to the same quantity.
 """
 
+import base64
 import contextlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -269,6 +273,30 @@ def hide_scipy_extensions(monkeypatch):
     monkeypatch.setattr(compiled, "PathFinder", NoSpec)
     monkeypatch.setattr(compiled, "module_from_spec", no_module)
     return looked_up
+
+
+def run_fresh(code, *args):
+    """The stdout of ``python -c code *args`` run in a fresh process on this source tree.
+
+    A failing run (nonzero exit) raises ``CalledProcessError``.
+    """
+    import lazy_sliding
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lazy_sliding.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+
+
+def b64decode_array(d):
+    """An instance file's encoded array, decoded as instance files were first read.
+
+    ``base64.b64decode`` (which copies the text to ASCII bytes first), then a
+    native-order ``astype`` copy of the whole array; the reference for
+    `bench.load_instance`'s decoder.
+    """
+    dtype = np.dtype(d["__ndarray__"])
+    flat = np.frombuffer(base64.b64decode(d["base64"]), dtype=dtype)
+    return flat.reshape(d["shape"]).astype(dtype.newbyteorder("="))
 
 
 def lp_hull_distance(V, x):

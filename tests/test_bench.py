@@ -6,8 +6,6 @@ import json
 import math
 import os
 import pickle
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -32,7 +30,7 @@ from lazy_sliding.lcg import lcg_solve
 from lazy_sliding.objectives import CsrMatrix
 from lazy_sliding.trace import TRACE_COLUMNS, TRACE_HEADER, RunTrace, TraceTable, read_trace_csv
 
-from helpers import traced_peak
+from helpers import b64decode_array, run_fresh, traced_peak
 
 SIMPLEX_SPEC = {
     "region": {"kind": "simplex", "n": 6},
@@ -69,37 +67,36 @@ def test_gen_is_deterministic_and_byte_identical(tmp_path):
     assert not np.array_equal(other["objective"]["b"], gen_instance(SIMPLEX_SPEC)["objective"]["b"])
 
 
-def _f8_array(a):
-    return {"__ndarray__": "<f8", "shape": list(a.shape),
-            "base64": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
+def _encoded(a, dtype="<f8"):
+    """``a`` as an instance file stores it, in the byte order ``dtype`` names."""
+    a = np.asarray(a, dtype=dtype)
+    return {"__ndarray__": a.dtype.str, "shape": list(a.shape),
+            "base64": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 def test_write_json_bytes_are_compact_sorted_dumps(tmp_path):
     obj = dict(gen_instance(SIMPLEX_SPEC), extra={"b": [1.5, -0.0, 1e-300], "a": None})
     path = tmp_path / "out.json"
     write_json(str(path), obj)
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_f8_array) + "\n"
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encoded) + "\n"
     assert path.read_bytes() == text.encode()
 
 
 def test_import_does_not_load_scipy_optimize():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lazy_sliding.__file__)))
-    code = "import sys, lazy_sliding; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    out = run_fresh("import sys, lazy_sliding; print('scipy.optimize' in sys.modules)")
     assert out.strip() == "False"
 
 
 def _experiment_loads(tmp_path, spec, *modules):
     """Per module, whether a fresh process that runs lazy, scgs and ofw on the
     instance of ``spec`` (two seeds, 20 outer iterations) has it in
-    sys.modules; every point whose value a trace row records must be in the
-    region."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lazy_sliding.__file__)))
+    sys.modules, and the module names of the compiled scipy code the package
+    then holds (``lsap``, ``sparsetools``; None if not loaded); every point
+    whose value a trace row records must be in the region."""
     config = {"seeds": [0, 1], "budgets": {"outer": 20},
               "solvers": _paired_entries(outer=20) + [{"name": "ofw", "variant": "ofw"}]}
     code = ("import json, sys\n"
-            "from lazy_sliding import objectives\n"
+            "from lazy_sliding import objectives, regions\n"
             "from lazy_sliding.bench import gen_instance, load_instance, run_experiment, write_json\n"
             "points, value = [], objectives.LeastSquares.value\n"
             "objectives.LeastSquares.value = lambda self, x: points.append(x) or value(self, x)\n"
@@ -109,11 +106,11 @@ def _experiment_loads(tmp_path, spec, *modules):
             "assert run_experiment(config, out_dir=out)[1] == 0\n"
             "region = load_instance(path)[0]\n"
             "assert len(points) > 100 and all(region.contains(x) for x in points)\n"
-            "print(json.dumps([m in sys.modules for m in sys.argv[5:]]))")
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "instance.json"),
-                          str(tmp_path / "runs"), json.dumps(spec), json.dumps(config), *modules],
-                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-                         check=True).stdout
+            "held = {'lsap': getattr(regions._linear_sum_assignment, '__module__', None),\n"
+            "        'sparsetools': getattr(objectives._sparsetools, '__name__', None)}\n"
+            "print(json.dumps([[m in sys.modules for m in sys.argv[5:]], held]))")
+    out = run_fresh(code, str(tmp_path / "instance.json"), str(tmp_path / "runs"),
+                    json.dumps(spec), json.dumps(config), *modules)
     return json.loads(out)
 
 
@@ -121,21 +118,24 @@ def test_enumerated_experiment_does_not_load_scipy_optimize(tmp_path):
     # membership in an enumerated region is a minimum-norm point, not an LP
     spec = {"region": {"kind": "hamiltonian_cycles", "nodes": 5},
             "objective": {"m": 40, "density": 0.8}, "seed": 3}
-    assert _experiment_loads(tmp_path, spec, "scipy.optimize") == [False]
+    assert _experiment_loads(tmp_path, spec, "scipy.optimize")[0] == [False]
 
 
 def test_birkhoff_experiment_loads_only_the_assignment_solver(tmp_path):
-    # the Birkhoff LMO loads scipy's compiled assignment module by itself
+    # the Birkhoff LMO loads scipy's compiled assignment module by itself,
+    # without importing scipy, not even its top-level package
     spec = {"region": {"kind": "birkhoff", "n": 6},
             "objective": {"m": 40, "density": 0.8}, "seed": 3}
-    assert _experiment_loads(tmp_path, spec, "scipy.optimize", "scipy.optimize._lsap") == [
-        False, True]
+    loaded, held = _experiment_loads(tmp_path, spec, "scipy.optimize", "scipy")
+    assert loaded == [False, False]
+    assert held == {"lsap": "scipy.optimize._lsap", "sparsetools": None}
 
 
 def test_csr_experiment_loads_only_the_sparse_kernels(tmp_path):
     # CSR least squares runs scipy's compiled CSR kernels, loaded by themselves
-    assert _experiment_loads(tmp_path, CSR_SPEC, "scipy.sparse", "scipy.sparse._sparsetools") == [
-        False, True]
+    loaded, held = _experiment_loads(tmp_path, CSR_SPEC, "scipy.sparse", "scipy")
+    assert loaded == [False, False]
+    assert held == {"lsap": None, "sparsetools": "scipy.sparse._sparsetools"}
 
 
 def test_instance_with_a_non_finite_vertex_exits_2(tmp_path, capsys):
@@ -154,24 +154,43 @@ def test_instance_with_a_non_finite_vertex_exits_2(tmp_path, capsys):
 
 def test_import_does_not_load_multiprocessing():
     # only an experiment run with jobs > 1 needs the process pool
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lazy_sliding.__file__)))
-    code = "import sys, lazy_sliding; print('multiprocessing' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    out = run_fresh("import sys, lazy_sliding; print('multiprocessing' in sys.modules)")
     assert out.strip() == "False"
 
 
 def test_import_does_not_load_scipy_sparse(tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lazy_sliding.__file__)))
     code = ("import json, sys\n"
             "from lazy_sliding.bench import gen_instance, load_instance, write_json\n"
             "write_json(sys.argv[1], gen_instance(json.loads(sys.argv[2])))\n"
             "load_instance(sys.argv[1])\n"
             "print('scipy.sparse' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "i.json"),
-                          json.dumps(SIMPLEX_SPEC)], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    out = run_fresh(code, str(tmp_path / "i.json"), json.dumps(SIMPLEX_SPEC))
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("packages_first", [False, True], ids=["after", "before"])
+def test_packages_imported_around_a_lone_extension_hold_it(packages_first):
+    # an extension loaded alone leaves no sys.modules entry behind, so a
+    # later import of its package loads it there and sets the attribute;
+    # the entry of a package imported before stays
+    imports = "import scipy.optimize, scipy.sparse\n"
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from lazy_sliding.compiled import load_extension\n"
+            + (imports if packages_first else "") +
+            "lsap = load_extension('scipy.optimize._lsap', 'scipy.optimize',\n"
+            "                      'linear_sum_assignment')\n"
+            "kernels = load_extension('scipy.sparse._sparsetools', 'scipy.sparse._sparsetools',\n"
+            "                         'csr_matvec')\n"
+            + ("" if packages_first else imports) +
+            "assert scipy.optimize._lsap.linear_sum_assignment is lsap.linear_sum_assignment\n"
+            "assert scipy.sparse._sparsetools.csr_matvec is kernels.csr_matvec\n"
+            "assert sys.modules['scipy.optimize._lsap'] is scipy.optimize._lsap\n"
+            "assert sys.modules['scipy.sparse._sparsetools'] is scipy.sparse._sparsetools\n"
+            "rows, cols = scipy.optimize.linear_sum_assignment(1.0 - np.eye(3))\n"
+            "y = scipy.sparse.csr_matrix(np.diag([1.0, 2.0])) @ np.ones(2)\n"
+            "print(cols.tolist(), y.tolist())")
+    assert run_fresh(code).strip() == "[0, 1, 2] [1.0, 2.0]"
 
 
 CSR_SPEC = {
@@ -255,6 +274,80 @@ def test_load_instance_memory_bounded(tmp_path):
     with traced_peak() as usage:
         load_instance(path)
     assert usage.peak <= 16e6  # the same file with list-form arrays peaks at ~23 MB
+
+
+def _ndarrays(node, path=()):
+    """(path, array) of every ndarray in an instance tree."""
+    if isinstance(node, np.ndarray):
+        yield path, node
+    elif isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _ndarrays(value, path + (key,))
+
+
+def test_loaded_arrays_equal_the_first_decoders(tmp_path):
+    # a hand-written instance: an empty CSR matrix (4 x 3, int32 indices and
+    # int64 indptr), a big-endian b, a list-form x_star, and more arrays
+    # under a key that load_instance only decodes
+    rng = np.random.default_rng(4)
+    inst = {"region": {"kind": "simplex", "n": 3},
+            "objective": {"A": {"format": "csr", "data": _encoded([], "<f8"),
+                                "indices": _encoded([], "<i4"),
+                                "indptr": _encoded(np.zeros(5), "<i8"), "shape": [4, 3]},
+                          "b": _encoded(rng.standard_normal(4), ">f8"),
+                          "x_star": [0.25, 0.25, 0.5]},
+            "extra": [_encoded(rng.standard_normal((2, 3)), "<f8"),
+                      {"i": _encoded(np.arange(-3, 3).reshape(3, 2), "<i4"),
+                       "empty": _encoded(np.zeros((0, 4)), "<f8"),
+                       "rows": [[1.5, -0.0], [1e-300, 2.0]]}]}
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps(inst))
+    # the reference: the file decoded the way instance files were first read
+    old = json.loads(path.read_text(), object_hook=lambda d: (
+        b64decode_array(d) if "__ndarray__" in d else d))
+    _, objective, loaded = load_instance(str(path))
+    want, got = dict(_ndarrays(old)), dict(_ndarrays(loaded))
+    assert set(got) == set(want) and len(got) == 7
+    for key, array in got.items():
+        assert (array.dtype, array.shape) == (want[key].dtype, want[key].shape), key
+        assert array.tobytes() == want[key].tobytes(), key
+    assert got[("objective", "b")].dtype == np.dtype("=f8")
+    assert loaded["objective"]["x_star"] == old["objective"]["x_star"] == [0.25, 0.25, 0.5]
+    assert loaded["extra"][1]["rows"] == old["extra"][1]["rows"] == [[1.5, -0.0], [1e-300, 2.0]]
+    assert np.array_equal(objective.A @ np.ones(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("spec", [SIMPLEX_SPEC, CSR_SPEC], ids=["dense", "csr"])
+def test_loaded_arrays_are_read_only(tmp_path, spec):
+    path, _ = _write_instance(tmp_path, spec)
+    big_endian = tmp_path / "big_endian.json"
+    big_endian.write_text(json.dumps(dict(json.loads(open(path).read()), extra=_encoded(
+        np.arange(3.0), ">f8"))))
+    for file in (path, str(big_endian)):
+        arrays = [a for _, a in _ndarrays(load_instance(file)[2])]
+        assert len(arrays) >= 3
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1
+
+
+@pytest.mark.parametrize("spec", [
+    {"region": {"kind": "hamiltonian_cycles", "nodes": 7},
+     "objective": {"m": 4000, "density": 0.6}, "seed": 11},
+    {"region": {"kind": "simplex", "n": 2500},
+     "objective": {"m": 2000, "density": 0.05, "format": "csr"}, "seed": 3},
+], ids=["ham7_dense", "csr"])
+def test_load_instance_peaks_near_twice_the_file(tmp_path, spec):
+    # the read holds the file's bytes and text, the parse its text and the
+    # base64 strings; each array is decoded only once the text is gone
+    CsrMatrix([], [], [0], (0, 1))  # loads the CSR kernels: the load is measured, not that
+    path, _ = _write_instance(tmp_path, spec)
+    with traced_peak() as usage:
+        load_instance(path)
+    assert usage.peak <= 2.25 * os.path.getsize(path)
 
 
 def test_generated_instance_has_zero_optimum(tmp_path):
