@@ -66,10 +66,10 @@ class CsrMatrix:
     ``A @ x`` runs ``csr_matvec`` and ``A.T @ r`` runs ``csc_matvec`` on the
     same arrays, which is what ``scipy.sparse`` runs for a CSR matrix and its
     transpose, so both products are bit-identical to scipy's.  ``rows``
-    gathers rows into a dense block with ``csr_row_index`` and
-    ``csr_todense``, as indexing and ``toarray`` do in scipy.  Only the
-    compiled module ``scipy.sparse._sparsetools`` is loaded, never the
-    ``scipy.sparse`` package.
+    gathers rows into another CsrMatrix with ``csr_row_index``, as row
+    indexing does in scipy, so products with the gathered rows are scipy's
+    too.  Only the compiled module ``scipy.sparse._sparsetools`` is loaded,
+    never the ``scipy.sparse`` package.
     """
 
     def __init__(self, data, indices, indptr, shape):
@@ -90,8 +90,7 @@ class CsrMatrix:
             raise ValueError("CSR arrays do not describe a %d x %d matrix" % (m, n))
         if _sparsetools is None:
             _sparsetools = load_extension("scipy.sparse._sparsetools", "scipy.sparse._sparsetools",
-                                          "csr_matvec", "csc_matvec", "csr_row_index",
-                                          "csr_todense")
+                                          "csr_matvec", "csc_matvec", "csr_row_index")
 
     @property
     def T(self):
@@ -104,7 +103,7 @@ class CsrMatrix:
         return y
 
     def rows(self, idx):
-        """The rows ``idx`` (a 1-D index array) as a dense (len(idx), n) array."""
+        """The rows ``idx`` (a 1-D index array) as a (len(idx), n) CsrMatrix, scipy's ``A[idx]``."""
         m, n = self.shape
         idx = np.asarray(idx, dtype=self.indptr.dtype)
         if idx.size and not 0 <= idx.min() <= idx.max() < m:
@@ -113,9 +112,11 @@ class CsrMatrix:
         np.cumsum(self.indptr[idx + 1] - self.indptr[idx], out=ptr[1:])
         cols, vals = np.empty(ptr[-1], dtype=idx.dtype), np.empty(ptr[-1])
         _sparsetools.csr_row_index(len(idx), idx, self.indptr, self.indices, self.data, cols, vals)
-        out = np.zeros((len(idx), n))
-        _sparsetools.csr_todense(len(idx), n, ptr, cols, vals, out)
-        return out
+        # gathered from arrays that passed the constructor's O(nnz) checks, so not checked again
+        rows = object.__new__(CsrMatrix)
+        rows.data, rows.indices, rows.indptr = vals, cols, ptr
+        rows.shape, rows.size = (len(idx), n), len(vals)
+        return rows
 
 
 class _CsrTranspose:
@@ -139,8 +140,9 @@ class LeastSquares:
     ``sfo_batch`` returns the mean of a batch of samples, ``sfo_variance``
     the variance of one sample in closed form.  A may be a dense array, a
     `CsrMatrix`, or a scipy sparse matrix (anything with ``tocsr()``), which
-    is held as a `CsrMatrix` on the same arrays.  Instances are immutable and
-    safe to share between concurrent runs.
+    is held as a `CsrMatrix` on the same arrays.  Every entry of A and b
+    must be finite.  Instances are immutable and safe to share between
+    concurrent runs.
     """
 
     def __init__(self, A, b):
@@ -157,6 +159,9 @@ class LeastSquares:
         self.m, self.n = self.A.shape
         if self.b.shape != (self.m,):
             raise ValueError("b must have shape (%d,)" % (self.m,))
+        entries = self.A if self._dense is not None else self.A.data
+        if not (np.isfinite(entries).all() and np.isfinite(self.b).all()):
+            raise ValueError("least squares needs a finite A and b, got a NaN or infinite entry")
         self._L = None
         self._gram = None
         self._row_sq = None
@@ -178,17 +183,18 @@ class LeastSquares:
         return float(r @ r)
 
     def _gram_form(self):
-        """(A^T A, A^T b, b.b, fallback floor), or () when n^2 >= the stored entries of A."""
+        """(A^T A, A^T b, b.b, fallback floor), or () when n^2 >= the stored entries of A.
+
+        A CSR A^T A is built one column A^T (A e_j) at a time, with the two
+        kernels the products run and no dense block of rows.  Entry (i, j)
+        sums a_ki a_kj over the rows k in order, so Q is exactly symmetric.
+        """
         if self.n * self.n >= self.A.size:  # stored entries, for CSR too
             return ()
         if self._dense is not None:
             Q = self.A.T @ self.A
-        else:  # summed over dense blocks of about 2 MiB of rows
-            Q = np.zeros((self.n, self.n))
-            step = max(1, (1 << 18) // self.n)
-            for lo in range(0, self.m, step):
-                rows = self.A.rows(np.arange(lo, min(lo + step, self.m)))
-                Q += rows.T @ rows
+        else:
+            Q = np.column_stack([self.A.T @ (self.A @ e) for e in np.eye(self.n)])
         q = self.A.T @ self.b
         bb = float(self.b @ self.b)
         return Q, q, bb, 1e3 * np.finfo(float).eps * bb

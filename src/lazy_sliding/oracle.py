@@ -25,9 +25,6 @@ import numpy as np
 from .regions import Vertex
 from .trace import Counters
 
-# Rows of the store allocated at a cache's first insert.
-_FIRST_ROWS = 64
-
 
 class VertexCache:
     """Fixed-capacity vertex store with recency stamps.
@@ -36,10 +33,9 @@ class VertexCache:
     vertex evicts the slot with the lowest stamp (the least recently used
     one).  Inserting a vertex whose id is already cached only bumps its
     stamp.  Capacity 0 disables caching entirely (every query falls through
-    to the exact LMO).  The store grows with use: the first insert allocates
-    min(capacity, 64) rows, and a new vertex that finds every allocated row
-    filled doubles the store, up to ``capacity`` rows, copying the filled
-    ones.  Growth moves no vertex to another slot.
+    to the exact LMO).  All ``capacity`` rows are allocated uninitialized at
+    the first insert.  Rows the cache never fills are never written, so they
+    take address space but need not become resident memory.
 
     With ``support=None`` the points are rows of one dense (rows, dim)
     array.  With an integer ``support`` every point must have at most that
@@ -111,8 +107,6 @@ class VertexCache:
             row = self._row(np.asarray(vertex.point, dtype=float))
             if len(self._ids) < self.capacity:
                 slot = len(self._ids)
-                if slot == len(self._rows):
-                    self._grow(min(self.capacity, 2 * slot))
                 self._ids.append(vertex.id)
             else:
                 slot = int(np.argmin(self._stamps))
@@ -125,27 +119,18 @@ class VertexCache:
                 self._index[slot], self._rows[slot] = row
         self.move_to_front(slot)
 
-    def _grow(self, rows):
-        """Reallocate the store with ``rows`` rows, keeping the filled ones.
+    def _row(self, point):
+        """The stored form of ``point``; allocates the store at the first insert.
 
         Only rows [:len(self)] are read, and each is written whole when a
-        vertex first takes its slot, so the new rows stay uninitialized.
+        vertex first takes its slot, so the store is left uninitialized.
         """
-        filled = len(self._ids)
-        width = self._dim if self.support is None else self.support
-        store = np.empty((rows, width))
-        index = None if self.support is None else np.empty((rows, width), dtype=np.intp)
-        if filled:
-            store[:filled] = self._rows[:filled]
-            if index is not None:
-                index[:filled] = self._index[:filled]
-        self._rows, self._index = store, index
-
-    def _row(self, point):
-        """The stored form of ``point``; allocates the store at the first insert."""
         if self._dim is None:
             self._dim = point.shape[0]
-            self._grow(min(self.capacity, _FIRST_ROWS))
+            width = self._dim if self.support is None else self.support
+            self._rows = np.empty((self.capacity, width))
+            if self.support is not None:
+                self._index = np.empty((self.capacity, width), dtype=np.intp)
         if point.shape != (self._dim,):
             raise ValueError("cache holds points of shape (%d,), got %r"
                              % (self._dim, point.shape))

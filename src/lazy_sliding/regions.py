@@ -153,8 +153,8 @@ class L1Ball(Region):
     def __init__(self, n, radius=1.0):
         if n < 1:
             raise ValueError("l1 ball needs n >= 1")
-        if radius <= 0:
-            raise ValueError("l1 ball needs radius > 0")
+        if not 0 < radius < math.inf:  # NaN fails too
+            raise ValueError("l1 ball needs a finite radius > 0, got %r" % (radius,))
         self.n = n
         self.radius = float(radius)
         self.dim = n
@@ -188,6 +188,8 @@ class Box(Region):
         self.dim = n
         self.lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
         self.hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ValueError("box has a NaN or infinite bound")
         if np.any(self.hi < self.lo):
             raise ValueError("box needs hi >= lo componentwise")
 

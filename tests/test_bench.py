@@ -139,17 +139,31 @@ def test_csr_experiment_loads_only_the_sparse_kernels(tmp_path):
 
 
 def test_instance_with_a_non_finite_vertex_exits_2(tmp_path, capsys):
-    inst = gen_instance({"region": {"kind": "hamiltonian_cycles", "nodes": 5},
-                         "objective": {"m": 20}, "seed": 1})
-    inst["region"]["vertices"][3][2] = float("nan")
-    write_json(str(tmp_path / "bad.json"), inst)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"instance": str(tmp_path / "bad.json"), "solvers": [CALGD_ENTRY]}))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "NaN or infinite" in err and "Traceback" not in err
-    assert not out.exists()
+    # a non-finite vertex, dense A entry, CSR A entry or b entry is rejected
+    # at load, before any run
+    def vertex(inst):
+        inst["region"]["vertices"][3][2] = float("nan")
+
+    def entry(key, bad):
+        def spoil(inst):
+            values = inst["objective"]["A"]["data"] if key == "A" else inst["objective"]["b"]
+            values.flat[values.size // 2] = bad
+        return spoil
+
+    ham5 = {"region": {"kind": "hamiltonian_cycles", "nodes": 5}, "objective": {"m": 20}, "seed": 1}
+    for spec, spoil in [(ham5, vertex), (ham5, entry("A", np.nan)), (CSR_SPEC, entry("A", np.inf)),
+                        (CSR_SPEC, entry("A", np.nan)), (CSR_SPEC, entry("b", np.nan)),
+                        (ham5, entry("b", -np.inf))]:
+        inst = gen_instance(spec)
+        spoil(inst)
+        write_json(str(tmp_path / "bad.json"), inst)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instance": str(tmp_path / "bad.json"), "solvers": [CALGD_ENTRY]}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "NaN or infinite" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_import_does_not_load_multiprocessing():
@@ -1103,6 +1117,11 @@ def test_cli_rejected_config_exits_2(tmp_path, capsys):
     (dict(SIMPLEX_SPEC, region="simplex"), "region must be a JSON object, got 'simplex'"),
     (dict(SIMPLEX_SPEC, objective=dict(SIMPLEX_SPEC["objective"], format="bogus")),
      "format must be 'auto', 'csr' or 'dense', got 'bogus'"),
+    (dict(SIMPLEX_SPEC, region={"kind": "box", "n": 3, "lo": float("nan")}), "NaN or infinite"),
+    (dict(SIMPLEX_SPEC, region={"kind": "box", "n": 3, "hi": [1.0, float("inf"), 1.0]}),
+     "NaN or infinite"),
+    (dict(SIMPLEX_SPEC, region={"kind": "l1_ball", "n": 3, "radius": float("nan")}),
+     "finite radius"),
 ])
 def test_cli_bad_gen_spec_exits_2(tmp_path, capsys, spec, fault):
     spec_path, inst_path = tmp_path / "spec.json", tmp_path / "instance.json"

@@ -193,3 +193,53 @@ def test_every_public_name_is_used_by_the_package_or_documented():
     with open(README) as fh:
         documented = set(re.findall(r"\w+", fh.read()))
     assert [n for n in lazy_sliding.__all__ if n not in used | documented] == []
+
+
+def _extension_attributes(source):
+    """{name: (attributes passed to load_extension, attributes read)} of a module.
+
+    ``name`` is what a ``load_extension(name, public, *attrs)`` call is
+    assigned to.  The attributes read are those read off ``name`` anywhere
+    in the module, or the one read off the call itself when the assignment
+    is ``name = load_extension(...).attr``.
+    """
+    tree = ast.parse(source)
+
+    def is_load(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "load_extension"
+
+    found = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign) or not isinstance(node.targets[0], ast.Name):
+            continue
+        call = node.value.value if isinstance(node.value, ast.Attribute) else node.value
+        if is_load(call):
+            passed = {arg.value for arg in call.args[2:]}
+            read = {node.value.attr} if call is not node.value else set()
+            found[node.targets[0].id] = (passed, read)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in found):
+            found[node.value.id][1].add(node.attr)
+    return found
+
+
+def test_extension_attribute_scan_pairs_loads_with_reads():
+    source = ("_k = None\nf = load_extension('a._b', 'a', 'run').run\n"
+              "def g(x):\n    global _k\n    _k = load_extension('a._c', 'a', 'one', 'two')\n"
+              "    return _k.one(x) + _k.three(x)\n")
+    assert _extension_attributes(source) == {"f": ({"run"}, {"run"}),
+                                             "_k": ({"one", "two"}, {"one", "three"})}
+
+
+def test_every_loaded_kernel_is_called_and_every_called_kernel_loaded():
+    # load_extension falls back to the public package when a listed name is
+    # missing, so the list must name exactly the kernels the module calls
+    found = {}
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name)) as fh:
+                found.update({(name, k): v for k, v in _extension_attributes(fh.read()).items()})
+    assert found[("objectives.py", "_sparsetools")][0] == {"csr_matvec", "csc_matvec",
+                                                          "csr_row_index"}
+    assert {k: v for k, v in found.items() if v[0] != v[1]} == {}

@@ -239,13 +239,20 @@ def test_csr_products_and_rows_are_scipys_bit_for_bit():
             assert (held.T @ r).tobytes() == (A.T @ r).tobytes()
         for idx in ([59], [0], [31, 59, 59, 3, 0], rng.integers(0, 60, size=128)):
             idx = np.asarray(idx)
-            assert held.rows(idx).tobytes() == A[idx].toarray().tobytes()
+            got, want = held.rows(idx), A[idx]
+            assert got.shape == want.shape and got.size == want.nnz
+            assert got.data.tobytes() == want.data.tobytes()
+            # scipy narrows int64 indices it can hold in int32; the values agree
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.indptr, want.indptr)
         obj, z = LeastSquares(A, rng.random(60)), rng.random(25)
         assert obj.grad(z).tobytes() == (2.0 * (A.T @ (A @ z - obj.b))).tobytes()
-        batch = obj.sfo_batch(z, 1, np.random.default_rng(24))
-        i = np.random.default_rng(24).integers(0, 60, size=1)
-        rows = A[i].toarray()
-        assert batch.tobytes() == ((2.0 * 60 / 1) * (rows.T @ (rows @ z - obj.b[i]))).tobytes()
+        for size in (1, 7, 128):
+            batch = obj.sfo_batch(z, size, np.random.default_rng(size))
+            i = np.random.default_rng(size).integers(0, 60, size=size)
+            rows = A[i]
+            want = (2.0 * 60 / size) * (rows.T @ (rows @ z - obj.b[i]))
+            assert batch.tobytes() == want.tobytes()
 
 
 def test_csr_matrix_rejects_arrays_the_kernels_cannot_trust():
@@ -280,14 +287,30 @@ def test_csr_kernels_fall_back_to_the_scipy_sparse_package(monkeypatch):
     A = _csr_cases(rng)[0]
     x, r = rng.standard_normal(25), rng.standard_normal(60)
     loaded = CsrMatrix(A.data, A.indices, A.indptr, A.shape)
-    want = [loaded @ x, loaded.T @ r, loaded.rows(np.arange(60))]
+    idx = rng.integers(0, 60, size=128)
+    rows = loaded.rows(idx)
+    want = [loaded @ x, loaded.T @ r, rows.data, rows.indices, rows.indptr]
     looked_up = hide_scipy_extensions(monkeypatch)
     monkeypatch.setattr(objectives, "_sparsetools", None)
     held = CsrMatrix(A.data, A.indices, A.indptr, A.shape)
     assert looked_up == ["scipy.sparse._sparsetools"]
     assert objectives._sparsetools is public
-    got = [held @ x, held.T @ r, held.rows(np.arange(60))]
+    rows = held.rows(idx)
+    got = [held @ x, held.T @ r, rows.data, rows.indices, rows.indptr]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_csr_sfo_batch_keeps_the_sampled_rows_sparse():
+    # 128 sampled rows of a 2000 x 2500 objective at density 0.05 hold about
+    # 16000 entries; as a dense block they would take 2.56 MB
+    rng = np.random.default_rng(26)
+    m, n, size = 2000, 2500, 128
+    obj = LeastSquares(sp.random(m, n, density=0.05, format="csr", rng=rng), rng.random(m))
+    z = rng.random(n)
+    obj.sfo_batch(z, size, np.random.default_rng(0))  # kernels loaded outside the trace
+    with traced_peak() as usage:
+        obj.sfo_batch(z, size, np.random.default_rng(1))
+    assert usage.peak < size * n * 8 / 4, usage.peak
 
 
 def _residual_value(obj, x):
@@ -315,6 +338,8 @@ def test_gram_value_matches_residual_form(fmt):
         worst = max(worst, abs(f - _residual_value(obj, x)) / (eps * scale))
         assert f >= 0.0
     assert obj._gram  # the Gram route was taken
+    Q = obj._gram[0]
+    assert np.array_equal(Q, Q.T)
     assert worst <= 64.0
     # within 1e3 eps b.b of zero the residual form answers, bit for bit
     for t in (0.0, 1e-9):

@@ -311,72 +311,6 @@ def test_cache_matches_move_to_front_list(name, capacity):
         assert evicted > 50
 
 
-class _Preallocated(VertexCache):
-    """A cache that allocates all ``capacity`` rows at its first insert."""
-
-    def _grow(self, rows):
-        super()._grow(self.capacity)
-
-
-def _vertex_pool(rng, count, dim, support):
-    """``count`` distinct vertices of ``dim`` coordinates, dense or with at most ``support`` nonzeros."""
-    pool = []
-    for i in range(count):
-        point = rng.standard_normal(dim)
-        if support is not None:
-            keep = rng.choice(dim, size=rng.integers(1, support + 1), replace=False)
-            point = np.where(np.isin(np.arange(dim), keep), point, 0.0)
-        pool.append(Vertex(point, ("v", i)))
-    return pool
-
-
-@pytest.mark.parametrize("support", [None, 4], ids=["dense", "sparse"])
-def test_cache_growth_matches_a_preallocated_store(support):
-    # a store that grows 64 -> 128 -> 256 -> 300 rows answers every scan,
-    # get and eviction as one allocated at full capacity does, bit for bit
-    rng = np.random.default_rng(31)
-    capacity, dim = 300, 40
-    pool = _vertex_pool(rng, 700, dim, support)
-    cache, ref = VertexCache(capacity, support), _Preallocated(capacity, support)
-    sizes = set()
-    for step in range(6000):
-        op = rng.random()
-        if op < 0.45 or not len(ref):
-            v = pool[rng.integers(min(len(pool), 64 + step // 6))]
-            cache.insert(v)
-            ref.insert(v)
-        elif op < 0.75:
-            c = rng.standard_normal(dim)
-            cx, threshold = float(rng.normal()), float(rng.normal())
-            assert cache.scan(c, cx, threshold) == ref.scan(c, cx, threshold)
-        elif op < 0.9:
-            slot = int(rng.integers(len(ref)))
-            got, want = cache.get(slot), ref.get(slot)
-            assert got.id == want.id and got.point.tobytes() == want.point.tobytes()
-        else:
-            slot = int(rng.integers(len(ref)))
-            cache.move_to_front(slot)
-            ref.move_to_front(slot)
-        assert cache._ids == ref._ids and np.array_equal(cache._stamps, ref._stamps)
-        sizes.add(len(cache._rows))
-    assert len(ref._rows) == capacity and len(cache) == capacity
-    assert sizes == {64, 128, 256, 300}
-    assert [v.id for v in cache_entries(cache)] == [v.id for v in cache_entries(ref)]
-
-
-def test_dense_cache_store_grows_with_use():
-    # 100 dense 465-dim vertices (spectra30's) fill 128 rows; the store never
-    # holds 256 rows, let alone the 512 of its capacity
-    dim = 465
-    pool = _vertex_pool(np.random.default_rng(32), 100, dim, None)
-    cache = VertexCache(512)
-    with traced_peak() as usage:
-        for v in pool:
-            cache.insert(v)
-    assert len(cache) == 100 and len(cache._rows) == 128
-    assert usage.peak < 256 * dim * 8, usage.peak
-
-
 def test_cache_rejects_vertex_beyond_support():
     cache = VertexCache(4, support=Simplex(3).support)
     cache.insert(Simplex(3).lmo(np.array([0.0, -1.0, 0.0])))

@@ -305,6 +305,12 @@ def test_shape_and_construction_errors():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="NaN or infinite"):
             Enumerated([[bad, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            Box(2, lo=[bad, 0.0], hi=1.0)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            Box(2, lo=-1.0, hi=[0.0, bad])
+        with pytest.raises(ValueError, match="finite radius"):
+            L1Ball(3, radius=bad)
     with pytest.raises(ValueError):
         region_from_spec({"kind": "mystery"})
 
