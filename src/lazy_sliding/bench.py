@@ -262,7 +262,9 @@ def resolve_constants(entry, region, objective, inst, x0):
     The estimated ones are those of L, sigma^2, D_0 and delta0 that the
     entry's schedule reads (``NEEDS``; a restart variant reads its phase
     schedule's) and the entry does not give; sigma^2 is `estimate_sigma2`'s
-    closed form at x0.  D_X defaults to the region's diameter.
+    closed form at x0.  D_X defaults to the region's diameter.  A
+    NumericalError raised while estimating a constant carries its name
+    (``L``, ``sigma2``, ``D_0`` or ``delta0``) in ``constant``.
     """
     out = {name: float(v) for name, v in entry.get("constants", {}).items()}
     out["alpha"] = float(entry.get("alpha", 1.0))
@@ -276,7 +278,11 @@ def resolve_constants(entry, region, objective, inst, x0):
     }
     for name in NEEDS.get(_schedule_tag(entry), ()):
         if name not in out and name in estimators:
-            out[name] = estimators[name]()
+            try:
+                out[name] = estimators[name]()
+            except NumericalError as exc:
+                exc.constant = name
+                raise
     return ProblemConstants(**out)
 
 
@@ -350,12 +356,14 @@ def _run_one(task):
     computed before the failing outer iteration, its ``final_counters``,
     and that iteration as ``failed_outer_k``, and the other runs of the
     experiment still go ahead.  An error raised before the run started (a
-    constant's estimate) leaves no rows.
+    constant's estimate) leaves no rows and a null ``failed_outer_k``; a
+    constant's estimate that failed is named in ``failed_constant`` (null
+    otherwise).  The record of a failed run carries both fields too.
     """
     (entry, seed, config, region, objective, instance_name, out_dir) = task
     name = entry.get("name", entry["variant"])
     csv_path = os.path.join(out_dir, _CSV_NAME % (name, seed))
-    status, message = "completed", ""
+    status, message, failure = "completed", "", {}
     try:
         if isinstance(config, NumericalError):
             raise config
@@ -369,14 +377,14 @@ def _run_one(task):
         trace = getattr(exc, "trace", None)
         if trace is None:
             trace = RunTrace(metadata={"variant": entry["variant"]})
-        else:
-            trace.metadata["failed_outer_k"] = exc.outer_k
-    trace.metadata.update(solver_name=name, seed=seed, status=status, message=message,
+        failure = {"failed_outer_k": getattr(exc, "outer_k", None),
+                   "failed_constant": getattr(exc, "constant", None)}
+    trace.metadata.update(failure, solver_name=name, seed=seed, status=status, message=message,
                           config_hash=config_hash({"entry": entry, "seed": seed}),
                           instance=instance_name)
     trace.write_csv(csv_path)
     write_json(csv_path[:-4] + ".meta.json", trace.metadata)
-    record = {"solver": name, "seed": seed, "status": status, "message": message}
+    record = dict(failure, solver=name, seed=seed, status=status, message=message)
     return record, TraceTable(trace.rows)
 
 
@@ -522,14 +530,17 @@ def _read_run_file(path, read):
 def _summary(runs):
     """The summary table of ``(record, rows)`` runs; failed runs are listed in their order.
 
-    ``rows`` is a `TraceTable` (None for a failed run).
+    ``rows`` is a `TraceTable` (None for a failed run).  A failed run's entry
+    holds its solver, seed, message, ``failed_outer_k`` and ``failed_constant``.
     """
     per_solver = {}
     failed = {status: [] for status in _FAILED}
     for record, rows in runs:
         if record.get("status") in failed:
             failed[record["status"]].append({"solver": record["solver"], "seed": record.get("seed"),
-                                             "message": record.get("message", "")})
+                                             "message": record.get("message", ""),
+                                             "failed_outer_k": record.get("failed_outer_k"),
+                                             "failed_constant": record.get("failed_constant")})
         else:
             per_solver.setdefault(record["solver"], []).append(rows)
 

@@ -72,8 +72,11 @@ def _print_summary(summary):
                 print("  f<=%s: 0/%d reached" % (thr, cell["of"]))
     for key, label in (("budget_errors", "BUDGET ERROR"), ("errors", "ERROR")):
         for e in summary.get(key, []):
-            print("%s %s seed=%s: %s" % (label, e["solver"], e["seed"], e["message"]),
-                  file=sys.stderr)
+            constant = e.get("failed_constant")
+            print("%s %s seed=%s failed_outer_k=%s%s: %s"
+                  % (label, e["solver"], e["seed"], e.get("failed_outer_k"),
+                     "" if constant is None else " failed_constant=%s" % constant,
+                     e["message"]), file=sys.stderr)
 
 
 def build_parser():

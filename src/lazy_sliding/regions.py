@@ -22,6 +22,7 @@ sqrt(2)) so that Euclidean inner products and norms on the flattened
 vectors equal their Frobenius counterparts.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Hashable
@@ -300,8 +301,11 @@ class DagPath(Region):
     """Source-sink unit-flow (path) polytope of a layered DAG.
 
     Points are indicator-like vectors over edges; vertices are source->sink
-    paths.  The LMO is a min-cost path by dynamic programming in topological
-    order, valid for arbitrary (including negative) edge costs.
+    paths.  The LMO is a min-cost path by dynamic programming, valid for
+    arbitrary (including negative) edge costs: per level (the most edges from
+    the source), one ``np.minimum.reduceat`` over ``dist[tail] + c``, keeping
+    each head's first minimum in (tail's topological rank, index) order, as a
+    strict-``<`` relaxation in Kahn's order (smallest ready node first) does.
     """
 
     kind = "dag_path"
@@ -312,65 +316,64 @@ class DagPath(Region):
         if not self.edges:
             raise ValueError("dag_path needs at least one edge")
         self.dim = len(self.edges)
-        nodes = sorted({u for u, _ in self.edges} | {v for _, v in self.edges})
-        self._nodes = nodes
-        self._in_edges = {v: [] for v in nodes}
-        self._out_edges = {v: [] for v in nodes}
-        for idx, (u, v) in enumerate(self.edges):
+        for u, v in self.edges:
             if u == v:
                 raise ValueError("self-loop at node %d" % (u,))
-            self._out_edges[u].append(idx)
-            self._in_edges[v].append(idx)
-        sources = [v for v in nodes if not self._in_edges[v]]
-        sinks = [v for v in nodes if not self._out_edges[v]]
+        nodes, ends = np.unique(self.edges, return_inverse=True)
+        tail, head = ends.reshape(-1, 2).T
+        n = self._n = len(nodes)
+        indeg = np.bincount(head, minlength=n)
+        sources = np.flatnonzero(indeg == 0)
+        sinks = np.flatnonzero(np.bincount(tail, minlength=n) == 0)
         if len(sources) != 1 or len(sinks) != 1:
             raise ValueError(
                 "dag_path needs exactly one source and one sink, got %d/%d"
                 % (len(sources), len(sinks)))
-        self.source, self.sink = sources[0], sinks[0]
-        self._topo = self._topo_sort()
-        # Longest source->sink path length (edges) for the diameter bound: the
-        # min-cost path at cost -1 per edge.
-        self.max_path_edges = len(self.lmo(-np.ones(self.dim)).id)
-        self.support = self.max_path_edges
-
-    def _topo_sort(self):
-        indeg = {v: len(self._in_edges[v]) for v in self._nodes}
-        ready = sorted(v for v in self._nodes if indeg[v] == 0)
-        order = []
+        self.source, self.sink = int(nodes[sources[0]]), int(nodes[sinks[0]])
+        # Kahn's pass: a node's level is final when it leaves the heap.
+        succ = [[] for _ in range(n)]
+        for u, v in zip(tail.tolist(), head.tolist()):
+            succ[u].append(v)
+        indeg, level, topo, ready = indeg.tolist(), [0] * n, [], [int(sources[0])]
         while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for idx in self._out_edges[v]:
-                w = self.edges[idx][1]
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-            ready.sort()
-        if len(order) != len(self._nodes):
+            u = heapq.heappop(ready)
+            topo.append(u)
+            above = level[u] + 1
+            for v in succ[u]:
+                if level[v] < above:
+                    level[v] = above
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    heapq.heappush(ready, v)
+        if len(topo) != n:
             raise ValueError("edge list contains a cycle")
-        return order
+        # Numbered by level, the source is node 0 and the sink, alone on the
+        # top level, node n - 1; node v's in-edges are first[v]:first[v + 1].
+        by_level = np.argsort(level, kind="stable")
+        renumber = np.argsort(by_level)
+        self._edge = np.lexsort((np.argsort(topo)[tail], renumber[head]))  # index breaks ties
+        self._tail, self._head = renumber[tail[self._edge]], renumber[head[self._edge]]
+        first = np.searchsorted(self._head, np.arange(n + 1))
+        self._first = first[1:-1]
+        levels = np.asarray(level)[by_level]
+        self.max_path_edges = self.support = int(levels[-1])  # the longest path
+        bounds = np.searchsorted(levels, np.arange(1, self.max_path_edges + 2)).tolist()
+        self._levels = [(first[a], first[b], a, b, first[a:b] - first[a])
+                        for a, b in zip(bounds[:-1], bounds[1:])]
 
     def _lmo(self, c):
-        dist = {v: np.inf for v in self._nodes}
-        best_in = {v: None for v in self._nodes}
-        dist[self.source] = 0.0
-        for v in self._topo:
-            if not np.isfinite(dist[v]):
-                continue
-            for idx in self._out_edges[v]:
-                w = self.edges[idx][1]
-                cand = dist[v] + c[idx]
-                if cand < dist[w]:
-                    dist[w] = cand
-                    best_in[w] = idx
-        path = []
-        v = self.sink
-        while v != self.source:
-            idx = best_in[v]
-            path.append(idx)
-            v = self.edges[idx][0]
-        path.reverse()
+        cost, cand, dist = c[self._edge], np.empty(self.dim), np.zeros(self._n)
+        for lo, hi, a, b, groups in self._levels:
+            np.add(dist[self._tail[lo:hi]], cost[lo:hi], out=cand[lo:hi])
+            dist[a:b] = np.minimum.reduceat(cand[lo:hi], groups)
+        # each head's first edge at its minimum, for nodes 1..n-1
+        at_min = np.where(cand == dist[self._head], np.arange(self.dim), self.dim)
+        best_in = np.minimum.reduceat(at_min, self._first)
+        steps, v = [], self._n - 1
+        while v:
+            steps.append(best_in[v - 1])
+            v = self._tail[steps[-1]]
+        path = self._edge[steps[::-1]].tolist()
         p = np.zeros(self.dim)
         p[path] = 1.0
         return Vertex(p, tuple(path))
@@ -379,15 +382,10 @@ class DagPath(Region):
         return math.sqrt(2.0 * self.max_path_edges)
 
     def _contains(self, x, tol):
-        if np.any(x < -tol):
-            return False
-        for v in self._nodes:
-            out = float(np.sum(x[self._out_edges[v]])) if self._out_edges[v] else 0.0
-            inn = float(np.sum(x[self._in_edges[v]])) if self._in_edges[v] else 0.0
-            target = 1.0 if v == self.source else (-1.0 if v == self.sink else 0.0)
-            if abs(out - inn - target) > tol:
-                return False
-        return True
+        flow = x[self._edge]
+        balance = np.bincount(self._tail, flow, self._n) - np.bincount(self._head, flow, self._n)
+        balance[[0, -1]] -= (1.0, -1.0)  # the source sends one unit, the sink takes it
+        return bool(np.all(x >= -tol) and np.all(np.abs(balance) <= tol))
 
     def to_spec(self):
         return {"kind": self.kind, "edges": [[u, v] for u, v in self.edges]}

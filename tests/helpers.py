@@ -71,6 +71,73 @@ def brute_dag_min(edges, costs, source, sink):
     return best_val, best_x
 
 
+class DictDagPath:
+    """The path polytope by dicts of in- and out-edges: a sequential DP reference.
+
+    Nodes are relaxed in Kahn's topological order (smallest ready node
+    first), each node's out-edges in index order, and an edge replaces a
+    head's best only at a strictly smaller distance.  ``lmo(c)`` returns
+    ``(point, id)``, the id the path's edge indices in source-to-sink
+    order; ``contains(x, tol)`` checks x >= -tol and the flow balance of
+    every node, one node at a time.
+    """
+
+    def __init__(self, edges):
+        self.edges = [(int(e[0]), int(e[1])) for e in edges]
+        self.nodes = sorted({u for u, _ in self.edges} | {v for _, v in self.edges})
+        self.in_edges = {v: [] for v in self.nodes}
+        self.out_edges = {v: [] for v in self.nodes}
+        for idx, (u, v) in enumerate(self.edges):
+            self.out_edges[u].append(idx)
+            self.in_edges[v].append(idx)
+        (self.source,) = [v for v in self.nodes if not self.in_edges[v]]
+        (self.sink,) = [v for v in self.nodes if not self.out_edges[v]]
+        indeg = {v: len(self.in_edges[v]) for v in self.nodes}
+        ready, self.topo = [self.source], []
+        while ready:
+            v = ready.pop(0)
+            self.topo.append(v)
+            for idx in self.out_edges[v]:
+                w = self.edges[idx][1]
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    ready.append(w)
+            ready.sort()
+        assert len(self.topo) == len(self.nodes), "edge list contains a cycle"
+        self.max_path_edges = len(self.lmo(-np.ones(len(self.edges)))[1])
+
+    def lmo(self, c):
+        dist = {v: np.inf for v in self.nodes}
+        best_in = {v: None for v in self.nodes}
+        dist[self.source] = 0.0
+        for v in self.topo:
+            for idx in self.out_edges[v]:
+                w = self.edges[idx][1]
+                cand = dist[v] + c[idx]
+                if cand < dist[w]:
+                    dist[w] = cand
+                    best_in[w] = idx
+        path, v = [], self.sink
+        while v != self.source:
+            path.append(best_in[v])
+            v = self.edges[best_in[v]][0]
+        path.reverse()
+        p = np.zeros(len(self.edges))
+        p[path] = 1.0
+        return p, tuple(path)
+
+    def contains(self, x, tol=1e-9):
+        if np.any(x < -tol):
+            return False
+        for v in self.nodes:
+            out = float(np.sum(x[self.out_edges[v]])) if self.out_edges[v] else 0.0
+            inn = float(np.sum(x[self.in_edges[v]])) if self.in_edges[v] else 0.0
+            target = 1.0 if v == self.source else (-1.0 if v == self.sink else 0.0)
+            if abs(out - inn - target) > tol:
+                return False
+        return True
+
+
 def kkt_simplex_project(v, iters=200):
     """Euclidean projection onto the simplex via bisection on the KKT threshold."""
     v = np.asarray(v, dtype=float)

@@ -619,6 +619,17 @@ def test_print_summary_shows_fractional_medians(capsys):
     assert "2/2 reached, median outer_k=12.5 sfo=1536.0 lmo=40.5 " in capsys.readouterr().out
 
 
+def test_print_summary_names_the_failed_iteration_and_constant(capsys):
+    _print_summary({"thresholds": [], "solvers": {},
+                    "budget_errors": [{"solver": "lazy", "seed": 3, "message": "cap hit",
+                                       "failed_outer_k": 7, "failed_constant": None}],
+                    "errors": [{"solver": "calgd", "seed": 0, "message": "no L",
+                                "failed_outer_k": None, "failed_constant": "L"}]})
+    assert capsys.readouterr().err.splitlines() == [
+        "BUDGET ERROR lazy seed=3 failed_outer_k=7: cap hit",
+        "ERROR calgd seed=0 failed_outer_k=None failed_constant=L: no L"]
+
+
 def test_nonsmooth_entry_runs_with_given_or_estimated_sigma2(tmp_path):
     entry = {"variant": "calsgd_nonsmooth", "schedule": {"tag": "nonsmooth_stochastic"},
              "outer": 10}
@@ -683,6 +694,32 @@ def test_constant_estimation_error_marks_that_entry_only(tmp_path, monkeypatch):
     assert meta["message"] == "NumericalError: power iteration did not converge"
 
 
+def test_failed_estimate_names_its_constant(tmp_path, monkeypatch):
+    from lazy_sliding.objectives import LeastSquares
+
+    def lipschitz(self):
+        raise NumericalError("power iteration did not converge")
+
+    monkeypatch.setattr(LeastSquares, "lipschitz", lipschitz)
+    given = dict(CALGD_ENTRY, name="given", constants={"L": 200.0})
+    config = _experiment(tmp_path, [CALGD_ENTRY, given], seeds=(0, 1))
+    out = tmp_path / "runs"
+    summary, code = run_experiment(config, out_dir=str(out))
+    assert code == 1
+    message = "NumericalError: power iteration did not converge"
+    written = json.loads((out / "summary.json").read_text())
+    assert written["errors"] == summary["errors"] == [
+        {"solver": "calgd", "seed": seed, "message": message, "failed_outer_k": None,
+         "failed_constant": "L"} for seed in (0, 1)]
+    for seed in (0, 1):
+        meta = json.loads((out / ("calgd__s%d.meta.json" % seed)).read_text())
+        assert (meta["status"], meta["failed_constant"], meta["failed_outer_k"]) == ("error", "L", None)
+        given_meta = json.loads((out / ("given__s%d.meta.json" % seed)).read_text())
+        assert "failed_constant" not in given_meta and "failed_outer_k" not in given_meta
+    written.pop("runs")
+    assert summarize(str(out)) == written
+
+
 def test_nan_gradient_fails_its_run_only(tmp_path, monkeypatch):
     # the first sampled gradient of the experiment is NaN: that run's LMO
     # raises NumericalError, and the runs after it still complete
@@ -707,6 +744,14 @@ def test_nan_gradient_fails_its_run_only(tmp_path, monkeypatch):
                       ("calgd", 2): "completed"}
     meta = json.loads((out / "ofw__s0.meta.json").read_text())
     assert meta["message"] == "NumericalError: simplex LMO got a cost with a NaN or infinite entry"
+    # solver, seed, status and the failing iteration, from summary.json alone
+    written = json.loads((out / "summary.json").read_text())
+    assert written["budget_errors"] == [] and written["errors"] == [
+        {"solver": "ofw", "seed": 0, "message": meta["message"], "failed_outer_k": 1,
+         "failed_constant": None}]
+    assert meta["failed_outer_k"] == 1 and meta["failed_constant"] is None
+    written.pop("runs")
+    assert summarize(str(out)) == written
 
 
 @pytest.mark.parametrize("entry, method", [({"variant": "ofw", "batch": 4}, "sfo_batch"),
@@ -768,9 +813,17 @@ def test_budget_error_keeps_partial_trace(tmp_path, monkeypatch):
         out = tmp_path / ("runs%s" % capacity)
         summary, code = run_experiment(config, out_dir=str(out))
         assert code == 1
+        # solver, seed, status and the failing iteration, from summary.json alone
+        written = json.loads((out / "summary.json").read_text())
+        assert written["errors"] == [] and len(written["budget_errors"]) == 1
+        failure = written["budget_errors"][0]
+        assert (failure["solver"], failure["seed"], failure["failed_constant"]) == ("calgd", 0, None)
+        k = failure["failed_outer_k"]
+        assert k > 1 and "cap" in failure["message"]
+        written.pop("runs")
+        assert summarize(str(out)) == written
         meta = json.loads((out / "calgd__s0.meta.json").read_text())
-        k = meta["failed_outer_k"]
-        assert meta["status"] == "budget_error" and k > 1
+        assert meta["status"] == "budget_error" and meta["failed_outer_k"] == k
         rows = read_trace_csv(str(out / "calgd__s0.csv"))
         assert [r["outer_k"] for r in rows] == list(range(1, k))
         final = meta["final_counters"]

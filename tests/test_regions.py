@@ -22,6 +22,7 @@ from lazy_sliding.regions import (
 )
 
 from helpers import (
+    DictDagPath,
     brute_birkhoff_min,
     brute_dag_min,
     dense_spectra_min,
@@ -168,9 +169,9 @@ def test_dag_path_vs_brute_force():
         assert float(c @ v.point) == pytest.approx(best, abs=1e-10)
 
 
-def _random_dag(rng, n):
+def _random_dag(rng, n, density=0.4):
     """Edges i -> j (i < j) at random, then patched to one source 0 and one sink n - 1."""
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
     edges += [(0, v) for v in range(1, n) if all(e[1] != v for e in edges)]
     edges += [(v, n - 1) for v in range(n - 1) if all(e[0] != v for e in edges)]
     return edges
@@ -186,6 +187,74 @@ def test_dag_path_max_path_edges_is_the_longest_path():
         r = DagPath(edges)
         assert r.max_path_edges == r.support == longest, edges
         assert r.diameter() == pytest.approx(math.sqrt(2.0 * longest))
+
+
+def _fuzzed_dags(rng):
+    """Layered DAGs up to 20 x 20 and 120 random DAGs, in the forms an edge list
+    may take: edges shuffled, about a third of them repeated as parallel
+    edges, nodes relabelled to spread-out labels, each edge a (u, v, layer)
+    triple."""
+    graphs = [layered_dag_edges(layers, width)
+              for layers, width in ((1, 1), (1, 3), (2, 2), (3, 4), (6, 2), (4, 5), (20, 20))]
+    graphs += [_random_dag(rng, n, rng.uniform(0.1, 0.7)) for n in rng.integers(2, 14, size=120)]
+    for edges in graphs:
+        edges = edges + [edges[i] for i in rng.integers(0, len(edges), size=len(edges) // 3)]
+        order = rng.permutation(len(edges))
+        labels = 5 + 3 * rng.permutation(1000)[:max(max(e) for e in edges) + 1]
+        yield [(int(labels[edges[i][0]]), int(labels[edges[i][1]]), 7) for i in order]
+
+
+def test_dag_path_matches_the_dict_dp_reference():
+    # half the costs are integers in -2..2, so that many paths tie
+    rng = np.random.default_rng(28)
+    calls = 0
+    for edges in _fuzzed_dags(rng):
+        r, ref = DagPath(edges), DictDagPath(edges)
+        assert (r.source, r.sink, r.max_path_edges) == (ref.source, ref.sink, ref.max_path_edges)
+        assert r.support == r.max_path_edges
+        for t in range(40):
+            c = (rng.integers(-2, 3, size=r.dim).astype(float) if t % 2
+                 else rng.standard_normal(r.dim))
+            v = r.lmo(c)
+            point, path = ref.lmo(c)
+            assert v.id == path and all(type(i) is int for i in v.id), edges
+            assert np.array_equal(v.point, point)
+            calls += 1
+    assert calls >= 5000
+
+
+def test_dag_path_contains_matches_the_per_node_test():
+    rng = np.random.default_rng(29)
+    answers = []
+    for edges in _fuzzed_dags(rng):
+        r, ref = DagPath(edges), DictDagPath(edges)
+        vertices = [r.lmo(rng.standard_normal(r.dim)).point for _ in range(3)]
+        w = rng.dirichlet(np.ones(3))
+        mix = w @ vertices
+        points = vertices + [
+            mix,
+            mix + rng.uniform(-1e-12, 1e-12, r.dim),  # within tol
+            mix + rng.uniform(-1e-3, 1e-3, r.dim),
+            vertices[0] + vertices[1] - vertices[2],  # balanced, but negative where [2] differs
+            np.where(np.arange(r.dim) == rng.integers(r.dim), -1e-3, mix),
+        ]
+        for x in points:
+            assert r.contains(x) == ref.contains(x), (edges, x)
+            answers.append(r.contains(x))
+    assert 0.3 < np.mean(answers) < 0.9  # members and non-members alike
+
+
+def test_dag_path_rejections_name_their_cause():
+    with pytest.raises(ValueError, match="at least one edge"):
+        DagPath([])
+    with pytest.raises(ValueError, match="self-loop at node 4"):
+        DagPath([(0, 1), (1, 2), (4, 4), (2, 2)])
+    with pytest.raises(ValueError, match="one source and one sink, got 2/2"):
+        DagPath([(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="one source and one sink, got 0/0"):
+        DagPath([(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="edge list contains a cycle"):
+        DagPath([(5, 9), (9, 2), (2, 7), (7, 9), (2, 3)])
 
 
 def test_enumerated_lmo_is_argmin_over_rows():
