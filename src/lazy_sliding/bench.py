@@ -3,7 +3,8 @@
 Instances are least-squares problems f(x) = ||A x - b||^2 over one of the
 feasible regions, with b = A x_star for a feasible x_star so the optimum
 value is exactly zero and objective thresholds are meaningful across
-instances.  Everything is JSON on disk and deterministic given the seed.
+instances.  Everything is JSON on disk and deterministic given the seed and
+the BLAS thread count, whose split of b = A @ x_star can move its rounding.
 
 In an instance file the numeric arrays (A or its CSR parts, b, x_star, and
 the vertices of an enumerated region) are ``{"__ndarray__": dtype, "shape":
@@ -18,6 +19,7 @@ import binascii
 import hashlib
 import itertools
 import json
+import math
 import numbers
 import os
 from dataclasses import replace
@@ -27,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import BudgetExceeded, ConfigError, NumericalError
 from .objectives import CsrMatrix, LeastSquares, estimate_L, estimate_sigma2
-from .regions import region_from_spec, svec
+from .regions import Enumerated, region_from_spec, svec
 from .schedules import NEEDS, ProblemConstants, ScheduleVariant, schedule_eval
 from .solvers import RESTARTS, SolverConfig, run_solver
 from .trace import RunTrace, TraceTable, read_trace_csv
@@ -46,6 +48,9 @@ def hamiltonian_cycle_vertices(nodes):
     """Indicator vectors (over undirected edges of K_nodes) of all Hamiltonian cycles."""
     if nodes < 3:
         raise ValueError("hamiltonian cycles need at least 3 nodes")
+    if math.factorial(nodes - 1) // 2 > Enumerated.MAX_VERTICES:
+        raise ValueError("hamiltonian cycle enumeration capped at %d vertices"
+                         % Enumerated.MAX_VERTICES)
     index = np.zeros((nodes, nodes), dtype=np.intp)  # the coordinate of edge {a, b}
     index[np.triu_indices(nodes, 1)] = np.arange(nodes * (nodes - 1) // 2)
     index += index.T
@@ -61,8 +66,8 @@ def cut_polytope_vertices(nodes):
     """Cut vectors (over undirected edges of K_nodes) of all vertex bipartitions."""
     if nodes < 2:
         raise ValueError("cut polytope needs at least 2 nodes")
-    if 2 ** (nodes - 1) > 5000:
-        raise ValueError("cut polytope enumeration capped at 5000 vertices")
+    if 2 ** (nodes - 1) > Enumerated.MAX_VERTICES:
+        raise ValueError("cut polytope enumeration capped at %d vertices" % Enumerated.MAX_VERTICES)
     # node 0 on side 0; node b + 1 on the side of bit b of the mask
     side = (2 * np.arange(2 ** (nodes - 1)))[:, None] >> np.arange(nodes) & 1
     i, j = np.triu_indices(nodes, 1)
@@ -112,13 +117,6 @@ def gen_instance(spec: dict) -> dict:
     seed = _integer(spec.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed must be >= 0, got %r" % (seed,))
-    rng = np.random.default_rng(seed)
-    try:
-        region_spec = expand_region_spec(_object(spec["region"], "region"))
-        region = region_from_spec(region_spec)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("bad region spec: %s %s" % (type(exc).__name__, exc)) from exc
-
     ospec = _object(spec.get("objective", {}), "objective")
     if ospec.get("type", "least_squares") != "least_squares":
         raise ConfigError("only least_squares objectives are generated")
@@ -129,15 +127,22 @@ def gen_instance(spec: dict) -> dict:
     if (isinstance(density, bool) or not isinstance(density, numbers.Real)
             or not 0.0 < density <= 1.0):
         raise ConfigError("density must be a number in (0, 1], got %r" % (density,))
+    fmt = ospec.get("format", "auto")
+    if fmt not in ("auto", "csr", "dense"):
+        raise ConfigError("format must be 'auto', 'csr' or 'dense', got %r" % (fmt,))
+    try:
+        region_spec = expand_region_spec(_object(spec["region"], "region"))
+        region = region_from_spec(region_spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("bad region spec: %s %s" % (type(exc).__name__, exc)) from exc
+
+    rng = np.random.default_rng(seed)
     n = region.dim
     mask = rng.random((m, n)) < density
     A = np.where(mask, rng.random((m, n)), 0.0)
     x_star = _sample_x_star(region, rng)
     b = A @ x_star
 
-    fmt = ospec.get("format", "auto")
-    if fmt not in ("auto", "csr", "dense"):
-        raise ConfigError("format must be 'auto', 'csr' or 'dense', got %r" % (fmt,))
     if fmt == "auto":
         fmt = "csr" if density <= 0.25 and m * n > 10000 else "dense"
     if fmt == "csr":
@@ -242,18 +247,18 @@ def load_instance(path_or_dict):
 
 
 def _default_x0(region, how, inst):
-    if isinstance(how, list):
-        x0 = np.asarray(how, dtype=float)
-        if x0.shape != (region.dim,):
-            raise ConfigError("x0 has shape %s, the region needs (%d,)" % (x0.shape, region.dim))
-        if not region.contains(x0):
-            raise ConfigError("x0 lies outside the region")
-        return x0
-    if how == "x_star":
-        return np.asarray(inst["objective"]["x_star"], dtype=float)
     if how == "vertex":
         return region.lmo(np.ones(region.dim)).point  # deterministic vertex
-    raise ConfigError("x0 must be a list, 'x_star' or 'vertex', got %r" % (how,))
+    if how == "x_star":  # checked as a given point: an instance's x_star may not fit
+        how = inst["objective"]["x_star"]
+    elif not isinstance(how, list):
+        raise ConfigError("x0 must be a list, 'x_star' or 'vertex', got %r" % (how,))
+    x0 = np.asarray(how, dtype=float)
+    if x0.shape != (region.dim,):
+        raise ConfigError("x0 has shape %s, the region needs (%d,)" % (x0.shape, region.dim))
+    if not region.contains(x0):
+        raise ConfigError("x0 lies outside the region")
+    return x0
 
 
 def resolve_constants(entry, region, objective, inst, x0):

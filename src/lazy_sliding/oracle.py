@@ -10,13 +10,14 @@ one order: the held exact minimizer, when the caller passes it as a hint,
 then the best cached vertex, then the exact LMO.
 
 The cache keeps its vertices in fixed slots.  A scan scores every slot at
-once and answers with the vertex of largest improvement; recency stamps
-only choose the slot a new vertex evicts, so no stored row is ever
+once and answers with the vertex of largest improvement; the recency order
+only chooses the slot a new vertex evicts, so no stored row is ever
 reordered.  Regions whose vertices have at most ``support`` nonzeros are
 stored as padded index/value rows and scored by a gather, so a scan costs
 O(capacity * support) rather than O(capacity * dim).
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -27,15 +28,15 @@ from .trace import Counters
 
 
 class VertexCache:
-    """Fixed-capacity vertex store with recency stamps.
+    """Fixed-capacity vertex store in least-recently-used order.
 
     ``capacity`` slots fill in order; once all are used, inserting a new
-    vertex evicts the slot with the lowest stamp (the least recently used
-    one).  Inserting a vertex whose id is already cached only bumps its
-    stamp.  Capacity 0 disables caching entirely (every query falls through
-    to the exact LMO).  All ``capacity`` rows are allocated uninitialized at
-    the first insert.  Rows the cache never fills are never written, so they
-    take address space but need not become resident memory.
+    vertex evicts the least recently used slot, the head of the id -> slot
+    map.  Inserting a vertex whose id is already cached only moves it to
+    the map's end.  Capacity 0 disables caching entirely (every query falls
+    through to the exact LMO).  All ``capacity`` rows are allocated
+    uninitialized at the first insert.  Rows the cache never fills are never
+    written, so they take address space but need not become resident memory.
 
     With ``support=None`` the points are rows of one dense (rows, dim)
     array.  With an integer ``support`` every point must have at most that
@@ -54,9 +55,7 @@ class VertexCache:
         self.capacity = capacity
         self.support = support
         self._ids = []                # slot -> vertex id
-        self._slots = {}              # vertex id -> slot
-        self._stamps = np.zeros(capacity, dtype=np.int64)
-        self._clock = 0
+        self._slots = OrderedDict()   # vertex id -> slot, least recently used first
         self._dim = None
         self._rows = None             # dense points, or sparse value rows
         self._index = None            # sparse index rows
@@ -84,19 +83,15 @@ class VertexCache:
         return slot, float(improvement[slot])
 
     def get(self, slot) -> Vertex:
-        """The vertex in ``slot``, its point rebuilt bit for bit."""
+        """The vertex in ``slot``, its point rebuilt bit for bit (padding adds +0.0 at 0)."""
         if self.support is None:
             return Vertex(self._rows[slot].copy(), self._ids[slot])
-        values = self._rows[slot]
-        stored = values != 0.0
-        point = np.zeros(self._dim)
-        point[self._index[slot][stored]] = values[stored]
-        return Vertex(point, self._ids[slot])
+        return Vertex(np.bincount(self._index[slot], self._rows[slot], self._dim),
+                      self._ids[slot])
 
     def move_to_front(self, slot):
         """Mark ``slot`` as the most recently used entry."""
-        self._clock += 1
-        self._stamps[slot] = self._clock
+        self._slots.move_to_end(self._ids[slot])
 
     def insert(self, vertex: Vertex):
         """Cache ``vertex`` as the most recently used entry."""
@@ -109,8 +104,7 @@ class VertexCache:
                 slot = len(self._ids)
                 self._ids.append(vertex.id)
             else:
-                slot = int(np.argmin(self._stamps))
-                del self._slots[self._ids[slot]]
+                slot = self._slots.popitem(last=False)[1]
                 self._ids[slot] = vertex.id
             self._slots[vertex.id] = slot
             if self.support is None:

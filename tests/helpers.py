@@ -269,8 +269,7 @@ class BestHitCache:
 
 def cache_entries(cache):
     """The vertices of a `VertexCache`, most recently used first."""
-    order = np.argsort(-cache._stamps[:len(cache)])
-    return [cache.get(int(slot)) for slot in order]
+    return [cache.get(slot) for slot in reversed(cache._slots.values())]
 
 
 def subproblem_value(sub, x):

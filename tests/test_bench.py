@@ -400,6 +400,30 @@ def test_gen_density_validation_and_formats():
     assert objective.value(x_star) <= 1e-18 * 300
 
 
+def _work_before_the_check(*args):
+    raise AssertionError("work done before the spec was checked")
+
+
+class _NoDraws:
+    """A stand-in generator whose every draw fails."""
+
+    def __getattr__(self, name):
+        return _work_before_the_check
+
+
+@pytest.mark.parametrize("objective,fault", [
+    ({"format": "bogus"}, "format must be 'auto', 'csr' or 'dense', got 'bogus'"),
+    ({"type": "logistic"}, "only least_squares objectives"),
+    ({"m": 0}, "m must be >= 1"),
+    ({"density": 0.0}, "density must be a number"),
+])
+def test_bad_objective_spec_fails_before_any_work(monkeypatch, objective, fault):
+    monkeypatch.setattr(bench.np.random, "default_rng", lambda *args: _NoDraws())
+    monkeypatch.setattr(bench, "expand_region_spec", _work_before_the_check)
+    with pytest.raises(ConfigError, match=fault):
+        gen_instance(dict(SIMPLEX_SPEC, objective=dict(SIMPLEX_SPEC["objective"], **objective)))
+
+
 def _loop_hamiltonian_cycle_vertices(nodes):
     """Reference: one vector per tour from node 0, in permutation order."""
     pairs = [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
@@ -448,6 +472,18 @@ def test_cut_polytope_vertices():
     assert V.shape == (4, 3)
     assert any(np.all(r == 0.0) for r in V)  # the empty cut
     assert len({tuple(r) for r in V}) == 4
+
+
+def test_enumerations_are_capped_before_they_are_enumerated(monkeypatch):
+    def no_permutations(*args):
+        raise AssertionError("permutations listed before the cap was checked")
+
+    monkeypatch.setattr(bench.itertools, "permutations", no_permutations)
+    # K_9 has 8!/2 = 20160 Hamiltonian cycles
+    with pytest.raises(ConfigError, match="hamiltonian cycle enumeration capped at 5000"):
+        gen_instance(dict(SIMPLEX_SPEC, region={"kind": "hamiltonian_cycles", "nodes": 9}))
+    with pytest.raises(ValueError, match="cut polytope enumeration capped at 5000 vertices"):
+        cut_polytope_vertices(14)
 
 
 def test_layered_dag_edges():
@@ -659,6 +695,23 @@ def test_list_x0_runs_like_the_named_vertex(tmp_path):
     _, code = run_experiment(_experiment(tmp_path, entries), out_dir=str(out))
     assert code == 0
     assert _csv_modulo_wall(out / "named__s0.csv") == _csv_modulo_wall(out / "listed__s0.csv")
+
+
+@pytest.mark.parametrize("x_star,fault", [(np.full(6, 0.5), "x0 lies outside the region"),
+                                          (np.full(3, 1 / 3), r"x0 has shape \(3,\)")])
+def test_x_star_x0_is_checked_like_a_given_point(tmp_path, x_star, fault):
+    inst_path, inst = _write_instance(tmp_path)
+    region, objective, _ = load_instance(inst_path)
+    entry = dict(CALGD_ENTRY, x0="x_star")
+    x0 = bench._prepare_entry(entry, {}, region, objective, inst).x0
+    assert np.array_equal(x0, inst["objective"]["x_star"])
+    inst["objective"]["x_star"] = x_star
+    write_json(inst_path, inst)
+    out = tmp_path / "runs"
+    with pytest.raises(ConfigError, match=r"solver entry 0 \(calgd\): " + fault):
+        run_experiment({"instance": inst_path, "seeds": [0], "solvers": [entry]},
+                       out_dir=str(out))
+    assert not out.exists()
 
 
 def test_instance_loaded_once_per_experiment(tmp_path, monkeypatch):
