@@ -19,7 +19,6 @@ import binascii
 import hashlib
 import itertools
 import json
-import math
 import numbers
 import os
 from dataclasses import replace
@@ -48,9 +47,12 @@ def hamiltonian_cycle_vertices(nodes):
     """Indicator vectors (over undirected edges of K_nodes) of all Hamiltonian cycles."""
     if nodes < 3:
         raise ValueError("hamiltonian cycles need at least 3 nodes")
-    if math.factorial(nodes - 1) // 2 > Enumerated.MAX_VERTICES:
-        raise ValueError("hamiltonian cycle enumeration capped at %d vertices"
-                         % Enumerated.MAX_VERTICES)
+    cycles = 1
+    for k in range(3, nodes):  # (nodes - 1)! / 2, stopped once past the cap
+        cycles *= k
+        if cycles > Enumerated.MAX_VERTICES:
+            raise ValueError("hamiltonian cycle enumeration capped at %d vertices"
+                             % Enumerated.MAX_VERTICES)
     index = np.zeros((nodes, nodes), dtype=np.intp)  # the coordinate of edge {a, b}
     index[np.triu_indices(nodes, 1)] = np.arange(nodes * (nodes - 1) // 2)
     index += index.T
@@ -66,7 +68,7 @@ def cut_polytope_vertices(nodes):
     """Cut vectors (over undirected edges of K_nodes) of all vertex bipartitions."""
     if nodes < 2:
         raise ValueError("cut polytope needs at least 2 nodes")
-    if 2 ** (nodes - 1) > Enumerated.MAX_VERTICES:
+    if nodes - 1 >= Enumerated.MAX_VERTICES.bit_length():  # 2 ** (nodes - 1) > the cap
         raise ValueError("cut polytope enumeration capped at %d vertices" % Enumerated.MAX_VERTICES)
     # node 0 on side 0; node b + 1 on the side of bit b of the mask
     side = (2 * np.arange(2 ** (nodes - 1)))[:, None] >> np.arange(nodes) & 1
@@ -114,10 +116,11 @@ def _sample_x_star(region, rng, averages=10):
 
 def gen_instance(spec: dict) -> dict:
     """Generate an instance dict from a generator spec (deterministic in seed)."""
+    _object(spec, "generator spec", {"region", "objective", "seed"})
     seed = _integer(spec.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed must be >= 0, got %r" % (seed,))
-    ospec = _object(spec.get("objective", {}), "objective")
+    ospec = _object(spec.get("objective", {}), "objective", {"type", "m", "density", "format"})
     if ospec.get("type", "least_squares") != "least_squares":
         raise ConfigError("only least_squares objectives are generated")
     m = _integer(ospec.get("m", 100), "m")
@@ -298,14 +301,6 @@ def _schedule_tag(entry):
     return (entry.get("schedule") or {}).get("tag")
 
 
-def _entry_schedule(entry, outer):
-    sd = entry.get("schedule")
-    if sd is None:
-        return None
-    return ScheduleVariant(sd["tag"], N=_integer(sd.get("N", outer), "schedule N"),
-                           s=_optional_integer(sd.get("s"), "schedule s"))
-
-
 def _prepare_entry(entry, budgets, region, objective, inst):
     """The SolverConfig (seed 0) shared by every run of a solver entry.
 
@@ -315,7 +310,12 @@ def _prepare_entry(entry, budgets, region, objective, inst):
     NumericalError from estimating a constant is returned in place of the
     config, so that each run of the entry records it.
     """
+    _object(entry, "entry", {"name", "variant", "constants", "alpha", "x0", "outer", "schedule",
+                             "batch", "cache_capacity", "eps"})
     outer = _integer(entry.get("outer", budgets.get("outer", 100)), "outer")
+    sd = entry.get("schedule")
+    if sd is not None:
+        _object(sd, "schedule", {"tag", "N"})
     # Built from the given constants first, so that a bad variant, schedule
     # tag, outer, batch, eps or constant name fails before any estimate.
     config = SolverConfig(
@@ -324,9 +324,10 @@ def _prepare_entry(entry, budgets, region, objective, inst):
                                           alpha=entry.get("alpha", 1.0))),
         x0=_default_x0(region, entry.get("x0", "vertex"), inst),
         outer_limit=outer,
-        schedule=_entry_schedule(entry, outer),
+        schedule=None if sd is None else ScheduleVariant(
+            sd["tag"], N=_integer(sd.get("N", outer), "schedule N")),
         time_limit=budgets.get("wall_seconds"),
-        batch=_optional_integer(entry.get("batch"), "batch"),
+        batch=None if entry.get("batch") is None else _integer(entry["batch"], "batch"),
         cache_capacity=_integer(entry.get("cache_capacity", 512), "cache_capacity"),
         eps=entry.get("eps"),
     )
@@ -404,9 +405,10 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     back.  The instance is loaded once, and each solver entry's x0 and
     constants are resolved once and checked (schedule included) before the
     first run.  Bad seeds (parsed first, so they cost no estimate), a config
-    without an instance path or a solvers list, an unreadable instance file,
-    or a bad entry raise ConfigError before anything is written.
+    without an instance path or a solvers list, an unread key, an unreadable
+    instance file, or a bad entry raise ConfigError before anything is written.
     """
+    _object(config, "experiment config", {"instance", "seeds", "budgets", "solvers", "out_dir"})
     seeds = parse_seeds(config.get("seeds", [0]) if seeds is None else seeds)
     instance, entries = config.get("instance"), config.get("solvers", [])
     if not isinstance(instance, str) or not isinstance(entries, list):
@@ -418,7 +420,7 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError("cannot load instance %r: %s %s"
                           % (instance_path, type(exc).__name__, exc)) from exc
-    budgets = dict(_object(config.get("budgets", {}), "budgets"))
+    budgets = dict(_object(config.get("budgets", {}), "budgets", {"outer", "wall_seconds"}))
     if time_limit is not None:
         budgets["wall_seconds"] = time_limit
     prepared = []
@@ -482,14 +484,15 @@ def _integer(value, name):
     return int(value)
 
 
-def _optional_integer(value, name):
-    return None if value is None else _integer(value, name)
-
-
-def _object(value, name):
-    """``value`` if it is a JSON object (a dict); a ConfigError naming it otherwise."""
+def _object(value, name, keys=None):
+    """``value`` if it is a JSON object (a dict) with no key outside ``keys``, when given;
+    a ConfigError naming it and the keys it does not read otherwise."""
     if not isinstance(value, dict):
         raise ConfigError("%s must be a JSON object, got %r" % (name, value))
+    unknown = [key for key in value if keys is not None and key not in keys]
+    if unknown:
+        raise ConfigError("%s has unknown key(s) %s; it takes %s"
+                          % (name, ", ".join(map(repr, unknown)), ", ".join(sorted(keys))))
     return value
 
 

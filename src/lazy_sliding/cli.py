@@ -55,7 +55,14 @@ def _cmd_summarize(args):
 
 
 def _cmd_verify(args):
-    return subprocess.call([sys.executable, "-m", "pytest", args.tests, "-v"])
+    """pytest on --tests, by default the acceptance tests of the checkout holding this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tests = args.tests or os.path.join(os.path.dirname(src), "tests", "test_acceptance.py")
+    if args.tests is None and not os.path.isfile(tests):
+        raise ConfigError("no acceptance tests at %r; give --tests" % (tests,))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.call([sys.executable, "-m", "pytest", tests, "-v"],
+                           env=dict(os.environ, PYTHONPATH=path))
 
 
 def _print_summary(summary):
@@ -105,8 +112,8 @@ def build_parser():
     s.set_defaults(func=_cmd_summarize)
 
     v = sub.add_parser("verify", help="run the acceptance test suite")
-    v.add_argument("--tests", default="tests/test_acceptance.py",
-                   help="pytest target (default tests/test_acceptance.py)")
+    v.add_argument("--tests", help="pytest target (default: tests/test_acceptance.py of the "
+                                   "checkout that holds the package)")
     v.set_defaults(func=_cmd_verify)
     return p
 

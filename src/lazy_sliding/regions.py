@@ -24,6 +24,7 @@ vectors equal their Frobenius counterparts.
 
 import heapq
 import math
+import types
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -391,67 +392,52 @@ class DagPath(Region):
         return {"kind": self.kind, "edges": [[u, v] for u, v in self.edges]}
 
 
-# A guard, not a budget: Wolfe's algorithm is finite, and on the cut and
-# Hamiltonian-cycle polytopes (up to 4096 vertices, dim 78) it has taken at
-# most dim + 2 steps.
+# A guard, not a budget: the NNLS active-set method is finite, and on the cut
+# and Hamiltonian-cycle polytopes (up to 4096 vertices, dim 78) it has taken
+# at most dim + 2 iterations.
 _MNP_MAX_ITERS = 10000
 # Height of a row block of the diameter's Gram matrix: about 8 MB a block.
 _DIAMETER_BLOCK_BYTES = 8 << 20
+_nnls = None  # scipy's NNLS solver, loaded by the first Enumerated.contains
 
 
-def _min_norm_point(P, tol):
-    """Wolfe's (1976) minimum-norm point of the convex hull of the rows of P.
+def _min_norm_point(P):
+    """The minimum-norm point p of the convex hull of the (finite) rows of P, by one NNLS.
 
     Returns ``(active, weights, p)`` with ``p = weights @ P[active]``, the
-    weights positive and summing to one.  It stops inside once
-    ``||p|| <= tol``: the weights are then a convex combination within tol of
-    the origin.  Otherwise it stops when no row improves on ``||p||^2``:
-    ``<P_i, p> >= ||p||^2`` for every row up to rounding, so p is the
-    minimum-norm point and separates the hull from the origin.  Rows must be
-    finite.  By Caratheodory at most ``dim + 1`` rows are active, so each
-    affine step is one small least squares solve.
+    weights positive and summing to one.  By Lawson and Hanson's
+    least-distance reduction (*Solving Least Squares Problems*, ch. 23), the
+    point of the cone of the rows lifted to ``(P_i, 1)`` nearest to
+    ``e_{d+1}`` is ``(p, 1) / (1 + ||p||^2)``: so the ``u >= 0`` minimizing
+    ``||[P^T; 1^T] u - e_{d+1}||`` gives ``p = P^T u / sum(u)``, exact up to
+    rounding.  Raises NumericalError past ``_MNP_MAX_ITERS`` iterations.
     """
-    sq = np.einsum("ij,ij->i", P, P)
-    active = [int(np.argmin(sq))]
-    weights = np.ones(1)
-    p, p_sq = P[active[0]], float(sq[active[0]])
-    for _ in range(_MNP_MAX_ITERS):
-        if p_sq <= tol * tol:
-            return active, weights, p
-        proj = P @ p
-        j = int(np.argmin(proj))  # the LMO at cost p
-        if j in active or proj[j] >= p_sq:
-            return active, weights, p
-        corral, lam = active + [j], np.append(weights, 0.0)
-        while True:
-            # Affine minimizer of the corral: mu_0 = 1 - sum(mu[1:]).
-            Q = P[corral]
-            rest = np.linalg.lstsq((Q[1:] - Q[0]).T, -Q[0], rcond=None)[0]
-            mu = np.concatenate(([1.0 - rest.sum()], rest))
-            if np.all(mu > 0.0):
-                break
-            # Move from lam toward mu until the first weight reaches 0; drop it.
-            # lam - mu >= lam > 0 on every row but the new one (lam = 0), whose
-            # ratio is 0 if it gets mu = 0.
-            out = np.flatnonzero(mu <= 0.0)
-            ratios = lam[out] / np.maximum(lam[out] - mu[out], np.finfo(float).tiny)
-            lam = lam + float(np.min(ratios)) * (mu - lam)
-            lam[out[np.argmin(ratios)]] = 0.0
-            keep = lam > 0.0
-            corral, lam = [i for i, k in zip(corral, keep) if k], lam[keep]
-        q = mu @ Q
-        q_sq = float(q @ q)
-        if q_sq >= p_sq:  # rounding ate the step: p is as near as it gets
-            return active, weights, p
-        active, weights, p, p_sq = corral, mu, q, q_sq
-    raise NumericalError("minimum-norm point: no answer after %d iterations" % (_MNP_MAX_ITERS,))
+    global _nnls
+    if _nnls is None:  # scipy.optimize.nnls calls this builtin of _slsqplib
+        _nnls = load_extension("scipy.optimize._slsqplib", "scipy.optimize", "nnls").nnls
+    A = np.ones((P.shape[1] + 1, P.shape[0]), order="F")  # the kernel reads columns
+    A[:-1] = P.T
+    b = np.append(np.zeros(P.shape[1]), 1.0)
+    try:
+        if isinstance(_nnls, types.BuiltinFunctionType):
+            u, _, info = _nnls(A, b, _MNP_MAX_ITERS)
+        else:  # the public function, which raises at its cap
+            (u, _), info = _nnls(A, b, maxiter=_MNP_MAX_ITERS), 1
+    except RuntimeError:
+        info = None
+    if info != 1:
+        raise NumericalError("minimum-norm point: no answer after %d iterations" % (_MNP_MAX_ITERS,))
+    active = np.flatnonzero(u > 0.0)
+    weights = u[active] / u[active].sum()
+    return active, weights, weights @ P[active]
 
 
 class Enumerated(Region):
     """Convex hull of an explicit vertex list (at most 5000 finite vertices).
 
     ``contains(x, tol)`` holds when the Euclidean distance from x to the hull
-    is at most tol, decided by Wolfe's minimum-norm point of ``V - x``.
+    is at most tol, decided by the minimum-norm point of ``V - x``: one
+    nonnegative least squares solve.
     """
 
     kind = "enumerated"
@@ -490,7 +476,7 @@ class Enumerated(Region):
         return self._diameter
 
     def _contains(self, x, tol):
-        p = _min_norm_point(self.vertices - x, tol)[2]
+        p = _min_norm_point(self.vertices - x)[2]
         return float(p @ p) <= tol * tol
 
     def to_spec(self):

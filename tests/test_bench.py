@@ -13,6 +13,7 @@ import pytest
 
 import lazy_sliding
 import lazy_sliding.bench as bench
+import lazy_sliding.cli as cli
 from lazy_sliding.bench import (
     cut_polytope_vertices,
     gen_instance,
@@ -28,6 +29,7 @@ from lazy_sliding.cli import _print_summary, main
 from lazy_sliding.errors import ConfigError, NumericalError
 from lazy_sliding.lcg import lcg_solve
 from lazy_sliding.objectives import CsrMatrix
+from lazy_sliding.regions import svec
 from lazy_sliding.trace import TRACE_COLUMNS, TRACE_HEADER, RunTrace, TraceTable, read_trace_csv
 
 from helpers import b64decode_array, run_fresh, traced_peak
@@ -107,7 +109,8 @@ def _experiment_loads(tmp_path, spec, *modules):
             "region = load_instance(path)[0]\n"
             "assert len(points) > 100 and all(region.contains(x) for x in points)\n"
             "held = {'lsap': getattr(regions._linear_sum_assignment, '__module__', None),\n"
-            "        'sparsetools': getattr(objectives._sparsetools, '__name__', None)}\n"
+            "        'sparsetools': getattr(objectives._sparsetools, '__name__', None),\n"
+            "        'nnls': getattr(regions._nnls, '__module__', None)}\n"
             "print(json.dumps([[m in sys.modules for m in sys.argv[5:]], held]))")
     out = run_fresh(code, str(tmp_path / "instance.json"), str(tmp_path / "runs"),
                     json.dumps(spec), json.dumps(config), *modules)
@@ -115,10 +118,13 @@ def _experiment_loads(tmp_path, spec, *modules):
 
 
 def test_enumerated_experiment_does_not_load_scipy_optimize(tmp_path):
-    # membership in an enumerated region is a minimum-norm point, not an LP
+    # membership in an enumerated region is a minimum-norm point, not an LP:
+    # one NNLS from scipy's compiled module, loaded without importing scipy
     spec = {"region": {"kind": "hamiltonian_cycles", "nodes": 5},
             "objective": {"m": 40, "density": 0.8}, "seed": 3}
-    assert _experiment_loads(tmp_path, spec, "scipy.optimize")[0] == [False]
+    loaded, held = _experiment_loads(tmp_path, spec, "scipy.optimize", "scipy")
+    assert loaded == [False, False]
+    assert held == {"lsap": None, "sparsetools": None, "nnls": "scipy.optimize._slsqplib"}
 
 
 def test_birkhoff_experiment_loads_only_the_assignment_solver(tmp_path):
@@ -128,14 +134,14 @@ def test_birkhoff_experiment_loads_only_the_assignment_solver(tmp_path):
             "objective": {"m": 40, "density": 0.8}, "seed": 3}
     loaded, held = _experiment_loads(tmp_path, spec, "scipy.optimize", "scipy")
     assert loaded == [False, False]
-    assert held == {"lsap": "scipy.optimize._lsap", "sparsetools": None}
+    assert held == {"lsap": "scipy.optimize._lsap", "sparsetools": None, "nnls": None}
 
 
 def test_csr_experiment_loads_only_the_sparse_kernels(tmp_path):
     # CSR least squares runs scipy's compiled CSR kernels, loaded by themselves
     loaded, held = _experiment_loads(tmp_path, CSR_SPEC, "scipy.sparse", "scipy")
     assert loaded == [False, False]
-    assert held == {"lsap": None, "sparsetools": "scipy.sparse._sparsetools"}
+    assert held == {"lsap": None, "sparsetools": "scipy.sparse._sparsetools", "nnls": None}
 
 
 def test_instance_with_a_non_finite_vertex_exits_2(tmp_path, capsys):
@@ -484,6 +490,17 @@ def test_enumerations_are_capped_before_they_are_enumerated(monkeypatch):
         gen_instance(dict(SIMPLEX_SPEC, region={"kind": "hamiltonian_cycles", "nodes": 9}))
     with pytest.raises(ValueError, match="cut polytope enumeration capped at 5000 vertices"):
         cut_polytope_vertices(14)
+
+
+def test_enumeration_caps_are_checked_without_computing_the_count():
+    # (10**5 - 1)! has 456569 digits and 2**(10**7 - 1) has 3010300: neither
+    # is formed just to be compared with the cap
+    for enumerate_vertices, nodes, what in [(hamiltonian_cycle_vertices, 10 ** 5, "hamiltonian"),
+                                            (cut_polytope_vertices, 10 ** 7, "cut polytope")]:
+        with traced_peak() as usage:
+            with pytest.raises(ValueError, match=what + ".* capped at 5000 vertices"):
+                enumerate_vertices(nodes)
+        assert usage.peak <= 64 << 10, (what, usage.peak)
 
 
 def test_layered_dag_edges():
@@ -1143,7 +1160,8 @@ def test_trace_rows_keep_under_200_bytes_each(tmp_path):
     ("calgd__s0.csv", "a,b\n1,2\n", "unexpected trace header"),
     ("calgd__s0.csv", TRACE_HEADER + "\n" + ",".join(["1"] * 10) + "\n", "ValueError"),
     ("calgd__s0.meta.json", '{"solver_name": "calgd", "sta', "JSONDecodeError"),
-], ids=["header", "ten-fields", "truncated-meta"])
+    ("calgd__s0.meta.json", '["calgd", "completed"]', "not a JSON object"),
+], ids=["header", "ten-fields", "truncated-meta", "list-meta"])
 def test_summarize_rejects_an_unreadable_run_file(tmp_path, capsys, fname, text, fault):
     out = tmp_path / "runs"
     _, code = run_experiment(_experiment(tmp_path, [CALGD_ENTRY], seeds=(0, 1), outer=10),
@@ -1188,6 +1206,55 @@ def test_cli_gen_run_summarize(tmp_path, capsys):
 
     assert main(["summarize", "--out", str(run_dir)]) == 0
     assert (run_dir / "summary.json").exists()
+
+
+def test_cli_gen_into_a_directory_writes_instance_json(tmp_path, capsys):
+    spec_path, out_dir = tmp_path / "spec.json", tmp_path / "instances"
+    spec_path.write_text(json.dumps(SIMPLEX_SPEC))
+    out_dir.mkdir()
+    assert main(["gen", "--config", str(spec_path), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out.startswith("wrote %s " % (out_dir / "instance.json"))
+    written = tmp_path / "direct.json"
+    write_json(str(written), gen_instance(SIMPLEX_SPEC))
+    assert (out_dir / "instance.json").read_bytes() == written.read_bytes()
+
+
+def test_cli_run_time_limit_overrides_the_budget(tmp_path):
+    # --time-limit replaces budgets.wall_seconds: at 0 s every run stops
+    # before its first iteration, which is a time-limited run, not a failure
+    config = dict(_experiment(tmp_path, [CALGD_ENTRY], seeds=(0, 1), outer=10),
+                  budgets={"outer": 10, "wall_seconds": 600.0})
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    for limit, status, rows in (("0", "time_limit", 0), ("600", "completed", 60)):
+        out = tmp_path / ("runs" + limit)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--time-limit", limit]) == 0
+        for seed in (0, 1):
+            meta = json.loads((out / ("calgd__s%d.meta.json" % seed)).read_text())
+            assert meta["status"] == status
+            assert len(read_trace_csv(str(out / ("calgd__s%d.csv" % seed)))) == rows
+
+
+@pytest.mark.parametrize("region,kind,dim", [
+    ({"kind": "cut_polytope", "nodes": 5}, "enumerated", 10),
+    ({"kind": "layered_dag", "layers": 3, "width": 3}, "dag_path", 24),
+    ({"kind": "spectrahedron", "n": 4}, "spectrahedron", 10),
+], ids=["cut_polytope", "layered_dag", "spectrahedron"])
+def test_generated_region_kinds_load_and_run(tmp_path, region, kind, dim):
+    spec = {"region": region, "objective": {"m": 30, "density": 0.8}, "seed": 4}
+    path = str(tmp_path / "instance.json")
+    write_json(path, gen_instance(spec))
+    loaded, objective, inst = load_instance(path)
+    x_star = inst["objective"]["x_star"]
+    assert loaded.kind == kind and loaded.dim == dim and loaded.contains(x_star)
+    assert objective.value(x_star) == 0.0  # b = A x_star
+    if kind == "spectrahedron":  # the maximally mixed state, not an average of vertices
+        assert np.array_equal(x_star, svec(np.eye(4) / 4))
+    config = {"instance": path, "seeds": [0], "solvers": [dict(CALGD_ENTRY, outer=5)]}
+    summary, code = run_experiment(config, out_dir=str(tmp_path / "runs"))
+    assert code == 0 and summary["solvers"]["calgd"]["runs"] == 1
+    assert len(read_trace_csv(str(tmp_path / "runs" / "calgd__s0.csv"))) == 5
 
 
 def test_cli_gen_seed_override(tmp_path):
@@ -1290,10 +1357,28 @@ def test_cli_csr_instance_with_a_column_past_n_exits_2(tmp_path, capsys):
                                                       schedule=None, eps=True)]},
      "eps > 0, got True"),
     ("summarize", None, "no directory"),
+    # a key nothing reads, which would otherwise leave its default in force
+    ("gen", dict(SIMPLEX_SPEC, sead=3), "generator spec has unknown key(s) 'sead'"),
+    ("gen", dict(SIMPLEX_SPEC, objective={"m": 10, "densty": 0.1}),
+     "objective has unknown key(s) 'densty'; it takes density, format, m, type"),
+    ("gen", dict(SIMPLEX_SPEC, objective={"m": 10, "fromat": "csr"}),
+     "objective has unknown key(s) 'fromat'"),
+    ("run", {"instance": "INSTANCE", "solvers": [CALGD_ENTRY], "budget": {"outer": 5}},
+     "experiment config has unknown key(s) 'budget'"),
+    ("run", {"instance": "INSTANCE", "budgets": {"outre": 5}, "solvers": [CALGD_ENTRY]},
+     "budgets has unknown key(s) 'outre'; it takes outer, wall_seconds"),
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, cache_capcity=0)]},
+     "solver entry 0 (calgd): entry has unknown key(s) 'cache_capcity'"),
+    ("run", {"instance": "INSTANCE",
+             "solvers": [CALGD_ENTRY, dict(CALGD_ENTRY, name="two",
+                                           schedule={"tag": "smooth_deterministic", "s": 2})]},
+     "solver entry 1 (two): schedule has unknown key(s) 's'; it takes N, tag"),
 ], ids=["gen-missing", "gen-not-json", "gen-list", "run-missing", "run-not-json", "run-string",
         "run-no-instance", "run-solvers-dict", "run-entry-string", "run-budgets-number",
         "run-constant-bool", "run-mu-bool", "run-alpha-bool", "run-eps-bool",
-        "summarize-missing-dir"])
+        "summarize-missing-dir", "gen-spec-key", "gen-objective-density-key",
+        "gen-objective-format-key", "run-config-key", "run-budgets-key", "run-entry-key",
+        "run-schedule-key"])
 def test_cli_rejected_input_exits_2(tmp_path, capsys, command, config, fault):
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
     if isinstance(config, dict):  # with a valid instance file where it says INSTANCE
@@ -1313,6 +1398,27 @@ def test_cli_verify_runs_pytest_target(tmp_path):
     target = tmp_path / "test_tiny_ok.py"
     target.write_text("def test_ok():\n    assert True\n")
     assert main(["verify", "--tests", str(target)]) == 0
+
+
+def test_cli_verify_finds_the_acceptance_tests_from_any_directory(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.subprocess, "call", lambda argv, env: calls.append((argv, env)) or 0)
+    assert main(["verify"]) == 0
+    (argv, env), = calls
+    target = argv[argv.index("pytest") + 1]
+    assert os.path.isabs(target) and os.path.isfile(target)
+    assert os.path.samefile(target, os.path.join(os.path.dirname(__file__), "test_acceptance.py"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    assert env["PYTHONPATH"].split(os.pathsep)[0] == src
+
+
+def test_cli_verify_without_acceptance_tests_exits_2(tmp_path, monkeypatch, capsys):
+    # an installed package has no tests beside it: nothing to run by default
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "site" / "lazy_sliding" / "cli.py"))
+    monkeypatch.setattr(cli.subprocess, "call", lambda *args, **kwargs: pytest.fail("ran pytest"))
+    assert main(["verify"]) == 2
+    assert "no acceptance tests" in capsys.readouterr().err
 
 
 def test_enumerated_instance_round_trip(tmp_path):

@@ -111,6 +111,21 @@ def test_iteration_bound_worked_examples():
         iteration_bound(1.0, 1.0, 1.0, 0.5)
 
 
+def test_single_point_region_solves_within_the_degenerate_bound():
+    # one point has diameter 0, so the curvature proxy c_phi = beta D^2 is 0:
+    # the bound is one negative query per halving from phi0 down to eta, plus two
+    point = np.full(3, 0.25)
+    sub = Subproblem(g=np.array([1.0, -2.0, 0.5]), center=np.zeros(3), beta=4.0)
+    for region in (Box(3, lo=0.25, hi=0.25), Enumerated([point])):
+        assert region.diameter() == 0.0
+        for alpha, eta in [(1.0, 1e-3), (2.0, 1e-3), (3.0, 1.0)]:
+            res = lcg_solve(sub, region, point, alpha, eta, VertexCache())
+            assert res.cert_gap == 0.0 and np.array_equal(res.point, point)
+            assert res.iterations <= iteration_bound(res.phi0, 0.0, eta, alpha) == 2
+    assert iteration_bound(8.0, 0.0, 1.0, 1.0) == 5  # ceil(2 + log2 8)
+    assert iteration_bound(0.5, 0.0, 1.0, 1.0) == 2  # log2 clamped at 0
+
+
 def test_monotone_descent_and_phi_trace(monkeypatch):
     rng = np.random.default_rng(0)
     region = L1Ball(6, radius=1.5)

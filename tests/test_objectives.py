@@ -130,6 +130,12 @@ def test_sfo_variance_is_the_mean_over_all_rows():
     assert gauss.sfo_variance(rng.random(300)) == 3.0
 
 
+def test_gaussian_sampler_keeps_its_base_smoothness():
+    rng = np.random.default_rng(27)
+    base = LeastSquares(rng.random((30, 8)), rng.random(30))
+    assert estimate_L(GaussianSfo(base, 2.0)) == estimate_L(base) > 0.0
+
+
 def test_sfo_variance_is_zero_when_every_sample_is_the_gradient():
     rng = np.random.default_rng(19)
     a = rng.random(5)

@@ -321,6 +321,15 @@ def test_cache_rejects_vertex_beyond_support():
         VertexCache(4, support=0)
 
 
+def test_cache_rejects_point_of_another_shape():
+    for support in (None, 1):
+        cache = VertexCache(4, support=support)
+        cache.insert(Simplex(3).lmo(np.array([0.0, -1.0, 0.0])))
+        with pytest.raises(ValueError, match=r"shape \(3,\), got \(4,\)"):
+            cache.insert(Vertex(np.array([0.0, 0.0, 0.0, 1.0]), "wider"))
+        assert [v.id for v in cache_entries(cache)] == [1]
+
+
 def test_sparse_cache_memory_bounded():
     # 512 dense Birkhoff(50) points take 10 MB; as index/value rows of 50
     # entries they take 0.4 MB

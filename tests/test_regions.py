@@ -503,7 +503,7 @@ def _assert_certified(V, x, tol, distance):
 
     distance is that of x from the hull, 0 for a member.
     """
-    active, weights, p = _min_norm_point(V - x, tol)
+    active, weights, p = _min_norm_point(V - x)
     scale = float(np.max(np.abs(V - x)))
     assert len(set(active)) == len(active) <= V.shape[1] + 1
     assert np.all(weights > 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-12
@@ -619,6 +619,43 @@ def test_enumerated_contains_on_degenerate_lists(name):
 def test_enumerated_contains_raises_at_the_iteration_cap(monkeypatch):
     V = hamiltonian_cycle_vertices(6).astype(float)
     x = np.full(len(V), 1.0 / len(V)) @ V  # needs more than one step
+    monkeypatch.setattr(regions, "_MNP_MAX_ITERS", 1)
+    with pytest.raises(NumericalError, match="minimum-norm point"):
+        Enumerated(V).contains(x)
+
+
+def test_enumerated_contains_falls_back_to_the_public_nnls(monkeypatch):
+    # a scipy layout without the compiled module: the region imports the
+    # public name, and gives the same answers and the same minimum-norm points
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(26)
+    lists = {name: np.asarray(MEMBERSHIP_LISTS[name], dtype=float)
+             for name in ("ham6", "cut7", "random6")}
+    cases = [(V, x) for V in lists.values() for x, _ in _membership_fuzz(V, rng)]
+
+    def answers():
+        return [(Enumerated(V).contains(x), float(np.linalg.norm(_min_norm_point(V - x)[2])))
+                for V, x in cases]
+
+    loaded = answers()
+    assert regions._nnls.__module__ == "scipy.optimize._slsqplib"
+    looked_up = hide_scipy_extensions(monkeypatch)
+    monkeypatch.setattr(regions, "_nnls", None)
+    fallback = answers()
+    assert looked_up == ["scipy.optimize._slsqplib"]
+    assert regions._nnls is nnls
+    assert [inside for inside, _ in fallback] == [inside for inside, _ in loaded]
+    for (_, norm), (_, expected) in zip(fallback, loaded):
+        assert norm == pytest.approx(expected, rel=1e-8, abs=1e-14)
+
+
+def test_public_nnls_fallback_raises_at_the_iteration_cap(monkeypatch):
+    from scipy.optimize import nnls
+
+    V = hamiltonian_cycle_vertices(6).astype(float)
+    x = np.full(len(V), 1.0 / len(V)) @ V
+    monkeypatch.setattr(regions, "_nnls", nnls)
     monkeypatch.setattr(regions, "_MNP_MAX_ITERS", 1)
     with pytest.raises(NumericalError, match="minimum-norm point"):
         Enumerated(V).contains(x)
