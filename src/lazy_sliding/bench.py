@@ -120,7 +120,7 @@ def gen_instance(spec: dict) -> dict:
     seed = _integer(spec.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed must be >= 0, got %r" % (seed,))
-    ospec = _object(spec.get("objective", {}), "objective", {"type", "m", "density", "format"})
+    ospec = _object(spec.get("objective", {}), "objective", {"type", "m", "density"})
     if ospec.get("type", "least_squares") != "least_squares":
         raise ConfigError("only least_squares objectives are generated")
     m = _integer(ospec.get("m", 100), "m")
@@ -130,9 +130,6 @@ def gen_instance(spec: dict) -> dict:
     if (isinstance(density, bool) or not isinstance(density, numbers.Real)
             or not 0.0 < density <= 1.0):
         raise ConfigError("density must be a number in (0, 1], got %r" % (density,))
-    fmt = ospec.get("format", "auto")
-    if fmt not in ("auto", "csr", "dense"):
-        raise ConfigError("format must be 'auto', 'csr' or 'dense', got %r" % (fmt,))
     try:
         region_spec = expand_region_spec(_object(spec["region"], "region"))
         region = region_from_spec(region_spec)
@@ -146,9 +143,7 @@ def gen_instance(spec: dict) -> dict:
     x_star = _sample_x_star(region, rng)
     b = A @ x_star
 
-    if fmt == "auto":
-        fmt = "csr" if density <= 0.25 and m * n > 10000 else "dense"
-    if fmt == "csr":
+    if density <= 0.25 and m * n > 10000:
         # the arrays scipy.sparse.csr_matrix(A) holds: entries in C order, and
         # int32 indices unless m, n or the entry count does not fit
         rows, cols = np.nonzero(A)

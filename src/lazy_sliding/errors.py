@@ -6,14 +6,7 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """An iterative numerical routine failed to converge.
-
-    Carries the last residual in ``residual`` when applicable.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A numerical routine failed to converge, or met a NaN or infinite input."""
 
 
 class BudgetExceeded(RuntimeError):

@@ -32,9 +32,7 @@ def _sigma_max_sq(A):
             return lam
         v = w / np.linalg.norm(w)
     raise NumericalError(
-        "power iteration did not converge in %d iterations (residual %.3e)" % (maxiter, resid),
-        residual=resid,
-    )
+        "power iteration did not converge in %d iterations (residual %.3e)" % (maxiter, resid))
 
 
 def simplex_project(v):

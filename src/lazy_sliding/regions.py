@@ -22,6 +22,7 @@ sqrt(2)) so that Euclidean inner products and norms on the flattened
 vectors equal their Frobenius counterparts.
 """
 
+import functools
 import heapq
 import math
 import types
@@ -48,28 +49,28 @@ def svec_dim(n):
     return n * (n + 1) // 2
 
 
+@functools.lru_cache
+def _svec_index(n):
+    """The upper triangle of an n x n matrix, its transpose, and each entry's svec scale."""
+    iu = np.triu_indices(n)
+    return iu, iu[::-1], np.where(iu[0] == iu[1], 1.0, _SQRT2)
+
+
 def svec(M):
     """Flatten a symmetric matrix to scaled upper-triangle form."""
-    n = M.shape[0]
-    iu = np.triu_indices(n)
-    out = M[iu].copy()
-    out[iu[0] != iu[1]] *= _SQRT2
-    return out
+    iu, _, scale = _svec_index(M.shape[0])
+    return M[iu] * scale
 
 
 def smat(v):
     """Inverse of `svec`."""
     d = v.shape[0]
-    n = int(round((math.sqrt(8 * d + 1) - 1) / 2))
+    n = (math.isqrt(8 * d + 1) - 1) // 2
     if svec_dim(n) != d:
         raise ValueError("length %d is not a valid svec dimension" % (d,))
-    M = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    vals = v.copy()
-    off = iu[0] != iu[1]
-    vals[off] /= _SQRT2
-    M[iu] = vals
-    M[(iu[1], iu[0])] = vals
+    iu, iu_t, scale = _svec_index(n)
+    M = np.empty((n, n))  # the two triangles write every entry
+    M[iu] = M[iu_t] = v / scale
     return M
 
 
@@ -269,22 +270,14 @@ class Spectrahedron(Region):
             raise ValueError("spectrahedron needs n >= 1")
         self.n = n
         self.dim = svec_dim(n)
-        # The svec bookkeeping, made once: the upper triangle, its transpose
-        # and the scale (sqrt(2) off the diagonal, 1 on it) of each entry.
-        self._iu = np.triu_indices(n)
-        self._iu_t = (self._iu[1], self._iu[0])
-        self._scale = np.where(self._iu[0] == self._iu[1], 1.0, _SQRT2)
 
     def _lmo(self, c):
-        C = np.empty((self.n, self.n))  # the two triangles write every entry
-        C[self._iu] = C[self._iu_t] = c / self._scale
-        v = np.linalg.eigh(C)[1][:, 0]
+        v = np.linalg.eigh(smat(c))[1][:, 0]
         # Sign convention for the id: first non-negligible entry positive.
         nz = np.nonzero(np.abs(v) > 1e-8)[0]
         if len(nz) and v[nz[0]] < 0:
             v = -v
-        p = np.outer(v, v)[self._iu] * self._scale
-        return Vertex(p, ("rank1",) + tuple(np.round(v, 12)))
+        return Vertex(svec(np.outer(v, v)), ("rank1",) + tuple(np.round(v, 12)))
 
     def diameter(self):
         return math.sqrt(2.0)

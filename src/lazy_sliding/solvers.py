@@ -36,7 +36,7 @@ samples and runs are bit-reproducible on one platform.
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -248,8 +248,8 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
                          counters, phi_final, cert_gap)
     except Exception as exc:
         # every completed iteration appended one row
-        trace.metadata["final_counters"] = counters.as_dict()
+        trace.metadata["final_counters"] = asdict(counters)
         exc.trace, exc.outer_k = trace, len(trace.rows) + 1
         raise
-    trace.metadata["final_counters"] = counters.as_dict()
+    trace.metadata["final_counters"] = asdict(counters)
     return trace

@@ -1,7 +1,7 @@
 """Run counters and the per-iteration trace table written by the solvers."""
 
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
@@ -18,10 +18,6 @@ class Counters:
     cache_hits: int = 0
     cache_misses: int = 0        # includes hint_answers
     hint_answers: int = 0        # answered from the held exact minimizer, no scan
-
-    def as_dict(self):
-        """The counters by name, as run metadata records them."""
-        return asdict(self)
 
 
 _TRACE_DTYPE = np.dtype([

@@ -223,15 +223,15 @@ CSR_SPEC = {
 @pytest.mark.parametrize("density,seed", [(0.02, 1), (0.02, 2), (0.1, 3)])
 def test_gen_csr_arrays_are_the_arrays_of_scipy_csr_matrix(density, seed):
     # gen_instance builds the CSR arrays with numpy; they must be the very
-    # arrays scipy.sparse.csr_matrix makes of the same dense draw
+    # arrays scipy.sparse.csr_matrix makes of the generator's dense draw
     import scipy.sparse as sp
 
-    def spec(fmt):
-        return dict(CSR_SPEC, seed=seed, objective=dict(CSR_SPEC["objective"], density=density,
-                                                        format=fmt))
-
-    want = sp.csr_matrix(gen_instance(spec("dense"))["objective"]["A"]["data"])
-    got = gen_instance(spec("csr"))["objective"]["A"]
+    m, n = CSR_SPEC["objective"]["m"], CSR_SPEC["region"]["n"]
+    rng = np.random.default_rng(seed)
+    mask = rng.random((m, n)) < density
+    want = sp.csr_matrix(np.where(mask, rng.random((m, n)), 0.0))
+    got = gen_instance(dict(CSR_SPEC, seed=seed, objective=dict(CSR_SPEC["objective"],
+                                                                density=density)))["objective"]["A"]
     assert got["shape"] == list(want.shape)
     for key in ("data", "indices", "indptr"):
         assert got[key].dtype == getattr(want, key).dtype, key
@@ -289,7 +289,7 @@ def test_list_form_instance_loads_bit_identical(tmp_path, spec):
 def test_load_instance_memory_bounded(tmp_path):
     CsrMatrix([], [], [0], (0, 1))  # loads the CSR kernels: the load is measured, not that
     spec = {"region": {"kind": "simplex", "n": 2500},
-            "objective": {"m": 2000, "density": 0.05, "format": "csr"}, "seed": 3}
+            "objective": {"m": 2000, "density": 0.05}, "seed": 3}
     path, _ = _write_instance(tmp_path, spec)
     with traced_peak() as usage:
         load_instance(path)
@@ -358,7 +358,7 @@ def test_loaded_arrays_are_read_only(tmp_path, spec):
     {"region": {"kind": "hamiltonian_cycles", "nodes": 7},
      "objective": {"m": 4000, "density": 0.6}, "seed": 11},
     {"region": {"kind": "simplex", "n": 2500},
-     "objective": {"m": 2000, "density": 0.05, "format": "csr"}, "seed": 3},
+     "objective": {"m": 2000, "density": 0.05}, "seed": 3},
 ], ids=["ham7_dense", "csr"])
 def test_load_instance_peaks_near_twice_the_file(tmp_path, spec):
     # the read holds the file's bytes and text, the parse its text and the
@@ -418,7 +418,7 @@ class _NoDraws:
 
 
 @pytest.mark.parametrize("objective,fault", [
-    ({"format": "bogus"}, "format must be 'auto', 'csr' or 'dense', got 'bogus'"),
+    ({"format": "csr"}, "'format'; it takes density, m, type"),  # the data decides CSR
     ({"type": "logistic"}, "only least_squares objectives"),
     ({"m": 0}, "m must be >= 1"),
     ({"density": 0.0}, "density must be a number"),
@@ -1288,8 +1288,8 @@ def test_cli_rejected_config_exits_2(tmp_path, capsys):
     (dict(SIMPLEX_SPEC, objective={"m": 10, "density": "x"}), "density must be a number"),
     (dict(SIMPLEX_SPEC, objective=7), "objective must be a JSON object, got 7"),
     (dict(SIMPLEX_SPEC, region="simplex"), "region must be a JSON object, got 'simplex'"),
-    (dict(SIMPLEX_SPEC, objective=dict(SIMPLEX_SPEC["objective"], format="bogus")),
-     "format must be 'auto', 'csr' or 'dense', got 'bogus'"),
+    (dict(SIMPLEX_SPEC, objective=dict(SIMPLEX_SPEC["objective"], format="dense")),
+     "objective has unknown key(s) 'format'"),
     (dict(SIMPLEX_SPEC, region={"kind": "box", "n": 3, "lo": float("nan")}), "NaN or infinite"),
     (dict(SIMPLEX_SPEC, region={"kind": "box", "n": 3, "hi": [1.0, float("inf"), 1.0]}),
      "NaN or infinite"),
@@ -1360,7 +1360,7 @@ def test_cli_csr_instance_with_a_column_past_n_exits_2(tmp_path, capsys):
     # a key nothing reads, which would otherwise leave its default in force
     ("gen", dict(SIMPLEX_SPEC, sead=3), "generator spec has unknown key(s) 'sead'"),
     ("gen", dict(SIMPLEX_SPEC, objective={"m": 10, "densty": 0.1}),
-     "objective has unknown key(s) 'densty'; it takes density, format, m, type"),
+     "objective has unknown key(s) 'densty'; it takes density, m, type"),
     ("gen", dict(SIMPLEX_SPEC, objective={"m": 10, "fromat": "csr"}),
      "objective has unknown key(s) 'fromat'"),
     ("run", {"instance": "INSTANCE", "solvers": [CALGD_ENTRY], "budget": {"outer": 5}},

@@ -419,8 +419,7 @@ def _tie_heavy_costs(rng, dim):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
 def test_spectrahedron_lmo_matches_svec_formulation(n):
-    # the region's own index bookkeeping builds C and the vertex bit for bit
-    # as smat and svec do
+    # the LMO's cost matrix and vertex are smat's and svec's, bit for bit
     region = Spectrahedron(n)
     for c in _tie_heavy_costs(np.random.default_rng(n), region.dim):
         v = np.linalg.eigh(smat(c))[1][:, 0]
