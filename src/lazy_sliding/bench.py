@@ -311,12 +311,15 @@ def _prepare_entry(entry, budgets, region, objective, inst):
     sd = entry.get("schedule")
     if sd is not None:
         _object(sd, "schedule", {"tag", "N"})
+    given = _object(entry.get("constants", {}), "constants")
+    for name, value in given.items():
+        if value is None:  # JSON null: neither a value nor left out
+            raise ConfigError("constant %s is null; give a number or leave it out" % (name,))
     # Built from the given constants first, so that a bad variant, schedule
     # tag, outer, batch, eps or constant name fails before any estimate.
     config = SolverConfig(
         variant=entry.get("variant"),
-        constants=ProblemConstants(**dict(entry.get("constants", {}),
-                                          alpha=entry.get("alpha", 1.0))),
+        constants=ProblemConstants(**dict(given, alpha=entry.get("alpha", 1.0))),
         x0=_default_x0(region, entry.get("x0", "vertex"), inst),
         outer_limit=outer,
         schedule=None if sd is None else ScheduleVariant(
@@ -401,7 +404,9 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     constants are resolved once and checked (schedule included) before the
     first run.  Bad seeds (parsed first, so they cost no estimate), a config
     without an instance path or a solvers list, an unread key, an unreadable
-    instance file, or a bad entry raise ConfigError before anything is written.
+    instance file, a bad entry, or a solver name (the variant's, if the entry
+    gives none) that is not a file name or repeats another raise ConfigError
+    before anything is written.
     """
     _object(config, "experiment config", {"instance", "seeds", "budgets", "solvers", "out_dir"})
     seeds = parse_seeds(config.get("seeds", [0]) if seeds is None else seeds)
@@ -418,7 +423,7 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     budgets = dict(_object(config.get("budgets", {}), "budgets", {"outer", "wall_seconds"}))
     if time_limit is not None:
         budgets["wall_seconds"] = time_limit
-    prepared = []
+    prepared, names = [], {}
     for i, entry in enumerate(entries):
         _object(entry, "solver entry %d" % i)
         try:
@@ -426,6 +431,15 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("solver entry %d (%s): %s"
                               % (i, entry.get("name", entry.get("variant")), exc)) from exc
+        # a name is a file name prefix, checked after the variant it defaults to
+        name = entry.get("name", entry["variant"])
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or any(sep in name for sep in filter(None, ("/", os.sep, os.altsep)))):
+            raise ConfigError("solver entry %d: name %r cannot name a run file" % (i, name))
+        if name in names:
+            raise ConfigError("solver entries %d and %d both have the name %r"
+                              % (names[name], i, name))
+        names[name] = i
     out_dir = out_dir or config.get("out_dir") or os.path.join(base_dir, "runs")
     os.makedirs(out_dir, exist_ok=True)
 

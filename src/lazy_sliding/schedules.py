@@ -17,6 +17,7 @@ in any particular derivation:
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -68,6 +69,11 @@ _FIXED_N_TAGS = frozenset([
 _PHASE_TAGS = frozenset([STRONGLY_CONVEX_DET_PHASE, STRONGLY_CONVEX_STOCH_PHASE])
 
 
+def _in_range(v, lo):
+    """Whether v is a real number, not a bool, in [lo, inf); NaN is not."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and lo <= v < math.inf
+
+
 @dataclass(frozen=True)
 class ScheduleVariant:
     """A schedule tag plus the horizon N / phase index s it may need."""
@@ -114,12 +120,12 @@ class ProblemConstants:
         for name in ("L", "sigma2", "M", "D_X", "D_0", "A_norm", "sigma_omega",
                      "D_YW", "delta0"):
             v = getattr(self, name)
-            if v is not None and (isinstance(v, bool) or not 0 <= v < math.inf):  # NaN fails too
+            if v is not None and not _in_range(v, 0):
                 raise ConfigError("constant %s must be a finite nonnegative number, got %r"
                                   % (name, v))
-        if isinstance(self.mu, bool) or not 0 <= self.mu < math.inf:
+        if not _in_range(self.mu, 0):
             raise ConfigError("mu must be finite and nonnegative, got %r" % (self.mu,))
-        if isinstance(self.alpha, bool) or not 1 <= self.alpha < math.inf:
+        if not _in_range(self.alpha, 1):
             raise ConfigError("alpha must be finite and >= 1, got %r" % (self.alpha,))
         if self.D_X is not None and self.D_0 is not None and self.D_0 > self.D_X * (1 + 1e-12):
             raise ConfigError("D_0 must not exceed D_X (%r > %r)" % (self.D_0, self.D_X))

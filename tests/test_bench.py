@@ -1373,12 +1373,36 @@ def test_cli_csr_instance_with_a_column_past_n_exits_2(tmp_path, capsys):
              "solvers": [CALGD_ENTRY, dict(CALGD_ENTRY, name="two",
                                            schedule={"tag": "smooth_deterministic", "s": 2})]},
      "solver entry 1 (two): schedule has unknown key(s) 's'; it takes N, tag"),
+    # constants are one JSON object of numbers, and alpha is a number
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, constants=[["L", 1.0]])]},
+     "solver entry 0 (calgd): constants must be a JSON object, got [['L', 1.0]]"),
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, constants={"L": "1"})]},
+     "constant L must be a finite nonnegative number, got '1'"),
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, alpha="2")]},
+     "alpha must be finite and >= 1, got '2'"),
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, constants={"L": None})]},
+     "solver entry 0 (calgd): constant L is null"),
+    # a solver name prefixes its run files: one file name, not shared
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, name="a/b")]},
+     "solver entry 0: name 'a/b' cannot name a run file"),
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, name="..")]},
+     "solver entry 0: name '..' cannot name a run file"),
+    ("run", {"instance": "INSTANCE", "solvers": [CALGD_ENTRY, dict(CALGD_ENTRY, name=7)]},
+     "solver entry 1: name 7 cannot name a run file"),
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, name="")]},
+     "solver entry 0: name '' cannot name a run file"),
+    ("run", {"instance": "INSTANCE", "seeds": [0, 1], "solvers": [
+        {k: v for k, v in CALGD_ENTRY.items() if k != "name"},
+        {k: v for k, v in CALGD_ENTRY.items() if k != "name"}]},
+     "solver entries 0 and 1 both have the name 'calgd'"),
 ], ids=["gen-missing", "gen-not-json", "gen-list", "run-missing", "run-not-json", "run-string",
         "run-no-instance", "run-solvers-dict", "run-entry-string", "run-budgets-number",
         "run-constant-bool", "run-mu-bool", "run-alpha-bool", "run-eps-bool",
         "summarize-missing-dir", "gen-spec-key", "gen-objective-density-key",
         "gen-objective-format-key", "run-config-key", "run-budgets-key", "run-entry-key",
-        "run-schedule-key"])
+        "run-schedule-key", "run-constants-pairs", "run-constant-string", "run-alpha-string",
+        "run-constant-null", "run-name-slash", "run-name-dotdot", "run-name-number",
+        "run-name-empty", "run-names-repeat"])
 def test_cli_rejected_input_exits_2(tmp_path, capsys, command, config, fault):
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
     if isinstance(config, dict):  # with a valid instance file where it says INSTANCE

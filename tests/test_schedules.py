@@ -226,3 +226,10 @@ def test_variant_validation():
     for bad in ({"L": math.nan}, {"sigma2": math.inf}, {"mu": math.nan}, {"alpha": math.inf}):
         with pytest.raises(ConfigError, match="finite"):
             ProblemConstants(**bad)
+
+
+@pytest.mark.parametrize("bad", [{"L": "1"}, {"D_X": [1.0]}, {"mu": "0"}, {"alpha": "2"}])
+def test_constants_must_be_numbers(bad):
+    # a ConfigError, not the TypeError of comparing a string with a number
+    with pytest.raises(ConfigError, match="finite"):
+        ProblemConstants(**bad)
