@@ -350,7 +350,7 @@ def config_hash(obj) -> str:
 
 
 def _run_one(task):
-    """Worker: run one (solver entry, seed) pair and write its trace files.
+    """Worker: run one (solver entry, seed) pair under the entry's name and write its trace files.
 
     Returns ``(record, rows)``, the rows a `TraceTable` equal to what
     `read_trace_csv` reads back.
@@ -364,8 +364,7 @@ def _run_one(task):
     constant's estimate that failed is named in ``failed_constant`` (null
     otherwise).  The record of a failed run carries both fields too.
     """
-    (entry, seed, config, region, objective, instance_name, out_dir) = task
-    name = entry.get("name", entry["variant"])
+    (entry, name, seed, config, region, objective, instance_name, out_dir) = task
     csv_path = os.path.join(out_dir, _CSV_NAME % (name, seed))
     status, message, failure = "completed", "", {}
     try:
@@ -434,7 +433,7 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
         # a name is a file name prefix, checked after the variant it defaults to
         name = entry.get("name", entry["variant"])
         if (not isinstance(name, str) or name in ("", ".", "..")
-                or any(sep in name for sep in filter(None, ("/", os.sep, os.altsep)))):
+                or any(sep and sep in name for sep in (os.sep, os.altsep))):
             raise ConfigError("solver entry %d: name %r cannot name a run file" % (i, name))
         if name in names:
             raise ConfigError("solver entries %d and %d both have the name %r"
@@ -444,8 +443,8 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     os.makedirs(out_dir, exist_ok=True)
 
     instance_name = os.path.basename(instance_path)
-    tasks = [(entry, seed, solver_config, region, objective, instance_name, out_dir)
-             for entry, solver_config in zip(entries, prepared) for seed in seeds]
+    tasks = [(entry, name, seed, solver_config, region, objective, instance_name, out_dir)
+             for entry, name, solver_config in zip(entries, names, prepared) for seed in seeds]
     if jobs > 1 and len(tasks) > 1:
         # Deferred: multiprocessing is ~2 MB that a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor

@@ -53,7 +53,10 @@ def svec_dim(n):
 def _svec_index(n):
     """The upper triangle of an n x n matrix, its transpose, and each entry's svec scale."""
     iu = np.triu_indices(n)
-    return iu, iu[::-1], np.where(iu[0] == iu[1], 1.0, _SQRT2)
+    scale = np.where(iu[0] == iu[1], 1.0, _SQRT2)
+    for a in iu + (scale,):  # the cache hands these arrays to every caller
+        a.flags.writeable = False
+    return iu, iu[::-1], scale
 
 
 def svec(M):

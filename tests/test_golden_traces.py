@@ -23,7 +23,6 @@ and lists the drift it shows in ``git diff``.
 import hashlib
 import json
 import os
-import sys
 import tempfile
 import warnings
 
@@ -121,14 +120,10 @@ def record(case, workdir):
         return {"instance_sha256": _sha256(fh.read()), "runs": runs}
 
 
-def _golden():
-    with open(GOLDEN) as fh:
-        return json.load(fh)
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_runs_match_golden_traces(tmp_path, case):
-    golden = _golden()
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
     want, got = golden["cases"][case], record(case, str(tmp_path))
     assert sorted(got["runs"]) == sorted(want["runs"])
     for name, run in want["runs"].items():
@@ -156,4 +151,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
