@@ -3,11 +3,11 @@
 Importing ``scipy.optimize`` or ``scipy.sparse`` costs tens of MB and a few
 hundred ms, while the kernels this package calls live in extension modules
 that load by themselves in a few ms: the assignment solver in
-``scipy.optimize._lsap``, the NNLS solver in ``scipy.optimize._slsqplib`` and
-the CSR kernels in ``scipy.sparse._sparsetools``.  Not even the top-level
-``scipy`` package is imported: its directory comes from its import spec,
-which is found without running it.  ``_slsqplib`` maps scipy's own OpenBLAS,
-which starts a thread pool of its own unless ``OPENBLAS_NUM_THREADS`` is set.
+``scipy.optimize._lsap``, the NNLS solver behind ``Region._contains`` in
+``scipy.optimize._slsqplib`` and the CSR kernels in ``scipy.sparse._sparsetools``.
+Not even the top-level ``scipy`` package is imported: its directory comes from
+its import spec, which is found without running it.  ``_slsqplib`` maps scipy's
+own OpenBLAS, which starts its own thread pool unless ``OPENBLAS_NUM_THREADS`` is set.
 """
 
 import importlib

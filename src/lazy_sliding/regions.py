@@ -78,8 +78,8 @@ def smat(v):
 
 
 class Region:
-    """Base class; subclasses fill in kind, dim, ``_lmo``, ``_contains``,
-    ``diameter`` and ``to_spec``."""
+    """Base class; subclasses fill in kind, dim, ``_lmo``, ``diameter`` and
+    ``to_spec``, and may give ``_contains`` a closed form."""
 
     kind = None
     dim = None
@@ -111,12 +111,31 @@ class Region:
 
     def contains(self, x, tol=1e-9) -> bool:
         """Whether x is a member up to ``tol``, by the region's own test; False if x
-        has a NaN or infinite coordinate."""
+        has a NaN or infinite coordinate.  Raises ValueError for a negative or NaN tol."""
         x = self._check(x)
+        if not tol >= 0:
+            raise ValueError("contains needs tol >= 0, got %r" % (tol,))
         return bool(np.all(np.isfinite(x))) and self._contains(x, tol)
 
     def _contains(self, x, tol) -> bool:
-        raise NotImplementedError
+        """Wolfe's (1976) algorithm on ``lmo``: p, the minimum-norm point of a corral of
+        rows ``v.point - x``, is within tol of 0 for a member; ``v = lmo(p)`` proves
+        x is not one if ``p @ (v.point - x) > tol ||p||``, or if v is in the corral
+        already (p is then the hull's nearest point, up to rounding)."""
+        v = self.lmo(-x)
+        corral = {v.id: v.point - x}
+        for _ in range(_MNP_MAX_ITERS):
+            ids = list(corral)
+            active, _, p = _min_norm_point(np.array(list(corral.values())))
+            corral = {ids[i]: corral[ids[i]] for i in active}
+            norm = float(np.linalg.norm(p))
+            if norm <= tol:
+                return True
+            v = self.lmo(p)
+            if v.id in corral or float(p @ (v.point - x)) > tol * norm:
+                return False
+            corral[v.id] = v.point - x
+        raise NumericalError("minimum-norm point: no answer after %d steps" % (_MNP_MAX_ITERS,))
 
     def to_spec(self) -> dict:
         raise NotImplementedError
@@ -388,13 +407,13 @@ class DagPath(Region):
         return {"kind": self.kind, "edges": [[u, v] for u, v in self.edges]}
 
 
-# A guard, not a budget: the NNLS active-set method is finite, and on the cut
-# and Hamiltonian-cycle polytopes (up to 4096 vertices, dim 78) it has taken
-# at most dim + 2 iterations.
+# A guard, not a budget, on NNLS iterations and on Wolfe's LMO steps: on the
+# cut and Hamiltonian-cycle polytopes (up to 4096 vertices, dim 78) NNLS has
+# taken at most dim + 2 iterations, and ``Region._contains`` at most 79 LMOs.
 _MNP_MAX_ITERS = 10000
 # Height of a row block of the diameter's Gram matrix: about 8 MB a block.
 _DIAMETER_BLOCK_BYTES = 8 << 20
-_nnls = None  # scipy's NNLS solver, loaded by the first Enumerated.contains
+_nnls = None  # scipy's NNLS solver, loaded by the first _min_norm_point
 
 
 def _min_norm_point(P):
@@ -432,8 +451,7 @@ class Enumerated(Region):
     """Convex hull of an explicit vertex list (at most 5000 finite vertices).
 
     ``contains(x, tol)`` holds when the Euclidean distance from x to the hull
-    is at most tol, decided by the minimum-norm point of ``V - x``: one
-    nonnegative least squares solve.
+    is at most tol, decided by ``Region._contains`` on the list's LMO.
     """
 
     kind = "enumerated"
@@ -470,10 +488,6 @@ class Enumerated(Region):
                 best = max(best, float(np.max(d2)))
             self._diameter = math.sqrt(best)
         return self._diameter
-
-    def _contains(self, x, tol):
-        p = _min_norm_point(self.vertices - x)[2]
-        return float(p @ p) <= tol * tol
 
     def to_spec(self):
         return {"kind": self.kind, "vertices": self.vertices.tolist()}

@@ -563,6 +563,9 @@ MEMBERSHIP_LISTS = {
     "cut6": cut_polytope_vertices(6),
     "cut7": cut_polytope_vertices(7),
     "cut8": cut_polytope_vertices(8),
+    "ham7": hamiltonian_cycle_vertices(7),
+    "ham8": hamiltonian_cycle_vertices(8),
+    "cut10": cut_polytope_vertices(10),
     "random6": np.random.default_rng(23).standard_normal((40, 6)),
     "square": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
 }
@@ -613,6 +616,62 @@ def test_enumerated_contains_on_degenerate_lists(name):
         assert region.contains(x, tol) is (distance == 0.0)
         assert (lp_hull_distance(V, x) <= tol) is (distance == 0.0)
         _assert_certified(V, x, tol, distance)
+
+
+def test_enumerated_contains_ends_when_the_lmo_repeats_a_corral_vertex(monkeypatch):
+    # Within a few tol of a face, rounding can keep p @ (v - x) just below
+    # tol ||p|| for the vertex v that lmo(p) returns from the corral itself.
+    # Without the repeat exit such a call would add v again until the cap.
+    monkeypatch.setattr(regions, "_MNP_MAX_ITERS", 100)  # well above the steps needed
+    rng, tol, repeats = np.random.default_rng(27), 1e-9, 0
+    lists = (hamiltonian_cycle_vertices(6), hamiltonian_cycle_vertices(7), cut_polytope_vertices(10))
+    for V in lists:
+        V = V.astype(float)
+        region, returned = Enumerated(V), []
+
+        def lmo(c):
+            v = Enumerated.lmo(region, c)
+            returned.append(v.id)
+            return v
+
+        region.lmo = lmo
+        for face, c in _exposed_faces(V, rng):
+            y = rng.dirichlet(np.ones(len(face))) @ V[face]
+            for k in (0.5, 0.9, 1.1, 2.0, 5.0, 10.0):  # x is k tol from the hull
+                x = y - k * tol * c
+                returned.clear()
+                inside = region.contains(x, tol)
+                assert inside is (float(np.linalg.norm(_min_norm_point(V - x)[2])) <= tol)
+                assert inside is (k < 1)
+                repeats += returned[-1] in returned[:-1]
+    assert repeats >= 10, repeats  # 72 of the 108 calls end so
+
+
+def test_shared_contains_matches_the_closed_forms():
+    # the LMO-driven rule that a region without a closed form gets, checked
+    # on regions that have one: convex combinations of LMO vertices, and the
+    # same points pushed 1e-6 and 1e-3 off in a random direction
+    rng = np.random.default_rng(28)
+    closed_forms = [r for r in ALL_REGIONS if r.kind in ("box", "simplex", "l1_ball")]
+    for region in closed_forms + [Birkhoff(4), DagPath(layered_dag_edges(3, 3))]:
+        for _ in range(60):
+            points = [region.lmo(rng.standard_normal(region.dim)).point
+                      for _ in range(int(rng.integers(1, 5)))]
+            x = rng.dirichlet(np.ones(len(points))) @ np.array(points)
+            u = rng.standard_normal(region.dim)
+            for delta in (0.0, 1e-6, 1e-3):
+                y = x + delta * u / np.linalg.norm(u)
+                assert regions.Region._contains(region, y, 1e-9) is region.contains(y, 1e-9), (
+                    region.kind, delta)
+
+
+@pytest.mark.parametrize("region", ALL_REGIONS, ids=lambda r: r.kind)
+def test_contains_rejects_a_negative_or_nan_tol(region):
+    member = region.lmo(np.ones(region.dim)).point
+    assert region.contains(member)
+    for tol in (-1e-3, -1e-300, np.nan):
+        with pytest.raises(ValueError, match="tol >= 0"):
+            region.contains(member, tol=tol)
 
 
 def test_enumerated_contains_raises_at_the_iteration_cap(monkeypatch):
