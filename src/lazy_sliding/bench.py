@@ -270,7 +270,6 @@ def resolve_constants(entry, region, objective, inst, x0):
     (``L``, ``sigma2``, ``D_0`` or ``delta0``) in ``constant``.
     """
     out = {name: float(v) for name, v in entry.get("constants", {}).items()}
-    out["alpha"] = float(entry.get("alpha", 1.0))
     out.setdefault("D_X", region.diameter())
     x_star = np.asarray(inst["objective"]["x_star"], dtype=float)
     estimators = {
@@ -319,7 +318,7 @@ def _prepare_entry(entry, budgets, region, objective, inst):
     # tag, outer, batch, eps or constant name fails before any estimate.
     config = SolverConfig(
         variant=entry.get("variant"),
-        constants=ProblemConstants(**dict(given, alpha=entry.get("alpha", 1.0))),
+        constants=ProblemConstants(**given),
         x0=_default_x0(region, entry.get("x0", "vertex"), inst),
         outer_limit=outer,
         schedule=None if sd is None else ScheduleVariant(
@@ -328,6 +327,7 @@ def _prepare_entry(entry, budgets, region, objective, inst):
         batch=None if entry.get("batch") is None else _integer(entry["batch"], "batch"),
         cache_capacity=_integer(entry.get("cache_capacity", 512), "cache_capacity"),
         eps=entry.get("eps"),
+        alpha=entry.get("alpha", 1.0),
     )
     if config.variant == "calgd_saddle" and not hasattr(objective, "smoothed"):
         raise ConfigError("variant 'calgd_saddle' needs a saddle objective; %s has no "

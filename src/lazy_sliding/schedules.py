@@ -100,8 +100,7 @@ class ProblemConstants:
     All fields are optional; `schedule_eval` raises a ConfigError naming any
     constant the chosen variant needs but does not find, or finds 0 where it
     needs a positive value.  Every given value must be a finite number, not
-    a bool.  mu defaults to 0 (no strong convexity), alpha to 1 (exact weak
-    separation).
+    a bool.  mu defaults to 0 (no strong convexity).
     """
 
     L: Optional[float] = None
@@ -113,7 +112,6 @@ class ProblemConstants:
     A_norm: Optional[float] = None
     sigma_omega: Optional[float] = None
     D_YW: Optional[float] = None
-    alpha: float = 1.0
     delta0: Optional[float] = None
 
     def __post_init__(self):
@@ -125,8 +123,6 @@ class ProblemConstants:
                                   % (name, v))
         if not _in_range(self.mu, 0):
             raise ConfigError("mu must be finite and nonnegative, got %r" % (self.mu,))
-        if not _in_range(self.alpha, 1):
-            raise ConfigError("alpha must be finite and >= 1, got %r" % (self.alpha,))
         if self.D_X is not None and self.D_0 is not None and self.D_0 > self.D_X * (1 + 1e-12):
             raise ConfigError("D_0 must not exceed D_X (%r > %r)" % (self.D_0, self.D_X))
 

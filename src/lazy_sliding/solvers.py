@@ -17,15 +17,17 @@ tau_k > 0.  A variant only chooses the schedules it accepts:
                           convergence under strong convexity
 - scgs              any smooth schedule, classical conditional gradient inner
                     solver: the lazy loop at alpha = 1 with no vertex cache,
-                    so one exact LMO per iterate; ignores cache_capacity
-- ofw               online Frank-Wolfe baseline with fixed exponents
+                    so one exact LMO per iterate
+- ofw               online Frank-Wolfe baseline with fixed exponents, one
+                    SFO sample per step unless ``batch`` says otherwise
 
 `run_solver` runs every variant in one loop, one trace row per iteration,
 and owns the whole state of the run as locals: the prox center x, the
 output y, the vertex cache, the counters, the random generator, ofw's
 gradient average and the last inner solve's Phi and certified gap.  A run
 is steered by its `SolverConfig` alone, every field of which an experiment
-config names; each inner solve runs at `lcg_solve`'s default query budget.
+config names and which settles what the baselines run with; each inner
+solve runs at `lcg_solve`'s default query budget.
 Every stochastic gradient, ofw's included, is one ``sfo_batch(z, size, rng)``
 call: the mean of ``size`` samples, counted as ``size`` SFO calls.
 Randomness is drawn from counter-based streams keyed (seed, outer index), so
@@ -33,8 +35,6 @@ changing one iteration's batch size never reshuffles any other iteration's
 samples and runs are bit-reproducible on one platform.
 """
 
-import math
-import numbers
 import time
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -57,6 +57,7 @@ from .schedules import (
     STRONGLY_CONVEX_STOCH_PHASE,
     ProblemConstants,
     ScheduleVariant,
+    _in_range,
     restart_phase_plan,
     schedule_eval,
 )
@@ -94,21 +95,18 @@ class SolverConfig:
     batch: Optional[int] = None          # fixed-batch override for comparability runs
     cache_capacity: int = 512
     eps: Optional[float] = None          # restart target accuracy
+    alpha: float = 1.0                   # the inner loop's weak separation relaxation K
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError("unknown solver variant %r" % (self.variant,))
         if self.outer_limit < 1:
             raise ConfigError("outer_limit must be >= 1")
-        if self.time_limit is not None and (
-                not isinstance(self.time_limit, numbers.Real) or isinstance(self.time_limit, bool)
-                or not 0 <= self.time_limit < math.inf):
+        if self.time_limit is not None and not _in_range(self.time_limit, 0):
             # a NaN limit never fires, and a negative one ends every run at once
             raise ConfigError("time_limit must be a finite number of seconds >= 0, got %r"
                               % (self.time_limit,))
-        if self.variant in RESTARTS and (
-                not isinstance(self.eps, numbers.Real) or isinstance(self.eps, bool)
-                or not 0 < self.eps < math.inf):
+        if self.variant in RESTARTS and not (_in_range(self.eps, 0) and self.eps > 0):
             # a NaN or infinite eps would plan zero phases and run nothing, and
             # a bool one is no accuracy at all
             raise ConfigError("restart variants require a finite target accuracy eps > 0, got %r"
@@ -127,6 +125,14 @@ class SolverConfig:
             raise ConfigError("batch override must be >= 1")
         if self.cache_capacity < 0:
             raise ConfigError("cache_capacity must be >= 0, got %r" % (self.cache_capacity,))
+        if not _in_range(self.alpha, 1):
+            raise ConfigError("alpha must be finite and >= 1, got %r" % (self.alpha,))
+        # what a run reads, settled once: the baselines call the exact LMO
+        # with no cache, and ofw takes one sample a step
+        if self.variant in ("scgs", "ofw"):
+            self.alpha, self.cache_capacity = 1.0, 0
+        if self.variant == "ofw" and self.batch is None:
+            self.batch = 1
 
 
 def _stream(rng, seed, k):
@@ -164,7 +170,7 @@ def _metadata(config, plan):
         "seed": config.seed,
         "schedule": None if config.schedule is None else {
             "tag": config.schedule.tag, "N": config.schedule.N, "s": config.schedule.s},
-        "alpha": config.constants.alpha,
+        "alpha": config.alpha,
         "batch_override": config.batch,
         "cache_capacity": config.cache_capacity,
         "outer_limit": config.outer_limit,
@@ -202,10 +208,7 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
     """
     plan = (restart_phase_plan(config.constants, RESTARTS[config.variant], config.eps)
             if config.variant in RESTARTS else None)
-    # scgs is the classical baseline: alpha = 1 and no cache, whatever the config says
-    scgs = config.variant == "scgs"
-    alpha = 1.0 if scgs else config.constants.alpha
-    cache = VertexCache(0 if scgs else config.cache_capacity, region.support)
+    cache = VertexCache(config.cache_capacity, region.support)
     counters = Counters()
     # one Philox generator per run, re-keyed to the stream (seed, outer_k)
     # for the draws of each iteration
@@ -223,9 +226,8 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
                 trace.metadata["status"] = "time_limit"
                 break
             if config.variant == "ofw":  # averaged stochastic gradient, one exact LMO
-                size = config.batch if config.batch is not None else 1
-                g = objective.sfo_batch(x, size, _stream(rng, config.seed, outer_k))
-                counters.sfo_calls += size
+                g = objective.sfo_batch(x, config.batch, _stream(rng, config.seed, outer_k))
+                counters.sfo_calls += config.batch
                 rho = k ** -OFW_RHO_EXP
                 avg_grad = g if avg_grad is None else (1.0 - rho) * avg_grad + rho * g
                 v = region.lmo(avg_grad)
@@ -239,7 +241,7 @@ def run_solver(config: SolverConfig, objective, region) -> RunTrace:
                 g = _gradient(objective, z, params, config.batch,
                               _stream(rng, config.seed, outer_k), counters)
                 sub = Subproblem(g, x, params.beta)
-                res = lcg_solve(sub, region, x, alpha, params.eta, cache, counters=counters)
+                res = lcg_solve(sub, region, x, config.alpha, params.eta, cache, counters=counters)
                 x = res.point
                 y = (1.0 - gamma) * y + gamma * x
                 # a solve returns only at Phi = eta

@@ -593,6 +593,8 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         dict(CALGD_ENTRY, name="bad", variant="calsgd", schedule=None),
         dict(CALGD_ENTRY, name="bad", variant="calgd_sc"),
         dict(CALGD_ENTRY, name="bad", alpha=0.5),
+        # alpha is the solver's setting, not a problem constant
+        dict(CALGD_ENTRY, name="bad", constants={"alpha": 4}),
         # rejected only when the schedule is evaluated with the resolved constants
         dict(CALGD_ENTRY, name="bad", variant="calgd_saddle", schedule={"tag": "saddle_dynamic"}),
         # generated least-squares instances have no smoothed max-function
@@ -1078,6 +1080,22 @@ def test_csv_header_exact_and_roundtrip(tmp_path):
         read_trace_csv(str(bad))
 
 
+def test_baselines_record_what_they_run(tmp_path):
+    # scgs and ofw run at alpha = 1 with no cache, and ofw one sample a step;
+    # meta.json says so, and an entry that says the same is accepted
+    entries = [dict(CALGD_ENTRY, name="scgs", variant="scgs", alpha=1, cache_capacity=0),
+               {"name": "ofw", "variant": "ofw", "outer": 5}]
+    out = tmp_path / "runs"
+    _, code = run_experiment(_experiment(tmp_path, entries), out_dir=str(out))
+    assert code == 0
+    for name in ("scgs", "ofw"):
+        meta = json.loads((out / ("%s__s0.meta.json" % name)).read_text())
+        assert meta["alpha"] == 1.0 and meta["cache_capacity"] == 0, meta
+        assert meta["final_counters"]["cache_hits"] == 0
+    ofw = json.loads((out / "ofw__s0.meta.json").read_text())
+    assert ofw["batch_override"] == 1 and ofw["final_counters"]["sfo_calls"] == 5
+
+
 def test_jobs_parallel_matches_sequential(tmp_path):
     config = _experiment(tmp_path, _paired_entries(), seeds=(0,), outer=20)
     seq, par = tmp_path / "seq", tmp_path / "par"
@@ -1380,6 +1398,8 @@ def test_cli_csr_instance_with_a_column_past_n_exits_2(tmp_path, capsys):
      "constant L must be a finite nonnegative number, got '1'"),
     ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, alpha="2")]},
      "alpha must be finite and >= 1, got '2'"),
+    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, constants={"alpha": 4})]},
+     "unexpected keyword argument 'alpha'"),
     ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, constants={"L": None})]},
      "solver entry 0 (calgd): constant L is null"),
     # a solver name prefixes its run files: one file name, not shared
@@ -1401,6 +1421,7 @@ def test_cli_csr_instance_with_a_column_past_n_exits_2(tmp_path, capsys):
         "summarize-missing-dir", "gen-spec-key", "gen-objective-density-key",
         "gen-objective-format-key", "run-config-key", "run-budgets-key", "run-entry-key",
         "run-schedule-key", "run-constants-pairs", "run-constant-string", "run-alpha-string",
+        "run-constants-alpha",
         "run-constant-null", "run-name-slash", "run-name-dotdot", "run-name-number",
         "run-name-empty", "run-names-repeat"])
 def test_cli_rejected_input_exits_2(tmp_path, capsys, command, config, fault):

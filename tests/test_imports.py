@@ -85,10 +85,16 @@ def test_variant_literal_scan_finds_comparisons():
 
 def test_solvers_dispatch_on_no_variant_but_ofw_and_scgs():
     # the schedule decides the gradient; a variant name only picks ofw's own
-    # loop and scgs's alpha = 1 without a cache
+    # loop in run_solver, and the baselines' settings in SolverConfig
     with open(os.path.join(PACKAGE_DIR, "solvers.py")) as fh:
-        literals = _variant_literals(fh.read())
+        source = fh.read()
+    literals = _variant_literals(source)
     assert {value for _, value in literals} <= {"ofw", "scgs"}, literals
+    run_solver = next(node for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.FunctionDef) and node.name == "run_solver")
+    in_run = [value for line, value in literals
+              if run_solver.lineno <= line <= run_solver.end_lineno]
+    assert set(in_run) == {"ofw"}, in_run
 
 
 def _scipy_imports(source):

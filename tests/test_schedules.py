@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lazy_sliding import ConfigError, ProblemConstants, ScheduleVariant, schedule_eval
+from lazy_sliding import (ConfigError, ProblemConstants, ScheduleVariant, SolverConfig,
+                          schedule_eval)
 from lazy_sliding.schedules import NEEDS, VALID_TAGS, restart_phase_plan
 
 from helpers import EXACT_TAGS
@@ -13,6 +14,11 @@ DET_PHASE, STOCH_PHASE = "strongly_convex_det_phase", "strongly_convex_stoch_pha
 
 def _sv(tag, **kw):
     return ScheduleVariant(tag, **kw)
+
+
+def _solver(**kw):
+    """A SolverConfig that needs no schedule, to check the solver's own settings."""
+    return SolverConfig("ofw", ProblemConstants(), np.zeros(2), 1, **kw)
 
 
 def test_smooth_stochastic_worked_example():
@@ -220,16 +226,19 @@ def test_variant_validation():
     with pytest.raises(ConfigError):
         _sv("strongly_convex_det_phase", N=5)     # missing s
     with pytest.raises(ValueError):
-        ProblemConstants(L=1.0, D_X=1.0, alpha=0.5)
+        _solver(alpha=0.5)
     with pytest.raises(ValueError):
         ProblemConstants(L=1.0, D_X=1.0, D_0=2.0)  # D_0 > D_X
-    for bad in ({"L": math.nan}, {"sigma2": math.inf}, {"mu": math.nan}, {"alpha": math.inf}):
+    for bad in ({"L": math.nan}, {"sigma2": math.inf}, {"mu": math.nan}):
         with pytest.raises(ConfigError, match="finite"):
             ProblemConstants(**bad)
+    with pytest.raises(ConfigError, match="finite"):
+        _solver(alpha=math.inf)
 
 
 @pytest.mark.parametrize("bad", [{"L": "1"}, {"D_X": [1.0]}, {"mu": "0"}, {"alpha": "2"}])
 def test_constants_must_be_numbers(bad):
-    # a ConfigError, not the TypeError of comparing a string with a number
+    # a ConfigError, not the TypeError of comparing a string with a number;
+    # alpha is the solver's setting, the others the problem's constants
     with pytest.raises(ConfigError, match="finite"):
-        ProblemConstants(**bad)
+        _solver(**bad) if "alpha" in bad else ProblemConstants(**bad)

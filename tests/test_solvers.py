@@ -119,9 +119,9 @@ def test_calgd_anytime_bound(monkeypatch):
     _, base, _ = _simplex_ls(rng, m=10, n=8)
     L = estimate_L(base)
     D = math.sqrt(2.0)
-    c = ProblemConstants(L=L, D_X=D, alpha=1.0)
+    c = ProblemConstants(L=L, D_X=D)
     cfg = SolverConfig("calgd", c, _vertex(8), 60,
-                       schedule=ScheduleVariant("smooth_deterministic"))
+                       schedule=ScheduleVariant("smooth_deterministic"), alpha=1.0)
     solves = _audited_solves(monkeypatch)
     tr = run_solver(cfg, base, Simplex(8))
     for k, f in zip(tr.column("outer_k"), tr.column("f_value")):
@@ -136,9 +136,9 @@ def test_calgd_fixed_n_bound():
     x0 = _vertex(8)
     D0 = float(np.linalg.norm(x0 - xs))
     N = 50
-    c = ProblemConstants(L=L, D_X=math.sqrt(2.0), D_0=D0, alpha=1.0)
+    c = ProblemConstants(L=L, D_X=math.sqrt(2.0), D_0=D0)
     cfg = SolverConfig("calgd", c, x0, N,
-                       schedule=ScheduleVariant("smooth_deterministic_fixed_n", N=N))
+                       schedule=ScheduleVariant("smooth_deterministic_fixed_n", N=N), alpha=1.0)
     tr = run_solver(cfg, base, Simplex(8))
     assert tr.column("f_value")[-1] <= 6.0 * L * D0 * D0 / (N * (N + 1))
 
@@ -155,24 +155,22 @@ def test_scgs_identical_to_calsgd_without_cache():
     obj, base, xs = _simplex_ls(rng, noise=0.0)
     x0 = _vertex(6)
     c = ProblemConstants(L=estimate_L(base), sigma2=0.0, D_X=math.sqrt(2.0),
-                         D_0=min(math.sqrt(2.0), float(np.linalg.norm(x0 - xs))),
-                         alpha=1.0)
+                         D_0=min(math.sqrt(2.0), float(np.linalg.norm(x0 - xs))))
     N = 80
     sv = ScheduleVariant("smooth_stochastic_fixed_n", N=N)
     tr_lazy0 = run_solver(SolverConfig("calsgd", c, x0, N, schedule=sv, seed=1,
-                                       cache_capacity=0), obj, Simplex(6))
+                                       cache_capacity=0, alpha=1.0), obj, Simplex(6))
     tr_scgs = run_solver(SolverConfig("scgs", c, x0, N, schedule=sv, seed=1,
-                                      cache_capacity=0), obj, Simplex(6))
+                                      cache_capacity=0, alpha=1.0), obj, Simplex(6))
     assert _drop_wall(tr_lazy0) == _drop_wall(tr_scgs)
     assert tr_scgs.column("weak_sep_calls")[-1] > 0
-    # scgs ignores cache_capacity and the alpha constant
-    c2 = dataclasses.replace(c, alpha=2.0)
-    tr_scgs2 = run_solver(SolverConfig("scgs", c2, x0, N, schedule=sv, seed=1,
-                                       cache_capacity=512), obj, Simplex(6))
+    # SolverConfig runs scgs at alpha = 1 with no cache, whatever it is given
+    tr_scgs2 = run_solver(SolverConfig("scgs", c, x0, N, schedule=sv, seed=1,
+                                       cache_capacity=512, alpha=2.0), obj, Simplex(6))
     assert _drop_wall(tr_scgs2) == _drop_wall(tr_scgs)
     assert tr_scgs2.metadata["final_counters"]["cache_hits"] == 0
     tr_lazy = run_solver(SolverConfig("calsgd", c, x0, N, schedule=sv, seed=1,
-                                      cache_capacity=512), obj, Simplex(6))
+                                      cache_capacity=512, alpha=1.0), obj, Simplex(6))
     assert tr_lazy.column("exact_lmo_calls")[-1] < tr_scgs.column("exact_lmo_calls")[-1]
     assert tr_lazy.column("cache_hits")[-1] > 0
     # paired comparison contract: same SFO usage per outer iteration
@@ -599,9 +597,9 @@ def test_config_validation():
 def test_trace_metadata_fields():
     rng = np.random.default_rng(12)
     obj, base, _ = _simplex_ls(rng)
-    c = ProblemConstants(L=estimate_L(base), D_X=math.sqrt(2.0), alpha=2.0)
+    c = ProblemConstants(L=estimate_L(base), D_X=math.sqrt(2.0))
     cfg = SolverConfig("calgd", c, _vertex(6), 5,
-                       schedule=ScheduleVariant("smooth_deterministic"), seed=42)
+                       schedule=ScheduleVariant("smooth_deterministic"), seed=42, alpha=2.0)
     tr = run_solver(cfg, base, Simplex(6))
     md = tr.metadata
     assert md["variant"] == "calgd" and md["seed"] == 42
