@@ -300,7 +300,8 @@ def _prepare_entry(entry, budgets, region, objective, inst):
 
     Raises if a run of the entry would reject it, including a schedule that
     needs a constant the entry neither gives nor gets estimated, or would
-    ignore its ``batch`` under a schedule that takes exact gradients.  A
+    ignore its ``batch`` under a schedule that takes exact gradients, or its
+    ``alpha``, ``cache_capacity`` or ``eps`` where its variant runs another.  A
     NumericalError from estimating a constant is returned in place of the
     config, so that each run of the entry records it.
     """
@@ -329,6 +330,10 @@ def _prepare_entry(entry, budgets, region, objective, inst):
         eps=entry.get("eps"),
         alpha=entry.get("alpha", 1.0),
     )
+    for key in ("alpha", "cache_capacity", "eps"):  # as SolverConfig settled them
+        if key in entry and entry[key] != getattr(config, key):
+            raise ConfigError("variant %r runs with %s %r, not the entry's %r"
+                              % (config.variant, key, getattr(config, key), entry[key]))
     if config.variant == "calgd_saddle" and not hasattr(objective, "smoothed"):
         raise ConfigError("variant 'calgd_saddle' needs a saddle objective; %s has no "
                           "smoothed max-function" % type(objective).__name__)
@@ -401,14 +406,16 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     runs of this experiment only, from the rows they return: no file is read
     back.  The instance is loaded once, and each solver entry's x0 and
     constants are resolved once and checked (schedule included) before the
-    first run.  Bad seeds (parsed first, so they cost no estimate), a config
-    without an instance path or a solvers list, an unread key, an unreadable
-    instance file, a bad entry, or a solver name (the variant's, if the entry
-    gives none) that is not a file name or repeats another raise ConfigError
-    before anything is written.
+    first run.  Bad seeds or ``jobs`` (checked first, so they cost no
+    estimate), a config without an instance path or a solvers list, an
+    unread key, an unreadable instance file, a bad entry, or a solver name
+    (the variant's, if the entry gives none) that is not a file name or
+    repeats another raise ConfigError before anything is written.
     """
     _object(config, "experiment config", {"instance", "seeds", "budgets", "solvers", "out_dir"})
     seeds = parse_seeds(config.get("seeds", [0]) if seeds is None else seeds)
+    if _integer(jobs, "jobs") < 1:
+        raise ConfigError("jobs must be >= 1, got %r" % (jobs,))
     instance, entries = config.get("instance"), config.get("solvers", [])
     if not isinstance(instance, str) or not isinstance(entries, list):
         raise ConfigError("a config needs an instance path and a solvers list, got "

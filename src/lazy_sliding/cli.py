@@ -26,10 +26,17 @@ def _cmd_gen(args):
     spec = _read_config(args.config)
     if args.seed is not None:
         spec["seed"] = args.seed
-    inst = gen_instance(spec)
     out = args.out or "instance.json"
-    if os.path.isdir(out):
+    if os.path.isdir(out) or out.endswith(os.sep):
         out = os.path.join(out, "instance.json")
+    # checked before any work; a missing directory is made after, as run makes its --out
+    parent = ancestor = os.path.dirname(os.path.abspath(out))
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor) or not os.access(ancestor, os.W_OK | os.X_OK):
+        raise ConfigError("cannot write %r: %r is not a writable directory" % (out, ancestor))
+    inst = gen_instance(spec)
+    os.makedirs(parent, exist_ok=True)
     write_json(out, inst)
     print("wrote %s (region=%s, dim=%d, m=%d)" % (
         out, inst["region"]["kind"], len(inst["objective"]["x_star"]),

@@ -128,11 +128,13 @@ class SolverConfig:
         if not _in_range(self.alpha, 1):
             raise ConfigError("alpha must be finite and >= 1, got %r" % (self.alpha,))
         # what a run reads, settled once: the baselines call the exact LMO
-        # with no cache, and ofw takes one sample a step
+        # with no cache, ofw takes one sample a step, and only a restart has eps
         if self.variant in ("scgs", "ofw"):
             self.alpha, self.cache_capacity = 1.0, 0
         if self.variant == "ofw" and self.batch is None:
             self.batch = 1
+        if self.variant not in RESTARTS:
+            self.eps = None
 
 
 def _stream(rng, seed, k):

@@ -595,6 +595,14 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         dict(CALGD_ENTRY, name="bad", alpha=0.5),
         # alpha is the solver's setting, not a problem constant
         dict(CALGD_ENTRY, name="bad", constants={"alpha": 4}),
+        # a value the variant never reads: the baselines run at alpha = 1 with
+        # no cache, and only a restart variant reads eps
+        dict(CALGD_ENTRY, name="bad", variant="scgs", alpha=4),
+        dict(CALGD_ENTRY, name="bad", variant="scgs", cache_capacity=64),
+        dict(CALGD_ENTRY, name="bad", variant="ofw", schedule=None, alpha=3),
+        dict(CALGD_ENTRY, name="bad", variant="ofw", schedule=None, cache_capacity=7),
+        dict(CALGD_ENTRY, name="bad", variant="calsgd", schedule={"tag": "smooth_stochastic"},
+             eps=0.5),
         # rejected only when the schedule is evaluated with the resolved constants
         dict(CALGD_ENTRY, name="bad", variant="calgd_saddle", schedule={"tag": "saddle_dynamic"}),
         # generated least-squares instances have no smoothed max-function
@@ -1080,6 +1088,15 @@ def test_csv_header_exact_and_roundtrip(tmp_path):
         read_trace_csv(str(bad))
 
 
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, True])
+def test_jobs_below_one_is_rejected(tmp_path, jobs):
+    config = _experiment(tmp_path, [CALGD_ENTRY])
+    out = tmp_path / "runs"
+    with pytest.raises(ConfigError, match="jobs"):
+        run_experiment(config, out_dir=str(out), jobs=jobs)
+    assert not out.exists()
+
+
 def test_baselines_record_what_they_run(tmp_path):
     # scgs and ofw run at alpha = 1 with no cache, and ofw one sample a step;
     # meta.json says so, and an entry that says the same is accepted
@@ -1235,6 +1252,39 @@ def test_cli_gen_into_a_directory_writes_instance_json(tmp_path, capsys):
     written = tmp_path / "direct.json"
     write_json(str(written), gen_instance(SIMPLEX_SPEC))
     assert (out_dir / "instance.json").read_bytes() == written.read_bytes()
+
+
+def test_cli_gen_makes_a_missing_directory(tmp_path, capsys):
+    spec_path, inst_path = tmp_path / "spec.json", tmp_path / "a" / "b" / "inst.json"
+    spec_path.write_text(json.dumps(SIMPLEX_SPEC))
+    assert main(["gen", "--config", str(spec_path), "--out", str(inst_path)]) == 0
+    assert inst_path.exists()
+    # an --out ending in a separator names a directory
+    assert main(["gen", "--config", str(spec_path), "--out", str(tmp_path / "d") + os.sep]) == 0
+    assert (tmp_path / "d" / "instance.json").exists()
+    # a spec it rejects makes no directory
+    spec_path.write_text(json.dumps(dict(SIMPLEX_SPEC, sead=3)))
+    assert main(["gen", "--config", str(spec_path), "--out", str(tmp_path / "c" / "i.json")]) == 2
+    assert not (tmp_path / "c").exists()
+
+
+def test_cli_gen_into_an_unwritable_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    spec_path, parent = tmp_path / "spec.json", tmp_path / "file"
+    spec_path.write_text(json.dumps(SIMPLEX_SPEC))
+    parent.write_text("")
+
+    def no_generation(spec):
+        raise AssertionError("generated before checking where it writes")
+
+    monkeypatch.setattr(cli, "gen_instance", no_generation)
+    assert main(["gen", "--config", str(spec_path), "--out", str(parent / "inst.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lazy-sliding: error: cannot write") and "Traceback" not in err
+    # a directory this process may not write to
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert main(["gen", "--config", str(spec_path), "--out", str(tmp_path / "inst.json")]) == 2
+    assert "is not a writable directory" in capsys.readouterr().err
+    assert not (tmp_path / "inst.json").exists()
 
 
 def test_cli_run_time_limit_overrides_the_budget(tmp_path):
