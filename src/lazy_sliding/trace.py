@@ -1,6 +1,6 @@
 """Run counters and the per-iteration trace table written by the solvers."""
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import List
 
@@ -28,8 +28,6 @@ _TRACE_DTYPE = np.dtype([
 TRACE_COLUMNS = _TRACE_DTYPE.names
 
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
-
-_INDEX = {name: i for i, name in enumerate(TRACE_COLUMNS)}
 
 
 @dataclass
@@ -64,34 +62,13 @@ def _fmt(v):
     return str(v) if isinstance(v, int) else "%.17g" % (v,)
 
 
-class TraceRow(Mapping):
-    """One trace row, read-only: its values by column name as Python ints and floats."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values):
-        self._values = values
-
-    def __getitem__(self, name):
-        return self._values[_INDEX[name]]
-
-    def __iter__(self):
-        return iter(TRACE_COLUMNS)
-
-    def __len__(self):
-        return len(TRACE_COLUMNS)
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
 class TraceTable(Sequence):
     """Read-only trace rows held in one `_TRACE_DTYPE` structured array.
 
-    A row is a `TraceRow`, made when it is read, so the table keeps 88 bytes
-    per row where a dict per row keeps about 700.  ``column(name)`` is the
-    column as a read-only ndarray.  A table equals a list of rows (dicts or
-    `TraceRow`s) with the same values.
+    A row is a plain dict of Python ints and floats, made when it is read,
+    so the table keeps 88 bytes per row where a stored dict keeps about 700.
+    ``column(name)`` is the column as a read-only ndarray.  A table equals a
+    list of dicts with the same values.
     """
 
     __slots__ = ("_array",)
@@ -105,10 +82,10 @@ class TraceTable(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return TraceTable(self._array[i])
-        return TraceRow(self._array[i].item())
+        return dict(zip(TRACE_COLUMNS, self._array[i].item()))
 
     def __iter__(self):
-        return map(TraceRow, self._array.tolist())
+        return (dict(zip(TRACE_COLUMNS, row)) for row in self._array.tolist())
 
     def __len__(self):
         return len(self._array)
@@ -117,8 +94,6 @@ class TraceTable(Sequence):
         if isinstance(other, (TraceTable, list)):
             return list(self) == list(other)
         return NotImplemented
-
-    __hash__ = None
 
     def __repr__(self):
         return "TraceTable(%r)" % (list(self),)

@@ -1151,7 +1151,7 @@ def test_returned_rows_equal_the_written_trace(tmp_path, monkeypatch, jobs):
     assert nans == 2 * 30  # ofw has no inner solve to certify
 
 
-def test_trace_table_reads_like_a_list_of_dicts():
+def test_trace_table_reads_like_a_list_of_dicts(tmp_path):
     rows = [(k, 0.5 * k, 1.0 / k, 4 * k, 0, k, 2 * k, k // 2, 2 * k, float("nan"), 1e-3)
             for k in range(1, 6)]
     table = TraceTable(rows)
@@ -1167,6 +1167,15 @@ def test_trace_table_reads_like_a_list_of_dicts():
     assert column.tolist() == [1.0 / k for k in range(1, 6)]
     with pytest.raises(ValueError):
         column[0] = 0.0  # read-only
+    # a row is a plain dict, made on read: writing to it changes no other read
+    path = tmp_path / "t.csv"
+    RunTrace(rows=rows).write_csv(str(path))
+    assert type(table[0]) is dict and all(type(r) is dict for r in table)
+    assert all(type(r) is dict for r in read_trace_csv(str(path)))
+    row = table[0]
+    row["f_value"], row["extra"] = -1.0, 0
+    assert _typed_reprs([table[0]]) == _typed_reprs(dicts[:1])
+    assert table.column("f_value").tolist() == [1.0 / k for k in range(1, 6)]
 
 
 def test_first_crossings_match_a_scan_of_the_rows():
