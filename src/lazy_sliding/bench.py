@@ -21,7 +21,7 @@ import itertools
 import json
 import numbers
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -301,7 +301,8 @@ def _prepare_entry(entry, budgets, region, objective, inst):
     Raises if a run of the entry would reject it, including a schedule that
     needs a constant the entry neither gives nor gets estimated, or would
     ignore its ``batch`` under a schedule that takes exact gradients, or its
-    ``alpha``, ``cache_capacity`` or ``eps`` where its variant runs another.  A
+    ``alpha``, ``cache_capacity``, ``eps`` or ``outer`` where its variant runs
+    another; the budget's ``outer`` is every entry's default, never rejected.  A
     NumericalError from estimating a constant is returned in place of the
     config, so that each run of the entry records it.
     """
@@ -311,7 +312,8 @@ def _prepare_entry(entry, budgets, region, objective, inst):
     sd = entry.get("schedule")
     if sd is not None:
         _object(sd, "schedule", {"tag", "N"})
-    given = _object(entry.get("constants", {}), "constants")
+    given = _object(entry.get("constants", {}), "constants",
+                    {f.name for f in fields(ProblemConstants)})
     for name, value in given.items():
         if value is None:  # JSON null: neither a value nor left out
             raise ConfigError("constant %s is null; give a number or leave it out" % (name,))
@@ -326,14 +328,17 @@ def _prepare_entry(entry, budgets, region, objective, inst):
             sd["tag"], N=_integer(sd.get("N", outer), "schedule N")),
         time_limit=budgets.get("wall_seconds"),
         batch=None if entry.get("batch") is None else _integer(entry["batch"], "batch"),
-        cache_capacity=_integer(entry.get("cache_capacity", 512), "cache_capacity"),
+        cache_capacity=_integer(entry.get("cache_capacity", SolverConfig.cache_capacity),
+                                "cache_capacity"),
         eps=entry.get("eps"),
-        alpha=entry.get("alpha", 1.0),
+        alpha=entry.get("alpha", SolverConfig.alpha),
     )
-    for key in ("alpha", "cache_capacity", "eps"):  # as SolverConfig settled them
-        if key in entry and entry[key] != getattr(config, key):
+    settled = {"alpha": config.alpha, "cache_capacity": config.cache_capacity,
+               "eps": config.eps, "outer": config.outer_limit}  # as SolverConfig settled them
+    for key, value in settled.items():
+        if key in entry and entry[key] != value:
             raise ConfigError("variant %r runs with %s %r, not the entry's %r"
-                              % (config.variant, key, getattr(config, key), entry[key]))
+                              % (config.variant, key, value, entry[key]))
     if config.variant == "calgd_saddle" and not hasattr(objective, "smoothed"):
         raise ConfigError("variant 'calgd_saddle' needs a saddle objective; %s has no "
                           "smoothed max-function" % type(objective).__name__)

@@ -88,7 +88,7 @@ class SolverConfig:
     variant: str
     constants: ProblemConstants
     x0: np.ndarray
-    outer_limit: int
+    outer_limit: Optional[int]           # None for a restart, which runs its phase plan
     schedule: Optional[ScheduleVariant] = None
     seed: int = 0
     time_limit: Optional[float] = None
@@ -100,7 +100,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError("unknown solver variant %r" % (self.variant,))
-        if self.outer_limit < 1:
+        if not (self.outer_limit is None and self.variant in RESTARTS) and self.outer_limit < 1:
             raise ConfigError("outer_limit must be >= 1")
         if self.time_limit is not None and not _in_range(self.time_limit, 0):
             # a NaN limit never fires, and a negative one ends every run at once
@@ -128,12 +128,15 @@ class SolverConfig:
         if not _in_range(self.alpha, 1):
             raise ConfigError("alpha must be finite and >= 1, got %r" % (self.alpha,))
         # what a run reads, settled once: the baselines call the exact LMO
-        # with no cache, ofw takes one sample a step, and only a restart has eps
+        # with no cache, ofw takes one sample a step, and only a restart has
+        # eps, while its phase plan, not outer_limit, sets its length
         if self.variant in ("scgs", "ofw"):
             self.alpha, self.cache_capacity = 1.0, 0
         if self.variant == "ofw" and self.batch is None:
             self.batch = 1
-        if self.variant not in RESTARTS:
+        if self.variant in RESTARTS:
+            self.outer_limit = None
+        else:
             self.eps = None
 
 
@@ -198,7 +201,7 @@ def _iterations(config, plan):
 
 
 def run_solver(config: SolverConfig, objective, region) -> RunTrace:
-    """Run one solver to its outer limit, returning the per-iteration trace.
+    """Run one solver to its outer limit or phase plan, returning the per-iteration trace.
 
     Every variant runs through this loop.  A restart run concatenates its
     phases under a globally increasing outer index, keeps its cache across

@@ -561,12 +561,14 @@ CALGD_ENTRY = {
     "outer": 60,
 }
 
+# a restart's phase plan, not an outer, sets its length, so it takes no outer
+RESTART_ENTRY = {"name": "calgd_sc", "variant": "calgd_sc", "eps": 1e-3}
+
 
 def test_batch_on_an_exact_gradient_entry_is_rejected(tmp_path):
     # a run whose schedule takes exact gradients would ignore the batch
     for entry in (dict(CALGD_ENTRY, batch=128), dict(CALGD_ENTRY, variant="scgs", batch=128),
-                  dict(CALGD_ENTRY, variant="calgd_sc", schedule=None, eps=1e-3, batch=4,
-                       constants={"mu": 1.0})):
+                  dict(RESTART_ENTRY, batch=4, constants={"mu": 1.0})):
         out = tmp_path / "runs"
         with pytest.raises(ConfigError, match="takes exact gradients"):
             run_experiment(_experiment(tmp_path, [entry]), out_dir=str(out))
@@ -591,7 +593,7 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         # rejected only by the SolverConfig each run would build
         dict(CALGD_ENTRY, name="bad", variant="calsgd", schedule={"tag": "saddle_static"}),
         dict(CALGD_ENTRY, name="bad", variant="calsgd", schedule=None),
-        dict(CALGD_ENTRY, name="bad", variant="calgd_sc"),
+        {"name": "bad", "variant": "calgd_sc"},
         dict(CALGD_ENTRY, name="bad", alpha=0.5),
         # alpha is the solver's setting, not a problem constant
         dict(CALGD_ENTRY, name="bad", constants={"alpha": 4}),
@@ -603,6 +605,7 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         dict(CALGD_ENTRY, name="bad", variant="ofw", schedule=None, cache_capacity=7),
         dict(CALGD_ENTRY, name="bad", variant="calsgd", schedule={"tag": "smooth_stochastic"},
              eps=0.5),
+        dict(RESTART_ENTRY, name="bad", constants={"mu": 1.0}, outer=60),
         # rejected only when the schedule is evaluated with the resolved constants
         dict(CALGD_ENTRY, name="bad", variant="calgd_saddle", schedule={"tag": "saddle_dynamic"}),
         # generated least-squares instances have no smoothed max-function
@@ -621,8 +624,7 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         dict(CALGD_ENTRY, name="bad", constants={"L": float("inf")}),
         dict(CALGD_ENTRY, name="bad", variant="calsgd", schedule={"tag": "smooth_stochastic"},
              constants={"L": 0.0}),
-        dict(CALGD_ENTRY, name="bad", variant="calgd_sc", schedule=None, eps=1e-3,
-             constants={"L": 0.0, "mu": 1.0}),
+        dict(RESTART_ENTRY, name="bad", constants={"L": 0.0, "mu": 1.0}),
         # a fractional, boolean or string count is not truncated or converted
         dict(CALGD_ENTRY, name="bad", batch=1.5),
         dict(CALGD_ENTRY, name="bad", batch=True),
@@ -631,10 +633,9 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         dict(CALGD_ENTRY, name="bad", cache_capacity=3.9),
         dict(CALGD_ENTRY, name="bad", schedule={"tag": "smooth_deterministic_fixed_n", "N": 10.5}),
         dict(CALGD_ENTRY, name="bad", schedule={"tag": "smooth_deterministic", "s": "1"}),
-        dict(CALGD_ENTRY, name="bad", variant="calgd_sc", schedule=None, eps=1e-3),  # no mu
+        dict(RESTART_ENTRY, name="bad"),  # no mu
         # a NaN eps plans zero restart phases
-        dict(CALGD_ENTRY, name="bad", variant="calgd_sc", schedule=None, eps=float("nan"),
-             constants={"mu": 1.0}),
+        dict(RESTART_ENTRY, name="bad", eps=float("nan"), constants={"mu": 1.0}),
         # a list x0 must be a point of the region
         dict(CALGD_ENTRY, name="bad", x0=[1.0, 0.0]),
         dict(CALGD_ENTRY, name="bad", x0=[2, 0, 0, 0, 0, 0]),
@@ -645,6 +646,10 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         with pytest.raises(ConfigError, match=r"solver entry 1 \(bad\)"):
             run_experiment(config, out_dir=str(out))
         assert not out.exists() or not any(out.iterdir())
+    # an unknown constant is named with the constants an entry takes
+    config = _experiment(tmp_path, [dict(CALGD_ENTRY, constants={"L_typo": 1.0})])
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) 'L_typo'; it takes .*\bL, M\b"):
+        run_experiment(config, out_dir=str(tmp_path / "typo_runs"))
     # a time budget that is not a finite number of seconds >= 0: a string
     # fails in the first run, NaN never stops a run and -1 stops every one
     for wall_seconds in ("10", float("nan"), -1):
@@ -654,6 +659,23 @@ def test_bad_entry_fails_before_any_run(tmp_path):
         with pytest.raises(ConfigError, match="time_limit"):
             run_experiment(config, out_dir=str(out))
         assert not out.exists()
+
+
+def test_restart_run_length_is_its_phase_plan(tmp_path):
+    # the budget's outer is only a default, which a restart entry does not read
+    for variant in ("calgd_sc", "calsgd_sc"):
+        lengths = set()
+        for outer in (1, 500):
+            entry = dict(RESTART_ENTRY, name=variant, variant=variant, eps=0.1,
+                         constants={"mu": 100.0})
+            out = tmp_path / ("%s_%d" % (variant, outer))
+            _, code = run_experiment(_experiment(tmp_path, [entry], outer=outer), out_dir=str(out))
+            meta = json.loads((out / ("%s__s0.meta.json" % variant)).read_text())
+            rows = read_trace_csv(str(out / ("%s__s0.csv" % variant)))
+            assert code == 0 and meta["outer_limit"] is None and meta["phases"] > 1
+            assert len(rows) == meta["phase_length"] * meta["phases"]
+            lengths.add(len(rows))
+        assert len(lengths) == 1
 
 
 def test_integer_fields_must_be_integers(tmp_path):
@@ -1430,8 +1452,7 @@ def test_cli_csr_instance_with_a_column_past_n_exits_2(tmp_path, capsys):
      "mu must be finite and nonnegative, got True"),
     ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, alpha=True)]},
      "alpha must be finite and >= 1, got True"),
-    ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, variant="calgd_sc",
-                                                      schedule=None, eps=True)]},
+    ("run", {"instance": "INSTANCE", "solvers": [dict(RESTART_ENTRY, eps=True)]},
      "eps > 0, got True"),
     ("summarize", None, "no directory"),
     # a key nothing reads, which would otherwise leave its default in force
@@ -1458,7 +1479,8 @@ def test_cli_csr_instance_with_a_column_past_n_exits_2(tmp_path, capsys):
     ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, alpha="2")]},
      "alpha must be finite and >= 1, got '2'"),
     ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, constants={"alpha": 4})]},
-     "unexpected keyword argument 'alpha'"),
+     "solver entry 0 (calgd): constants has unknown key(s) 'alpha'; it takes A_norm, D_0, "
+     "D_X, D_YW, L, M, delta0, mu, sigma2, sigma_omega"),
     ("run", {"instance": "INSTANCE", "solvers": [dict(CALGD_ENTRY, constants={"L": None})]},
      "solver entry 0 (calgd): constant L is null"),
     # a solver name prefixes its run files: one file name, not shared

@@ -55,11 +55,18 @@ def test_every_solver_config_field_is_set_by_an_experiment_entry():
         tree = ast.parse(fh.read())
     prepare = next(node for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef) and node.name == "_prepare_entry")
-    named = {kw.arg for node in ast.walk(prepare)
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SolverConfig"
-             for kw in node.keywords}
+    keywords = [kw for node in ast.walk(prepare)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SolverConfig"
+                for kw in node.keywords]
+    named = {kw.arg for kw in keywords}
     # _run_one sets the seed of each run
     assert {f.name for f in dataclasses.fields(SolverConfig)} - named == {"seed"}
+    # a default is SolverConfig's own: a literal copy would split entry runs from Python runs
+    literal_defaults = [kw.arg for kw in keywords for node in ast.walk(kw.value)
+                        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get"
+                        and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                        and type(node.args[1].value) in (int, float)]
+    assert literal_defaults == [], literal_defaults
 
 
 def _variant_literals(source):
