@@ -3,8 +3,9 @@
 Instances are least-squares problems f(x) = ||A x - b||^2 over one of the
 feasible regions, with b = A x_star for a feasible x_star so the optimum
 value is exactly zero and objective thresholds are meaningful across
-instances.  Everything is JSON on disk and deterministic given the seed and
-the BLAS thread count, whose split of b = A @ x_star can move its rounding.
+instances.  Everything is JSON on disk and deterministic given the seed and,
+for a dense A, the BLAS thread count, whose split of b = A @ x_star can move
+its rounding.  A CSR A is drawn a block of rows at a time.
 
 In an instance file the numeric arrays (A or its CSR parts, b, x_star, and
 the vertices of an enumerated region) are ``{"__ndarray__": dtype, "shape":
@@ -16,6 +17,7 @@ region specs stay plain lists.
 
 import base64
 import binascii
+import copy
 import hashlib
 import itertools
 import json
@@ -114,6 +116,42 @@ def _sample_x_star(region, rng, averages=10):
     return np.mean(pts, axis=0)
 
 
+def _csr_draw(rng, region, m, density):
+    """(CSR ``A``, ``b``, ``x_star``) as the dense draw gives them, drawn a row block at a time.
+
+    The mask takes stream positions [0, m n) of ``rng``, the values and
+    ``x_star`` copies of its bit generator advanced by m n and 2 m n, as in
+    the dense draw.  ``A`` holds what ``scipy.sparse.csr_matrix`` holds: C
+    order, no entry of value 0.0, int32 indices unless a count does not fit.
+    ``b`` is formed 4 rows at a time (the last group takes the left-over
+    rows), as one-thread OpenBLAS forms ``A @ x_star``, so it rounds as that
+    does at 1 and at 2 BLAS threads (tested).
+    """
+    n = region.dim
+    values, rest = (np.random.Generator(copy.deepcopy(rng.bit_generator).advance(k * m * n))
+                    for k in (1, 2))
+    x_star = _sample_x_star(region, rest)
+    height = max(4, (1 << 18) // n // 4 * 4)  # rows of a block: about 2 MB of doubles
+    bounds = list(range(0, max(m - 3, 1), height)) + [m]  # the last block has 4+ rows if A has
+    b, counts, data, cols = np.empty(m), np.empty(m, dtype=np.intp), [], []
+    blocks, draws = np.empty((2, min(m, height + 3), n))  # reused, so no page is faulted twice
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = values.random(out=blocks[:hi - lo])
+        block *= rng.random(out=draws[:hi - lo]) < density  # values >= 0: where(mask, value, 0)
+        head = max(hi - lo - 4, 0) // 4 * 4  # rows in 4-row groups before the last
+        b[lo:lo + head] = np.matmul(block[:head].reshape(-1, 4, n), x_star).reshape(-1)
+        b[lo + head:hi] = block[head:] @ x_star
+        stored = block != 0.0
+        data.append(block[stored])
+        cols.append(np.flatnonzero(stored) % n)
+        counts[lo:hi] = np.count_nonzero(stored, axis=1)
+    data, cols = np.concatenate(data), np.concatenate(cols)
+    itype = np.int32 if max(m, n, len(data)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(itype)
+    return ({"format": "csr", "data": data, "indices": cols.astype(itype), "indptr": indptr,
+             "shape": [m, n]}, b, x_star)
+
+
 def gen_instance(spec: dict) -> dict:
     """Generate an instance dict from a generator spec (deterministic in seed)."""
     _object(spec, "generator spec", {"region", "objective", "seed"})
@@ -138,23 +176,13 @@ def gen_instance(spec: dict) -> dict:
 
     rng = np.random.default_rng(seed)
     n = region.dim
-    mask = rng.random((m, n)) < density
-    A = np.where(mask, rng.random((m, n)), 0.0)
-    x_star = _sample_x_star(region, rng)
-    b = A @ x_star
-
     if density <= 0.25 and m * n > 10000:
-        # the arrays scipy.sparse.csr_matrix(A) holds: entries in C order, and
-        # int32 indices unless m, n or the entry count does not fit
-        rows, cols = np.nonzero(A)
-        itype = np.int32 if max(m, n, len(rows)) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(m + 1, dtype=itype)
-        np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-        amat = {"format": "csr", "data": A[rows, cols], "indices": cols.astype(itype),
-                "indptr": indptr, "shape": [m, n]}
+        amat, b, x_star = _csr_draw(rng, region, m, density)
     else:
-        amat = {"format": "dense", "data": A}
-
+        mask = rng.random((m, n)) < density
+        A = np.where(mask, rng.random((m, n)), 0.0)
+        x_star = _sample_x_star(region, rng)
+        amat, b = {"format": "dense", "data": A}, A @ x_star
     return {
         "version": __version__,
         "region": region_spec,

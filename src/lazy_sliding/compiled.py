@@ -1,13 +1,12 @@
-"""scipy's compiled extension modules, loaded without the packages that hold them.
+"""scipy's compiled kernels, each loaded from its extension module alone.
 
-Importing ``scipy.optimize`` or ``scipy.sparse`` costs tens of MB and a few
-hundred ms, while the kernels this package calls live in extension modules
-that load by themselves in a few ms: the assignment solver in
-``scipy.optimize._lsap``, the NNLS solver behind ``Region._contains`` in
-``scipy.optimize._slsqplib`` and the CSR kernels in ``scipy.sparse._sparsetools``.
-Not even the top-level ``scipy`` package is imported: its directory comes from
-its import spec, which is found without running it.  ``_slsqplib`` maps scipy's
-own OpenBLAS, which starts its own thread pool unless ``OPENBLAS_NUM_THREADS`` is set.
+`KERNELS` lists every compiled scipy routine the package calls, with the
+extension that holds it and the public module to import instead on a scipy
+layout without that extension.  Importing ``scipy.optimize`` or
+``scipy.sparse`` costs tens of MB and a few hundred ms; an extension loads
+alone in a few ms, and not even the top-level ``scipy`` package runs.
+``_slsqplib`` maps scipy's own OpenBLAS, which starts its own thread pool
+unless ``OPENBLAS_NUM_THREADS`` is set.
 """
 
 import importlib
@@ -16,31 +15,44 @@ import sys
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
 
+KERNELS = {
+    # the Birkhoff LMO; scipy.optimize.linear_sum_assignment is this builtin
+    "linear_sum_assignment": ("scipy.optimize._lsap", "scipy.optimize"),
+    # the NNLS of Region._contains; scipy.optimize.nnls calls this builtin
+    "nnls": ("scipy.optimize._slsqplib", "scipy.optimize"),
+    # CsrMatrix: A @ x, A.T @ r and the rows of a sample batch
+    "csr_matvec": ("scipy.sparse._sparsetools", "scipy.sparse._sparsetools"),
+    "csc_matvec": ("scipy.sparse._sparsetools", "scipy.sparse._sparsetools"),
+    "csr_row_index": ("scipy.sparse._sparsetools", "scipy.sparse._sparsetools"),
+}
+loaded = {}  # extension name -> the module its routines come from
 
-def load_extension(name, public, *attrs):
-    """A module that has ``attrs``: scipy's extension ``name`` loaded alone, else ``public``.
 
-    The file of ``name`` (say ``scipy.sparse._sparsetools``) is looked up in
-    its package's directory with ``PathFinder``, because
-    ``importlib.util.find_spec`` of a submodule would import the parent
-    package, and then executed by itself.  The loaded module is taken out of
-    ``sys.modules`` again, unless its package had imported it before, so
-    that a later import of its package loads it there and sets the package
-    attribute as usual.  Without scipy, on a scipy
-    layout without that file, or when the file lacks one of ``attrs``, the
-    module ``public`` is imported the usual way, package and all.
+def kernel(routine):
+    """scipy's compiled ``routine``, a row of `KERNELS`.
+
+    The first call of any routine of an extension loads that extension, once:
+    its file is found in its package's directory by ``PathFinder`` (as
+    ``importlib.util.find_spec`` would import the package) and executed
+    alone, then taken out of ``sys.modules`` unless its package had imported
+    it, so that a later import of the package loads it there as usual.
+    Without scipy, on a layout without that file, or when the file lacks a
+    routine `KERNELS` lists for it, the public module is imported instead.
     """
-    scipy = find_spec("scipy")  # a top-level spec imports nothing
-    module = None
-    if scipy is not None:
-        package = name.rpartition(".")[0].split(".")[1:]
-        spec = PathFinder.find_spec(name, [os.path.join(os.path.dirname(scipy.origin), *package)])
-        if spec is not None:
-            imported = name in sys.modules  # by its package
-            module = module_from_spec(spec)
-            spec.loader.exec_module(module)
-            if not imported:  # the loader may have registered it, which is the package's job
-                sys.modules.pop(name, None)
-    if not all(hasattr(module, attr) for attr in attrs):  # another scipy layout
-        module = importlib.import_module(public)
-    return module
+    name, public = KERNELS[routine]
+    module = loaded.get(name)
+    if module is None:
+        scipy = find_spec("scipy")  # a top-level spec imports nothing
+        if scipy is not None:
+            package_dir = os.path.join(os.path.dirname(scipy.origin), *name.split(".")[1:-1])
+            spec = PathFinder.find_spec(name, [package_dir])
+            if spec is not None:
+                imported = name in sys.modules  # by its package
+                module = module_from_spec(spec)
+                spec.loader.exec_module(module)
+                if not imported:  # the loader may have registered it, which is the package's job
+                    sys.modules.pop(name, None)
+        if not all(hasattr(module, r) for r, (held_in, _) in KERNELS.items() if held_in == name):
+            module = importlib.import_module(public)  # another scipy layout
+        loaded[name] = module
+    return getattr(module, routine)

@@ -51,17 +51,12 @@ class LcgResult:
     h0: Optional[float]
 
 
-def line_search_quadratic(sub, u, v, grad=None):
-    """Exact step length for psi along u -> v, clamped to [0, 1].
-
-    ``grad`` is grad psi(u) when the caller already holds it.
-    """
+def line_search_quadratic(sub, u, v, grad):
+    """Exact step length for psi along u -> v, clamped to [0, 1]; ``grad`` is grad psi(u)."""
     d = u - v
     dd = float(d @ d)
     if dd == 0.0:
         return 0.0
-    if grad is None:
-        grad = sub.grad(u)
     lam = float(grad @ d) / (sub.beta * dd)
     return min(1.0, max(0.0, lam))
 
@@ -134,7 +129,7 @@ def iteration_bound(phi0, c_phi, eta, alpha, h0=None):
     return int(math.ceil(total))
 
 
-def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None) -> LcgResult:
+def lcg_solve(sub, region, u1, alpha, eta, cache, counters=None) -> LcgResult:
     """Run the lazy conditional gradient loop until the gap is certified <= eta.
 
     Query 1, the opening, is a weak separation query at Phi = alpha * eta
@@ -144,7 +139,9 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None) -> Lc
     minimizer.  A negative answer certifies the gap at u1 <= eta, sets
     Phi0 = eta and holds that exact minimizer for the query at Phi = eta.
     Either way the solve ends only on an LMO-backed negative answer at
-    Phi = eta.
+    Phi = eta.  The opening answer also sets the solve's cap: 4x the
+    worst-case bound `iteration_bound(phi0, c_phi, eta, alpha, h0)` on its
+    weak separation queries, the opening included.
 
     Parameters
     ----------
@@ -158,10 +155,6 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None) -> Lc
         Target duality gap, > 0.
     cache : VertexCache
         Shared across invocations within one outer solver run.
-    cap : int, optional
-        Budget of weak separation queries, the opening included; defaults
-        to 4x the worst-case bound `iteration_bound(phi0, c_phi, eta,
-        alpha, h0)` of the opening answer.
     counters : Counters, optional
         Incremented by every oracle call of the solve.  A run passes one
         Counters to all of its solves; a caller wanting one solve's counts
@@ -193,10 +186,10 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None) -> Lc
     # moves u (negative answers never move u, so a whole run of halvings is
     # served by the one LMO call behind the first of them).
     exact_hint = None
-    t = 0
+    t, cap = 0, 1              # the opening query sets the cap
     while True:
         t += 1
-        if cap is not None and t > cap:
+        if t > cap:
             raise BudgetExceeded(
                 "lazy conditional gradient cap %d exhausted (phi=%.3e, eta=%.3e)"
                 % (cap, phi, eta),
@@ -207,8 +200,7 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, cap=None, counters=None) -> Lc
         if t == 1:
             phi0 = max(resp.gap, eta)
             h0 = float(np.linalg.norm(grad)) * diameter if resp.positive else None
-            if cap is None:
-                cap = 4 * iteration_bound(phi0, sub.beta * diameter ** 2, eta, alpha, h0)
+            cap = 4 * iteration_bound(phi0, sub.beta * diameter ** 2, eta, alpha, h0)
         if resp.positive:
             lam = line_search_quadratic(sub, u, resp.vertex.point, grad)
             if lam > 0.0:

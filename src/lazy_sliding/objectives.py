@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .compiled import load_extension
+from .compiled import kernel
 from .errors import NumericalError
 
 
@@ -48,9 +48,6 @@ def simplex_project(v):
     return np.maximum(v - theta, 0.0)
 
 
-_sparsetools = None  # scipy's compiled CSR kernels, loaded by the first CsrMatrix
-
-
 def _vector(x, length):
     x = np.asarray(x)
     if x.shape != (length,):
@@ -67,11 +64,10 @@ class CsrMatrix:
     gathers rows into another CsrMatrix with ``csr_row_index``, as row
     indexing does in scipy, so products with the gathered rows are scipy's
     too.  Only the compiled module ``scipy.sparse._sparsetools`` is loaded,
-    never the ``scipy.sparse`` package.
+    at the first kernel call, never the ``scipy.sparse`` package.
     """
 
     def __init__(self, data, indices, indptr, shape):
-        global _sparsetools
         m, n = (int(s) for s in shape)
         indices, indptr = np.asarray(indices), np.asarray(indptr)
         itype = np.int32 if indices.dtype == indptr.dtype == np.int32 else np.int64
@@ -86,9 +82,6 @@ class CsrMatrix:
                 or self.indptr[-1] != self.size or np.any(self.indptr[1:] < self.indptr[:-1])
                 or self.size and not 0 <= self.indices.min() <= self.indices.max() < n):
             raise ValueError("CSR arrays do not describe a %d x %d matrix" % (m, n))
-        if _sparsetools is None:
-            _sparsetools = load_extension("scipy.sparse._sparsetools", "scipy.sparse._sparsetools",
-                                          "csr_matvec", "csc_matvec", "csr_row_index")
 
     @property
     def T(self):
@@ -97,7 +90,7 @@ class CsrMatrix:
     def __matmul__(self, x):
         m, n = self.shape
         y = np.zeros(m)
-        _sparsetools.csr_matvec(m, n, self.indptr, self.indices, self.data, _vector(x, n), y)
+        kernel("csr_matvec")(m, n, self.indptr, self.indices, self.data, _vector(x, n), y)
         return y
 
     def rows(self, idx):
@@ -109,7 +102,7 @@ class CsrMatrix:
         ptr = np.zeros(len(idx) + 1, dtype=idx.dtype)
         np.cumsum(self.indptr[idx + 1] - self.indptr[idx], out=ptr[1:])
         cols, vals = np.empty(ptr[-1], dtype=idx.dtype), np.empty(ptr[-1])
-        _sparsetools.csr_row_index(len(idx), idx, self.indptr, self.indices, self.data, cols, vals)
+        kernel("csr_row_index")(len(idx), idx, self.indptr, self.indices, self.data, cols, vals)
         # gathered from arrays that passed the constructor's O(nnz) checks, so not checked again
         rows = object.__new__(CsrMatrix)
         rows.data, rows.indices, rows.indptr = vals, cols, ptr
@@ -128,7 +121,7 @@ class _CsrTranspose:
         A = self.A
         n, m = self.shape
         y = np.zeros(n)
-        _sparsetools.csc_matvec(n, m, A.indptr, A.indices, A.data, _vector(r, m), y)
+        kernel("csc_matvec")(n, m, A.indptr, A.indices, A.data, _vector(r, m), y)
         return y
 
 
@@ -271,7 +264,6 @@ class L1Distance:
 
     def __init__(self, x_star):
         self.x_star = np.asarray(x_star, dtype=float)
-        self.n = len(self.x_star)
 
     def value(self, x):
         return float(np.sum(np.abs(x - self.x_star)))
@@ -282,13 +274,6 @@ class L1Distance:
     def sfo_batch(self, z, size, rng):
         """The sign subgradient: every sample equals it, so does their mean."""
         return self.subgrad(z)
-
-    def lipschitz_M(self):
-        # Constant M of f(y) <= f(x) + <f'(x), y-x> + M||x-y||; for the sign
-        # subgradient of an l1 distance in the Euclidean norm this is 2 sqrt(n)
-        # (each coordinate can contribute a factor-2 overshoot when y crosses
-        # the kink), tight in the limit.
-        return 2.0 * math.sqrt(self.n)
 
 
 class SmoothedSaddle:
@@ -304,8 +289,6 @@ class SmoothedSaddle:
         self.A = np.asarray(A, dtype=float)
         self.m, self.n = self.A.shape
         self.center = np.full(self.m, 1.0 / self.m)
-        self.sigma_omega = 1.0
-        self._a_norm = None
 
     @property
     def d2_yw(self):
@@ -325,12 +308,6 @@ class SmoothedSaddle:
         val = float(ax @ y) - tau * 0.5 * float(d @ d) + tau * self.d2_yw
         grad = self.A.T @ y
         return val, grad
-
-    def a_norm(self):
-        """Operator norm sigma_max(A) via power iteration on A^T A."""
-        if self._a_norm is None:
-            self._a_norm = math.sqrt(max(_sigma_max_sq(self.A), 0.0))
-        return self._a_norm
 
 
 def estimate_L(obj):

@@ -47,7 +47,7 @@ class VertexCache:
     `move_to_front` take; they are stable until the slot is evicted.
     """
 
-    def __init__(self, capacity=512, support=None):
+    def __init__(self, capacity, support=None):
         if capacity < 0:
             raise ValueError("cache capacity must be >= 0")
         if support is not None and support < 1:

@@ -31,7 +31,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .compiled import load_extension
+from .compiled import kernel
 from .errors import NumericalError
 
 _SQRT2 = math.sqrt(2.0)
@@ -233,9 +233,6 @@ class Box(Region):
         return {"kind": self.kind, "n": self.n, "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
 
-_linear_sum_assignment = None  # scipy's LSAP solver, loaded by the first Birkhoff LMO
-
-
 class Birkhoff(Region):
     """Doubly stochastic matrices (flattened row-major); vertices are permutations."""
 
@@ -249,13 +246,7 @@ class Birkhoff(Region):
         self.support = n
 
     def _lmo(self, c):
-        global _linear_sum_assignment
-        if _linear_sum_assignment is None:
-            # scipy.optimize.linear_sum_assignment is this builtin of _lsap
-            _linear_sum_assignment = load_extension(
-                "scipy.optimize._lsap", "scipy.optimize",
-                "linear_sum_assignment").linear_sum_assignment
-        rows, cols = _linear_sum_assignment(c.reshape(self.n, self.n))
+        rows, cols = kernel("linear_sum_assignment")(c.reshape(self.n, self.n))
         p = np.zeros(self.dim)
         p[rows * self.n + cols] = 1.0
         return Vertex(p, tuple(cols.tolist()))
@@ -413,7 +404,6 @@ class DagPath(Region):
 _MNP_MAX_ITERS = 10000
 # Height of a row block of the diameter's Gram matrix: about 8 MB a block.
 _DIAMETER_BLOCK_BYTES = 8 << 20
-_nnls = None  # scipy's NNLS solver, loaded by the first _min_norm_point
 
 
 def _min_norm_point(P):
@@ -427,17 +417,15 @@ def _min_norm_point(P):
     ``||[P^T; 1^T] u - e_{d+1}||`` gives ``p = P^T u / sum(u)``, exact up to
     rounding.  Raises NumericalError past ``_MNP_MAX_ITERS`` iterations.
     """
-    global _nnls
-    if _nnls is None:  # scipy.optimize.nnls calls this builtin of _slsqplib
-        _nnls = load_extension("scipy.optimize._slsqplib", "scipy.optimize", "nnls").nnls
+    nnls = kernel("nnls")
     A = np.ones((P.shape[1] + 1, P.shape[0]), order="F")  # the kernel reads columns
     A[:-1] = P.T
     b = np.append(np.zeros(P.shape[1]), 1.0)
     try:
-        if isinstance(_nnls, types.BuiltinFunctionType):
-            u, _, info = _nnls(A, b, _MNP_MAX_ITERS)
+        if isinstance(nnls, types.BuiltinFunctionType):
+            u, _, info = nnls(A, b, _MNP_MAX_ITERS)
         else:  # the public function, which raises at its cap
-            (u, _), info = _nnls(A, b, maxiter=_MNP_MAX_ITERS), 1
+            (u, _), info = nnls(A, b, maxiter=_MNP_MAX_ITERS), 1
     except RuntimeError:
         info = None
     if info != 1:

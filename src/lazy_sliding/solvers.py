@@ -27,7 +27,7 @@ output y, the vertex cache, the counters, the random generator, ofw's
 gradient average and the last inner solve's Phi and certified gap.  A run
 is steered by its `SolverConfig` alone, every field of which an experiment
 config names and which settles what the baselines run with; each inner
-solve runs at `lcg_solve`'s default query budget.
+solve runs until `lcg_solve`'s query cap.
 Every stochastic gradient, ofw's included, is one ``sfo_batch(z, size, rng)``
 call: the mean of ``size`` samples, counted as ``size`` SFO calls.
 Randomness is drawn from counter-based streams keyed (seed, outer index), so

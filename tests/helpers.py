@@ -319,7 +319,7 @@ def record_queries(monkeypatch, probe=None):
 
 
 def hide_scipy_extensions(monkeypatch):
-    """List that records every extension `load_extension` looks up, and finds none of, from now on.
+    """List that records every extension `compiled.kernel` looks up, and finds none of, from now on.
 
     It stands for a scipy layout without the compiled files, so the loader
     falls back to importing the public module.
@@ -396,6 +396,30 @@ def dense_matrix(A):
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     np.add.at(out, (rows, A.indices), A.data)  # duplicate entries add up
     return out
+
+
+def dense_csr_draw(spec):
+    """{b, data, indices, indptr, x_star} of a CSR generator spec, as `gen_instance` first made them.
+
+    Dense m x n mask and values from one stream, ``x_star`` after them,
+    ``b = A @ x_star`` in one BLAS call and the CSR arrays from
+    ``np.nonzero(A)``; the reference for the generator's row-block draw.
+    """
+    from lazy_sliding.bench import _sample_x_star, expand_region_spec
+    from lazy_sliding.regions import region_from_spec
+
+    region = region_from_spec(expand_region_spec(spec["region"]))
+    m, n, density = spec["objective"]["m"], region.dim, spec["objective"]["density"]
+    rng = np.random.default_rng(spec["seed"])
+    mask = rng.random((m, n)) < density
+    A = np.where(mask, rng.random((m, n)), 0.0)
+    x_star = _sample_x_star(region, rng)
+    rows, cols = np.nonzero(A)
+    itype = np.int32 if max(m, n, len(rows)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(m + 1, dtype=itype)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    return {"b": A @ x_star, "data": A[rows, cols], "indices": cols.astype(itype),
+            "indptr": indptr, "x_star": x_star}
 
 
 @contextlib.contextmanager

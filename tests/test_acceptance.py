@@ -195,7 +195,7 @@ def test_ac06_nonsmooth_terminal_bound():
     x_star = np.array([0.25, 0.5, 0.75, 0.1, 0.9])
     obj = L1Distance(x_star)
     region = Box(5, 0.0, 1.0)
-    M = obj.lipschitz_M()                  # 2 sqrt(5): exact subgradient scale
+    M = 2.0 * math.sqrt(5)                 # the sign subgradient's M, 2 sqrt(n), tight
     D = region.diameter()                  # sqrt(5)
     N = 400
     c = ProblemConstants(sigma2=0.0, M=M, D_X=D)

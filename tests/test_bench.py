@@ -1,6 +1,5 @@
 import base64
 import csv
-import functools
 import itertools
 import json
 import math
@@ -14,6 +13,7 @@ import pytest
 import lazy_sliding
 import lazy_sliding.bench as bench
 import lazy_sliding.cli as cli
+import lazy_sliding.lcg as lcg
 from lazy_sliding.bench import (
     cut_polytope_vertices,
     gen_instance,
@@ -27,7 +27,6 @@ from lazy_sliding.bench import (
 )
 from lazy_sliding.cli import _print_summary, main
 from lazy_sliding.errors import ConfigError, NumericalError
-from lazy_sliding.lcg import lcg_solve
 from lazy_sliding.objectives import CsrMatrix
 from lazy_sliding.regions import svec
 from lazy_sliding.trace import TRACE_COLUMNS, TRACE_HEADER, RunTrace, TraceTable, read_trace_csv
@@ -92,13 +91,13 @@ def test_import_does_not_load_scipy_optimize():
 def _experiment_loads(tmp_path, spec, *modules):
     """Per module, whether a fresh process that runs lazy, scgs and ofw on the
     instance of ``spec`` (two seeds, 20 outer iterations) has it in
-    sys.modules, and the module names of the compiled scipy code the package
-    then holds (``lsap``, ``sparsetools``; None if not loaded); every point
-    whose value a trace row records must be in the region."""
+    sys.modules, and {extension: name of the module loaded for it} of what
+    `compiled.kernel` then holds; every point whose value a trace row
+    records must be in the region."""
     config = {"seeds": [0, 1], "budgets": {"outer": 20},
               "solvers": _paired_entries(outer=20) + [{"name": "ofw", "variant": "ofw"}]}
     code = ("import json, sys\n"
-            "from lazy_sliding import objectives, regions\n"
+            "from lazy_sliding import compiled, objectives\n"
             "from lazy_sliding.bench import gen_instance, load_instance, run_experiment, write_json\n"
             "points, value = [], objectives.LeastSquares.value\n"
             "objectives.LeastSquares.value = lambda self, x: points.append(x) or value(self, x)\n"
@@ -108,9 +107,7 @@ def _experiment_loads(tmp_path, spec, *modules):
             "assert run_experiment(config, out_dir=out)[1] == 0\n"
             "region = load_instance(path)[0]\n"
             "assert len(points) > 100 and all(region.contains(x) for x in points)\n"
-            "held = {'lsap': getattr(regions._linear_sum_assignment, '__module__', None),\n"
-            "        'sparsetools': getattr(objectives._sparsetools, '__name__', None),\n"
-            "        'nnls': getattr(regions._nnls, '__module__', None)}\n"
+            "held = {name: module.__name__ for name, module in compiled.loaded.items()}\n"
             "print(json.dumps([[m in sys.modules for m in sys.argv[5:]], held]))")
     out = run_fresh(code, str(tmp_path / "instance.json"), str(tmp_path / "runs"),
                     json.dumps(spec), json.dumps(config), *modules)
@@ -124,7 +121,7 @@ def test_enumerated_experiment_does_not_load_scipy_optimize(tmp_path):
             "objective": {"m": 40, "density": 0.8}, "seed": 3}
     loaded, held = _experiment_loads(tmp_path, spec, "scipy.optimize", "scipy")
     assert loaded == [False, False]
-    assert held == {"lsap": None, "sparsetools": None, "nnls": "scipy.optimize._slsqplib"}
+    assert held == {"scipy.optimize._slsqplib": "scipy.optimize._slsqplib"}
 
 
 def test_birkhoff_experiment_loads_only_the_assignment_solver(tmp_path):
@@ -134,14 +131,14 @@ def test_birkhoff_experiment_loads_only_the_assignment_solver(tmp_path):
             "objective": {"m": 40, "density": 0.8}, "seed": 3}
     loaded, held = _experiment_loads(tmp_path, spec, "scipy.optimize", "scipy")
     assert loaded == [False, False]
-    assert held == {"lsap": "scipy.optimize._lsap", "sparsetools": None, "nnls": None}
+    assert held == {"scipy.optimize._lsap": "scipy.optimize._lsap"}
 
 
 def test_csr_experiment_loads_only_the_sparse_kernels(tmp_path):
     # CSR least squares runs scipy's compiled CSR kernels, loaded by themselves
     loaded, held = _experiment_loads(tmp_path, CSR_SPEC, "scipy.sparse", "scipy")
     assert loaded == [False, False]
-    assert held == {"lsap": None, "sparsetools": "scipy.sparse._sparsetools", "nnls": None}
+    assert held == {"scipy.sparse._sparsetools": "scipy.sparse._sparsetools"}
 
 
 def test_instance_with_a_non_finite_vertex_exits_2(tmp_path, capsys):
@@ -196,15 +193,12 @@ def test_packages_imported_around_a_lone_extension_hold_it(packages_first):
     imports = "import scipy.optimize, scipy.sparse\n"
     code = ("import sys\n"
             "import numpy as np\n"
-            "from lazy_sliding.compiled import load_extension\n"
+            "from lazy_sliding.compiled import kernel\n"
             + (imports if packages_first else "") +
-            "lsap = load_extension('scipy.optimize._lsap', 'scipy.optimize',\n"
-            "                      'linear_sum_assignment')\n"
-            "kernels = load_extension('scipy.sparse._sparsetools', 'scipy.sparse._sparsetools',\n"
-            "                         'csr_matvec')\n"
+            "lsap, matvec = kernel('linear_sum_assignment'), kernel('csr_matvec')\n"
             + ("" if packages_first else imports) +
-            "assert scipy.optimize._lsap.linear_sum_assignment is lsap.linear_sum_assignment\n"
-            "assert scipy.sparse._sparsetools.csr_matvec is kernels.csr_matvec\n"
+            "assert scipy.optimize._lsap.linear_sum_assignment is lsap\n"
+            "assert scipy.sparse._sparsetools.csr_matvec is matvec\n"
             "assert sys.modules['scipy.optimize._lsap'] is scipy.optimize._lsap\n"
             "assert sys.modules['scipy.sparse._sparsetools'] is scipy.sparse._sparsetools\n"
             "rows, cols = scipy.optimize.linear_sum_assignment(1.0 - np.eye(3))\n"
@@ -238,6 +232,63 @@ def test_gen_csr_arrays_are_the_arrays_of_scipy_csr_matrix(density, seed):
         assert np.array_equal(got[key], getattr(want, key)), key
     if density < 0.1:
         assert np.count_nonzero(np.diff(want.indptr) == 0) > 0  # empty rows
+
+
+# CSR specs whose m is neither a multiple of 4 nor of the generator's block
+# height (372 rows at n = 700, 872 at 300, 84 at 3001), one with fewer than 4
+# rows, and one whose blocks would leave a last block of 2 rows
+ROW_BLOCK_SPECS = [
+    {"region": {"kind": "simplex", "n": 700}, "objective": {"m": 1390, "density": 0.2}, "seed": 2},
+    {"region": {"kind": "simplex", "n": 700}, "objective": {"m": 746, "density": 0.2}, "seed": 3},
+    {"region": {"kind": "box", "n": 300}, "objective": {"m": 901, "density": 0.25}, "seed": 4},
+    {"region": {"kind": "simplex", "n": 3001}, "objective": {"m": 517, "density": 0.01}, "seed": 5},
+    {"region": {"kind": "simplex", "n": 5001}, "objective": {"m": 3, "density": 0.01}, "seed": 6},
+]
+
+
+def _row_block_draws(threads):
+    """Per spec of ROW_BLOCK_SPECS, the sha256 of each array (A's CSR parts, b, x_star) of
+    `gen_instance` and of the dense reference, in a fresh process at ``threads`` BLAS threads."""
+    code = ("import hashlib, json, os, sys\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = sys.argv[1]  # read when numpy loads\n"
+            "sys.path.insert(0, sys.argv[2])\n"
+            "from helpers import dense_csr_draw\n"
+            "from lazy_sliding.bench import gen_instance\n"
+            "out = []\n"
+            "for spec in json.loads(sys.argv[3]):\n"
+            "    o = gen_instance(spec)['objective']\n"
+            "    got = dict(o['A'], b=o['b'], x_star=o['x_star'])\n"
+            "    assert got['format'] == 'csr'\n"
+            "    out.append([{k: hashlib.sha256(a[k].tobytes()).hexdigest() + str(a[k].dtype)\n"
+            "                 for k in ('b', 'data', 'indices', 'indptr', 'x_star')}\n"
+            "                for a in (got, dense_csr_draw(spec))])\n"
+            "print(json.dumps(out))")
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    return json.loads(run_fresh(code, str(threads), tests_dir, json.dumps(ROW_BLOCK_SPECS)))
+
+
+def test_csr_row_block_draw_is_the_dense_draw_at_one_and_two_blas_threads():
+    # the CSR arrays are the dense draw's bit for bit; b is the one-thread
+    # dense b at both thread counts, because it is formed in the 4-row groups
+    # one thread forms, while the dense b at 2 threads follows OpenBLAS's
+    # thread split
+    one, two = _row_block_draws(1), _row_block_draws(2)
+    for (got1, want1), (got2, want2) in zip(one, two):
+        assert got1 == want1
+        assert got2 == got1
+        assert {k: got2[k] for k in ("data", "indices", "indptr", "x_star")} == {
+            k: want2[k] for k in ("data", "indices", "indptr", "x_star")}
+
+
+def test_csr_gen_holds_no_dense_matrix():
+    # the birkhoff50 benchmark instance: 2000 x 2500 at density 0.05, whose
+    # dense draw peaked at 82 MB of Python allocations
+    spec = {"region": {"kind": "birkhoff", "n": 50}, "objective": {"m": 2000, "density": 0.05},
+            "seed": 11}
+    with traced_peak() as usage:
+        inst = gen_instance(spec)
+    assert inst["objective"]["A"]["format"] == "csr"
+    assert usage.peak < 24 * 2 ** 20
 
 
 def _array_fields(inst):
@@ -905,7 +956,7 @@ def test_calgd_threshold_table_monotone(tmp_path):
 
 def test_budget_error_keeps_partial_trace(tmp_path, monkeypatch):
     cap = 2
-    monkeypatch.setattr(lazy_sliding.solvers, "lcg_solve", functools.partial(lcg_solve, cap=cap))
+    monkeypatch.setattr(lcg, "iteration_bound", lambda *args: cap / 4)  # the cap is 4x the bound
     # with the default cache a solve's opening query may be a cache hit, with
     # no exact LMO; without one every opening, the failed solve's too, costs
     # an exact LMO
@@ -1016,7 +1067,7 @@ def test_summary_recomputable_from_traces(tmp_path, monkeypatch):
             raise NumericalError("no convergence")
         if cfg.variant == "calgd":
             with monkeypatch.context() as m:
-                m.setattr(lazy_sliding.solvers, "lcg_solve", functools.partial(lcg_solve, cap=2))
+                m.setattr(lcg, "iteration_bound", lambda *args: 0.5)  # a cap of 2 queries
                 return real(cfg, objective, region)
         return real(cfg, objective, region)
 

@@ -2,10 +2,12 @@
 
 import ast
 import dataclasses
+import importlib
 import os
 import re
 
 import lazy_sliding
+from lazy_sliding import compiled
 from lazy_sliding.solvers import SolverConfig
 
 PACKAGE_DIR = os.path.dirname(lazy_sliding.__file__)
@@ -152,7 +154,7 @@ def test_scipy_import_scan_finds_scope_and_branch():
 def test_package_loads_scipy_optimize_and_sparse_only_where_needed():
     # Each import costs hundreds of ms and tens of MB.  The Birkhoff LMO and
     # CSR least squares load scipy's compiled modules alone, through
-    # compiled.load_extension, which imports a package by name only on a
+    # compiled.kernel, which imports a package by name only on a
     # scipy layout without those files; no module imports either package.
     found, by_name = set(), set()
     for name in sorted(os.listdir(PACKAGE_DIR)):
@@ -208,51 +210,72 @@ def test_every_public_name_is_used_by_the_package_or_documented():
     assert [n for n in lazy_sliding.__all__ if n not in used | documented] == []
 
 
-def _extension_attributes(source):
-    """{name: (attributes passed to load_extension, attributes read)} of a module.
-
-    ``name`` is what a ``load_extension(name, public, *attrs)`` call is
-    assigned to.  The attributes read are those read off ``name`` anywhere
-    in the module, or the one read off the call itself when the assignment
-    is ``name = load_extension(...).attr``.
-    """
+def _kernel_calls(source):
+    """(first arguments, scipy names) of a module: the first argument of every
+    ``kernel(...)`` or ``compiled.kernel(...)`` call, None where it is not a string
+    literal, and the set of string literals that name a ``scipy.`` module."""
     tree = ast.parse(source)
-
-    def is_load(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "load_extension"
-
-    found = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign) or not isinstance(node.targets[0], ast.Name):
-            continue
-        call = node.value.value if isinstance(node.value, ast.Attribute) else node.value
-        if is_load(call):
-            passed = {arg.value for arg in call.args[2:]}
-            read = {node.value.attr} if call is not node.value else set()
-            found[node.targets[0].id] = (passed, read)
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in found):
-            found[node.value.id][1].add(node.attr)
-    return found
+    routines = [call.args[0].value if call.args and isinstance(call.args[0], ast.Constant) else None
+                for call in ast.walk(tree) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", getattr(call.func, "attr", None)) == "kernel"]
+    scipy_names = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str) and node.value.startswith("scipy.")}
+    return routines, scipy_names
 
 
-def test_extension_attribute_scan_pairs_loads_with_reads():
-    source = ("_k = None\nf = load_extension('a._b', 'a', 'run').run\n"
-              "def g(x):\n    global _k\n    _k = load_extension('a._c', 'a', 'one', 'two')\n"
-              "    return _k.one(x) + _k.three(x)\n")
-    assert _extension_attributes(source) == {"f": ({"run"}, {"run"}),
-                                             "_k": ({"one", "two"}, {"one", "three"})}
+def test_kernel_call_scan_reads_names_and_flags_the_rest():
+    source = ("from . import compiled\nfrom .compiled import kernel\n"
+              "def f(x, name):\n"
+              "    return kernel('a')(x) + compiled.kernel('b')(x) + kernel(name)(x)\n"
+              "g = kernel\nh = 'scipy.sparse._x'\n")
+    routines, scipy_names = _kernel_calls(source)
+    assert sorted(routines, key=str) == [None, "a", "b"]
+    assert scipy_names == {"scipy.sparse._x"}
 
 
-def test_every_loaded_kernel_is_called_and_every_called_kernel_loaded():
-    # load_extension falls back to the public package when a listed name is
-    # missing, so the list must name exactly the kernels the module calls
-    found = {}
+def test_every_called_kernel_is_a_row_of_the_table_and_every_row_is_called():
+    # kernel() loads an extension only when it holds every routine the table
+    # lists for it, and imports the public module otherwise, so the table
+    # must list exactly the routines the package calls, each by name; no
+    # other module names a scipy module
+    called, named = set(), []
     for name in sorted(os.listdir(PACKAGE_DIR)):
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE_DIR, name)) as fh:
-                found.update({(name, k): v for k, v in _extension_attributes(fh.read()).items()})
-    assert found[("objectives.py", "_sparsetools")][0] == {"csr_matvec", "csc_matvec",
-                                                          "csr_row_index"}
-    assert {k: v for k, v in found.items() if v[0] != v[1]} == {}
+                routines, scipy_names = _kernel_calls(fh.read())
+            called.update(routines)
+            if scipy_names:
+                named.append(name)
+    assert called == set(compiled.KERNELS)
+    assert named == ["compiled.py"]
+    sparsetools = {routine for routine, (extension, _) in compiled.KERNELS.items()
+                   if extension == "scipy.sparse._sparsetools"}
+    assert sparsetools == {"csr_matvec", "csc_matvec", "csr_row_index"}
+
+
+def test_every_kernel_comes_from_its_extension_loaded_alone(monkeypatch):
+    # on this scipy every extension holds the routines its rows list, so no
+    # kernel imports a public module; that module has the routine too, for
+    # a layout without the extension
+    def no_import(name):
+        raise AssertionError("imported %s" % name)
+
+    with monkeypatch.context() as m:
+        m.setattr(compiled, "loaded", {})
+        m.setattr(compiled.importlib, "import_module", no_import)
+        for routine, (extension, _) in compiled.KERNELS.items():
+            assert callable(compiled.kernel(routine))
+        assert {name: module.__name__ for name, module in compiled.loaded.items()} == {
+            extension: extension for extension, _ in compiled.KERNELS.values()}
+    for routine, (_, public) in compiled.KERNELS.items():
+        assert hasattr(importlib.import_module(public), routine)
+
+
+def test_an_extension_without_a_listed_routine_falls_back_to_its_public_module(monkeypatch):
+    import scipy.sparse._sparsetools as public
+
+    monkeypatch.setattr(compiled, "loaded", {})
+    monkeypatch.setitem(compiled.KERNELS, "no_such_routine",
+                        ("scipy.sparse._sparsetools", "scipy.sparse._sparsetools"))
+    assert compiled.kernel("csr_matvec") is public.csr_matvec
+    assert compiled.loaded == {"scipy.sparse._sparsetools": public}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lazy_sliding.bench import hamiltonian_cycle_vertices
+from lazy_sliding import lcg
 from lazy_sliding.errors import BudgetExceeded
 from lazy_sliding.lcg import (
     LcgResult,
@@ -37,7 +38,7 @@ def test_optimum_at_start_returns_immediately(monkeypatch):
     # answered negative by its exact LMO and certifies at once
     sub = Subproblem(g=np.array([0.0, 1.0]), center=E1.copy(), beta=1.0)
     ctr, queries = Counters(), record_queries(monkeypatch)
-    res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-3, cache=VertexCache(),
+    res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-3, cache=VertexCache(512),
                     counters=ctr)
     phis = [phi for _, phi in queries]
     assert np.array_equal(res.point, E1)
@@ -51,7 +52,7 @@ def test_eta_above_initial_gap_returns_start(monkeypatch):
     sub = Subproblem(g=np.array([1.0, -1.0]), center=E1.copy(), beta=1.0)
     # initial gap at e1 is 2; choose eta above it: the opening is negative
     queries = record_queries(monkeypatch)
-    res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=5.0, cache=VertexCache())
+    res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=5.0, cache=VertexCache(512))
     assert np.array_equal(res.point, E1)
     assert res.iterations == 1 and res.cert_gap == 2.0
     assert res.phi0 == 5.0 and queries[-1][1] == 5.0  # the last query is at eta
@@ -61,7 +62,7 @@ def test_derived_two_vertex_subproblem():
     # minimizer of psi is the projection of center - g onto the simplex = e2
     sub = Subproblem(g=np.array([1.0, -1.0]), center=E1.copy(), beta=1.0)
     region = Simplex(2)
-    res = lcg_solve(sub, region, E1, alpha=1.0, eta=1e-3, cache=VertexCache())
+    res = lcg_solve(sub, region, E1, alpha=1.0, eta=1e-3, cache=VertexCache(512))
     g = sub.grad(res.point)
     for y in (E1, E2):
         assert float(g @ (res.point - y)) <= 1e-3
@@ -73,15 +74,15 @@ def test_line_search_worked_examples():
     u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     # stationary along the segment: grad orthogonal to u - v
     sub = Subproblem(g=np.array([1.0, 1.0]), center=u.copy(), beta=1.0)
-    assert line_search_quadratic(sub, u, v) == 0.0
+    assert line_search_quadratic(sub, u, v, sub.grad(u)) == 0.0
     # minimizer exactly at v
     sub = Subproblem(g=-(v - u), center=u.copy(), beta=1.0)
-    assert line_search_quadratic(sub, u, v) == 1.0
+    assert line_search_quadratic(sub, u, v, sub.grad(u)) == 1.0
     # interior solution of the 1-D quadratic
     sub = Subproblem(g=np.array([1.0, -1.0]), center=u.copy(), beta=2.0)
-    assert line_search_quadratic(sub, u, v) == 0.5
+    assert line_search_quadratic(sub, u, v, sub.grad(u)) == 0.5
     # degenerate segment
-    assert line_search_quadratic(sub, u, u.copy()) == 0.0
+    assert line_search_quadratic(sub, u, u.copy(), sub.grad(u)) == 0.0
 
 
 def test_duality_gap_worked_examples():
@@ -119,7 +120,7 @@ def test_single_point_region_solves_within_the_degenerate_bound():
     for region in (Box(3, lo=0.25, hi=0.25), Enumerated([point])):
         assert region.diameter() == 0.0
         for alpha, eta in [(1.0, 1e-3), (2.0, 1e-3), (3.0, 1.0)]:
-            res = lcg_solve(sub, region, point, alpha, eta, VertexCache())
+            res = lcg_solve(sub, region, point, alpha, eta, VertexCache(512))
             assert res.cert_gap == 0.0 and np.array_equal(res.point, point)
             assert res.iterations <= iteration_bound(res.phi0, 0.0, eta, alpha) == 2
     assert iteration_bound(8.0, 0.0, 1.0, 1.0) == 5  # ceil(2 + log2 8)
@@ -134,7 +135,7 @@ def test_monotone_descent_and_phi_trace(monkeypatch):
     queries = record_queries(monkeypatch)
     eta = 1e-4
     res = lcg_solve(sub, region, region.lmo(rng.standard_normal(6)).point,
-                    alpha=2.0, eta=eta, cache=VertexCache())
+                    alpha=2.0, eta=eta, cache=VertexCache(512))
     values = [subproblem_value(sub, u) for u, _ in queries]
     phis = [phi for _, phi in queries]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
@@ -171,7 +172,7 @@ def test_functional_gap_sandwich(monkeypatch):
             eta = beta * region.diameter() ** 2 * 1e-5
             queries.clear()
             lcg_solve(sub, region, region.lmo(rng.standard_normal(region.dim)).point,
-                      alpha=1.0, eta=eta, cache=VertexCache())
+                      alpha=1.0, eta=eta, cache=VertexCache(512))
             records = [(subproblem_value(sub, u), phi) for u, phi in queries]
             assert records[0][1] == eta
             for val, phi in records[1:]:
@@ -299,7 +300,7 @@ def test_shared_counters_give_per_solve_counts():
     gs = [rng.standard_normal(32) for _ in range(2)]
 
     def solve_all(counters):
-        region, cache = Simplex(32), VertexCache()
+        region, cache = Simplex(32), VertexCache(512)
         u = region.lmo(np.ones(32)).point
         for g, ctr in zip(gs, counters):
             sub = Subproblem(g=g, center=u, beta=4.0)
@@ -333,12 +334,13 @@ def test_scans_only_queries_without_exact_hint(monkeypatch):
         scans.clear()
 
 
-def test_cap_exhaustion_carries_state():
+def test_cap_exhaustion_carries_state(monkeypatch):
+    # the cap is 4x the bound of the opening answer, here 2 queries
+    monkeypatch.setattr(lcg, "iteration_bound", lambda *args: 0.5)
     sub = Subproblem(g=np.array([1.0, -1.0]), center=E1.copy(), beta=1.0)
     ctr = Counters()
-    with pytest.raises(BudgetExceeded) as exc:
-        lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-9,
-                  cache=VertexCache(), cap=2, counters=ctr)
+    with pytest.raises(BudgetExceeded, match="cap 2 exhausted") as exc:
+        lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-9, cache=VertexCache(512), counters=ctr)
     err = exc.value
     assert err.best_point is not None and Simplex(2).contains(err.best_point)
     assert err.last_phi is not None and err.last_phi >= 1e-9
@@ -349,15 +351,15 @@ def test_cap_exhaustion_carries_state():
 def test_domain_errors():
     sub = Subproblem(g=np.zeros(2), center=E1.copy(), beta=1.0)
     with pytest.raises(ValueError):
-        lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=0.0, cache=VertexCache())
+        lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=0.0, cache=VertexCache(512))
     with pytest.raises(ValueError):
-        lcg_solve(sub, Simplex(2), E1, alpha=0.5, eta=1e-3, cache=VertexCache())
+        lcg_solve(sub, Simplex(2), E1, alpha=0.5, eta=1e-3, cache=VertexCache(512))
 
 
 def test_result_is_dataclass_with_expected_fields():
     sub = Subproblem(g=np.array([0.0, 1.0]), center=E1.copy(), beta=1.0)
     ctr = Counters()
-    res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-2, cache=VertexCache(),
+    res = lcg_solve(sub, Simplex(2), E1, alpha=1.0, eta=1e-2, cache=VertexCache(512),
                     counters=ctr)
     assert isinstance(res, LcgResult)
     assert [f.name for f in dataclasses.fields(res)] == [

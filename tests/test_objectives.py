@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lazy_sliding import objectives
+from lazy_sliding import compiled
 from lazy_sliding.objectives import (
     CsrMatrix,
     GaussianSfo,
@@ -297,12 +297,13 @@ def test_csr_kernels_fall_back_to_the_scipy_sparse_package(monkeypatch):
     rows = loaded.rows(idx)
     want = [loaded @ x, loaded.T @ r, rows.data, rows.indices, rows.indptr]
     looked_up = hide_scipy_extensions(monkeypatch)
-    monkeypatch.setattr(objectives, "_sparsetools", None)
+    monkeypatch.setattr(compiled, "loaded", {})
     held = CsrMatrix(A.data, A.indices, A.indptr, A.shape)
-    assert looked_up == ["scipy.sparse._sparsetools"]
-    assert objectives._sparsetools is public
     rows = held.rows(idx)
     got = [held @ x, held.T @ r, rows.data, rows.indices, rows.indptr]
+    # the first kernel call looked the extension up, once
+    assert looked_up == ["scipy.sparse._sparsetools"]
+    assert compiled.loaded == {"scipy.sparse._sparsetools": public}
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
@@ -430,10 +431,9 @@ def test_saddle_smoothed_gradient_lipschitz():
     rng = np.random.default_rng(13)
     A = rng.standard_normal((5, 4))
     obj = SmoothedSaddle(A)
-    L_A = obj.a_norm()
-    assert L_A == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-8)
+    L_A = np.linalg.svd(A, compute_uv=False)[0]
     for tau in (0.1, 1.0):
-        L_tau = L_A ** 2 / (tau * obj.sigma_omega)
+        L_tau = L_A ** 2 / tau  # the prox function's strong convexity modulus is 1
         for _ in range(300):
             x, y = rng.standard_normal(4), rng.standard_normal(4)
             _, gx = obj.smoothed(x, tau)
@@ -466,7 +466,6 @@ def test_l1_distance_basics():
     x = np.array([1.5, -1.0, 0.0])
     assert obj.value(x) == pytest.approx(3.0)
     assert np.array_equal(obj.subgrad(x), [1.0, 0.0, -1.0])
-    assert obj.lipschitz_M() == pytest.approx(2.0 * np.sqrt(3.0))
     rng = np.random.default_rng(16)
     # subgradient inequality f(y) >= f(x) + <g, y - x>
     for _ in range(500):

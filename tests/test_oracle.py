@@ -22,7 +22,7 @@ E2 = np.array([0.0, 1.0])
 
 
 def test_positive_from_exact_fallback():
-    cache, ctr = VertexCache(), Counters()
+    cache, ctr = VertexCache(512), Counters()
     resp = weak_separation(cache, Simplex(2), np.array([1.0, 0.0]), E1, 0.5, 1.0, ctr)
     assert resp.positive
     assert np.array_equal(resp.vertex.point, E2)
@@ -32,7 +32,7 @@ def test_positive_from_exact_fallback():
 
 
 def test_negative_at_minimizer():
-    cache, ctr = VertexCache(), Counters()
+    cache, ctr = VertexCache(512), Counters()
     for phi in (1e-6, 0.5, 10.0):
         resp = weak_separation(cache, Simplex(2), np.array([1.0, 0.0]), E2, phi, 1.0, ctr)
         assert not resp.positive
@@ -42,7 +42,7 @@ def test_negative_at_minimizer():
 
 
 def test_cache_hit_skips_lmo():
-    cache = VertexCache()
+    cache = VertexCache(512)
     c, x = np.array([1.0, 0.0]), E1
     ctr = Counters()
     weak_separation(cache, Simplex(2), c, x, 0.5, 1.0, ctr)
@@ -55,7 +55,7 @@ def test_cache_hit_skips_lmo():
 
 def test_boundary_equality_is_negative():
     # improvement exactly phi/alpha must NOT count as positive
-    cache = VertexCache()
+    cache = VertexCache(512)
     resp = weak_separation(cache, Simplex(2), np.array([1.0, 0.0]), E1, 1.0, 1.0)
     assert not resp.positive and resp.gap == pytest.approx(1.0)
 
@@ -65,7 +65,7 @@ def test_initial_gap_worked_examples(monkeypatch):
     # exact LMO: phi0 is the exact gap max_u <grad psi(u1), u1 - u>, clamped
     # to eta, and a minimizer that beats eta is cached
     def opening(region, g, u1, eta=1e-9):
-        cache, ctr = VertexCache(), Counters()
+        cache, ctr = VertexCache(512), Counters()
         # the state when the second query is asked: the opening's doing
         queries = record_queries(monkeypatch, probe=lambda: (
             ctr.exact_lmo_calls, [v.point for v in cache_entries(cache)]))
@@ -83,7 +83,7 @@ def test_initial_gap_worked_examples(monkeypatch):
 
 
 def test_domain_errors():
-    cache = VertexCache()
+    cache = VertexCache(512)
     with pytest.raises(ValueError):
         weak_separation(cache, Simplex(2), E1, E1, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -232,7 +232,7 @@ def test_cache_positive_may_differ_but_is_valid():
     # cache transparency: a cached positive need not be the exact minimizer,
     # it only has to clear the threshold
     region = Simplex(3)
-    cache = VertexCache()
+    cache = VertexCache(512)
     cache.insert(Vertex(np.array([0.0, 1.0, 0.0]), 1))
     c = np.array([3.0, 1.0, 0.0])
     x = np.array([1.0, 0.0, 0.0])

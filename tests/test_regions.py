@@ -6,7 +6,7 @@ import pytest
 
 from lazy_sliding.bench import cut_polytope_vertices, hamiltonian_cycle_vertices, layered_dag_edges
 from lazy_sliding.errors import NumericalError
-from lazy_sliding import regions
+from lazy_sliding import compiled, regions
 from lazy_sliding.regions import (
     Birkhoff,
     Box,
@@ -446,23 +446,24 @@ def test_birkhoff_lmo_matches_assignment_formulation(n):
         assert got.id == tuple(int(j) for j in cols)
         assert all(type(j) is int for j in got.id)
         # the solver the region loaded answers as the public one does
-        loaded = regions._linear_sum_assignment(c.reshape(n, n))
+        loaded = compiled.kernel("linear_sum_assignment")(c.reshape(n, n))
         assert [a.tolist() for a in loaded] == [rows.tolist(), cols.tolist()]
 
 
 def test_birkhoff_lmo_falls_back_to_the_public_solver(monkeypatch):
     # a scipy layout without the compiled module: the region imports the
     # public name, and answers with the same vertices
-    from scipy.optimize import linear_sum_assignment
+    import scipy.optimize
 
     n = 7
     costs = _tie_heavy_costs(np.random.default_rng(n), n * n)
     loaded = [Birkhoff(n).lmo(c) for c in costs]
     looked_up = hide_scipy_extensions(monkeypatch)
-    monkeypatch.setattr(regions, "_linear_sum_assignment", None)
+    monkeypatch.setattr(compiled, "loaded", {})
     fallback = [Birkhoff(n).lmo(c) for c in costs]
     assert looked_up == ["scipy.optimize._lsap"]
-    assert regions._linear_sum_assignment is linear_sum_assignment
+    assert compiled.loaded == {"scipy.optimize._lsap": scipy.optimize}
+    assert compiled.kernel("linear_sum_assignment") is scipy.optimize.linear_sum_assignment
     assert [(v.point.tobytes(), v.id) for v in fallback] == [(v.point.tobytes(), v.id)
                                                              for v in loaded]
 
@@ -697,23 +698,24 @@ def test_enumerated_contains_falls_back_to_the_public_nnls(monkeypatch):
                 for V, x in cases]
 
     loaded = answers()
-    assert regions._nnls.__module__ == "scipy.optimize._slsqplib"
+    assert compiled.kernel("nnls").__module__ == "scipy.optimize._slsqplib"
     looked_up = hide_scipy_extensions(monkeypatch)
-    monkeypatch.setattr(regions, "_nnls", None)
+    monkeypatch.setattr(compiled, "loaded", {})
     fallback = answers()
     assert looked_up == ["scipy.optimize._slsqplib"]
-    assert regions._nnls is nnls
+    assert compiled.kernel("nnls") is nnls
     assert [inside for inside, _ in fallback] == [inside for inside, _ in loaded]
     for (_, norm), (_, expected) in zip(fallback, loaded):
         assert norm == pytest.approx(expected, rel=1e-8, abs=1e-14)
 
 
 def test_public_nnls_fallback_raises_at_the_iteration_cap(monkeypatch):
-    from scipy.optimize import nnls
+    import scipy.optimize
 
     V = hamiltonian_cycle_vertices(6).astype(float)
     x = np.full(len(V), 1.0 / len(V)) @ V
-    monkeypatch.setattr(regions, "_nnls", nnls)
+    # the public function, as on a scipy layout without the compiled module
+    monkeypatch.setattr(compiled, "loaded", {"scipy.optimize._slsqplib": scipy.optimize})
     monkeypatch.setattr(regions, "_MNP_MAX_ITERS", 1)
     with pytest.raises(NumericalError, match="minimum-norm point"):
         Enumerated(V).contains(x)

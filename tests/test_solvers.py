@@ -1,11 +1,10 @@
 import dataclasses
-import functools
 import math
 
 import numpy as np
 import pytest
 
-from lazy_sliding import solvers
+from lazy_sliding import lcg, solvers
 from lazy_sliding.errors import BudgetExceeded, ConfigError
 from lazy_sliding.lcg import duality_gap, lcg_solve
 from lazy_sliding.objectives import (
@@ -183,7 +182,7 @@ def test_the_schedule_decides_the_gradient_oracle():
     x0 = _vertex(6)
     L = estimate_L(ls)
     c = ProblemConstants(L=L, mu=L, sigma2=0.5, M=1.0, D_X=math.sqrt(2.0), D_0=1.0,
-                         delta0=ls.value(x0), A_norm=saddle.a_norm(), sigma_omega=1.0,
+                         delta0=ls.value(x0), A_norm=np.linalg.norm(saddle.A, 2), sigma_omega=1.0,
                          D_YW=math.sqrt(saddle.d2_yw))
     pairs = [(variant, tag) for variant, tags in solvers._ALLOWED_TAGS.items()
              for tag in sorted(tags)] + sorted(solvers.RESTARTS.items())
@@ -333,7 +332,7 @@ def test_saddle_converges_to_game_value():
     A = rng.standard_normal((3, 6))
     obj = SmoothedSaddle(A)
     v_star = grid_game_value(A, steps=600)
-    c = ProblemConstants(A_norm=obj.a_norm(), sigma_omega=1.0,
+    c = ProblemConstants(A_norm=np.linalg.norm(A, 2), sigma_omega=1.0,
                          D_YW=math.sqrt(obj.d2_yw), D_X=math.sqrt(2.0))
     x0 = _vertex(6)
     N = 150
@@ -352,7 +351,7 @@ def test_nonsmooth_bound():
     x_star = np.array([0.25, 0.5, 0.75, 0.1, 0.9])
     obj = L1Distance(x_star)
     region = Box(5, 0.0, 1.0)
-    M = obj.lipschitz_M()
+    M = 2.0 * math.sqrt(5)  # the sign subgradient's M, 2 sqrt(n), tight
     D = region.diameter()
     N = 100
     c = ProblemConstants(sigma2=0.0, M=M, D_X=D)
@@ -507,7 +506,7 @@ def test_lcg_cap_budget_error_propagates(monkeypatch):
     c = ProblemConstants(L=estimate_L(base), D_X=math.sqrt(2.0))
     cfg = SolverConfig("calgd", c, _vertex(6), 50,
                        schedule=ScheduleVariant("smooth_deterministic"))
-    monkeypatch.setattr(solvers, "lcg_solve", functools.partial(lcg_solve, cap=1))
+    monkeypatch.setattr(lcg, "iteration_bound", lambda *args: 0.25)  # a cap, 4x it, of 1 query
     with pytest.raises(BudgetExceeded):
         run_solver(cfg, base, Simplex(6))
 
@@ -521,7 +520,7 @@ def test_budget_error_carries_partial_trace(variant, cap, monkeypatch):
     c = ProblemConstants(L=estimate_L(base), mu=mu, delta0=base.value(x0), D_X=math.sqrt(2.0))
     cfg = SolverConfig(variant, c, x0, 50, eps=base.value(x0) / 64.0,
                        schedule=ScheduleVariant("smooth_deterministic") if variant == "calgd" else None)
-    monkeypatch.setattr(solvers, "lcg_solve", functools.partial(lcg_solve, cap=cap))
+    monkeypatch.setattr(lcg, "iteration_bound", lambda *args: cap / 4)  # the cap is 4x the bound
     # with a cache the failed solve's opening query may be a cache hit, with
     # no exact LMO; without one it costs an exact LMO
     for config in (cfg, dataclasses.replace(cfg, cache_capacity=0)):
