@@ -3,9 +3,9 @@
 Instances are least-squares problems f(x) = ||A x - b||^2 over one of the
 feasible regions, with b = A x_star for a feasible x_star so the optimum
 value is exactly zero and objective thresholds are meaningful across
-instances.  Everything is JSON on disk and deterministic given the seed and,
-for a dense A, the BLAS thread count, whose split of b = A @ x_star can move
-its rounding.  A CSR A is drawn a block of rows at a time.
+instances.  Everything is JSON on disk and deterministic given the seed
+alone: A is drawn a block of rows at a time and b = A @ x_star is formed 4
+rows at a time, so no BLAS thread count moves its rounding.
 
 In an instance file the numeric arrays (A or its CSR parts, b, x_star, and
 the vertices of an enumerated region) are ``{"__ndarray__": dtype, "shape":
@@ -31,7 +31,7 @@ from . import __version__
 from .errors import BudgetExceeded, ConfigError, NumericalError
 from .objectives import CsrMatrix, LeastSquares, estimate_L, estimate_sigma2
 from .regions import Enumerated, region_from_spec, svec
-from .schedules import NEEDS, ProblemConstants, ScheduleVariant, schedule_eval
+from .schedules import NEEDS, ProblemConstants, ScheduleVariant, _integer, schedule_eval
 from .solvers import RESTARTS, SolverConfig, run_solver
 from .trace import RunTrace, TraceTable, read_trace_csv
 
@@ -80,7 +80,7 @@ def cut_polytope_vertices(nodes):
 
 def layered_dag_edges(layers, width):
     """Edge list of a source -> (layers x width grid) -> sink layered DAG."""
-    if layers < 1 or width < 1:
+    if not (layers >= 1 and width >= 1):
         raise ValueError("layered dag needs layers >= 1 and width >= 1")
     def node(l, i):
         return 1 + l * width + i
@@ -116,16 +116,18 @@ def _sample_x_star(region, rng, averages=10):
     return np.mean(pts, axis=0)
 
 
-def _csr_draw(rng, region, m, density):
-    """(CSR ``A``, ``b``, ``x_star``) as the dense draw gives them, drawn a row block at a time.
+def _draw(rng, region, m, density, csr):
+    """(``A`` as a dense or CSR dict, ``b``, ``x_star``), drawn a block of rows at a time.
 
     The mask takes stream positions [0, m n) of ``rng``, the values and
-    ``x_star`` copies of its bit generator advanced by m n and 2 m n, as in
-    the dense draw.  ``A`` holds what ``scipy.sparse.csr_matrix`` holds: C
-    order, no entry of value 0.0, int32 indices unless a count does not fit.
-    ``b`` is formed 4 rows at a time (the last group takes the left-over
-    rows), as one-thread OpenBLAS forms ``A @ x_star``, so it rounds as that
-    does at 1 and at 2 BLAS threads (tested).
+    ``x_star`` copies of its bit generator advanced by m n and 2 m n: an
+    entry of ``A`` is its value where its mask draw is below ``density``,
+    else 0.0.  A dense ``A`` is drawn straight into its m x n array; a CSR
+    ``A`` holds what ``scipy.sparse.csr_matrix`` holds: C order, no entry
+    of value 0.0, int32 indices unless a count does not fit.  ``b`` is
+    formed 4 rows at a time (the last group takes the left-over rows), as
+    one-thread OpenBLAS forms ``A @ x_star``, so it does not depend on the
+    BLAS thread count (tested at 1 and 2).
     """
     n = region.dim
     values, rest = (np.random.Generator(copy.deepcopy(rng.bit_generator).advance(k * m * n))
@@ -134,17 +136,21 @@ def _csr_draw(rng, region, m, density):
     height = max(4, (1 << 18) // n // 4 * 4)  # rows of a block: about 2 MB of doubles
     bounds = list(range(0, max(m - 3, 1), height)) + [m]  # the last block has 4+ rows if A has
     b, counts, data, cols = np.empty(m), np.empty(m, dtype=np.intp), [], []
-    blocks, draws = np.empty((2, min(m, height + 3), n))  # reused, so no page is faulted twice
+    draws = np.empty((min(m, height + 3), n))  # reused, so no page is faulted twice
+    A = np.empty_like(draws) if csr else np.empty((m, n))  # a CSR A: a reused row block
     for lo, hi in zip(bounds, bounds[1:]):
-        block = values.random(out=blocks[:hi - lo])
+        block = values.random(out=A[:hi - lo] if csr else A[lo:hi])
         block *= rng.random(out=draws[:hi - lo]) < density  # values >= 0: where(mask, value, 0)
         head = max(hi - lo - 4, 0) // 4 * 4  # rows in 4-row groups before the last
         b[lo:lo + head] = np.matmul(block[:head].reshape(-1, 4, n), x_star).reshape(-1)
         b[lo + head:hi] = block[head:] @ x_star
-        stored = block != 0.0
-        data.append(block[stored])
-        cols.append(np.flatnonzero(stored) % n)
-        counts[lo:hi] = np.count_nonzero(stored, axis=1)
+        if csr:
+            stored = block != 0.0
+            data.append(block[stored])
+            cols.append(np.flatnonzero(stored) % n)
+            counts[lo:hi] = np.count_nonzero(stored, axis=1)
+    if not csr:
+        return {"format": "dense", "data": A}, b, x_star
     data, cols = np.concatenate(data), np.concatenate(cols)
     itype = np.int32 if max(m, n, len(data)) <= np.iinfo(np.int32).max else np.int64
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(itype)
@@ -155,15 +161,11 @@ def _csr_draw(rng, region, m, density):
 def gen_instance(spec: dict) -> dict:
     """Generate an instance dict from a generator spec (deterministic in seed)."""
     _object(spec, "generator spec", {"region", "objective", "seed"})
-    seed = _integer(spec.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0, got %r" % (seed,))
+    seed = _integer(spec.get("seed", 0), "seed", 0)
     ospec = _object(spec.get("objective", {}), "objective", {"type", "m", "density"})
     if ospec.get("type", "least_squares") != "least_squares":
         raise ConfigError("only least_squares objectives are generated")
-    m = _integer(ospec.get("m", 100), "m")
-    if m < 1:
-        raise ConfigError("m must be >= 1, got %r" % (m,))
+    m = _integer(ospec.get("m", 100), "m", 1)
     density = ospec.get("density", 1.0)
     if (isinstance(density, bool) or not isinstance(density, numbers.Real)
             or not 0.0 < density <= 1.0):
@@ -174,15 +176,8 @@ def gen_instance(spec: dict) -> dict:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("bad region spec: %s %s" % (type(exc).__name__, exc)) from exc
 
-    rng = np.random.default_rng(seed)
-    n = region.dim
-    if density <= 0.25 and m * n > 10000:
-        amat, b, x_star = _csr_draw(rng, region, m, density)
-    else:
-        mask = rng.random((m, n)) < density
-        A = np.where(mask, rng.random((m, n)), 0.0)
-        x_star = _sample_x_star(region, rng)
-        amat, b = {"format": "dense", "data": A}, A @ x_star
+    amat, b, x_star = _draw(np.random.default_rng(seed), region, m, density,
+                            csr=density <= 0.25 and m * region.dim > 10000)
     return {
         "version": __version__,
         "region": region_spec,
@@ -352,12 +347,10 @@ def _prepare_entry(entry, budgets, region, objective, inst):
         constants=ProblemConstants(**given),
         x0=_default_x0(region, entry.get("x0", "vertex"), inst),
         outer_limit=outer,
-        schedule=None if sd is None else ScheduleVariant(
-            sd["tag"], N=_integer(sd.get("N", outer), "schedule N")),
+        schedule=None if sd is None else ScheduleVariant(sd["tag"], N=sd.get("N", outer)),
         time_limit=budgets.get("wall_seconds"),
-        batch=None if entry.get("batch") is None else _integer(entry["batch"], "batch"),
-        cache_capacity=_integer(entry.get("cache_capacity", SolverConfig.cache_capacity),
-                                "cache_capacity"),
+        batch=entry.get("batch"),
+        cache_capacity=entry.get("cache_capacity", SolverConfig.cache_capacity),
         eps=entry.get("eps"),
         alpha=entry.get("alpha", SolverConfig.alpha),
     )
@@ -447,8 +440,7 @@ def run_experiment(config: dict, base_dir=".", out_dir=None, seeds=None,
     """
     _object(config, "experiment config", {"instance", "seeds", "budgets", "solvers", "out_dir"})
     seeds = parse_seeds(config.get("seeds", [0]) if seeds is None else seeds)
-    if _integer(jobs, "jobs") < 1:
-        raise ConfigError("jobs must be >= 1, got %r" % (jobs,))
+    jobs = _integer(jobs, "jobs", 1)
     instance, entries = config.get("instance"), config.get("solvers", [])
     if not isinstance(instance, str) or not isinstance(entries, list):
         raise ConfigError("a config needs an instance path and a solvers list, got "
@@ -518,18 +510,6 @@ def parse_seeds(seeds):
     if not parsed:
         raise ConfigError("seeds %r name no seed" % (seeds,))
     return parsed
-
-
-def _integer(value, name):
-    """``value`` as an int; a ConfigError unless it is a number with an integer value.
-
-    A bool, a string or a number with a fractional part is rejected, not
-    converted or truncated: an entry runs what it names or nothing.
-    """
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
-        raise ConfigError("%s %r is not an integer" % (name, value))
-    return int(value)
 
 
 def _object(value, name, keys=None):

@@ -110,7 +110,7 @@ def iteration_bound(phi0, c_phi, eta, alpha, h0=None):
 
         bound = floor(h0 / prog(phi1)) + iteration_bound(phi1, c_phi, eta, alpha).
     """
-    if phi0 <= 0 or eta <= 0 or alpha < 1:
+    if not (phi0 > 0 and eta > 0 and alpha >= 1):
         raise ValueError("iteration_bound needs phi0 > 0, eta > 0, alpha >= 1")
     if h0 is not None:
         phi1 = max(phi0 / 2.0, eta)
@@ -171,9 +171,9 @@ def lcg_solve(sub, region, u1, alpha, eta, cache, counters=None) -> LcgResult:
         If the cap runs out first; carries the best iterate, the last Phi
         and, as iterations, the queries made (the cap).
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive, got %r" % (eta,))
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError("alpha must be >= 1, got %r" % (alpha,))
     if counters is None:
         counters = Counters()

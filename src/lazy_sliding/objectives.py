@@ -236,8 +236,8 @@ class GaussianSfo:
     """
 
     def __init__(self, base, sigma2):
-        if sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not sigma2 >= 0:
+            raise ValueError("sigma2 must be nonnegative, got %r" % (sigma2,))
         self.base = base
         self.sigma2 = float(sigma2)
 
@@ -300,7 +300,7 @@ class SmoothedSaddle:
 
     def smoothed(self, x, tau):
         """(f_tau(x), grad f_tau(x)); one A-apply and one A^T-apply."""
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError("tau must be positive, got %r" % (tau,))
         ax = self.A @ x
         y = simplex_project(self.center + ax / tau)

@@ -48,9 +48,9 @@ class VertexCache:
     """
 
     def __init__(self, capacity, support=None):
-        if capacity < 0:
+        if not capacity >= 0:
             raise ValueError("cache capacity must be >= 0")
-        if support is not None and support < 1:
+        if support is not None and not support >= 1:
             raise ValueError("cache support must be >= 1 or None")
         self.capacity = capacity
         self.support = support
@@ -189,9 +189,9 @@ def weak_separation(cache, region, c, x, phi, alpha, counters=None,
     vertex of largest improvement, and a miss costs one exact LMO, whose
     vertex is cached when the answer is positive.
     """
-    if phi <= 0:
+    if not phi > 0:
         raise ValueError("phi must be positive, got %r" % (phi,))
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError("alpha must be >= 1, got %r" % (alpha,))
     if counters is None:
         counters = Counters()

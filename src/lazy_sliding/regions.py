@@ -148,7 +148,7 @@ class Simplex(Region):
     support = 1
 
     def __init__(self, n):
-        if n < 1:
+        if not n >= 1:
             raise ValueError("simplex needs n >= 1")
         self.n = n
         self.dim = n
@@ -176,9 +176,9 @@ class L1Ball(Region):
     support = 1
 
     def __init__(self, n, radius=1.0):
-        if n < 1:
+        if not n >= 1:
             raise ValueError("l1 ball needs n >= 1")
-        if not 0 < radius < math.inf:  # NaN fails too
+        if not 0 < radius < math.inf:
             raise ValueError("l1 ball needs a finite radius > 0, got %r" % (radius,))
         self.n = n
         self.radius = float(radius)
@@ -207,7 +207,7 @@ class Box(Region):
     kind = "box"
 
     def __init__(self, n, lo=0.0, hi=1.0):
-        if n < 1:
+        if not n >= 1:
             raise ValueError("box needs n >= 1")
         self.n = n
         self.dim = n
@@ -239,7 +239,7 @@ class Birkhoff(Region):
     kind = "birkhoff"
 
     def __init__(self, n):
-        if n < 1:
+        if not n >= 1:
             raise ValueError("birkhoff needs n >= 1")
         self.n = n
         self.dim = n * n
@@ -279,7 +279,7 @@ class Spectrahedron(Region):
     kind = "spectrahedron"
 
     def __init__(self, n):
-        if n < 1:
+        if not n >= 1:
             raise ValueError("spectrahedron needs n >= 1")
         self.n = n
         self.dim = svec_dim(n)

@@ -74,6 +74,20 @@ def _in_range(v, lo):
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and lo <= v < math.inf
 
 
+def _integer(value, name, lo=None):
+    """``value`` as an int, checked to be >= ``lo`` when given; a ConfigError otherwise.
+
+    A bool, a string or a number with a fractional part is rejected, not
+    converted or truncated: a run runs what it names or nothing.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ConfigError("%s %r is not an integer" % (name, value))
+    if lo is not None and value < lo:
+        raise ConfigError("%s must be >= %d, got %r" % (name, lo, value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ScheduleVariant:
     """A schedule tag plus the horizon N / phase index s it may need."""
@@ -85,6 +99,9 @@ class ScheduleVariant:
     def __post_init__(self):
         if self.tag not in VALID_TAGS:
             raise ConfigError("unknown schedule tag %r" % (self.tag,))
+        for name in ("N", "s"):  # frozen, so set through object: 3.0 becomes 3
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.tag in _FIXED_N_TAGS:
             if self.N is None or self.N < 1:
                 raise ConfigError("schedule %r requires a horizon N >= 1" % (self.tag,))
@@ -149,7 +166,7 @@ def _need(c, tag):
 
 
 def _positive(tag, name, v):
-    if v <= 0:
+    if not v > 0:
         raise ConfigError("schedule %r requires constant %r > 0, got %r" % (tag, name, v))
 
 
@@ -174,7 +191,7 @@ def schedule_eval(variant, k, c):
     -------
     StepParams
     """
-    if k < 1:
+    if not k >= 1:
         raise ValueError("iteration index k must be >= 1, got %r" % (k,))
     tag = variant.tag
     tau = 0.0

@@ -58,6 +58,7 @@ from .schedules import (
     ProblemConstants,
     ScheduleVariant,
     _in_range,
+    _integer,
     restart_phase_plan,
     schedule_eval,
 )
@@ -100,8 +101,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError("unknown solver variant %r" % (self.variant,))
-        if not (self.outer_limit is None and self.variant in RESTARTS) and self.outer_limit < 1:
-            raise ConfigError("outer_limit must be >= 1")
+        # each integer field is set to its int, so an integral float 3.0 runs as 3
+        if not (self.outer_limit is None and self.variant in RESTARTS):
+            self.outer_limit = _integer(self.outer_limit, "outer_limit", 1)
+        self.seed = _integer(self.seed, "seed")
         if self.time_limit is not None and not _in_range(self.time_limit, 0):
             # a NaN limit never fires, and a negative one ends every run at once
             raise ConfigError("time_limit must be a finite number of seconds >= 0, got %r"
@@ -121,10 +124,9 @@ class SolverConfig:
         elif self.schedule is not None:
             # ofw has fixed step exponents; a restart runs RESTARTS' phase schedule
             raise ConfigError("variant %r takes no schedule" % (self.variant,))
-        if self.batch is not None and self.batch < 1:
-            raise ConfigError("batch override must be >= 1")
-        if self.cache_capacity < 0:
-            raise ConfigError("cache_capacity must be >= 0, got %r" % (self.cache_capacity,))
+        if self.batch is not None:
+            self.batch = _integer(self.batch, "batch", 1)
+        self.cache_capacity = _integer(self.cache_capacity, "cache_capacity", 0)
         if not _in_range(self.alpha, 1):
             raise ConfigError("alpha must be finite and >= 1, got %r" % (self.alpha,))
         # what a run reads, settled once: the baselines call the exact LMO

@@ -399,11 +399,12 @@ def dense_matrix(A):
 
 
 def dense_csr_draw(spec):
-    """{b, data, indices, indptr, x_star} of a CSR generator spec, as `gen_instance` first made them.
+    """{format, data, b, x_star} (and a CSR A's indices and indptr) of a generator spec, as
+    `gen_instance` first made them; the reference for the generator's row-block draw.
 
-    Dense m x n mask and values from one stream, ``x_star`` after them,
-    ``b = A @ x_star`` in one BLAS call and the CSR arrays from
-    ``np.nonzero(A)``; the reference for the generator's row-block draw.
+    Dense m x n mask and values from one stream, ``x_star`` after them and
+    ``b = A @ x_star`` in one BLAS call; a CSR ``A``'s arrays are taken from
+    ``np.nonzero(A)``, and a dense ``A`` is ``data``.
     """
     from lazy_sliding.bench import _sample_x_star, expand_region_spec
     from lazy_sliding.regions import region_from_spec
@@ -414,12 +415,14 @@ def dense_csr_draw(spec):
     mask = rng.random((m, n)) < density
     A = np.where(mask, rng.random((m, n)), 0.0)
     x_star = _sample_x_star(region, rng)
+    if not (density <= 0.25 and m * n > 10000):
+        return {"format": "dense", "data": A, "b": A @ x_star, "x_star": x_star}
     rows, cols = np.nonzero(A)
     itype = np.int32 if max(m, n, len(rows)) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(m + 1, dtype=itype)
     np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    return {"b": A @ x_star, "data": A[rows, cols], "indices": cols.astype(itype),
-            "indptr": indptr, "x_star": x_star}
+    return {"format": "csr", "b": A @ x_star, "data": A[rows, cols],
+            "indices": cols.astype(itype), "indptr": indptr, "x_star": x_star}
 
 
 @contextlib.contextmanager

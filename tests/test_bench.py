@@ -236,19 +236,28 @@ def test_gen_csr_arrays_are_the_arrays_of_scipy_csr_matrix(density, seed):
 
 # CSR specs whose m is neither a multiple of 4 nor of the generator's block
 # height (372 rows at n = 700, 872 at 300, 84 at 3001), one with fewer than 4
-# rows, and one whose blocks would leave a last block of 2 rows
+# rows, and one whose blocks would leave a last block of 2 rows; then dense
+# specs: one in several blocks, one of fewer than 4 rows, one of 5 rows, and
+# birkhoff n = 50 at m = 1001, whose b one BLAS call rounds differently at 2
+# threads than at 1
 ROW_BLOCK_SPECS = [
     {"region": {"kind": "simplex", "n": 700}, "objective": {"m": 1390, "density": 0.2}, "seed": 2},
     {"region": {"kind": "simplex", "n": 700}, "objective": {"m": 746, "density": 0.2}, "seed": 3},
     {"region": {"kind": "box", "n": 300}, "objective": {"m": 901, "density": 0.25}, "seed": 4},
     {"region": {"kind": "simplex", "n": 3001}, "objective": {"m": 517, "density": 0.01}, "seed": 5},
     {"region": {"kind": "simplex", "n": 5001}, "objective": {"m": 3, "density": 0.01}, "seed": 6},
+    {"region": {"kind": "simplex", "n": 700}, "objective": {"m": 1390, "density": 0.5}, "seed": 7},
+    {"region": {"kind": "box", "n": 40}, "objective": {"m": 3, "density": 0.6}, "seed": 8},
+    {"region": {"kind": "hamiltonian_cycles", "nodes": 5}, "objective": {"m": 5, "density": 1.0},
+     "seed": 9},
+    {"region": {"kind": "birkhoff", "n": 50}, "objective": {"m": 1001, "density": 0.3}, "seed": 0},
 ]
 
 
 def _row_block_draws(threads):
-    """Per spec of ROW_BLOCK_SPECS, the sha256 of each array (A's CSR parts, b, x_star) of
-    `gen_instance` and of the dense reference, in a fresh process at ``threads`` BLAS threads."""
+    """Per spec of ROW_BLOCK_SPECS, A's format and the sha256 of each array (A's dense or CSR
+    parts, b, x_star) of `gen_instance` and of the whole-matrix reference, in a fresh process
+    at ``threads`` BLAS threads."""
     code = ("import hashlib, json, os, sys\n"
             "os.environ['OPENBLAS_NUM_THREADS'] = sys.argv[1]  # read when numpy loads\n"
             "sys.path.insert(0, sys.argv[2])\n"
@@ -258,26 +267,25 @@ def _row_block_draws(threads):
             "for spec in json.loads(sys.argv[3]):\n"
             "    o = gen_instance(spec)['objective']\n"
             "    got = dict(o['A'], b=o['b'], x_star=o['x_star'])\n"
-            "    assert got['format'] == 'csr'\n"
-            "    out.append([{k: hashlib.sha256(a[k].tobytes()).hexdigest() + str(a[k].dtype)\n"
-            "                 for k in ('b', 'data', 'indices', 'indptr', 'x_star')}\n"
-            "                for a in (got, dense_csr_draw(spec))])\n"
+            "    out.append([{k: a[k] if k == 'format' else\n"
+            "                 hashlib.sha256(a[k].tobytes()).hexdigest() + str(a[k].dtype)\n"
+            "                 for k in a if k != 'shape'} for a in (got, dense_csr_draw(spec))])\n"
             "print(json.dumps(out))")
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     return json.loads(run_fresh(code, str(threads), tests_dir, json.dumps(ROW_BLOCK_SPECS)))
 
 
-def test_csr_row_block_draw_is_the_dense_draw_at_one_and_two_blas_threads():
-    # the CSR arrays are the dense draw's bit for bit; b is the one-thread
-    # dense b at both thread counts, because it is formed in the 4-row groups
-    # one thread forms, while the dense b at 2 threads follows OpenBLAS's
-    # thread split
+def test_row_block_draw_is_the_whole_draw_at_one_and_two_blas_threads():
+    # every array is the whole-matrix draw's bit for bit at one BLAS thread,
+    # dense or CSR; b is the same at 2 threads, because it is formed in the
+    # 4-row groups one thread forms, while the reference's b at 2 threads
+    # follows OpenBLAS's thread split
     one, two = _row_block_draws(1), _row_block_draws(2)
+    assert [got["format"] for got, _ in one] == ["csr"] * 5 + ["dense"] * 4
     for (got1, want1), (got2, want2) in zip(one, two):
         assert got1 == want1
         assert got2 == got1
-        assert {k: got2[k] for k in ("data", "indices", "indptr", "x_star")} == {
-            k: want2[k] for k in ("data", "indices", "indptr", "x_star")}
+        assert dict(got2, b=None) == dict(want2, b=None)
 
 
 def test_csr_gen_holds_no_dense_matrix():
@@ -289,6 +297,17 @@ def test_csr_gen_holds_no_dense_matrix():
         inst = gen_instance(spec)
     assert inst["objective"]["A"]["format"] == "csr"
     assert usage.peak < 24 * 2 ** 20
+
+
+def test_dense_gen_holds_one_matrix():
+    # A (3000 x 2000, 45.8 MiB) is drawn into place; the whole-matrix draw
+    # held the mask, the values and A at once and peaked at 97.3 MiB
+    spec = {"region": {"kind": "simplex", "n": 2000}, "objective": {"m": 3000, "density": 0.5},
+            "seed": 1}
+    with traced_peak() as usage:
+        inst = gen_instance(spec)
+    assert inst["objective"]["A"]["format"] == "dense"
+    assert usage.peak < 60 * 2 ** 20
 
 
 def _array_fields(inst):

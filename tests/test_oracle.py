@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lazy_sliding.lcg import Subproblem, lcg_solve
+from lazy_sliding.lcg import Subproblem, iteration_bound, lcg_solve
+from lazy_sliding.objectives import GaussianSfo, LeastSquares, SmoothedSaddle
 from lazy_sliding.oracle import VertexCache, weak_separation
 from lazy_sliding.regions import (
     Birkhoff,
@@ -13,12 +14,44 @@ from lazy_sliding.regions import (
     Spectrahedron,
     Vertex,
 )
+from lazy_sliding.schedules import ProblemConstants, ScheduleVariant, schedule_eval
 from lazy_sliding.trace import Counters
 
 from helpers import BestHitCache, cache_entries, count_scans, record_queries, traced_peak
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+NAN = float("nan")
+
+
+def _nan_sub():
+    return Subproblem(g=np.array([1.0, 0.0, 5.0]), center=np.zeros(3), beta=1.0)
+
+
+@pytest.mark.parametrize("call,match", [
+    # with phi or alpha NaN this query answered negative with gap 5 > phi/alpha
+    (lambda: weak_separation(VertexCache(4), Simplex(3), np.array([1.0, 0.0, 5.0]),
+                             np.eye(3)[2], NAN, 1.0), "phi must be positive"),
+    (lambda: weak_separation(VertexCache(4), Simplex(3), np.array([1.0, 0.0, 5.0]),
+                             np.eye(3)[2], 1.0, NAN), "alpha must be >= 1"),
+    (lambda: iteration_bound(NAN, 1.0, 0.1, 1.0), "iteration_bound needs"),
+    (lambda: iteration_bound(1.0, 1.0, NAN, 1.0), "iteration_bound needs"),
+    (lambda: lcg_solve(_nan_sub(), Simplex(3), np.eye(3)[0], 1.0, NAN, VertexCache(4)),
+     "eta must be positive"),
+    (lambda: lcg_solve(_nan_sub(), Simplex(3), np.eye(3)[0], NAN, 0.1, VertexCache(4)),
+     "alpha must be >= 1"),
+    (lambda: GaussianSfo(LeastSquares(np.eye(2), np.ones(2)), NAN), "sigma2 must be"),
+    (lambda: SmoothedSaddle(np.eye(2)).smoothed(np.ones(2), NAN), "tau must be positive"),
+    (lambda: VertexCache(NAN), "capacity must be >= 0"),
+    (lambda: VertexCache(4, NAN), "support must be >= 1"),
+    (lambda: Simplex(NAN), "needs n >= 1"),
+    (lambda: schedule_eval(ScheduleVariant("smooth_deterministic"), NAN,
+                           ProblemConstants(L=1.0, D_X=1.0)), "k must be >= 1"),
+], ids=["phi", "alpha", "phi0", "eta", "lcg_eta", "lcg_alpha", "sigma2", "tau", "capacity",
+        "support", "n", "k"])
+def test_numeric_guards_reject_nan(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_positive_from_exact_fallback():

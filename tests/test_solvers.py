@@ -593,6 +593,36 @@ def test_config_validation():
                      cache_capacity=-1)
 
 
+def test_integer_config_fields_must_be_integers():
+    # a bool or a fraction used to pass: True < 1 is False, and 2.5 failed
+    # later inside range or np.empty while a seed of 1.5 ran as seed 1
+    c = ProblemConstants(L=1.0, sigma2=0.0, D_X=1.0)
+    stoch = ScheduleVariant("smooth_stochastic")
+    with pytest.raises(ConfigError, match="True is not an integer"):
+        SolverConfig("calsgd", c, np.zeros(3), 10, schedule=stoch, cache_capacity=True,
+                     batch=True)
+    for field, value in (("outer_limit", 2.5), ("batch", 2.5), ("batch", True),
+                         ("cache_capacity", 2.5), ("seed", 1.5), ("seed", True),
+                         ("seed", None), ("outer_limit", None)):
+        with pytest.raises(ConfigError, match="%s %r is not an integer" % (field, value)):
+            SolverConfig(**dict(dict(variant="calsgd", constants=c, x0=np.zeros(3),
+                                     outer_limit=10, schedule=stoch), **{field: value}))
+    for tag, field, value in (("smooth_stochastic_fixed_n", "N", 2.5),
+                              ("smooth_stochastic_fixed_n", "N", True),
+                              ("strongly_convex_det_phase", "s", 1.5)):
+        with pytest.raises(ConfigError, match="%s %r is not an integer" % (field, value)):
+            ScheduleVariant(tag, **dict(dict(N=3, s=1), **{field: value}))
+    # an integral float is its int
+    config = SolverConfig("calsgd", c, np.zeros(3), 10.0, seed=2.0, batch=4.0,
+                          cache_capacity=8.0,
+                          schedule=ScheduleVariant("smooth_stochastic_fixed_n", N=3.0))
+    phase = ScheduleVariant("strongly_convex_stoch_phase", N=3.0, s=1.0)
+    # an int past the float range is still an int, not an OverflowError
+    assert SolverConfig("calsgd", c, np.zeros(3), 10, schedule=stoch, seed=10**400).seed == 10**400
+    assert [type(v) for v in (config.outer_limit, config.seed, config.batch,
+                              config.cache_capacity, config.schedule.N, phase.s)] == [int] * 6
+
+
 def test_trace_metadata_fields():
     rng = np.random.default_rng(12)
     obj, base, _ = _simplex_ls(rng)
