@@ -7,19 +7,19 @@ instances.  Everything is JSON on disk and deterministic given the seed
 alone: A is drawn a block of rows at a time and b = A @ x_star is formed 4
 rows at a time, so no BLAS thread count moves its rounding.
 
-In an instance file the numeric arrays (A or its CSR parts, b, x_star, and
-the vertices of an enumerated region) are ``{"__ndarray__": dtype, "shape":
-[...], "base64": ...}`` objects holding the base64 of the array's C-order
-little-endian bytes, so a round trip is exact and no load builds Python
-float lists.  Arrays written as plain JSON lists are still accepted.  Other
-region specs stay plain lists.
+An instance's region is the region's own spec (``to_spec``).  In an
+instance file the numeric arrays (A or its CSR parts, b, x_star, and the
+arrays a region holds: a box's bounds, an enumerated region's vertices) are
+``{"__ndarray__": dtype, "shape": [...], "base64": ...}`` objects holding
+the base64 of the array's C-order little-endian bytes, so a round trip is
+exact and no load builds Python float lists.  Arrays written as plain JSON
+lists are still accepted; a dag_path's edges stay a list of pairs.
 """
 
 import base64
 import binascii
 import copy
 import hashlib
-import itertools
 import json
 import numbers
 import os
@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import BudgetExceeded, ConfigError, NumericalError
 from .objectives import CsrMatrix, LeastSquares, estimate_L, estimate_sigma2
-from .regions import Enumerated, region_from_spec, svec
+from .regions import region_from_spec, svec
 from .schedules import NEEDS, ProblemConstants, ScheduleVariant, _integer, schedule_eval
 from .solvers import RESTARTS, SolverConfig, run_solver
 from .trace import RunTrace, TraceTable, read_trace_csv
@@ -39,70 +39,6 @@ THRESHOLDS = tuple(10.0 ** (-e) for e in range(1, 7))
 _THRESHOLD_COLUMN = np.array(THRESHOLDS)[:, None]
 _FAILED = ("budget_error", "error")  # the statuses of a failed run
 _CSV_NAME = "%s__s%d.csv"  # a run's trace file, by solver name and seed
-
-
-# ---------------------------------------------------------------------------
-# polytope generators that expand to concrete region specs
-
-
-def hamiltonian_cycle_vertices(nodes):
-    """Indicator vectors (over undirected edges of K_nodes) of all Hamiltonian cycles."""
-    if nodes < 3:
-        raise ValueError("hamiltonian cycles need at least 3 nodes")
-    cycles = 1
-    for k in range(3, nodes):  # (nodes - 1)! / 2, stopped once past the cap
-        cycles *= k
-        if cycles > Enumerated.MAX_VERTICES:
-            raise ValueError("hamiltonian cycle enumeration capped at %d vertices"
-                             % Enumerated.MAX_VERTICES)
-    index = np.zeros((nodes, nodes), dtype=np.intp)  # the coordinate of edge {a, b}
-    index[np.triu_indices(nodes, 1)] = np.arange(nodes * (nodes - 1) // 2)
-    index += index.T
-    # tours from node 0, each undirected cycle once
-    tours = np.array([(0,) + perm for perm in itertools.permutations(range(1, nodes))
-                      if perm[0] < perm[-1]])
-    verts = np.zeros((len(tours), nodes * (nodes - 1) // 2))
-    np.put_along_axis(verts, index[tours, np.roll(tours, -1, axis=1)], 1.0, axis=1)
-    return verts
-
-
-def cut_polytope_vertices(nodes):
-    """Cut vectors (over undirected edges of K_nodes) of all vertex bipartitions."""
-    if nodes < 2:
-        raise ValueError("cut polytope needs at least 2 nodes")
-    if nodes - 1 >= Enumerated.MAX_VERTICES.bit_length():  # 2 ** (nodes - 1) > the cap
-        raise ValueError("cut polytope enumeration capped at %d vertices" % Enumerated.MAX_VERTICES)
-    # node 0 on side 0; node b + 1 on the side of bit b of the mask
-    side = (2 * np.arange(2 ** (nodes - 1)))[:, None] >> np.arange(nodes) & 1
-    i, j = np.triu_indices(nodes, 1)
-    return (side[:, i] != side[:, j]).astype(float)
-
-
-def layered_dag_edges(layers, width):
-    """Edge list of a source -> (layers x width grid) -> sink layered DAG."""
-    if not (layers >= 1 and width >= 1):
-        raise ValueError("layered dag needs layers >= 1 and width >= 1")
-    def node(l, i):
-        return 1 + l * width + i
-    source, sink = 0, 1 + layers * width
-    edges = [(source, node(0, i)) for i in range(width)]
-    for l in range(layers - 1):
-        edges += [(node(l, i), node(l + 1, j)) for i in range(width) for j in range(width)]
-    edges += [(node(layers - 1, i), sink) for i in range(width)]
-    return edges
-
-
-def expand_region_spec(spec):
-    """Expand generator shorthands into concrete region specs."""
-    kind = spec.get("kind")
-    if kind == "hamiltonian_cycles":
-        return {"kind": "enumerated", "vertices": hamiltonian_cycle_vertices(spec["nodes"])}
-    if kind == "cut_polytope":
-        return {"kind": "enumerated", "vertices": cut_polytope_vertices(spec["nodes"])}
-    if kind == "layered_dag":
-        return {"kind": "dag_path",
-                "edges": [[u, v] for u, v in layered_dag_edges(spec["layers"], spec["width"])]}
-    return dict(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +107,7 @@ def gen_instance(spec: dict) -> dict:
             or not 0.0 < density <= 1.0):
         raise ConfigError("density must be a number in (0, 1], got %r" % (density,))
     try:
-        region_spec = expand_region_spec(_object(spec["region"], "region"))
-        region = region_from_spec(region_spec)
+        region = region_from_spec(spec["region"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("bad region spec: %s %s" % (type(exc).__name__, exc)) from exc
 
@@ -180,7 +115,7 @@ def gen_instance(spec: dict) -> dict:
                             csr=density <= 0.25 and m * region.dim > 10000)
     return {
         "version": __version__,
-        "region": region_spec,
+        "region": region.to_spec(),
         "objective": {"type": "least_squares", "A": amat, "b": b, "x_star": x_star},
         "generator": dict(spec, seed=seed),
     }

@@ -16,14 +16,21 @@ Each region exposes:
 Every LMO is exact up to rounding; the spectrahedron's is a dense symmetric
 eigensolve (LAPACK).
 
+A region's spec is its kind and constructor arguments (``params``), which
+``to_spec`` writes and `region_from_spec` reads; the generator kinds
+``hamiltonian_cycles``, ``cut_polytope`` and ``layered_dag`` build an
+`Enumerated` or `DagPath` region from their own keys.
+
 Points are plain 1-D float64 arrays.  For the spectrahedron the points are
 symmetric matrices in scaled upper-triangle form (off-diagonals times
 sqrt(2)) so that Euclidean inner products and norms on the flattened
 vectors equal their Frobenius counterparts.
 """
 
+import copy
 import functools
 import heapq
+import itertools
 import math
 import types
 from dataclasses import dataclass
@@ -33,6 +40,7 @@ import numpy as np
 
 from .compiled import kernel
 from .errors import NumericalError
+from .schedules import _integer
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -77,11 +85,20 @@ def smat(v):
     return M
 
 
+def _size(n, kind):
+    """``n`` as an int >= 1; a bool or a number with a fractional part is rejected."""
+    if not n >= 1:
+        raise ValueError("%s needs n >= 1" % (kind,))
+    return _integer(n, "%s n" % (kind,))
+
+
 class Region:
-    """Base class; subclasses fill in kind, dim, ``_lmo``, ``diameter`` and
-    ``to_spec``, and may give ``_contains`` a closed form."""
+    """Base class; subclasses fill in kind, dim, ``_lmo``, ``diameter`` and ``params`` (the
+    constructor arguments, each held under its own name, which ``to_spec`` writes), and
+    may give ``_contains`` a closed form."""
 
     kind = None
+    params = ()
     dim = None
     support = None
 
@@ -138,20 +155,20 @@ class Region:
         raise NumericalError("minimum-norm point: no answer after %d steps" % (_MNP_MAX_ITERS,))
 
     def to_spec(self) -> dict:
-        raise NotImplementedError
+        """The spec `region_from_spec` builds this region from: its kind and a copy of
+        each of its ``params``."""
+        return {"kind": self.kind, **copy.deepcopy({p: getattr(self, p) for p in self.params})}
 
 
 class Simplex(Region):
     """Probability simplex {x >= 0, sum x = 1}; vertices are unit basis vectors."""
 
     kind = "simplex"
+    params = ("n",)
     support = 1
 
     def __init__(self, n):
-        if not n >= 1:
-            raise ValueError("simplex needs n >= 1")
-        self.n = n
-        self.dim = n
+        self.n = self.dim = _size(n, self.kind)
 
     def _lmo(self, c):
         i = int(np.argmin(c))  # lowest index on ties
@@ -165,24 +182,19 @@ class Simplex(Region):
     def _contains(self, x, tol):
         return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - 1.0) <= tol)
 
-    def to_spec(self):
-        return {"kind": self.kind, "n": self.n}
-
 
 class L1Ball(Region):
     """Scaled cross-polytope {||x||_1 <= r}; vertices are +-r e_i."""
 
     kind = "l1_ball"
+    params = ("n", "radius")
     support = 1
 
     def __init__(self, n, radius=1.0):
-        if not n >= 1:
-            raise ValueError("l1 ball needs n >= 1")
+        self.n = self.dim = _size(n, self.kind)
         if not 0 < radius < math.inf:
             raise ValueError("l1 ball needs a finite radius > 0, got %r" % (radius,))
-        self.n = n
         self.radius = float(radius)
-        self.dim = n
 
     def _lmo(self, c):
         i = int(np.argmax(np.abs(c)))
@@ -197,22 +209,17 @@ class L1Ball(Region):
     def _contains(self, x, tol):
         return bool(float(np.sum(np.abs(x))) <= self.radius + tol)
 
-    def to_spec(self):
-        return {"kind": self.kind, "n": self.n, "radius": self.radius}
-
 
 class Box(Region):
     """Axis-aligned box prod_i [lo_i, hi_i]."""
 
     kind = "box"
+    params = ("n", "lo", "hi")
 
     def __init__(self, n, lo=0.0, hi=1.0):
-        if not n >= 1:
-            raise ValueError("box needs n >= 1")
-        self.n = n
-        self.dim = n
-        self.lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
-        self.hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
+        self.n = self.dim = _size(n, self.kind)
+        self.lo, self.hi = (np.broadcast_to(np.asarray(b, dtype=float), (self.n,)).copy()
+                            for b in (lo, hi))
         if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
             raise ValueError("box has a NaN or infinite bound")
         if np.any(self.hi < self.lo):
@@ -229,21 +236,16 @@ class Box(Region):
     def _contains(self, x, tol):
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
-    def to_spec(self):
-        return {"kind": self.kind, "n": self.n, "lo": self.lo.tolist(), "hi": self.hi.tolist()}
-
 
 class Birkhoff(Region):
     """Doubly stochastic matrices (flattened row-major); vertices are permutations."""
 
     kind = "birkhoff"
+    params = ("n",)
 
     def __init__(self, n):
-        if not n >= 1:
-            raise ValueError("birkhoff needs n >= 1")
-        self.n = n
-        self.dim = n * n
-        self.support = n
+        self.n = self.support = _size(n, self.kind)
+        self.dim = self.n * self.n
 
     def _lmo(self, c):
         rows, cols = kernel("linear_sum_assignment")(c.reshape(self.n, self.n))
@@ -262,9 +264,6 @@ class Birkhoff(Region):
             and np.all(np.abs(P.sum(axis=1) - 1.0) <= tol)
         )
 
-    def to_spec(self):
-        return {"kind": self.kind, "n": self.n}
-
 
 class Spectrahedron(Region):
     """Unit-trace PSD matrices in svec coordinates; vertices are rank-one v v^T.
@@ -277,12 +276,11 @@ class Spectrahedron(Region):
     """
 
     kind = "spectrahedron"
+    params = ("n",)
 
     def __init__(self, n):
-        if not n >= 1:
-            raise ValueError("spectrahedron needs n >= 1")
-        self.n = n
-        self.dim = svec_dim(n)
+        self.n = _size(n, self.kind)
+        self.dim = svec_dim(self.n)
 
     def _lmo(self, c):
         v = np.linalg.eigh(smat(c))[1][:, 0]
@@ -300,9 +298,6 @@ class Spectrahedron(Region):
         ev = np.linalg.eigvalsh(X)
         return bool(ev[0] >= -tol and abs(float(np.trace(X)) - 1.0) <= tol)
 
-    def to_spec(self):
-        return {"kind": self.kind, "n": self.n}
-
 
 class DagPath(Region):
     """Source-sink unit-flow (path) polytope of a layered DAG.
@@ -316,10 +311,12 @@ class DagPath(Region):
     """
 
     kind = "dag_path"
+    params = ("edges",)
 
     def __init__(self, edges):
         # edges: iterable of (u, v) or (u, v, layer); layer is informational.
-        self.edges = [(int(e[0]), int(e[1])) for e in edges]
+        self.edges = [(_integer(e[0], "dag_path node"), _integer(e[1], "dag_path node"))
+                      for e in edges]
         if not self.edges:
             raise ValueError("dag_path needs at least one edge")
         self.dim = len(self.edges)
@@ -394,9 +391,6 @@ class DagPath(Region):
         balance[[0, -1]] -= (1.0, -1.0)  # the source sends one unit, the sink takes it
         return bool(np.all(x >= -tol) and np.all(np.abs(balance) <= tol))
 
-    def to_spec(self):
-        return {"kind": self.kind, "edges": [[u, v] for u, v in self.edges]}
-
 
 # A guard, not a budget, on NNLS iterations and on Wolfe's LMO steps: on the
 # cut and Hamiltonian-cycle polytopes (up to 4096 vertices, dim 78) NNLS has
@@ -443,6 +437,7 @@ class Enumerated(Region):
     """
 
     kind = "enumerated"
+    params = ("vertices",)
     MAX_VERTICES = 5000
 
     def __init__(self, vertices):
@@ -477,25 +472,80 @@ class Enumerated(Region):
             self._diameter = math.sqrt(best)
         return self._diameter
 
-    def to_spec(self):
-        return {"kind": self.kind, "vertices": self.vertices.tolist()}
+
+def hamiltonian_cycle_vertices(nodes):
+    """Indicator vectors (over undirected edges of K_nodes) of all Hamiltonian cycles."""
+    nodes = _integer(nodes, "hamiltonian cycle nodes", 3)
+    cycles = 1
+    for k in range(3, nodes):  # (nodes - 1)! / 2, stopped once past the cap
+        cycles *= k
+        if cycles > Enumerated.MAX_VERTICES:
+            raise ValueError("hamiltonian cycle enumeration capped at %d vertices"
+                             % Enumerated.MAX_VERTICES)
+    index = np.zeros((nodes, nodes), dtype=np.intp)  # the coordinate of edge {a, b}
+    index[np.triu_indices(nodes, 1)] = np.arange(nodes * (nodes - 1) // 2)
+    index += index.T
+    # tours from node 0, each undirected cycle once
+    tours = np.array([(0,) + perm for perm in itertools.permutations(range(1, nodes))
+                      if perm[0] < perm[-1]])
+    verts = np.zeros((len(tours), nodes * (nodes - 1) // 2))
+    np.put_along_axis(verts, index[tours, np.roll(tours, -1, axis=1)], 1.0, axis=1)
+    return verts
 
 
-_REGION_BUILDERS = {
-    "simplex": lambda spec: Simplex(spec["n"]),
-    "l1_ball": lambda spec: L1Ball(spec["n"], spec.get("radius", 1.0)),
-    "box": lambda spec: Box(spec["n"], spec.get("lo", 0.0), spec.get("hi", 1.0)),
-    "birkhoff": lambda spec: Birkhoff(spec["n"]),
-    # Older files also carry an eigenvalue tolerance, which the exact LMO ignores.
-    "spectrahedron": lambda spec: Spectrahedron(spec["n"]),
-    "dag_path": lambda spec: DagPath(spec["edges"]),
-    "enumerated": lambda spec: Enumerated(spec["vertices"]),
-}
+def cut_polytope_vertices(nodes):
+    """Cut vectors (over undirected edges of K_nodes) of all vertex bipartitions."""
+    nodes = _integer(nodes, "cut polytope nodes", 2)
+    if nodes - 1 >= Enumerated.MAX_VERTICES.bit_length():  # 2 ** (nodes - 1) > the cap
+        raise ValueError("cut polytope enumeration capped at %d vertices" % Enumerated.MAX_VERTICES)
+    # node 0 on side 0; node b + 1 on the side of bit b of the mask
+    side = (2 * np.arange(2 ** (nodes - 1)))[:, None] >> np.arange(nodes) & 1
+    i, j = np.triu_indices(nodes, 1)
+    return (side[:, i] != side[:, j]).astype(float)
 
 
-def region_from_spec(spec: dict) -> Region:
-    """Build a region from its JSON-able spec dict (inverse of ``to_spec``)."""
-    build = _REGION_BUILDERS.get(spec.get("kind"))
-    if build is None:
-        raise ValueError("unknown region kind %r" % (spec.get("kind"),))
-    return build(spec)
+def layered_dag_edges(layers, width):
+    """Edge list of a source -> (layers x width grid) -> sink layered DAG."""
+    layers = _integer(layers, "layered dag layers", 1)
+    width = _integer(width, "layered dag width", 1)
+    def node(l, i):
+        return 1 + l * width + i
+    source, sink = 0, 1 + layers * width
+    edges = [(source, node(0, i)) for i in range(width)]
+    for l in range(layers - 1):
+        edges += [(node(l, i), node(l + 1, j)) for i in range(width) for j in range(width)]
+    edges += [(node(layers - 1, i), sink) for i in range(width)]
+    return edges
+
+
+# Every region kind: its builder and the spec keys it takes.
+_KINDS = {cls.kind: (cls, cls.params)
+          for cls in (Simplex, L1Ball, Box, Birkhoff, Spectrahedron, DagPath, Enumerated)}
+_KINDS.update({
+    "hamiltonian_cycles": (lambda nodes: Enumerated(hamiltonian_cycle_vertices(nodes)), ("nodes",)),
+    "cut_polytope": (lambda nodes: Enumerated(cut_polytope_vertices(nodes)), ("nodes",)),
+    "layered_dag": (lambda layers, width: DagPath(layered_dag_edges(layers, width)),
+                    ("layers", "width")),
+})
+
+
+def region_from_spec(spec) -> Region:
+    """Build a region from its spec: a dict of a kind and the kind's keys (see ``_KINDS``).
+
+    The inverse of ``to_spec``.  A spec that is not a dict, an unknown kind or
+    a key the kind does not take raise ValueError; a missing key, TypeError.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError("region must be a JSON object, got %r" % (spec,))
+    kind = spec.get("kind")
+    if kind not in _KINDS:
+        raise ValueError("unknown region kind %r" % (kind,))
+    build, params = _KINDS[kind]
+    # Older files also give a spectrahedron an eigenvalue tolerance, which the exact LMO ignores.
+    args = {key: value for key, value in spec.items()
+            if key != "kind" and (kind, key) != ("spectrahedron", "eig_tol")}
+    unknown = [key for key in args if key not in params]
+    if unknown:
+        raise ValueError("region %s has unknown key(s) %s; it takes %s"
+                         % (kind, ", ".join(map(repr, unknown)), ", ".join(params)))
+    return build(**args)

@@ -406,10 +406,10 @@ def dense_csr_draw(spec):
     ``b = A @ x_star`` in one BLAS call; a CSR ``A``'s arrays are taken from
     ``np.nonzero(A)``, and a dense ``A`` is ``data``.
     """
-    from lazy_sliding.bench import _sample_x_star, expand_region_spec
+    from lazy_sliding.bench import _sample_x_star
     from lazy_sliding.regions import region_from_spec
 
-    region = region_from_spec(expand_region_spec(spec["region"]))
+    region = region_from_spec(spec["region"])
     m, n, density = spec["objective"]["m"], region.dim, spec["objective"]["density"]
     rng = np.random.default_rng(spec["seed"])
     mask = rng.random((m, n)) < density

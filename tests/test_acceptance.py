@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from lazy_sliding.bench import gen_instance, hamiltonian_cycle_vertices, load_instance
+from lazy_sliding.bench import gen_instance, load_instance
 from lazy_sliding.lcg import Subproblem, duality_gap, iteration_bound, lcg_solve
 from lazy_sliding.objectives import (
     GaussianSfo,
@@ -30,6 +30,7 @@ from lazy_sliding.regions import (
     L1Ball,
     Simplex,
     Spectrahedron,
+    hamiltonian_cycle_vertices,
     smat,
     svec,
 )

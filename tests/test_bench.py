@@ -14,11 +14,9 @@ import lazy_sliding
 import lazy_sliding.bench as bench
 import lazy_sliding.cli as cli
 import lazy_sliding.lcg as lcg
+import lazy_sliding.regions as regions
 from lazy_sliding.bench import (
-    cut_polytope_vertices,
     gen_instance,
-    hamiltonian_cycle_vertices,
-    layered_dag_edges,
     load_instance,
     parse_seeds,
     run_experiment,
@@ -28,7 +26,12 @@ from lazy_sliding.bench import (
 from lazy_sliding.cli import _print_summary, main
 from lazy_sliding.errors import ConfigError, NumericalError
 from lazy_sliding.objectives import CsrMatrix
-from lazy_sliding.regions import svec
+from lazy_sliding.regions import (
+    cut_polytope_vertices,
+    hamiltonian_cycle_vertices,
+    layered_dag_edges,
+    svec,
+)
 from lazy_sliding.trace import TRACE_COLUMNS, TRACE_HEADER, RunTrace, TraceTable, read_trace_csv
 
 from helpers import b64decode_array, run_fresh, traced_peak
@@ -495,7 +498,7 @@ class _NoDraws:
 ])
 def test_bad_objective_spec_fails_before_any_work(monkeypatch, objective, fault):
     monkeypatch.setattr(bench.np.random, "default_rng", lambda *args: _NoDraws())
-    monkeypatch.setattr(bench, "expand_region_spec", _work_before_the_check)
+    monkeypatch.setattr(bench, "region_from_spec", _work_before_the_check)
     with pytest.raises(ConfigError, match=fault):
         gen_instance(dict(SIMPLEX_SPEC, objective=dict(SIMPLEX_SPEC["objective"], **objective)))
 
@@ -554,7 +557,7 @@ def test_enumerations_are_capped_before_they_are_enumerated(monkeypatch):
     def no_permutations(*args):
         raise AssertionError("permutations listed before the cap was checked")
 
-    monkeypatch.setattr(bench.itertools, "permutations", no_permutations)
+    monkeypatch.setattr(regions.itertools, "permutations", no_permutations)
     # K_9 has 8!/2 = 20160 Hamiltonian cycles
     with pytest.raises(ConfigError, match="hamiltonian cycle enumeration capped at 5000"):
         gen_instance(dict(SIMPLEX_SPEC, region={"kind": "hamiltonian_cycles", "nodes": 9}))
@@ -1453,7 +1456,7 @@ def test_cli_rejected_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("spec,fault", [
     (dict(SIMPLEX_SPEC, region={"kind": "no_such"}), "unknown region kind 'no_such'"),
-    (dict(SIMPLEX_SPEC, region={"kind": "simplex"}), "KeyError 'n'"),
+    (dict(SIMPLEX_SPEC, region={"kind": "simplex"}), "missing 1 required positional argument: 'n'"),
     (dict(SIMPLEX_SPEC, objective={"m": 10, "density": "x"}), "density must be a number"),
     (dict(SIMPLEX_SPEC, objective=7), "objective must be a JSON object, got 7"),
     (dict(SIMPLEX_SPEC, region="simplex"), "region must be a JSON object, got 'simplex'"),
@@ -1464,6 +1467,16 @@ def test_cli_rejected_config_exits_2(tmp_path, capsys):
      "NaN or infinite"),
     (dict(SIMPLEX_SPEC, region={"kind": "l1_ball", "n": 3, "radius": float("nan")}),
      "finite radius"),
+    (dict(SIMPLEX_SPEC, region={"kind": "box", "n": 3, "low": -1, "hi": 2}),
+     "region box has unknown key(s) 'low'; it takes n, lo, hi"),
+    (dict(SIMPLEX_SPEC, region={"kind": "l1_ball", "n": 3, "raduis": 2.0}), "key(s) 'raduis'"),
+    (dict(SIMPLEX_SPEC, region={"kind": "hamiltonian_cycles", "node": 5}), "key(s) 'node'"),
+    (dict(SIMPLEX_SPEC, region={"kind": "simplex", "n": 2.5}), "simplex n 2.5 is not an integer"),
+    (dict(SIMPLEX_SPEC, region={"kind": "simplex", "n": True}), "simplex n True is not an integer"),
+    (dict(SIMPLEX_SPEC, region={"kind": "layered_dag", "layers": 1.5, "width": 2}),
+     "layers 1.5 is not an integer"),
+    (dict(SIMPLEX_SPEC, region={"kind": "dag_path", "edges": [[0, 1.5], [1.5, 2.9]]}),
+     "dag_path node 1.5 is not an integer"),
 ])
 def test_cli_bad_gen_spec_exits_2(tmp_path, capsys, spec, fault):
     spec_path, inst_path = tmp_path / "spec.json", tmp_path / "instance.json"
@@ -1475,7 +1488,16 @@ def test_cli_bad_gen_spec_exits_2(tmp_path, capsys, spec, fault):
 
 
 @pytest.mark.parametrize("text,fault", [(None, "FileNotFoundError"),
-                                        ("{not json", "JSONDecodeError")])
+                                        ("{not json", "JSONDecodeError")] + [
+    (json.dumps({"region": region}), fault) for region, fault in [
+        ([], "region must be a JSON object, got []"),
+        ("simplex", "region must be a JSON object, got 'simplex'"),
+        (None, "region must be a JSON object, got None"),
+        ({"kind": "box", "n": 3, "low": -1}, "key(s) 'low'"),
+        ({"kind": "l1_ball", "n": 3, "raduis": 2.0}, "key(s) 'raduis'"),
+        ({"kind": "hamiltonian_cycles", "node": 5}, "key(s) 'node'"),
+        ({"kind": "birkhoff", "n": 2.5}, "birkhoff n 2.5 is not an integer"),
+    ]])
 def test_cli_unreadable_instance_exits_2(tmp_path, capsys, text, fault):
     inst_path, cfg_path, run_dir = tmp_path / "inst.json", tmp_path / "exp.json", tmp_path / "runs"
     if text is not None:

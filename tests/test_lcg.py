@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lazy_sliding.bench import hamiltonian_cycle_vertices
 from lazy_sliding import lcg
 from lazy_sliding.errors import BudgetExceeded
 from lazy_sliding.lcg import (
@@ -23,6 +22,7 @@ from lazy_sliding.regions import (
     L1Ball,
     Simplex,
     Spectrahedron,
+    hamiltonian_cycle_vertices,
 )
 from lazy_sliding.trace import Counters
 

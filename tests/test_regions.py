@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from lazy_sliding.bench import cut_polytope_vertices, hamiltonian_cycle_vertices, layered_dag_edges
+from lazy_sliding.bench import _encode_array, gen_instance
 from lazy_sliding.errors import NumericalError
 from lazy_sliding import compiled, regions
 from lazy_sliding.regions import (
@@ -16,6 +17,9 @@ from lazy_sliding.regions import (
     Simplex,
     Spectrahedron,
     _min_norm_point,
+    cut_polytope_vertices,
+    hamiltonian_cycle_vertices,
+    layered_dag_edges,
     region_from_spec,
     smat,
     svec,
@@ -308,17 +312,34 @@ def test_diameter_upper_bounds_vertex_pairs(region):
         assert float(np.linalg.norm(a - b)) <= D + 1e-9
 
 
-@pytest.mark.parametrize("region", ALL_REGIONS, ids=lambda r: r.kind)
-def test_spec_round_trip(region):
-    spec = region.to_spec()
-    clone = region_from_spec(spec)
+# (region, the spec it was built from) for every kind `region_from_spec` builds:
+# each class, and each generator kind from its own keys.
+SPEC_CASES = [(r, r.to_spec()) for r in ALL_REGIONS] + [
+    (region_from_spec(spec), spec) for spec in ({"kind": "hamiltonian_cycles", "nodes": 5},
+                                                 {"kind": "cut_polytope", "nodes": 4},
+                                                 {"kind": "layered_dag", "layers": 2, "width": 3})]
+
+
+def _spec_text(spec):
+    """A spec as an instance file writes it."""
+    return json.dumps(spec, sort_keys=True, default=_encode_array)
+
+
+@pytest.mark.parametrize("region,spec", SPEC_CASES, ids=[spec["kind"] for _, spec in SPEC_CASES])
+def test_spec_round_trip(region, spec):
+    own = region.to_spec()
+    assert not any(np.shares_memory(value, getattr(region, key)) for key, value in own.items())
+    clone = region_from_spec(own)
     assert clone.kind == region.kind and clone.dim == region.dim
+    assert _spec_text(clone.to_spec()) == _spec_text(own)
     rng = np.random.default_rng(9)
     for _ in range(10):
         c = rng.standard_normal(region.dim)
         a, b = region.lmo(c), clone.lmo(c)
         assert np.array_equal(a.point, b.point)
         assert a.id == b.id
+    inst = gen_instance({"region": spec, "objective": {"m": 5}, "seed": 1})
+    assert _spec_text(inst["region"]) == _spec_text(region_from_spec(spec).to_spec())
 
 
 def test_legacy_spectrahedron_spec_with_eigenvalue_tolerance_loads():
@@ -382,6 +403,11 @@ def test_shape_and_construction_errors():
             L1Ball(3, radius=bad)
     with pytest.raises(ValueError):
         region_from_spec({"kind": "mystery"})
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Simplex(bad)
+    whole = region_from_spec({"kind": "birkhoff", "n": 2.0})  # a whole number is taken as an int
+    assert type(whole.to_spec()["n"]) is int and type(whole.dim) is int
 
 
 @pytest.mark.parametrize("region", ALL_REGIONS + [DagPath([(0, 1), (1, 2), (0, 2)])],
