@@ -31,7 +31,7 @@ from . import __version__
 from .errors import BudgetExceeded, ConfigError, NumericalError
 from .objectives import CsrMatrix, LeastSquares, estimate_L, estimate_sigma2
 from .regions import region_from_spec, svec
-from .schedules import NEEDS, ProblemConstants, ScheduleVariant, _integer, schedule_eval
+from .schedules import SCHEDULES, ProblemConstants, ScheduleVariant, _integer, schedule_eval
 from .solvers import RESTARTS, SolverConfig, run_solver
 from .trace import RunTrace, TraceTable, read_trace_csv
 
@@ -221,8 +221,9 @@ def resolve_constants(entry, region, objective, inst, x0):
     """The constants of a solver entry: every one it gives, plus estimates.
 
     The estimated ones are those of L, sigma^2, D_0 and delta0 that the
-    entry's schedule reads (``NEEDS``; a restart variant reads its phase
-    schedule's) and the entry does not give; sigma^2 is `estimate_sigma2`'s
+    entry's schedule reads (its ``SCHEDULES`` row's ``needs``; a restart
+    variant reads its phase schedule's, mu among them, which is never
+    estimated) and the entry does not give; sigma^2 is `estimate_sigma2`'s
     closed form at x0.  D_X defaults to the region's diameter.  A
     NumericalError raised while estimating a constant carries its name
     (``L``, ``sigma2``, ``D_0`` or ``delta0``) in ``constant``.
@@ -236,7 +237,8 @@ def resolve_constants(entry, region, objective, inst, x0):
         "D_0": lambda: min(float(np.linalg.norm(x0 - x_star)), out["D_X"]),
         "delta0": lambda: objective.value(x0),  # f* = 0 by construction
     }
-    for name in NEEDS.get(_schedule_tag(entry), ()):
+    row = SCHEDULES.get(_schedule_tag(entry))
+    for name in row.needs if row else ():
         if name not in out and name in estimators:
             try:
                 out[name] = estimators[name]()

@@ -441,7 +441,7 @@ class Enumerated(Region):
     MAX_VERTICES = 5000
 
     def __init__(self, vertices):
-        V = np.asarray(vertices, dtype=float)
+        V = np.array(vertices, dtype=float)  # a copy: the caller's array may change later
         if V.ndim != 2 or V.shape[0] < 1:
             raise ValueError("enumerated region needs a (num_vertices, dim) array")
         if V.shape[0] > self.MAX_VERTICES:
@@ -450,6 +450,7 @@ class Enumerated(Region):
                 % (self.MAX_VERTICES, V.shape[0]))
         if not np.all(np.isfinite(V)):
             raise ValueError("enumerated region has a vertex with a NaN or infinite coordinate")
+        V.flags.writeable = False
         self.vertices = V
         self.dim = V.shape[1]
         self._diameter = None

@@ -198,8 +198,8 @@ def _iterations(config, plan):
     if plan is None:
         return ((config.schedule, k) for k in range(1, config.outer_limit + 1))
     tag, (N, S) = RESTARTS[config.variant], plan
-    return ((ScheduleVariant(tag, N=N, s=s), k)
-            for s in range(1, S + 1) for k in range(1, N + 1))
+    phases = [ScheduleVariant(tag, N=N, s=s) for s in range(1, S + 1)]
+    return ((schedule, k) for schedule in phases for k in range(1, N + 1))
 
 
 def run_solver(config: SolverConfig, objective, region) -> RunTrace:

@@ -109,6 +109,17 @@ def test_contains_worked_examples():
     assert not tri.contains(np.array([0.0, -1e-6]))
 
 
+def test_enumerated_keeps_its_vertices_when_the_callers_array_changes():
+    V = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    r = Enumerated(V)
+    diameter = r.diameter()
+    V[1] = [100.0, 0.0]
+    assert np.array_equal(r.lmo(np.array([-1.0, 0.0])).point, [2.0, 0.0])
+    assert not r.contains(np.array([50.0, 0.0]))
+    assert r.diameter() == diameter == pytest.approx(math.sqrt(8.0))
+    assert not r.vertices.flags.writeable
+
+
 ALL_REGIONS = [
     Simplex(5),
     L1Ball(4, radius=2.0),

@@ -5,7 +5,7 @@ import pytest
 
 from lazy_sliding import (ConfigError, ProblemConstants, ScheduleVariant, SolverConfig,
                           schedule_eval)
-from lazy_sliding.schedules import NEEDS, VALID_TAGS, restart_phase_plan
+from lazy_sliding.schedules import BATCH_CAP, SCHEDULES, restart_phase_plan
 
 from helpers import EXACT_TAGS
 
@@ -116,7 +116,9 @@ def test_restart_phase_plan_checks_its_phase_constants():
     # an L or delta0 of 0 would plan phases of 0 iterations, or none at all
     given = {"L": 1.0, "mu": 0.5, "delta0": 2.0, "sigma2": 0.0}
     for tag in (DET_PHASE, STOCH_PHASE):
-        for name in NEEDS[tag]:
+        for name in SCHEDULES[tag].needs:
+            if name == "mu":  # ProblemConstants holds no None mu; its 0 default is checked below
+                continue
             with pytest.raises(ConfigError, match="'%s'" % name):
                 restart_phase_plan(ProblemConstants(**dict(given, **{name: None})), tag, 0.1)
         for name in ("L", "delta0", "mu"):
@@ -172,6 +174,9 @@ def test_batch_rules():
     assert schedule_eval(_sv("smooth_stochastic"), 5, c).batch == 1  # sigma=0 -> 1
     c = ProblemConstants(L=1.0, sigma2=1e12, D_X=1.0)
     assert schedule_eval(_sv("smooth_stochastic"), 50, c).batch == 2 ** 20  # capped
+    # a raw B_k that overflows to inf is capped too, not an OverflowError
+    c = ProblemConstants(L=1.0, sigma2=1e300, D_X=1.0)
+    assert schedule_eval(_sv("smooth_stochastic"), 10 ** 4, c).batch == BATCH_CAP
 
 
 def test_missing_constants_named_in_error():
@@ -187,30 +192,27 @@ def test_missing_constants_named_in_error():
 
 
 def test_needs_table_names_exactly_the_constants_each_schedule_reads():
-    values = {"L": 2.0, "sigma2": 0.5, "D_X": 1.5, "D_0": 1.0, "delta0": 0.7, "M": 1.2,
-              "A_norm": 2.0, "D_YW": 0.5, "sigma_omega": 1.0}
-    assert VALID_TAGS == frozenset(NEEDS)
-    for tag, names in NEEDS.items():
-        mu = 0.5 if tag.startswith("strongly_convex") else 0.0
+    values = {"L": 2.0, "mu": 0.5, "sigma2": 0.5, "D_X": 1.5, "D_0": 1.0, "delta0": 0.7,
+              "M": 1.2, "A_norm": 2.0, "D_YW": 0.5, "sigma_omega": 1.0}
+    for tag, row in SCHEDULES.items():
+        names = row.needs
         sv = _sv(tag, N=10, s=2)
         given = {name: values[name] for name in names}
-        p = schedule_eval(sv, 3, ProblemConstants(mu=mu, **given))
+        p = schedule_eval(sv, 3, ProblemConstants(**given))
         assert p.beta > 0 and p.eta > 0, tag
         assert p.batch is None if tag in EXACT_TAGS else p.batch >= 1, tag
-        for name in names:
+        for name in names:  # a left-out mu is its default 0, which a phase rejects
             fewer = {n: v for n, v in given.items() if n != name}
             with pytest.raises(ConfigError, match=name):
-                schedule_eval(sv, 3, ProblemConstants(mu=mu, **fewer))
-        if mu > 0:
-            with pytest.raises(ConfigError, match="mu"):
-                schedule_eval(sv, 3, ProblemConstants(**given))
+                schedule_eval(sv, 3, ProblemConstants(**fewer))
         # a zero scale constant would give eta = 0 or a division by zero;
         # zero noise is a valid regime
-        for name in {"L", "D_X", "D_0", "delta0", "A_norm", "D_YW", "sigma_omega"} & set(names):
+        for name in set(names) & {"L", "mu", "D_X", "D_0", "delta0", "A_norm", "D_YW",
+                                  "sigma_omega"}:
             with pytest.raises(ConfigError, match="'%s' > 0" % name):
-                schedule_eval(sv, 3, ProblemConstants(mu=mu, **dict(given, **{name: 0.0})))
+                schedule_eval(sv, 3, ProblemConstants(**dict(given, **{name: 0.0})))
         if "sigma2" in names:
-            assert schedule_eval(sv, 3, ProblemConstants(mu=mu, **dict(given, sigma2=0.0))).eta > 0
+            assert schedule_eval(sv, 3, ProblemConstants(**dict(given, sigma2=0.0))).eta > 0
     # the nonsmooth schedule needs noise or a Lipschitz constant
     sv = _sv("nonsmooth_stochastic", N=10)
     with pytest.raises(ConfigError, match="M"):
